@@ -19,8 +19,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod harness;
-
 use std::time::Duration;
 
 use vip_gme::{EngineBackend, GmeConfig, SequenceRunner};

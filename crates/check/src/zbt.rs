@@ -77,7 +77,7 @@ pub fn check_capacity(s: &Scenario) -> Vec<Violation> {
     let mut out = Vec::new();
     let px = s.dims.pixel_count();
     let words = s.config.zbt_bank_words;
-    if px >= words {
+    if 2 * px.div_ceil(2) > words {
         out.push(Violation {
             check: "zbt.capacity",
             message: format!(
@@ -210,6 +210,9 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].check, "zbt.capacity");
         assert!(v[0].message.contains("1048576"), "{}", v[0].message);
+        // The bound is exact: 512×512 fills each bank to the last word.
+        assert!(check_capacity(&proto(Dims::new(512, 512), CallKind::Inter)).is_empty());
+        assert_eq!(check_capacity(&proto(Dims::new(513, 512), CallKind::Inter)).len(), 1);
     }
 
     #[test]

@@ -116,10 +116,10 @@ impl ZbtMemory {
     #[must_use]
     pub fn fits(&self, dims: Dims) -> bool {
         let px = dims.pixel_count();
-        // Paired input regions: px words per bank. Result region: 2·px
-        // words split across its two banks (Res_block_A/B halves) — px
-        // words per bank as well, plus one word of slack for odd sizes.
-        px < self.bank_words()
+        // Paired input regions: px words per bank. Result region: each
+        // Res_block half takes ceil(px/2) pixels at two words each, so
+        // the result bound 2·ceil(px/2) covers the input bound too.
+        2 * px.div_ceil(2) <= self.bank_words()
     }
 
     fn region_banks(&self, region: ZbtRegion) -> (usize, usize) {
@@ -580,6 +580,10 @@ mod tests {
         assert!(z.fits(ImageFormat::Cif.dims()));
         assert!(z.fits(ImageFormat::Qcif.dims()));
         assert!(!z.fits(Dims::new(1024, 1024)));
+        // Exactly at capacity: 512×512 = 262 144 words per bank.
+        assert!(z.fits(Dims::new(512, 512)));
+        assert!(!z.fits(Dims::new(513, 512)));
+        assert!(!z.fits(Dims::new(1, 262_145)));
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! vipctl trace-diff <a.json> <b.json> [--threshold PCT]
 //! vipctl stats <intra|inter|gme> [--size WxH] [--frames N] [--format json]
 //! vipctl report <intra|inter|gme> [--size WxH] [--frames N] [--format json]
-//! vipctl bench [--quick] [--check] [--size WxH] [--reps N] [--out BENCH_engine.json]
 //! vipctl check [--root DIR]
 //! ```
 //!
@@ -20,13 +19,7 @@
 //! attribution: per-track utilization, process-unit stall causes, ZBT
 //! bank duty, the PCI/host/engine split of every call second, and the
 //! Amdahl decomposition reproducing the paper's ×30-bound-vs-×5-measured
-//! gap. `bench` times the cycle-stepped simulation loop against the
-//! event-driven fast-forward path on the same workload, asserts
-//! bit-identical results, records the baseline in `BENCH_engine.json`,
-//! and appends one line to the `BENCH_history.jsonl` ledger; `--check`
-//! fails when the run regresses more than 10 % below the best recorded
-//! entry (`--quick` runs a smoke-sized workload for CI and never writes
-//! baselines).
+//! gap.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -70,7 +63,6 @@ usage:
   vipctl trace-diff <a.json> <b.json> [--threshold PCT]
   vipctl stats <scenario> [--size WxH] [--frames N] [--format json]
   vipctl report <scenario> [--size WxH] [--frames N] [--format json]
-  vipctl bench [--quick] [--check] [--size WxH] [--reps N] [--out BENCH_engine.json]
   vipctl check [--root DIR]
 sequences: singapore | dome | pisa | movie
 scenarios: intra (CIF Sobel, detailed) | inter (CIF AbsDiff, detailed) | gme";
@@ -89,7 +81,6 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
         "trace-diff" => trace_diff(args.get(1), args.get(2), &flags),
         "stats" => stats(args.get(1), &flags),
         "report" => report(args.get(1), &flags),
-        "bench" => bench(&flags),
         "check" => check(&flags),
         other => Err(format!("unknown command `{other}`").into()),
     }
@@ -133,7 +124,11 @@ fn parse_size(flags: &HashMap<String, String>, default: Dims) -> Result<Dims, Bo
             let (w, h) = s
                 .split_once(['x', 'X'])
                 .ok_or("--size expects WxH, e.g. 176x144")?;
-            Ok(Dims::new(w.parse()?, h.parse()?))
+            let dims = Dims::new(w.parse()?, h.parse()?);
+            if dims.is_empty() {
+                return Err(format!("--size {s}: width and height must be at least 1").into());
+            }
+            Ok(dims)
         }
     }
 }
@@ -145,6 +140,9 @@ fn scaled(seq: &TestSequence, flags: &HashMap<String, String>) -> Result<TestSeq
         .map(|v| v.parse())
         .transpose()?
         .unwrap_or(12);
+    if frames == 0 {
+        return Err("--frames must be at least 1".into());
+    }
     Ok(seq.scaled(dims.width, dims.height, frames))
 }
 
@@ -326,169 +324,6 @@ fn json_format(flags: &HashMap<String, String>) -> Result<bool, Box<dyn Error>> 
         Some("json") => Ok(true),
         Some(other) => Err(format!("unknown --format `{other}` (expected text | json)").into()),
     }
-}
-
-/// `vipctl bench` — times the cycle-stepped loop against the
-/// event-driven fast-forward path on the same detailed workload (intra
-/// Sobel + inter AbsDiff), asserts the two produce bit-identical runs,
-/// and writes the tracked baseline JSON. `--quick` is the CI smoke
-/// mode: a small frame, one repetition, no baseline file.
-fn bench(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    use std::time::Instant;
-    use vip::engine::StepMode;
-
-    let quick = flags.contains_key("quick");
-    let default_dims = if quick { Dims::new(96, 72) } else { Dims::new(352, 288) };
-    let dims = parse_size(flags, default_dims)?;
-    let reps: u32 = flags
-        .get("reps")
-        .map(|v| v.parse())
-        .transpose()?
-        .unwrap_or(if quick { 1 } else { 5 });
-
-    let frame = Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 7 + p.y * 13) % 256) as u8));
-    let shifted =
-        Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 7 + p.y * 13 + 31) % 256) as u8));
-
-    // (mode name, cycles per rep, wall seconds, witness runs)
-    let mut measured = Vec::new();
-    for (name, mode) in [
-        ("cycle_stepped", StepMode::CycleStepped),
-        ("fast_forward", StepMode::FastForward),
-    ] {
-        let mut config = EngineConfig::prototype_detailed();
-        config.step_mode = mode;
-        let mut engine = AddressEngine::new(config)?;
-        // Warm-up pass; its runs double as the equivalence witnesses.
-        let intra = engine.run_intra(&frame, &SobelGradient::new())?;
-        let inter = engine.run_inter(&frame, &shifted, &AbsDiff::luma())?;
-        let cycles_per_rep = intra.report.processing.as_ref().map_or(0, |p| p.cycles)
-            + inter.report.processing.as_ref().map_or(0, |p| p.cycles);
-
-        // Each repetition is timed on its own and the fastest one is
-        // kept: scheduler noise and CPU steal only ever slow a rep
-        // down, so the minimum is the stable estimate of what the
-        // machine can do — means wander far too much for a ±10 % gate.
-        let mut best_rep = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let a = engine.run_intra(&frame, &SobelGradient::new())?;
-            let b = engine.run_inter(&frame, &shifted, &AbsDiff::luma())?;
-            best_rep = best_rep.min(t0.elapsed().as_secs_f64());
-            std::hint::black_box((a, b));
-        }
-        measured.push((name, cycles_per_rep, best_rep.max(1e-9), (intra, inter)));
-    }
-
-    // Equivalence: the optimisation must be unobservable in the results.
-    let (stepped, fast) = (&measured[0], &measured[1]);
-    if stepped.3 .0.output != fast.3 .0.output
-        || stepped.3 .0.report != fast.3 .0.report
-        || stepped.3 .1.output != fast.3 .1.output
-        || stepped.3 .1.report != fast.3 .1.report
-    {
-        return Err("fast-forward run diverges from the cycle-stepped run".into());
-    }
-
-    let throughput = |m: &(&str, u64, f64, _)| m.1 as f64 / m.2;
-    let speedup = throughput(fast) / throughput(stepped);
-
-    println!("engine step-mode benchmark ({dims}, best of {reps} rep(s), intra Sobel + inter AbsDiff)");
-    println!(
-        "{:<16} {:>14} {:>12} {:>18}",
-        "mode", "cycles/rep", "wall ms", "sim-cycles/sec"
-    );
-    for m in &measured {
-        println!(
-            "{:<16} {:>14} {:>12.3} {:>18.0}",
-            m.0,
-            m.1,
-            m.2 * 1e3,
-            throughput(m)
-        );
-    }
-    println!("speedup: {speedup:.2}x (results bit-identical)");
-    if speedup < 1.0 {
-        return Err(format!(
-            "fast-forward is slower than cycle-stepping ({speedup:.2}x)"
-        )
-        .into());
-    }
-
-    // Regression gate: compare against the best matching ledger entry
-    // *before* this run is appended, so a regressing run never pollutes
-    // the history it failed against.
-    let history_path = flags
-        .get("history")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_history.jsonl".to_string());
-    if flags.contains_key("check") {
-        let current = vip::gate::BenchRecord {
-            workload: "intra_sobel+inter_absdiff".to_string(),
-            dims: dims.to_string(),
-            speedup,
-            fast_cycles_per_sec: throughput(fast),
-        };
-        let history = match std::fs::read_to_string(&history_path) {
-            Ok(text) => vip::gate::parse_history(&text)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(format!("{history_path}: {e}").into()),
-        };
-        match vip::gate::check_current(&history, &current, 0.10) {
-            Ok(msg) => println!("gate: {msg}"),
-            Err(msg) => return Err(format!("gate: {msg}").into()),
-        }
-    }
-
-    if !quick {
-        let out = flags
-            .get("out")
-            .cloned()
-            .unwrap_or_else(|| "BENCH_engine.json".to_string());
-        let mut w = vip::obs::json::JsonWriter::new();
-        w.begin_object();
-        w.key("benchmark");
-        w.string("engine.step_mode");
-        w.key("workload");
-        w.string("intra_sobel+inter_absdiff");
-        w.key("dims");
-        w.string(&dims.to_string());
-        w.key("reps");
-        w.u64(u64::from(reps));
-        w.key("modes");
-        w.begin_object();
-        for m in &measured {
-            w.key(m.0);
-            w.begin_object();
-            w.key("cycles_per_rep");
-            w.u64(m.1);
-            w.key("wall_ms_per_rep");
-            w.f64(m.2 * 1e3);
-            w.key("sim_cycles_per_sec");
-            w.f64(throughput(m));
-            w.end_object();
-        }
-        w.end_object();
-        w.key("speedup");
-        w.f64(speedup);
-        w.key("bit_identical");
-        w.bool(true);
-        w.end_object();
-        let json = w.finish();
-        vip::obs::json::validate(&json).map_err(|e| format!("internal JSON error: {e}"))?;
-        std::fs::write(&out, json.clone() + "\n")?;
-        println!("baseline → {out}");
-        // Append the same record to the append-only history ledger the
-        // `--check` gate reads (one JSON object per line).
-        use std::io::Write as _;
-        let mut ledger = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&history_path)?;
-        writeln!(ledger, "{json}")?;
-        println!("history  → {history_path}");
-    }
-    Ok(())
 }
 
 /// `vipctl check` — static schedule/hazard verification plus workspace
@@ -768,4 +603,56 @@ fn trace_diff(
     println!("trace diff: {a} → {b}");
     print!("{}", diff.text_table(threshold));
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    fn flags(line: &str) -> HashMap<String, String> {
+        parse_flags(&args(line))
+    }
+
+    #[test]
+    fn parse_size_accepts_wxh_and_rejects_zero_dimensions() {
+        let default = Dims::new(176, 144);
+        assert_eq!(parse_size(&flags(""), default).unwrap(), default);
+        assert_eq!(parse_size(&flags("--size 88x72"), default).unwrap(), Dims::new(88, 72));
+        assert_eq!(parse_size(&flags("--size 1X1"), default).unwrap(), Dims::new(1, 1));
+        for size in ["0x0", "0x72", "88x0"] {
+            let err = parse_size(&flags(&format!("--size {size}")), default).unwrap_err();
+            assert!(err.to_string().contains("--size"), "{size}: {err}");
+        }
+        let err = parse_size(&flags("--size 88"), default).unwrap_err();
+        assert!(err.to_string().contains("--size"), "{err}");
+    }
+
+    #[test]
+    fn scaled_rejects_zero_frames() {
+        let seq = TestSequence::dome();
+        let err = scaled(&seq, &flags("--frames 0")).unwrap_err();
+        assert!(err.to_string().contains("--frames"), "{err}");
+        let ok = scaled(&seq, &flags("--frames 2 --size 32x24")).unwrap();
+        assert_eq!((ok.frame_count(), ok.dims()), (2, Dims::new(32, 24)));
+    }
+
+    #[test]
+    fn zero_sized_requests_fail_before_any_work() {
+        // Each of these used to panic (exit 101) or write an empty clip.
+        for line in [
+            "gme dome --frames 0",
+            "gme dome --size 0x0",
+            "render dome --size 0x0 --out unused.y4m",
+            "render dome --frames 0 --out unused.y4m",
+            "segment --size 0x8",
+            "trace gme --frames 0 --out unused.json",
+        ] {
+            assert!(run(&args(line)).is_err(), "`vipctl {line}` must fail");
+        }
+        assert!(!std::path::Path::new("unused.y4m").exists());
+    }
 }

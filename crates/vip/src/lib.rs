@@ -23,14 +23,10 @@
 //!   (`vipctl check` / the `vip-check` binary).
 //! * [`obs`] (`vip-obs`) — the zero-dependency observability layer:
 //!   event bus, metrics registry, Perfetto trace export and the JSON
-//!   writer backing `vipctl trace` / `vipctl bench`.
+//!   writer backing `vipctl trace` / `vipctl report`.
 //! * [`par`] (`vip-par`) — zero-dependency scoped-thread work pool with
-//!   deterministic result ordering, backing the parallel sweeps in the
-//!   benches, the GME batch runner and the `vip-check` proofs.
-//! * [`gate`] — the bench-history regression gate behind
-//!   `vipctl bench --check`: parses the append-only
-//!   `BENCH_history.jsonl` ledger and fails runs that regress more than
-//!   the tolerance below the best recorded entry.
+//!   deterministic result ordering, backing the parallel sweeps in
+//!   `vip-bench`, the GME batch runner and the `vip-check` proofs.
 //!
 //! ## Quick start
 //!
@@ -52,8 +48,6 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-
-pub mod gate;
 
 pub use vip_check as check;
 pub use vip_core as core;

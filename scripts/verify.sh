@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Full offline verification: release build, tests, static verifier and
-# clippy with warnings denied. This is exactly what CI runs; run it
-# before pushing.
+# Full offline verification: release build, tests, static verifier, a
+# perfbench smoke run and clippy with warnings denied. This is exactly
+# what CI runs; run it before pushing.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -15,8 +15,16 @@ cargo test -q --workspace
 echo "==> vip-check (static schedule/hazard verifier + workspace lint)"
 cargo run --release -q -p vip-check -- .
 
-echo "==> vipctl bench --quick --check (fast-forward equivalence + regression gate)"
-cargo run --release -q -p vip --bin vipctl -- bench --quick --check
+echo "==> perfbench smoke (every workload; fails on any output-check failure)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+perfbench() {
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --seed 1 --seconds 2 "$@"
+}
+for workload in gme_clip gme_batch engine_detailed surveillance; do
+    perfbench --workload "$workload" --trace 0
+done
+perfbench --workload engine_detailed --trace 1
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --all-targets --workspace -- -D warnings

@@ -17,7 +17,7 @@ use vip::check::schedule::instants;
 use vip::core::frame::Frame;
 use vip::core::geometry::{Dims, Point};
 use vip::core::ops::arith::AbsDiff;
-use vip::core::ops::filter::BoxBlur;
+use vip::core::ops::filter::{BoxBlur, SobelGradient};
 use vip::core::ops::segment_ops::HomogeneityCriterion;
 use vip::core::pixel::Pixel;
 use vip::engine::{AddressEngine, EngineConfig, EngineError, EngineRun, StepMode};
@@ -138,6 +138,30 @@ fn inter_fast_forward_is_bit_identical() {
         }
         assert_identical(&runs[0], &runs[1], &format!("inter seed {seed} {dims:?}"));
     }
+}
+
+#[test]
+fn prototype_sobel_and_absdiff_are_bit_identical() {
+    // The default detailed configuration on the engine-benchmark pair
+    // (intra Sobel, then inter AbsDiff on the same engine) at a size the
+    // seeded sweep never reaches.
+    let dims = Dims::new(96, 72);
+    let a = test_frame(dims);
+    let b = Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 7 + p.y * 13 + 31) % 256) as u8));
+    let config = EngineConfig::prototype_detailed();
+    let mut runs = Vec::new();
+    for mode in [StepMode::CycleStepped, StepMode::FastForward] {
+        let mut engine = AddressEngine::new(with_mode(&config, mode)).expect("valid config");
+        let intra = engine.run_intra(&a, &SobelGradient::new()).expect("intra call succeeds");
+        let inter = engine.run_inter(&a, &b, &AbsDiff::luma()).expect("inter call succeeds");
+        runs.push((intra, inter, engine.stats()));
+    }
+    let (stepped, fast) = (&runs[0], &runs[1]);
+    assert_eq!(stepped.0.output, fast.0.output, "sobel output pixels diverge");
+    assert_eq!(stepped.0.report, fast.0.report, "sobel reports diverge");
+    assert_eq!(stepped.1.output, fast.1.output, "absdiff output pixels diverge");
+    assert_eq!(stepped.1.report, fast.1.report, "absdiff reports diverge");
+    assert_eq!(stepped.2, fast.2, "engine stats diverge");
 }
 
 #[test]

@@ -7,7 +7,7 @@ use vip::core::geometry::Dims;
 use vip::core::ops::arith::{AbsDiff, ChangeMask};
 use vip::core::ops::filter::{Binomial3, SobelGradient};
 use vip::core::ops::morph::MorphGradient;
-use vip::engine::{AddressEngine, EngineConfig};
+use vip::engine::{AddressEngine, EngineConfig, EngineError, StepMode};
 use vip::video::TestSequence;
 
 /// Every Table 3 sequence, rendered small, processed by both paths.
@@ -27,6 +27,40 @@ fn engine_matches_software_on_all_sequences() {
         let hw_diff = engine.run_inter(&f0, &f1, &AbsDiff::luma()).unwrap();
         let sw_diff = inter::run_inter(&f0, &f1, &AbsDiff::luma()).unwrap();
         assert_eq!(hw_diff.output, sw_diff.output, "{} diff", seq.name());
+    }
+}
+
+/// A frame of exactly the ZBT bank capacity (512×512 = 262 144 words per
+/// bank) runs on every fidelity and step mode and matches the software
+/// AddressLib; one more column is rejected with a typed error.
+#[test]
+fn frame_at_zbt_capacity_runs_on_every_fidelity() {
+    let seq = TestSequence::dome().scaled(512, 512, 2);
+    let f0 = seq.render_frame(0);
+    let f1 = seq.render_frame(1);
+    let sw_sobel = intra::run_intra(&f0, &SobelGradient::new()).unwrap().output;
+    let sw_diff = inter::run_inter(&f0, &f1, &AbsDiff::luma()).unwrap().output;
+    let too_wide = vip::core::frame::Frame::new(Dims::new(513, 512));
+
+    let mut stepped = EngineConfig::prototype_detailed();
+    stepped.step_mode = StepMode::CycleStepped;
+    for (name, config) in [
+        ("analytic", EngineConfig::prototype()),
+        ("detailed-ff", EngineConfig::prototype_detailed()),
+        ("detailed-stepped", stepped),
+    ] {
+        let mut engine = AddressEngine::new(config).unwrap();
+        let hw_sobel = engine.run_intra(&f0, &SobelGradient::new()).unwrap();
+        assert_eq!(hw_sobel.output, sw_sobel, "{name} sobel");
+        let hw_diff = engine.run_inter(&f0, &f1, &AbsDiff::luma()).unwrap();
+        assert_eq!(hw_diff.output, sw_diff, "{name} diff");
+        assert!(
+            matches!(
+                engine.run_intra(&too_wide, &SobelGradient::new()),
+                Err(EngineError::FrameTooLarge { .. })
+            ),
+            "{name} must reject 513x512"
+        );
     }
 }
 
