@@ -8,9 +8,9 @@ use crate::error::{EngineError, EngineResult};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SimulationFidelity {
-    /// Cycle-stepped simulation: pixels flow through ZBT → IIM → matrix
-    /// register → Process Unit pipeline → OIM → ZBT, with per-cycle stage
-    /// occupancy. Use for small frames, verification and the fig. 5 trace.
+    /// Cycle-level simulation: pixels flow through ZBT → IIM → matrix
+    /// register → Process Unit pipeline → OIM → ZBT, advanced as
+    /// [`StepMode`] says. Use for verification, traces and the fig. 5 print.
     Detailed,
     /// Analytic cycle counts derived from the same architectural
     /// parameters, validated against [`SimulationFidelity::Detailed`] on
@@ -25,17 +25,15 @@ pub enum SimulationFidelity {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StepMode {
-    /// Tick every engine cycle, modelling each stage each cycle. Always
-    /// used when a trace recorder is attached (per-cycle spans need the
-    /// per-cycle loop) and by the equivalence tests as the reference.
+    /// Tick every engine cycle, modelling each stage each cycle. The
+    /// reference the equivalence tests hold [`StepMode::FastForward`] to.
     CycleStepped,
-    /// Event-driven fast-forward: subsystems report their next-activity
-    /// cycle and the stepping loop jumps the clock to the earliest one
-    /// instead of ticking idle cycles, while the per-pixel datapath work
-    /// is replayed from the software addressing model. Produces
-    /// bit-identical [`crate::ProcessingStats`], ZBT bank statistics and
-    /// schedule instants to [`StepMode::CycleStepped`] (asserted by
-    /// `tests/fast_forward_equivalence.rs`).
+    /// Event-driven fast-forward: the clock jumps to the next cycle on
+    /// which any subsystem acts, and the per-pixel datapath work is
+    /// replayed from the software addressing model. Produces bit-identical
+    /// [`crate::process_unit::ProcessingStats`], ZBT bank statistics,
+    /// schedule instants and probe recordings to [`StepMode::CycleStepped`]
+    /// (asserted by `tests/fast_forward_equivalence.rs`), recorder or not.
     #[default]
     FastForward,
 }
@@ -139,7 +137,7 @@ impl EngineConfig {
         }
     }
 
-    /// Prototype configuration with cycle-stepped simulation.
+    /// Prototype configuration with [`SimulationFidelity::Detailed`] simulation.
     #[must_use]
     pub fn prototype_detailed() -> Self {
         EngineConfig {
@@ -175,6 +173,12 @@ impl EngineConfig {
             return Err(EngineError::InvalidConfig {
                 field: "iim_lines",
                 reason: "the IIM needs at least two line blocks",
+            });
+        }
+        if self.oim_lines == 0 {
+            return Err(EngineError::InvalidConfig {
+                field: "oim_lines",
+                reason: "the OIM needs at least one line block",
             });
         }
         if self.zbt_banks < 6 {
@@ -269,6 +273,12 @@ mod tests {
         let mut c = base.clone();
         c.iim_lines = 1;
         assert!(c.validate().is_err());
+        let mut c = base.clone();
+        c.oim_lines = 0;
+        assert!(matches!(
+            c.validate(),
+            Err(EngineError::InvalidConfig { field: "oim_lines", .. })
+        ));
         let mut c = base.clone();
         c.zbt_banks = 1;
         assert!(c.validate().is_err());

@@ -43,7 +43,7 @@ use crate::config::{EngineConfig, InterOverlap, SimulationFidelity, StepMode};
 use crate::dma::{schedule_inter_call, schedule_intra_call, DmaSchedule};
 use crate::error::{EngineError, EngineResult};
 use crate::fast::{run_inter_fast, run_intra_fast};
-use crate::process_unit::{run_inter_detailed_probed, run_intra_detailed_probed, PuProbe};
+use crate::process_unit::{run_inter_detailed, run_intra_detailed, PuProbe};
 use crate::report::{record_into, stats_from_registry, EngineReport, EngineStats};
 use crate::timing::{inter_timeline, intra_timeline, segment_timeline};
 use crate::trace::{emit_trace, seconds_to_ns, trace_of};
@@ -155,19 +155,9 @@ impl AddressEngine {
         self.trace_limit = cycles;
     }
 
-    /// Whether detailed calls take the event-driven fast-forward path.
-    /// An attached recorder forces per-cycle stepping: the fig. 5 probe
-    /// spans (line fills, sweeps, stall runs) are per-cycle artefacts.
-    fn fast_forward(&self) -> bool {
-        self.config.step_mode == StepMode::FastForward && !self.recorder.is_enabled()
-    }
-
-    /// A probe for the cycle-stepped datapath whose cycle 0 sits at
-    /// `processing_start_s` seconds into the current call.
+    /// A Process Unit probe whose cycle 0 sits at `processing_start_s`
+    /// seconds into the current call.
     fn pu_probe(&self, processing_start_s: f64) -> PuProbe {
-        if !self.recorder.is_enabled() {
-            return PuProbe::disabled();
-        }
         PuProbe::new(
             self.recorder.clone(),
             self.clock_ns + seconds_to_ns(processing_start_s),
@@ -318,34 +308,25 @@ impl AddressEngine {
             SimulationFidelity::Detailed => {
                 self.load_region(ZbtRegion::InputA, frame)?;
                 self.zbt.reset_stats();
-                // Event-driven fast-forward is bit-identical but cannot
-                // emit per-cycle probe spans: recorded runs step.
-                let stats = if self.fast_forward() {
-                    run_intra_fast(
-                        &mut self.zbt,
-                        frame.dims(),
-                        op,
-                        border,
-                        &self.config,
-                        self.trace_limit,
-                    )?
-                } else {
-                    // Processing starts once the first strip has landed.
-                    let probe = self.pu_probe(
-                        schedule
-                            .as_ref()
-                            .map_or(0.0, |s| self.pci_seconds(s.input_strips[0].transfer.end())),
-                    );
-                    run_intra_detailed_probed(
-                        &mut self.zbt,
-                        frame.dims(),
-                        op,
-                        border,
-                        &self.config,
-                        self.trace_limit,
-                        &probe,
-                    )?
+                // Processing starts once the first strip has landed.
+                let probe = self.pu_probe(
+                    schedule
+                        .as_ref()
+                        .map_or(0.0, |s| self.pci_seconds(s.input_strips[0].transfer.end())),
+                );
+                let run = match self.config.step_mode {
+                    StepMode::FastForward => run_intra_fast,
+                    StepMode::CycleStepped => run_intra_detailed,
                 };
+                let stats = run(
+                    &mut self.zbt,
+                    frame.dims(),
+                    op,
+                    border,
+                    &self.config,
+                    self.trace_limit,
+                    &probe,
+                )?;
                 let hw = self.zbt.pixel_access_cycles();
                 (self.unload_result(frame.dims())?, hw, Some(stats))
             }
@@ -405,28 +386,22 @@ impl AddressEngine {
                 self.load_region(ZbtRegion::InputA, a)?;
                 self.load_region(ZbtRegion::InputB, b)?;
                 self.zbt.reset_stats();
-                let stats = if self.fast_forward() {
-                    run_inter_fast(&mut self.zbt, a.dims(), op, &self.config, self.trace_limit)?
-                } else {
-                    // Sequential inter processing waits for both images;
-                    // interleaved tracks the input strips (see dma.rs).
-                    let probe = self.pu_probe(schedule.as_ref().map_or(0.0, |s| {
-                        match self.config.inter_overlap {
-                            InterOverlap::Sequential => self.pci_seconds(s.input_end),
-                            InterOverlap::Interleaved => {
-                                self.pci_seconds(s.input_strips[1].transfer.end())
-                            }
+                // Sequential inter processing waits for both images;
+                // interleaved tracks the input strips (see dma.rs).
+                let probe = self.pu_probe(schedule.as_ref().map_or(0.0, |s| {
+                    match self.config.inter_overlap {
+                        InterOverlap::Sequential => self.pci_seconds(s.input_end),
+                        InterOverlap::Interleaved => {
+                            self.pci_seconds(s.input_strips[1].transfer.end())
                         }
-                    }));
-                    run_inter_detailed_probed(
-                        &mut self.zbt,
-                        a.dims(),
-                        op,
-                        &self.config,
-                        self.trace_limit,
-                        &probe,
-                    )?
+                    }
+                }));
+                let run = match self.config.step_mode {
+                    StepMode::FastForward => run_inter_fast,
+                    StepMode::CycleStepped => run_inter_detailed,
                 };
+                let stats =
+                    run(&mut self.zbt, a.dims(), op, &self.config, self.trace_limit, &probe)?;
                 let hw = self.zbt.pixel_access_cycles();
                 (self.unload_result(a.dims())?, hw, Some(stats))
             }
@@ -724,5 +699,13 @@ mod tests {
         let mut cfg = EngineConfig::prototype();
         cfg.strip_lines = 0;
         assert!(AddressEngine::new(cfg).is_err());
+        // A zero-line OIM can never accept a pixel, so construction
+        // refuses it rather than leaving the first detailed call to fail.
+        let mut cfg = EngineConfig::prototype_detailed();
+        cfg.oim_lines = 0;
+        assert!(matches!(
+            AddressEngine::new(cfg),
+            Err(EngineError::InvalidConfig { field: "oim_lines", .. })
+        ));
     }
 }

@@ -25,13 +25,13 @@
 //!    comparisons; the sweep produces pixels in index order, so the OIM
 //!    FIFO always holds the contiguous range `[popped, pushed)` and
 //!    becomes a pair of counters.
-//! 3. **Event-driven fast-forward** — each subsystem reports its
-//!    next-activity cycle ([`crate::oim::Oim::next_event`] for the drain
-//!    port, [`crate::iim::Iim::next_event`] for the fill path, the
-//!    pipeline-slot analysis below for the Process Unit); when the
-//!    earliest event lies beyond `now + 1` the clock jumps straight to
-//!    it, accumulating the per-cycle stall counters the stepped loop
-//!    would have recorded on the skipped cycles. While the Process Unit
+//! 3. **Event-driven fast-forward** — the loop computes each
+//!    subsystem's next-activity cycle inline (the drain countdown for the
+//!    OIM port, the eviction gate for the fill path, the pipeline-slot
+//!    analysis below for the Process Unit); when the earliest event lies
+//!    beyond `now + 1` the clock jumps straight to it, accumulating the
+//!    per-cycle stall counters the stepped loop would have recorded on
+//!    the skipped cycles. While the Process Unit
 //!    is active the earliest event is always `now + 1`, so the query is
 //!    only evaluated on idle cycles — the steady-state path pays nothing
 //!    for it. When no subsystem reports any future event the run can
@@ -39,10 +39,14 @@
 //!    [`EngineError::PipelineHazard`] the stepped simulator's cycle
 //!    bound would eventually trip.
 //!
+//! 4. **Same probe output** — both loops call the same [`PuProbe`]
+//!    hooks at the same points of the cycle; a skipped idle stretch is
+//!    replayed as one stall-run step plus its occupancy samples.
+//!
 //! Equivalence — bit-identical [`ProcessingStats`] (including the fig. 5
-//! stage trace), ZBT bank statistics, result pixels and error verdicts
-//! against the cycle-stepped reference — is asserted across seeded
-//! configurations by `tests/fast_forward_equivalence.rs`.
+//! stage trace), ZBT bank statistics, result pixels, error verdicts and
+//! probe recordings against the cycle-stepped reference — is asserted
+//! across seeded configurations by `tests/fast_forward_equivalence.rs`.
 //!
 //! [`StepMode::FastForward`]: crate::config::StepMode::FastForward
 
@@ -55,13 +59,14 @@ use vip_core::scan::ScanOrder;
 
 use crate::config::EngineConfig;
 use crate::error::{EngineError, EngineResult};
-use crate::plc::{ControlFsm, FetchKind, StageSnapshot};
-use crate::process_unit::ProcessingStats;
+use crate::plc::{ControlFsm, FetchKind};
+use crate::process_unit::{snapshot_of, ProcessingStats, PuProbe, Stall};
 use crate::zbt::{ZbtMemory, ZbtRegion};
 
 /// Fast-forward equivalent of
 /// [`crate::process_unit::run_intra_detailed`]: identical statistics,
-/// ZBT traffic and result pixels, a fraction of the simulated work.
+/// ZBT traffic, result pixels and probe output, a fraction of the
+/// simulated work.
 ///
 /// # Errors
 ///
@@ -75,6 +80,21 @@ pub fn run_intra_fast<O: IntraOp>(
     border: BorderPolicy,
     config: &EngineConfig,
     trace_limit: usize,
+    probe: &PuProbe,
+) -> EngineResult<ProcessingStats> {
+    // An untraced call runs an instance with the probe hooks compiled out.
+    let run = if probe.is_enabled() { intra_fast::<O, true> } else { intra_fast::<O, false> };
+    run(zbt, dims, op, border, config, trace_limit, probe)
+}
+
+fn intra_fast<O: IntraOp, const HOOKS: bool>(
+    zbt: &mut ZbtMemory,
+    dims: Dims,
+    op: &O,
+    border: BorderPolicy,
+    config: &EngineConfig,
+    trace_limit: usize,
+    probe: &PuProbe,
 ) -> EngineResult<ProcessingStats> {
     let total = dims.pixel_count();
     let radius = op.shape().radius();
@@ -122,6 +142,7 @@ pub fn run_intra_fast<O: IntraOp>(
 
     let mut fsm = ControlFsm::new(dims, ScanOrder::RowMajor);
     let mut stats = ProcessingStats::default();
+    let mut trace = probe.start::<HOOKS>(dims);
     let mut matrix_valid = false;
 
     // Transmission-unit position (the line data itself lives in `input`,
@@ -170,30 +191,34 @@ pub fn run_intra_fast<O: IntraOp>(
             let drain_event = (oim_pushed > oim_popped)
                 .then(|| cycles + drain_per.saturating_sub(drain_timer).max(1));
             let fill_event = (filling && can_accept).then_some(cycles + 1);
-            let target = match [drain_event, fill_event].into_iter().flatten().min() {
-                // No subsystem will ever act again: the stepped loop
-                // would stall in place until its cycle bound trips.
-                None => return Err(hazard),
-                Some(t) if t > bound => return Err(hazard),
-                Some(t) => t,
+            // Every idle cycle until then repeats one stall: on the OIM
+            // (blocked stage 4), on the IIM (stuck window fetch), or none
+            // (slots empty, sweep exhausted: drain-tail idle).
+            let stall = if exec_slot.is_some() {
+                Some(Stall::Oim)
+            } else if scan_slot.is_some() && fetch_slot.is_none() {
+                Some(Stall::Iim)
+            } else {
+                None
+            };
+            let occupancy = oim_pushed - oim_popped;
+            let next = [drain_event, fill_event].into_iter().flatten().min();
+            // Nothing acts again within the bound: the stepped loop
+            // stalls in place until its cycle bound trips.
+            let Some(target) = next.filter(|&t| t <= bound) else {
+                trace.skip(cycles + 1, bound, stall, occupancy);
+                return Err(hazard);
             };
             let skipped = target - cycles - 1;
             if skipped > 0 {
-                // Replay the stall accounting of the skipped idle cycles:
-                // a blocked stage 4 stalls on the OIM every cycle;
-                // otherwise a stuck window fetch stalls on the IIM every
-                // cycle.
+                trace.skip(cycles + 1, cycles + skipped, stall, occupancy);
                 cycles += skipped;
                 drain_timer += skipped;
-                if exec_slot.is_some() {
-                    stats.oim_stalls += skipped;
-                } else if scan_slot.is_some() && fetch_slot.is_none() {
-                    stats.iim_stalls += skipped;
-                } else {
-                    // Every slot empty and the sweep exhausted: the
-                    // skipped cycles are pure drain-tail idle.
-                    stats.idle_cycles += skipped;
-                }
+                *match stall {
+                    Some(Stall::Oim) => &mut stats.oim_stalls,
+                    Some(Stall::Iim) => &mut stats.iim_stalls,
+                    None => &mut stats.idle_cycles,
+                } += skipped;
             }
         }
 
@@ -221,6 +246,7 @@ pub fn run_intra_fast<O: IntraOp>(
 
         // Transmission unit: one pixel per cycle into the current line.
         if filling && can_accept {
+            trace.txu_pixel(txu_line, txu_x, dims.width, cycles);
             txu_x += 1;
             if txu_x == dims.width {
                 txu_line += 1;
@@ -229,7 +255,7 @@ pub fn run_intra_fast<O: IntraOp>(
         }
 
         // Stage 4: store into OIM.
-        let mut advance = true;
+        let mut stalled = None;
         if let Some(idx) = exec_slot {
             if oim_pushed - oim_popped < oim_cap {
                 debug_assert_eq!(idx, oim_pushed, "sweep pushes in index order");
@@ -238,9 +264,10 @@ pub fn run_intra_fast<O: IntraOp>(
                 exec_slot = None;
             } else {
                 stats.oim_stalls += 1;
-                advance = false;
+                stalled = Some(Stall::Oim);
             }
         }
+        let advance = stalled.is_none();
         // Stage 3: execute — the result pixel is precomputed.
         if advance {
             if let (Some((_, idx)), None) = (fetch_slot, &exec_slot) {
@@ -262,28 +289,29 @@ pub fn run_intra_fast<O: IntraOp>(
                     scan_slot = None;
                 } else {
                     stats.iim_stalls += 1;
+                    stalled = Some(Stall::Iim);
                 }
             }
         }
         // Stage 1: scan — issue the next pixel position.
         if scan_slot.is_none() {
             if let Some((point, bundle)) = fsm.next() {
+                trace.issue(point.y, cycles);
                 scan_slot = Some((point, bundle.fetch, bundle.pixel_index));
             }
         }
 
         if stats.trace.len() < trace_limit {
-            stats.trace.push(StageSnapshot {
-                slots: [
-                    scan_slot.as_ref().map(|s| s.2),
-                    fetch_slot.as_ref().map(|s| s.1),
-                    exec_slot,
-                    None,
-                ],
-            });
+            stats.trace.push(snapshot_of(
+                scan_slot.as_ref().map(|s| s.2),
+                fetch_slot.as_ref().map(|s| s.1),
+                exec_slot,
+            ));
         }
+        trace.end_cycle(cycles, stalled, oim_pushed - oim_popped);
     }
 
+    trace.finish(cycles, &stats, total);
     zbt.write_result_run(0, total, out_pixels)?;
     stats.cycles = cycles;
     stats.pixels = total as u64;
@@ -292,7 +320,7 @@ pub fn run_intra_fast<O: IntraOp>(
 }
 
 /// Fast-forward equivalent of
-/// [`crate::process_unit::run_inter_detailed`].
+/// [`crate::process_unit::run_inter_detailed`], probe output included.
 ///
 /// # Errors
 ///
@@ -304,6 +332,19 @@ pub fn run_inter_fast<O: InterOp>(
     op: &O,
     config: &EngineConfig,
     trace_limit: usize,
+    probe: &PuProbe,
+) -> EngineResult<ProcessingStats> {
+    let run = if probe.is_enabled() { inter_fast::<O, true> } else { inter_fast::<O, false> };
+    run(zbt, dims, op, config, trace_limit, probe)
+}
+
+fn inter_fast<O: InterOp, const HOOKS: bool>(
+    zbt: &mut ZbtMemory,
+    dims: Dims,
+    op: &O,
+    config: &EngineConfig,
+    trace_limit: usize,
+    probe: &PuProbe,
 ) -> EngineResult<ProcessingStats> {
     let total = dims.pixel_count();
     let drain_per = config.oim_drain_cycles_per_pixel;
@@ -331,6 +372,7 @@ pub fn run_inter_fast<O: InterOp>(
     let mut oim_max = 0usize;
 
     let mut stats = ProcessingStats::default();
+    let mut trace = probe.start::<HOOKS>(dims);
     let mut fetch_slot: Option<usize> = None;
     let mut exec_slot: Option<usize> = None;
     let mut next_pixel = 0usize;
@@ -351,19 +393,22 @@ pub fn run_inter_fast<O: InterOp>(
         if !pu_active && stats.trace.len() >= trace_limit {
             let drain_event = (oim_pushed > oim_popped)
                 .then(|| cycles + drain_per.saturating_sub(drain_timer).max(1));
-            let target = match drain_event {
-                None => return Err(hazard),
-                Some(t) if t > bound => return Err(hazard),
-                Some(t) => t,
+            // Blocked on a full OIM, or else sweep exhausted with both
+            // slots empty: drain-tail idle.
+            let stall = blocked.then_some(Stall::Oim);
+            let occupancy = oim_pushed - oim_popped;
+            let Some(target) = drain_event.filter(|&t| t <= bound) else {
+                trace.skip(cycles + 1, bound, stall, occupancy);
+                return Err(hazard);
             };
             let skipped = target - cycles - 1;
             if skipped > 0 {
+                trace.skip(cycles + 1, cycles + skipped, stall, occupancy);
                 cycles += skipped;
                 drain_timer += skipped;
                 if blocked {
                     stats.oim_stalls += skipped;
                 } else {
-                    // Sweep exhausted, slots empty: drain-tail idle.
                     stats.idle_cycles += skipped;
                 }
             }
@@ -388,7 +433,7 @@ pub fn run_inter_fast<O: InterOp>(
             drain_timer = 0;
         }
 
-        let mut advance = true;
+        let mut stalled = None;
         if let Some(idx) = exec_slot {
             if oim_pushed - oim_popped < oim_cap {
                 debug_assert_eq!(idx, oim_pushed, "sweep pushes in index order");
@@ -397,10 +442,10 @@ pub fn run_inter_fast<O: InterOp>(
                 exec_slot = None;
             } else {
                 stats.oim_stalls += 1;
-                advance = false;
+                stalled = Some(Stall::Oim);
             }
         }
-        if advance {
+        if stalled.is_none() {
             if let (Some(idx), None) = (fetch_slot, &exec_slot) {
                 exec_slot = Some(idx);
                 fetch_slot = None;
@@ -412,17 +457,16 @@ pub fn run_inter_fast<O: InterOp>(
         }
 
         if stats.trace.len() < trace_limit {
-            stats.trace.push(StageSnapshot {
-                slots: [
-                    (next_pixel < total).then_some(next_pixel),
-                    fetch_slot,
-                    exec_slot,
-                    None,
-                ],
-            });
+            stats.trace.push(snapshot_of(
+                (next_pixel < total).then_some(next_pixel),
+                fetch_slot,
+                exec_slot,
+            ));
         }
+        trace.end_cycle(cycles, stalled, oim_pushed - oim_popped);
     }
 
+    trace.finish(cycles, &stats, total);
     zbt.write_result_run(0, total, &out_pixels)?;
     stats.cycles = cycles;
     stats.pixels = total as u64;
@@ -467,11 +511,13 @@ mod tests {
         let mut zbt_a = ZbtMemory::new(cfg);
         load_input(&mut zbt_a, ZbtRegion::InputA, &frame);
         zbt_a.reset_stats();
-        let stepped = run_intra_detailed(&mut zbt_a, dims, op, BorderPolicy::Clamp, cfg, trace);
+        let off = PuProbe::disabled();
+        let stepped =
+            run_intra_detailed(&mut zbt_a, dims, op, BorderPolicy::Clamp, cfg, trace, &off);
         let mut zbt_b = ZbtMemory::new(cfg);
         load_input(&mut zbt_b, ZbtRegion::InputA, &frame);
         zbt_b.reset_stats();
-        let fast = run_intra_fast(&mut zbt_b, dims, op, BorderPolicy::Clamp, cfg, trace);
+        let fast = run_intra_fast(&mut zbt_b, dims, op, BorderPolicy::Clamp, cfg, trace, &off);
         if stepped.is_ok() {
             assert_eq!(
                 zbt_a.pixel_access_cycles(),
@@ -518,6 +564,7 @@ mod tests {
 
     #[test]
     fn inter_fast_matches_stepped() {
+        let off = PuProbe::disabled();
         for drain in [1u64, 2, 5] {
             let mut cfg = EngineConfig::prototype_detailed();
             cfg.oim_drain_cycles_per_pixel = drain;
@@ -529,12 +576,13 @@ mod tests {
             load_input(&mut zbt_a, ZbtRegion::InputB, &b);
             zbt_a.reset_stats();
             let stepped =
-                run_inter_detailed(&mut zbt_a, dims, &AbsDiff::luma(), &cfg, 16).unwrap();
+                run_inter_detailed(&mut zbt_a, dims, &AbsDiff::luma(), &cfg, 16, &off).unwrap();
             let mut zbt_b = ZbtMemory::new(&cfg);
             load_input(&mut zbt_b, ZbtRegion::InputA, &a);
             load_input(&mut zbt_b, ZbtRegion::InputB, &b);
             zbt_b.reset_stats();
-            let fast = run_inter_fast(&mut zbt_b, dims, &AbsDiff::luma(), &cfg, 16).unwrap();
+            let fast =
+                run_inter_fast(&mut zbt_b, dims, &AbsDiff::luma(), &cfg, 16, &off).unwrap();
             assert_eq!(stepped, fast, "drain = {drain}");
             assert_eq!(zbt_a.pixel_access_cycles(), zbt_b.pixel_access_cycles());
             assert_eq!(read_result(&mut zbt_a, dims), read_result(&mut zbt_b, dims));

@@ -147,17 +147,6 @@ impl Iim {
         !self.is_full() || self.oldest_line().is_none_or(|old| old < needed_oldest)
     }
 
-    /// Next-activity cycle of the ZBT→IIM fill path, for the event-driven
-    /// stepping loop: `Some(now + 1)` while the transmission unit has
-    /// lines left to move (`filling`) and the eviction gate admits the
-    /// next pixel, `None` while the fill is done or gated — a gated fill
-    /// cannot resume until the sweep advances, which is a pipeline event,
-    /// not an IIM event.
-    #[must_use]
-    pub fn next_event(&self, now: u64, filling: bool, needed_oldest: usize) -> Option<u64> {
-        (filling && self.can_accept(needed_oldest)).then_some(now + 1)
-    }
-
     /// Whether all lines a `shape`-window at `centre` needs (after
     /// clamping to the frame of `dims`) are resident.
     #[must_use]

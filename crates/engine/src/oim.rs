@@ -135,20 +135,6 @@ impl Oim {
     pub const fn stall_cycles(&self) -> u64 {
         self.stall_cycles
     }
-
-    /// Next-activity cycle of the OIM→ZBT drain port, for the
-    /// event-driven stepping loop: the first cycle strictly after `now`
-    /// on which the drain countdown (`drain_timer` of
-    /// `drain_cycles_per_pixel`) reaches zero with a pixel to pop, or
-    /// `None` while the FIFO is empty — an empty OIM drains nothing no
-    /// matter how far the countdown has run.
-    #[must_use]
-    pub fn next_event(&self, now: u64, drain_timer: u64, drain_cycles_per_pixel: u64) -> Option<u64> {
-        if self.is_empty() {
-            return None;
-        }
-        Some(now + drain_cycles_per_pixel.saturating_sub(drain_timer).max(1))
-    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,9 @@
 //! the production rate (§3.1).
 //!
 //! [`run_intra_detailed`] and [`run_inter_detailed`] simulate one call
-//! cycle by cycle; the analytic model in [`crate::timing`] is validated
-//! against them.
+//! cycle by cycle; they are the reference that [`crate::fast`] and the
+//! analytic model in [`crate::timing`] are validated against. Both
+//! datapaths publish the same trace through [`PuProbe`].
 
 use vip_core::border::BorderPolicy;
 use vip_core::geometry::{Dims, Point};
@@ -23,7 +24,7 @@ use crate::error::EngineResult;
 use crate::iim::Iim;
 use crate::matrix::MatrixRegister;
 use crate::oim::Oim;
-use crate::plc::{Arbiter, ControlFsm, FetchKind, StageSnapshot, StartPipeline};
+use crate::plc::{ControlFsm, FetchKind, StageSnapshot};
 use crate::zbt::{ZbtMemory, ZbtRegion};
 
 /// Statistics of one detailed (cycle-stepped) processing phase.
@@ -73,23 +74,35 @@ impl ProcessingStats {
     }
 }
 
-/// Observability probe for the cycle-stepped datapath: maps engine
+/// Shortest stall run worth a span of its own. The OIM drains at two
+/// cycles per pixel, so a steady-state CIF call alternates produce /
+/// stall every other cycle — tens of thousands of one-cycle bubbles that
+/// would swamp the trace. Short runs still reach the aggregate stall
+/// counters; only runs of at least this length become spans.
+const MIN_STALL_RUN: u64 = 8;
+
+/// Why the pipeline did not advance on a cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stall {
+    /// A stage-2 window fetch found a needed IIM line missing.
+    Iim,
+    /// Stage 4 found the OIM full.
+    Oim,
+}
+
+/// Observability probe for the Process Unit datapaths: maps engine
 /// cycles onto the session's virtual clock and publishes spans for line
-/// fills, pipeline bubbles, line sweeps, and OIM occupancy.
+/// fills, pipeline bubbles, line sweeps, and OIM occupancy. The stepped
+/// and fast-forward loops feed it the same per-cycle hooks, so both
+/// publish the same trace.
 #[derive(Debug, Clone, Default)]
 pub struct PuProbe {
     /// Where the spans go; disabled by default.
-    pub recorder: Recorder,
+    recorder: Recorder,
     /// Virtual-clock time of processing-phase cycle 0, in nanoseconds.
-    pub t0_ns: u64,
+    t0_ns: u64,
     /// Nanoseconds per engine cycle (`1e9 / engine_clock.hz`).
-    pub ns_per_cycle: f64,
-    /// Shortest stall run worth a span of its own. The OIM drains at two
-    /// cycles per pixel, so a steady-state CIF call alternates produce /
-    /// stall every other cycle — tens of thousands of one-cycle bubbles
-    /// that would swamp the trace. Short runs still reach the aggregate
-    /// stall counters; only runs of at least this length become spans.
-    pub min_stall_run: u64,
+    ns_per_cycle: f64,
 }
 
 impl PuProbe {
@@ -106,12 +119,24 @@ impl PuProbe {
             recorder,
             t0_ns,
             ns_per_cycle,
-            min_stall_run: 8,
         }
     }
 
-    fn is_enabled(&self) -> bool {
+    /// Whether the probe publishes anything.
+    pub(crate) fn is_enabled(&self) -> bool {
         self.recorder.is_enabled()
+    }
+
+    /// Per-call probe state for one processing phase over `dims`.
+    pub(crate) fn start<const HOOKS: bool>(&self, dims: Dims) -> PuTrace<'_, HOOKS> {
+        PuTrace {
+            probe: self,
+            occupancy_every: dims.width.max(1) as u64,
+            stall: None,
+            stall_start: 0,
+            fill_start: 0,
+            sweep: None,
+        }
     }
 
     /// Virtual-clock nanoseconds of engine cycle `cycle`.
@@ -120,52 +145,174 @@ impl PuProbe {
     }
 }
 
-/// Coalesces per-cycle stall flags into runs, emitting one span per run
-/// of at least `min_stall_run` cycles (see [`PuProbe::min_stall_run`]).
-struct StallRuns<'a> {
+/// The hooks a datapath loop calls while it runs one processing phase.
+/// With `HOOKS = false` every hook compiles to nothing; a disabled
+/// recorder drops whatever the compiled-in hooks publish.
+pub(crate) struct PuTrace<'a, const HOOKS: bool> {
     probe: &'a PuProbe,
-    kind: Option<&'static str>,
-    start_cycle: u64,
+    occupancy_every: u64,
+    /// The open stall run and its first cycle.
+    stall: Option<Stall>,
+    stall_start: u64,
+    /// First cycle of the IIM line being filled.
+    fill_start: u64,
+    /// The line being swept and its first cycle.
+    sweep: Option<(i32, u64)>,
 }
 
-impl<'a> StallRuns<'a> {
-    fn new(probe: &'a PuProbe) -> Self {
-        StallRuns {
-            probe,
-            kind: None,
-            start_cycle: 0,
-        }
-    }
-
-    /// Feeds the stall state of one cycle (`None` = pipeline advanced).
-    fn step(&mut self, cycle: u64, stalled: Option<&'static str>) {
-        if self.kind == stalled {
+impl<const HOOKS: bool> PuTrace<'_, HOOKS> {
+    /// The transmission unit moves pixel `x` of IIM line `line` on
+    /// `cycle`: the line's `line_fill` span opens at its first pixel and
+    /// closes at its last.
+    #[inline]
+    pub(crate) fn txu_pixel(&mut self, line: usize, x: usize, width: usize, cycle: u64) {
+        if !HOOKS {
             return;
         }
-        self.flush(cycle);
-        if stalled.is_some() {
-            self.kind = stalled;
-            self.start_cycle = cycle;
+        if x == 0 {
+            self.fill_start = cycle;
+        }
+        if x + 1 == width {
+            self.probe.recorder.span(
+                Track::Iim,
+                "line_fill",
+                self.probe.ts(self.fill_start),
+                self.probe.ts(cycle),
+                &[("line", (line as u64).into())],
+            );
         }
     }
 
-    /// Closes any open run at `cycle` (exclusive).
-    fn flush(&mut self, cycle: u64) {
-        if let Some(kind) = self.kind.take() {
-            if cycle.saturating_sub(self.start_cycle) >= self.probe.min_stall_run {
+    /// Stage 1 issues a pixel of line `line` on `cycle`; a change of
+    /// line closes the previous line's `line_sweep` span.
+    #[inline]
+    pub(crate) fn issue(&mut self, line: i32, cycle: u64) {
+        if !HOOKS {
+            return;
+        }
+        match self.sweep {
+            Some((open, start)) if open != line => {
+                self.emit_sweep(open, start, cycle);
+                self.sweep = Some((line, cycle));
+            }
+            None => self.sweep = Some((line, cycle)),
+            Some(_) => {}
+        }
+    }
+
+    /// Closes `cycle`: feeds its stall state to the run coalescer and
+    /// samples OIM occupancy every `width` cycles.
+    #[inline]
+    pub(crate) fn end_cycle(&mut self, cycle: u64, stall: Option<Stall>, oim_occupancy: usize) {
+        if !HOOKS {
+            return;
+        }
+        self.stall_step(cycle, stall);
+        if cycle.is_multiple_of(self.occupancy_every) {
+            self.sample_occupancy(cycle, oim_occupancy);
+        }
+    }
+
+    /// [`PuTrace::end_cycle`] for every cycle of `first..=last`, a
+    /// stretch over which the stall state and OIM occupancy stay
+    /// constant: one stall-run step, then the occupancy samples that fall
+    /// inside the stretch.
+    pub(crate) fn skip(
+        &mut self,
+        first: u64,
+        last: u64,
+        stall: Option<Stall>,
+        oim_occupancy: usize,
+    ) {
+        if !HOOKS || first > last {
+            return;
+        }
+        self.stall_step(first, stall);
+        let every = self.occupancy_every;
+        let mut cycle = first.div_ceil(every) * every;
+        while cycle <= last {
+            self.sample_occupancy(cycle, oim_occupancy);
+            cycle += every;
+        }
+    }
+
+    /// Ends the phase after `cycles` cycles: closes the open stall run
+    /// and line sweep, then emits the enclosing `processing` span.
+    pub(crate) fn finish(mut self, cycles: u64, stats: &ProcessingStats, pixels: usize) {
+        if !HOOKS {
+            return;
+        }
+        self.flush_stall(cycles);
+        if let Some((line, start)) = self.sweep {
+            self.emit_sweep(line, start, cycles);
+        }
+        let probe = self.probe;
+        probe.recorder.span(
+            Track::Pu,
+            "processing",
+            probe.ts(0),
+            probe.ts(cycles),
+            &[
+                ("cycles", cycles.into()),
+                ("pixels", (pixels as u64).into()),
+                ("iim_stalls", stats.iim_stalls.into()),
+                ("oim_stalls", stats.oim_stalls.into()),
+            ],
+        );
+    }
+
+    /// Coalesces per-cycle stall states into runs (`None` = the pipeline
+    /// advanced or idled).
+    fn stall_step(&mut self, cycle: u64, stall: Option<Stall>) {
+        if self.stall == stall {
+            return;
+        }
+        self.flush_stall(cycle);
+        self.stall = stall;
+        self.stall_start = cycle;
+    }
+
+    /// Closes the open stall run at `cycle` (exclusive), spanning it if
+    /// it lasted at least [`MIN_STALL_RUN`] cycles.
+    fn flush_stall(&mut self, cycle: u64) {
+        if let Some(kind) = self.stall.take() {
+            let run = cycle - self.stall_start;
+            if run >= MIN_STALL_RUN {
+                let name = match kind {
+                    Stall::Iim => "iim_stall",
+                    Stall::Oim => "oim_stall",
+                };
                 self.probe.recorder.span(
                     Track::Pu,
-                    kind,
-                    self.probe.ts(self.start_cycle),
+                    name,
+                    self.probe.ts(self.stall_start),
                     self.probe.ts(cycle),
-                    &[("cycles", (cycle - self.start_cycle).into())],
+                    &[("cycles", run.into())],
                 );
             }
         }
     }
+
+    fn emit_sweep(&self, line: i32, start_cycle: u64, end_cycle: u64) {
+        self.probe.recorder.span(
+            Track::Plc,
+            "line_sweep",
+            self.probe.ts(start_cycle),
+            self.probe.ts(end_cycle),
+            &[("line", i64::from(line).into())],
+        );
+    }
+
+    fn sample_occupancy(&self, cycle: u64, oim_occupancy: usize) {
+        self.probe
+            .recorder
+            .counter(Track::Oim, "occupancy", self.probe.ts(cycle), oim_occupancy as f64);
+    }
 }
 
-/// Runs the processing phase of an intra call cycle by cycle.
+/// Runs the processing phase of an intra call cycle by cycle, publishing
+/// IIM line fills, PLC line sweeps, coalesced stall runs, OIM occupancy
+/// samples and one enclosing processing span through `probe`.
 ///
 /// The input frame must already reside in the `region` input banks of
 /// `zbt` (the DMA phase is modelled by [`crate::engine::AddressEngine`]).
@@ -182,25 +329,6 @@ pub fn run_intra_detailed<O: IntraOp>(
     border: BorderPolicy,
     config: &EngineConfig,
     trace_limit: usize,
-) -> EngineResult<ProcessingStats> {
-    run_intra_detailed_probed(zbt, dims, op, border, config, trace_limit, &PuProbe::disabled())
-}
-
-/// [`run_intra_detailed`] with an observability probe: emits IIM
-/// line-fill spans, per-line sweep spans, coalesced pipeline-bubble
-/// spans, OIM occupancy samples, and one enclosing processing span.
-///
-/// # Errors
-///
-/// Propagates ZBT addressing errors; none occur for frames that passed
-/// [`ZbtMemory::fits`].
-pub fn run_intra_detailed_probed<O: IntraOp>(
-    zbt: &mut ZbtMemory,
-    dims: Dims,
-    op: &O,
-    border: BorderPolicy,
-    config: &EngineConfig,
-    trace_limit: usize,
     probe: &PuProbe,
 ) -> EngineResult<ProcessingStats> {
     let total = dims.pixel_count();
@@ -209,10 +337,9 @@ pub fn run_intra_detailed_probed<O: IntraOp>(
     let mut iim = Iim::new(config.iim_lines, dims.width);
     let mut oim = Oim::new(config.oim_lines, dims.width);
     let mut matrix = MatrixRegister::new(square);
-    let mut pipeline = StartPipeline::new();
-    let mut arbiter = Arbiter::new();
     let mut fsm = ControlFsm::new(dims, ScanOrder::RowMajor);
     let mut stats = ProcessingStats::default();
+    let mut trace = probe.start::<true>(dims);
 
     // Transmission-unit state: next line to load and position within it.
     let mut txu_line = 0usize;
@@ -231,12 +358,6 @@ pub fn run_intra_detailed_probed<O: IntraOp>(
     let bound = (total as u64 + 64) * (config.oim_drain_cycles_per_pixel + 6)
         + (dims.height as u64 + 4) * dims.width as u64;
 
-    // Observability state: line-fill start, current sweep line, stall runs.
-    let mut stall_runs = StallRuns::new(probe);
-    let mut fill_start: Option<u64> = None;
-    let mut sweep: Option<(i32, u64)> = None;
-    let occupancy_every = dims.width.max(1) as u64;
-
     while drained < total {
         cycles += 1;
         if cycles > bound {
@@ -244,8 +365,7 @@ pub fn run_intra_detailed_probed<O: IntraOp>(
                 detail: "cycle-stepped intra simulation exceeded its cycle bound",
             });
         }
-        arbiter.next_cycle();
-        let mut stalled: Option<&'static str> = None;
+        let mut stalled = None;
 
         // Idle classification (slot state at cycle start, mirrored by
         // `fast.rs`): nothing in flight and nothing left to issue.
@@ -276,22 +396,11 @@ pub fn run_intra_detailed_probed<O: IntraOp>(
             if iim.can_accept(needed_oldest) {
                 let idx = txu_line * dims.width + txu_x;
                 let px = zbt.read_input_pixel(ZbtRegion::InputA, idx)?;
-                if probe.is_enabled() && txu_x == 0 {
-                    fill_start = Some(cycles);
-                }
+                trace.txu_pixel(txu_line, txu_x, dims.width, cycles);
                 txu_buf.push(px);
                 txu_x += 1;
                 if txu_x == dims.width {
                     iim.load_line(txu_line, &txu_buf);
-                    if let Some(start) = fill_start.take() {
-                        probe.recorder.span(
-                            Track::Iim,
-                            "line_fill",
-                            probe.ts(start),
-                            probe.ts(cycles),
-                            &[("line", (txu_line as u64).into())],
-                        );
-                    }
                     txu_buf.clear();
                     txu_line += 1;
                     txu_x = 0;
@@ -306,7 +415,7 @@ pub fn run_intra_detailed_probed<O: IntraOp>(
                 exec_slot = None;
             } else {
                 stats.oim_stalls += 1;
-                stalled = Some("oim_stall");
+                stalled = Some(Stall::Oim);
                 advance = false;
             }
         }
@@ -338,8 +447,7 @@ pub fn run_intra_detailed_probed<O: IntraOp>(
                     }
                     None => {
                         stats.iim_stalls += 1;
-                        stalled = Some("iim_stall");
-                        advance = false;
+                        stalled = Some(Stall::Iim);
                     }
                 }
             }
@@ -348,90 +456,34 @@ pub fn run_intra_detailed_probed<O: IntraOp>(
         // --- Stage 1: scan — issue the next pixel position.
         if scan_slot.is_none() {
             if let Some((point, bundle)) = fsm.next() {
-                if probe.is_enabled() {
-                    match sweep {
-                        Some((line, start)) if line != point.y => {
-                            emit_sweep(probe, line, start, cycles);
-                            sweep = Some((point.y, cycles));
-                        }
-                        None => sweep = Some((point.y, cycles)),
-                        Some(_) => {}
-                    }
-                }
+                trace.issue(point.y, cycles);
                 scan_slot = Some((point, bundle.fetch, bundle.pixel_index));
             }
         }
 
-        // --- Start-pipeline bookkeeping (occupancy trace, fig. 5).
-        track_pipeline(
-            &mut pipeline,
-            &mut arbiter,
-            advance,
-            scan_slot.as_ref().map(|s| s.2),
-        );
+        // --- Stage-occupancy trace (fig. 5).
         if stats.trace.len() < trace_limit {
             stats.trace.push(snapshot_of(
                 scan_slot.as_ref().map(|s| s.2),
                 fetch_slot.as_ref().map(|s| s.2),
                 exec_slot.as_ref().map(|s| s.0),
-                oim.occupancy(),
             ));
         }
-
-        if probe.is_enabled() {
-            stall_runs.step(cycles, stalled);
-            if cycles.is_multiple_of(occupancy_every) {
-                probe
-                    .recorder
-                    .counter(Track::Oim, "occupancy", probe.ts(cycles), oim.occupancy() as f64);
-            }
-        }
+        trace.end_cycle(cycles, stalled, oim.occupancy());
     }
 
-    if probe.is_enabled() {
-        stall_runs.flush(cycles);
-        if let Some((line, start)) = sweep {
-            emit_sweep(probe, line, start, cycles);
-        }
-        emit_processing_span(probe, cycles, &stats, total);
-    }
-
+    trace.finish(cycles, &stats, total);
     stats.cycles = cycles;
     stats.pixels = total as u64;
     stats.oim_max_occupancy = oim.max_occupancy();
     Ok(stats)
 }
 
-/// Closes one PLC line-sweep span.
-fn emit_sweep(probe: &PuProbe, line: i32, start_cycle: u64, end_cycle: u64) {
-    probe.recorder.span(
-        Track::Plc,
-        "line_sweep",
-        probe.ts(start_cycle),
-        probe.ts(end_cycle),
-        &[("line", i64::from(line).into())],
-    );
-}
-
-/// Emits the span covering the whole cycle-stepped processing phase.
-fn emit_processing_span(probe: &PuProbe, cycles: u64, stats: &ProcessingStats, pixels: usize) {
-    probe.recorder.span(
-        Track::Pu,
-        "processing",
-        probe.ts(0),
-        probe.ts(cycles),
-        &[
-            ("cycles", cycles.into()),
-            ("pixels", (pixels as u64).into()),
-            ("iim_stalls", stats.iim_stalls.into()),
-            ("oim_stalls", stats.oim_stalls.into()),
-        ],
-    );
-}
-
 /// Runs the processing phase of an inter call cycle by cycle: stage 2
 /// reads the pixel pair from both input regions in a single parallel-bank
-/// cycle (no IIM windows needed).
+/// cycle (no IIM windows needed). Publishes coalesced stall runs, OIM
+/// occupancy samples and one enclosing processing span through `probe`
+/// (inter mode bypasses the IIM, so no line fills).
 ///
 /// # Errors
 ///
@@ -442,28 +494,12 @@ pub fn run_inter_detailed<O: InterOp>(
     op: &O,
     config: &EngineConfig,
     trace_limit: usize,
-) -> EngineResult<ProcessingStats> {
-    run_inter_detailed_probed(zbt, dims, op, config, trace_limit, &PuProbe::disabled())
-}
-
-/// [`run_inter_detailed`] with an observability probe: emits coalesced
-/// pipeline-bubble spans, OIM occupancy samples, and one enclosing
-/// processing span (inter mode bypasses the IIM, so no line fills).
-///
-/// # Errors
-///
-/// Propagates ZBT addressing errors.
-pub fn run_inter_detailed_probed<O: InterOp>(
-    zbt: &mut ZbtMemory,
-    dims: Dims,
-    op: &O,
-    config: &EngineConfig,
-    trace_limit: usize,
     probe: &PuProbe,
 ) -> EngineResult<ProcessingStats> {
     let total = dims.pixel_count();
     let mut oim = Oim::new(config.oim_lines, dims.width);
     let mut stats = ProcessingStats::default();
+    let mut trace = probe.start::<true>(dims);
 
     let mut fetch_slot: Option<(usize, Pixel, Pixel)> = None;
     let mut exec_slot: Option<(usize, Pixel)> = None;
@@ -473,9 +509,6 @@ pub fn run_inter_detailed_probed<O: InterOp>(
     let mut cycles = 0u64;
     let bound = (total as u64 + 64) * (config.oim_drain_cycles_per_pixel + 6);
 
-    let mut stall_runs = StallRuns::new(probe);
-    let occupancy_every = dims.width.max(1) as u64;
-
     while drained < total {
         cycles += 1;
         if cycles > bound {
@@ -483,7 +516,7 @@ pub fn run_inter_detailed_probed<O: InterOp>(
                 detail: "cycle-stepped inter simulation exceeded its cycle bound",
             });
         }
-        let mut stalled: Option<&'static str> = None;
+        let mut stalled = None;
 
         // Idle classification (slot state at cycle start, mirrored by
         // `fast.rs`): the sweep is exhausted and both slots are empty.
@@ -506,7 +539,7 @@ pub fn run_inter_detailed_probed<O: InterOp>(
                 exec_slot = None;
             } else {
                 stats.oim_stalls += 1;
-                stalled = Some("oim_stall");
+                stalled = Some(Stall::Oim);
                 advance = false;
             }
         }
@@ -530,25 +563,12 @@ pub fn run_inter_detailed_probed<O: InterOp>(
                 (next_pixel < total).then_some(next_pixel),
                 fetch_slot.as_ref().map(|s| s.0),
                 exec_slot.as_ref().map(|s| s.0),
-                oim.occupancy(),
             ));
         }
-
-        if probe.is_enabled() {
-            stall_runs.step(cycles, stalled);
-            if cycles.is_multiple_of(occupancy_every) {
-                probe
-                    .recorder
-                    .counter(Track::Oim, "occupancy", probe.ts(cycles), oim.occupancy() as f64);
-            }
-        }
+        trace.end_cycle(cycles, stalled, oim.occupancy());
     }
 
-    if probe.is_enabled() {
-        stall_runs.flush(cycles);
-        emit_processing_span(probe, cycles, &stats, total);
-    }
-
+    trace.finish(cycles, &stats, total);
     stats.cycles = cycles;
     stats.pixels = total as u64;
     stats.oim_max_occupancy = oim.max_occupancy();
@@ -600,39 +620,12 @@ fn drive_matrix(
     }
 }
 
-fn track_pipeline(
-    pipeline: &mut StartPipeline,
-    arbiter: &mut Arbiter,
-    advanced: bool,
-    issuable: Option<usize>,
-) {
-    use crate::plc::{PixelBundle, Resource, Stage};
-    if advanced {
-        pipeline.advance();
-        if pipeline.can_issue() {
-            if let Some(idx) = issuable {
-                pipeline.issue(PixelBundle::new(idx, FetchKind::Shift));
-            }
-        }
-        for stage in Stage::ALL {
-            if pipeline.at(stage).is_some() {
-                // In-order pipeline: each stage locks its own resource.
-                let _ = arbiter.try_lock(stage.resource());
-            }
-        }
-        debug_assert!(
-            Resource::ALL.iter().filter(|r| arbiter.is_locked(**r)).count() <= 4
-        );
-    } else {
-        pipeline.stall();
-    }
-}
-
-fn snapshot_of(
+/// One fig. 5 stage-occupancy sample of the scan, fetch and execute
+/// slots (the store slot is recorded as a bubble).
+pub(crate) fn snapshot_of(
     scan: Option<usize>,
     fetch: Option<usize>,
     exec: Option<usize>,
-    _oim_occupancy: usize,
 ) -> StageSnapshot {
     StageSnapshot {
         slots: [scan, fetch, exec, None],
@@ -666,6 +659,23 @@ mod tests {
         })
     }
 
+    /// An unprobed clamp-border intra call on the stepped datapath.
+    fn stepped_intra<O: IntraOp>(
+        zbt: &mut ZbtMemory,
+        dims: Dims,
+        op: &O,
+        cfg: &EngineConfig,
+        trace_limit: usize,
+    ) -> EngineResult<ProcessingStats> {
+        let probe = PuProbe::disabled();
+        run_intra_detailed(zbt, dims, op, BorderPolicy::Clamp, cfg, trace_limit, &probe)
+    }
+
+    /// An unprobed AbsDiff inter call on the stepped datapath.
+    fn stepped_inter(zbt: &mut ZbtMemory, dims: Dims, cfg: &EngineConfig) -> ProcessingStats {
+        run_inter_detailed(zbt, dims, &AbsDiff::luma(), cfg, 0, &PuProbe::disabled()).unwrap()
+    }
+
     #[test]
     fn intra_detailed_matches_software_boxblur() {
         let cfg = EngineConfig::prototype_detailed();
@@ -674,7 +684,7 @@ mod tests {
         let mut zbt = ZbtMemory::new(&cfg);
         load_input(&mut zbt, ZbtRegion::InputA, &frame);
         let stats =
-            run_intra_detailed(&mut zbt, dims, &BoxBlur::con8(), BorderPolicy::Clamp, &cfg, 0)
+            stepped_intra(&mut zbt, dims, &BoxBlur::con8(), &cfg, 0)
                 .unwrap();
         let hw = read_result(&mut zbt, dims);
         let sw = vip_core::addressing::intra::run_intra(&frame, &BoxBlur::con8())
@@ -692,7 +702,7 @@ mod tests {
         let frame = test_frame(dims);
         let mut zbt = ZbtMemory::new(&cfg);
         load_input(&mut zbt, ZbtRegion::InputA, &frame);
-        run_intra_detailed(&mut zbt, dims, &SobelGradient::new(), BorderPolicy::Clamp, &cfg, 0)
+        stepped_intra(&mut zbt, dims, &SobelGradient::new(), &cfg, 0)
             .unwrap();
         let hw = read_result(&mut zbt, dims);
         let sw = vip_core::addressing::intra::run_intra(&frame, &SobelGradient::new())
@@ -710,7 +720,7 @@ mod tests {
         let mut zbt = ZbtMemory::new(&cfg);
         load_input(&mut zbt, ZbtRegion::InputA, &a);
         load_input(&mut zbt, ZbtRegion::InputB, &b);
-        run_inter_detailed(&mut zbt, dims, &AbsDiff::luma(), &cfg, 0).unwrap();
+        stepped_inter(&mut zbt, dims, &cfg);
         let hw = read_result(&mut zbt, dims);
         let sw = vip_core::addressing::inter::run_inter(&a, &b, &AbsDiff::luma())
             .unwrap()
@@ -726,7 +736,7 @@ mod tests {
         let mut zbt = ZbtMemory::new(&cfg);
         load_input(&mut zbt, ZbtRegion::InputA, &frame);
         zbt.reset_stats();
-        run_intra_detailed(&mut zbt, dims, &BoxBlur::con8(), BorderPolicy::Clamp, &cfg, 0)
+        stepped_intra(&mut zbt, dims, &BoxBlur::con8(), &cfg, 0)
             .unwrap();
         // Exactly 2 pixel-access cycles per pixel: one TxU read, one
         // result write — the Table 2 hardware count.
@@ -742,7 +752,7 @@ mod tests {
         load_input(&mut zbt, ZbtRegion::InputA, &a);
         load_input(&mut zbt, ZbtRegion::InputB, &a);
         zbt.reset_stats();
-        run_inter_detailed(&mut zbt, dims, &AbsDiff::luma(), &cfg, 0).unwrap();
+        stepped_inter(&mut zbt, dims, &cfg);
         assert_eq!(zbt.pixel_access_cycles(), 2 * 64);
     }
 
@@ -755,7 +765,7 @@ mod tests {
         let mut zbt = ZbtMemory::new(&cfg);
         load_input(&mut zbt, ZbtRegion::InputA, &frame);
         let stats =
-            run_intra_detailed(&mut zbt, dims, &Identity::luma(), BorderPolicy::Clamp, &cfg, 0)
+            stepped_intra(&mut zbt, dims, &Identity::luma(), &cfg, 0)
                 .unwrap();
         let cpp = stats.cycles_per_pixel();
         assert!((2.0..2.6).contains(&cpp), "cycles/pixel = {cpp}");
@@ -769,7 +779,7 @@ mod tests {
         let mut zbt = ZbtMemory::new(&cfg);
         load_input(&mut zbt, ZbtRegion::InputA, &frame);
         let stats =
-            run_intra_detailed(&mut zbt, dims, &BoxBlur::con8(), BorderPolicy::Clamp, &cfg, 0)
+            stepped_intra(&mut zbt, dims, &BoxBlur::con8(), &cfg, 0)
                 .unwrap();
         assert_eq!(stats.matrix_loads, 6, "one LOAD per line");
         assert_eq!(stats.matrix_shifts, (10 - 1) * 6);
@@ -783,11 +793,26 @@ mod tests {
         let mut zbt = ZbtMemory::new(&cfg);
         load_input(&mut zbt, ZbtRegion::InputA, &frame);
         let stats =
-            run_intra_detailed(&mut zbt, dims, &BoxBlur::con8(), BorderPolicy::Clamp, &cfg, 30)
+            stepped_intra(&mut zbt, dims, &BoxBlur::con8(), &cfg, 30)
                 .unwrap();
         assert_eq!(stats.trace.len(), 30);
         // The pipeline fills within a few cycles.
         assert!(stats.trace.iter().any(|s| s.occupancy() >= 2));
+    }
+
+    /// The two intra datapaths, under one signature.
+    type IntraPath<O> = fn(
+        &mut ZbtMemory,
+        Dims,
+        &O,
+        BorderPolicy,
+        &EngineConfig,
+        usize,
+        &PuProbe,
+    ) -> EngineResult<ProcessingStats>;
+
+    fn intra_paths<O: IntraOp>() -> [(&'static str, IntraPath<O>); 2] {
+        [("stepped", run_intra_detailed), ("fast", crate::fast::run_intra_fast)]
     }
 
     #[test]
@@ -795,44 +820,38 @@ mod tests {
         let cfg = EngineConfig::prototype_detailed();
         let dims = Dims::new(20, 12);
         let frame = test_frame(dims);
-        let mut zbt = ZbtMemory::new(&cfg);
-        load_input(&mut zbt, ZbtRegion::InputA, &frame);
-        let session = vip_obs::Session::new();
-        let ns_per_cycle = 1e9 / cfg.engine_clock.hz;
-        let probe = PuProbe::new(session.recorder(), 5_000, ns_per_cycle);
-        let stats = run_intra_detailed_probed(
-            &mut zbt,
-            dims,
-            &BoxBlur::con8(),
-            BorderPolicy::Clamp,
-            &cfg,
-            0,
-            &probe,
-        )
-        .unwrap();
-        let recording = session.finish();
-        // One line_fill per image line, one line_sweep per swept line.
-        assert_eq!(recording.on_track(Track::Iim).len(), dims.height);
-        assert_eq!(recording.on_track(Track::Plc).len(), dims.height);
-        let pu = recording.on_track(Track::Pu);
-        assert!(
-            pu.iter().any(|e| e.name == "processing"),
-            "missing processing span"
-        );
-        assert!(!recording.on_track(Track::Oim).is_empty(), "no occupancy samples");
-        // The processing span covers [t0, t0 + cycles × ns/cycle].
-        let span = pu.iter().find(|e| e.name == "processing").unwrap();
-        assert_eq!(span.ts_ns, 5_000);
-        assert_eq!(
-            span.end_ns(),
-            5_000 + (stats.cycles as f64 * ns_per_cycle).round() as u64
-        );
-        // Short steady-state bubbles are coalesced away, never spanned.
-        let stall_spans = pu.iter().filter(|e| e.name.ends_with("_stall")).count();
-        assert!(
-            stall_spans as u64 <= stats.oim_stalls + stats.iim_stalls,
-            "more stall spans than stalls"
-        );
+        for (path, run) in intra_paths::<BoxBlur>() {
+            let mut zbt = ZbtMemory::new(&cfg);
+            load_input(&mut zbt, ZbtRegion::InputA, &frame);
+            let session = vip_obs::Session::new();
+            let ns_per_cycle = 1e9 / cfg.engine_clock.hz;
+            let probe = PuProbe::new(session.recorder(), 5_000, ns_per_cycle);
+            let stats = run(&mut zbt, dims, &BoxBlur::con8(), BorderPolicy::Clamp, &cfg, 0, &probe)
+                .unwrap();
+            let recording = session.finish();
+            // One line_fill per image line, one line_sweep per swept line.
+            assert_eq!(recording.on_track(Track::Iim).len(), dims.height, "{path}");
+            assert_eq!(recording.on_track(Track::Plc).len(), dims.height, "{path}");
+            let pu = recording.on_track(Track::Pu);
+            let span = pu
+                .iter()
+                .find(|e| e.name == "processing")
+                .unwrap_or_else(|| panic!("{path}: missing processing span"));
+            assert!(!recording.on_track(Track::Oim).is_empty(), "{path}: no occupancy samples");
+            // The processing span covers [t0, t0 + cycles × ns/cycle].
+            assert_eq!(span.ts_ns, 5_000, "{path}");
+            assert_eq!(
+                span.end_ns(),
+                5_000 + (stats.cycles as f64 * ns_per_cycle).round() as u64,
+                "{path}"
+            );
+            // Short steady-state bubbles are coalesced away, never spanned.
+            let stall_spans = pu.iter().filter(|e| e.name.ends_with("_stall")).count();
+            assert!(
+                stall_spans as u64 <= stats.oim_stalls + stats.iim_stalls,
+                "{path}: more stall spans than stalls"
+            );
+        }
     }
 
     #[test]
@@ -840,49 +859,53 @@ mod tests {
         let cfg = EngineConfig::prototype_detailed();
         let dims = Dims::new(16, 10);
         let frame = test_frame(dims);
-
-        let mut zbt = ZbtMemory::new(&cfg);
-        load_input(&mut zbt, ZbtRegion::InputA, &frame);
-        let plain =
-            run_intra_detailed(&mut zbt, dims, &SobelGradient::new(), BorderPolicy::Clamp, &cfg, 0)
+        let op = SobelGradient::new();
+        for (path, run) in intra_paths::<SobelGradient>() {
+            let mut zbt = ZbtMemory::new(&cfg);
+            load_input(&mut zbt, ZbtRegion::InputA, &frame);
+            let plain = run(&mut zbt, dims, &op, BorderPolicy::Clamp, &cfg, 0, &PuProbe::disabled())
                 .unwrap();
-        let plain_out = read_result(&mut zbt, dims);
+            let plain_out = read_result(&mut zbt, dims);
 
-        let session = vip_obs::Session::new();
-        let probe = PuProbe::new(session.recorder(), 0, 1.0);
-        let mut zbt = ZbtMemory::new(&cfg);
-        load_input(&mut zbt, ZbtRegion::InputA, &frame);
-        let probed = run_intra_detailed_probed(
-            &mut zbt,
-            dims,
-            &SobelGradient::new(),
-            BorderPolicy::Clamp,
-            &cfg,
-            0,
-            &probe,
-        )
-        .unwrap();
-        assert_eq!(plain, probed, "probing must not change the simulation");
-        assert_eq!(plain_out, read_result(&mut zbt, dims));
+            let session = vip_obs::Session::new();
+            let probe = PuProbe::new(session.recorder(), 0, 1.0);
+            let mut zbt = ZbtMemory::new(&cfg);
+            load_input(&mut zbt, ZbtRegion::InputA, &frame);
+            let probed = run(&mut zbt, dims, &op, BorderPolicy::Clamp, &cfg, 0, &probe).unwrap();
+            assert_eq!(plain, probed, "{path}: probing must not change the simulation");
+            assert_eq!(plain_out, read_result(&mut zbt, dims), "{path}");
+        }
     }
 
     #[test]
     fn inter_probe_emits_processing_span() {
+        type InterPath = fn(
+            &mut ZbtMemory,
+            Dims,
+            &AbsDiff,
+            &EngineConfig,
+            usize,
+            &PuProbe,
+        ) -> EngineResult<ProcessingStats>;
+        let paths: [(&str, InterPath); 2] =
+            [("stepped", run_inter_detailed), ("fast", crate::fast::run_inter_fast)];
         let cfg = EngineConfig::prototype_detailed();
         let dims = Dims::new(16, 8);
         let a = test_frame(dims);
-        let mut zbt = ZbtMemory::new(&cfg);
-        load_input(&mut zbt, ZbtRegion::InputA, &a);
-        load_input(&mut zbt, ZbtRegion::InputB, &a);
-        let session = vip_obs::Session::new();
-        let probe = PuProbe::new(session.recorder(), 0, 2.0);
-        run_inter_detailed_probed(&mut zbt, dims, &AbsDiff::luma(), &cfg, 0, &probe).unwrap();
-        let recording = session.finish();
-        assert!(recording
-            .on_track(Track::Pu)
-            .iter()
-            .any(|e| e.name == "processing"));
-        assert!(recording.on_track(Track::Iim).is_empty(), "inter bypasses the IIM");
+        for (path, run) in paths {
+            let mut zbt = ZbtMemory::new(&cfg);
+            load_input(&mut zbt, ZbtRegion::InputA, &a);
+            load_input(&mut zbt, ZbtRegion::InputB, &a);
+            let session = vip_obs::Session::new();
+            let probe = PuProbe::new(session.recorder(), 0, 2.0);
+            run(&mut zbt, dims, &AbsDiff::luma(), &cfg, 0, &probe).unwrap();
+            let recording = session.finish();
+            assert!(
+                recording.on_track(Track::Pu).iter().any(|e| e.name == "processing"),
+                "{path}: missing processing span"
+            );
+            assert!(recording.on_track(Track::Iim).is_empty(), "{path}: inter bypasses the IIM");
+        }
     }
 
     #[test]
@@ -894,7 +917,7 @@ mod tests {
         let frame = test_frame(dims);
         let mut zbt = ZbtMemory::new(&cfg);
         load_input(&mut zbt, ZbtRegion::InputA, &frame);
-        run_intra_detailed(&mut zbt, dims, &BoxBlur::con8(), BorderPolicy::Clamp, &cfg, 0)
+        stepped_intra(&mut zbt, dims, &BoxBlur::con8(), &cfg, 0)
             .unwrap();
         let hw = read_result(&mut zbt, dims);
         let sw = vip_core::addressing::intra::run_intra(&frame, &BoxBlur::con8())
@@ -911,7 +934,7 @@ mod tests {
         let mut zbt = ZbtMemory::new(&cfg);
         load_input(&mut zbt, ZbtRegion::InputA, &frame);
         let op = vip_core::ops::filter::BoxBlur::with_radius(3).unwrap();
-        run_intra_detailed(&mut zbt, dims, &op, BorderPolicy::Clamp, &cfg, 0).unwrap();
+        stepped_intra(&mut zbt, dims, &op, &cfg, 0).unwrap();
         let hw = read_result(&mut zbt, dims);
         let sw = vip_core::addressing::intra::run_intra(&frame, &op).unwrap().output;
         assert_eq!(hw, sw);

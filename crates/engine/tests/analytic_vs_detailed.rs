@@ -12,7 +12,7 @@ use vip_core::ops::{InterOp, IntraOp};
 use vip_core::pixel::Pixel;
 use vip_engine::config::{EngineConfig, InterOverlap};
 use vip_engine::engine::AddressEngine;
-use vip_engine::process_unit::{run_inter_detailed, run_intra_detailed};
+use vip_engine::process_unit::{run_inter_detailed, run_intra_detailed, PuProbe};
 use vip_engine::zbt::{ZbtMemory, ZbtRegion};
 
 fn textured(dims: Dims) -> Frame {
@@ -35,13 +35,14 @@ fn load(zbt: &mut ZbtMemory, region: ZbtRegion, f: &Frame) {
 #[test]
 fn detailed_intra_cycles_track_analytic_rate() {
     let cfg = EngineConfig::prototype_detailed();
+    let off = PuProbe::disabled();
     for (w, h) in [(16, 16), (32, 24), (48, 48), (64, 16)] {
         let dims = Dims::new(w, h);
         let frame = textured(dims);
         let mut zbt = ZbtMemory::new(&cfg);
         load(&mut zbt, ZbtRegion::InputA, &frame);
         let stats =
-            run_intra_detailed(&mut zbt, dims, &BoxBlur::con8(), BorderPolicy::Clamp, &cfg, 0)
+            run_intra_detailed(&mut zbt, dims, &BoxBlur::con8(), BorderPolicy::Clamp, &cfg, 0, &off)
                 .unwrap();
         let n = dims.pixel_count() as u64;
         let analytic = cfg.oim_drain_cycles_per_pixel * n;
@@ -70,7 +71,9 @@ fn detailed_inter_cycles_track_analytic_rate() {
         let mut zbt = ZbtMemory::new(&cfg);
         load(&mut zbt, ZbtRegion::InputA, &a);
         load(&mut zbt, ZbtRegion::InputB, &b);
-        let stats = run_inter_detailed(&mut zbt, dims, &AbsDiff::luma(), &cfg, 0).unwrap();
+        let stats =
+            run_inter_detailed(&mut zbt, dims, &AbsDiff::luma(), &cfg, 0, &PuProbe::disabled())
+                .unwrap();
         let n = dims.pixel_count() as u64;
         let analytic = cfg.oim_drain_cycles_per_pixel * n;
         assert!(stats.cycles >= analytic);

@@ -11,15 +11,22 @@
 //! deadlocks. This sweep asserts exactly that over ~100 xorshift-seeded
 //! configurations, run in parallel through `vip-par` — whose own
 //! determinism (identical output at 1 and N threads) is asserted along
-//! the way.
+//! the way. Attaching a recorder must not change which datapath runs or
+//! what it publishes: both datapaths emit byte-identical probe
+//! recordings.
 
 use vip::check::schedule::instants;
+use vip::core::border::BorderPolicy;
 use vip::core::frame::Frame;
 use vip::core::geometry::{Dims, Point};
 use vip::core::ops::arith::AbsDiff;
 use vip::core::ops::filter::{BoxBlur, SobelGradient};
 use vip::core::ops::segment_ops::HomogeneityCriterion;
+use vip::core::ops::IntraOp;
 use vip::core::pixel::Pixel;
+use vip::engine::fast::{run_inter_fast, run_intra_fast};
+use vip::engine::process_unit::{run_inter_detailed, run_intra_detailed, ProcessingStats, PuProbe};
+use vip::engine::zbt::{ZbtMemory, ZbtRegion};
 use vip::engine::{AddressEngine, EngineConfig, EngineError, EngineRun, StepMode};
 
 /// Number of seeded random configurations per differential sweep.
@@ -197,20 +204,144 @@ fn segment_calls_are_mode_independent() {
 }
 
 #[test]
-fn recorder_attaches_force_the_stepped_path_and_stay_identical() {
-    // A recorded fast-forward engine silently steps (per-cycle spans need
-    // the per-cycle loop) — statistics must still match an unrecorded run.
+fn recorded_fast_forward_matches_unrecorded_and_stepped_recording() {
+    // Attaching a recorder changes nothing the engine computes, and the
+    // fast-forward recording is the stepped recording, byte for byte.
     let (config, dims, radius) = random_case(3);
     let unrecorded = intra_in_mode(&config, dims, radius, 0, StepMode::FastForward)
         .expect("seed 3 is a clean configuration");
+    let mut traces = Vec::new();
+    for mode in [StepMode::CycleStepped, StepMode::FastForward] {
+        let mut engine = AddressEngine::new(with_mode(&config, mode)).expect("valid config");
+        let session = vip::engine::Session::new();
+        engine.set_recorder(session.recorder());
+        let op = BoxBlur::with_radius(radius).expect("radius ≤ 4");
+        let run = engine.run_intra(&test_frame(dims), &op).expect("recorded run succeeds");
+        assert_identical(&unrecorded, &(run, engine.stats()), &format!("recorded {mode:?}"));
+        traces.push(session.finish().to_chrome_json());
+    }
+    assert!(traces[1].contains("\"line_sweep\""), "recorded run must emit probe spans");
+    assert!(traces[0] == traces[1], "fast-forward recording diverges from the stepped one");
+}
 
-    let mut engine =
-        AddressEngine::new(with_mode(&config, StepMode::FastForward)).expect("valid config");
-    let session = vip::engine::Session::new();
-    engine.set_recorder(session.recorder());
-    let op = BoxBlur::with_radius(radius).expect("radius ≤ 4");
-    let run = engine.run_intra(&test_frame(dims), &op).expect("recorded run succeeds");
-    assert_eq!(run.output, unrecorded.0.output);
-    assert_eq!(run.report, unrecorded.0.report);
-    assert!(!session.finish().is_empty(), "recorded run must emit spans");
+/// Runs one call on both datapaths with an enabled probe and asserts
+/// equal verdicts, equal statistics and byte-identical Chrome JSON.
+/// Returns whether the call succeeded.
+fn assert_datapaths_record_alike(
+    config: &EngineConfig,
+    inputs: &[(ZbtRegion, &Frame)],
+    context: &str,
+    call: impl Fn(StepMode, &mut ZbtMemory, &PuProbe) -> Result<ProcessingStats, EngineError>,
+) -> bool {
+    let mut runs = Vec::new();
+    for mode in [StepMode::CycleStepped, StepMode::FastForward] {
+        let mut zbt = ZbtMemory::new(config);
+        for (region, frame) in inputs {
+            zbt.write_input_run(*region, 0, frame.pixels()).expect("input fits");
+        }
+        let session = vip::engine::Session::new();
+        let probe = PuProbe::new(session.recorder(), 1_000, 1e9 / config.engine_clock.hz);
+        let verdict = call(mode, &mut zbt, &probe);
+        runs.push((verdict, session.finish().to_chrome_json()));
+    }
+    let ((stepped, stepped_json), (fast, fast_json)) = (&runs[0], &runs[1]);
+    assert_eq!(stepped, fast, "{context}: verdicts or statistics diverge");
+    if stepped_json != fast_json {
+        let at = stepped_json
+            .bytes()
+            .zip(fast_json.bytes())
+            .position(|(s, f)| s != f)
+            .unwrap_or(stepped_json.len().min(fast_json.len()));
+        let from = at.saturating_sub(80);
+        panic!(
+            "{context}: recordings diverge at byte {at}\n stepped: …{}\n    fast: …{}",
+            &stepped_json[from..(at + 80).min(stepped_json.len())],
+            &fast_json[from..(at + 80).min(fast_json.len())],
+        );
+    }
+    assert!(stepped_json.contains("\"occupancy\""), "{context}: empty recording");
+    stepped.is_ok()
+}
+
+/// One clamp-border intra call straight on the datapath `mode` selects.
+fn intra_on<O: IntraOp>(
+    mode: StepMode,
+    zbt: &mut ZbtMemory,
+    dims: Dims,
+    op: &O,
+    config: &EngineConfig,
+    trace_limit: usize,
+    probe: &PuProbe,
+) -> Result<ProcessingStats, EngineError> {
+    let run = match mode {
+        StepMode::CycleStepped => run_intra_detailed,
+        StepMode::FastForward => run_intra_fast,
+    };
+    run(zbt, dims, op, BorderPolicy::Clamp, config, trace_limit, probe)
+}
+
+/// One AbsDiff inter call straight on the datapath `mode` selects.
+fn inter_on(
+    mode: StepMode,
+    zbt: &mut ZbtMemory,
+    dims: Dims,
+    config: &EngineConfig,
+    trace_limit: usize,
+    probe: &PuProbe,
+) -> Result<ProcessingStats, EngineError> {
+    let run = match mode {
+        StepMode::CycleStepped => run_inter_detailed,
+        StepMode::FastForward => run_inter_fast,
+    };
+    run(zbt, dims, &AbsDiff::luma(), config, trace_limit, probe)
+}
+
+#[test]
+fn datapaths_publish_byte_identical_probe_recordings() {
+    // Datapath level: `process_unit` and `fast` called directly with the
+    // same enabled probe, over every seed of the intra sweep (clean and
+    // deadlocking), the inter seeds and the prototype Sobel + AbsDiff pair.
+    let mut clean = 0;
+    for seed in 0..CONFIGS {
+        let (config, dims, radius) = random_case(seed);
+        let frame = test_frame(dims);
+        let op = BoxBlur::with_radius(radius).expect("radius ≤ 4");
+        clean += usize::from(assert_datapaths_record_alike(
+            &config,
+            &[(ZbtRegion::InputA, &frame)],
+            &format!("intra seed {seed} {dims:?} r{radius}"),
+            |mode, zbt, probe| intra_on(mode, zbt, dims, &op, &config, 32, probe),
+        ));
+    }
+    assert!(clean >= 20, "only {clean} clean configurations out of {CONFIGS}");
+    assert!(CONFIGS as usize - clean >= 10, "only {} deadlocks", CONFIGS as usize - clean);
+
+    for seed in 0..24 {
+        let (config, dims, _) = random_case(seed);
+        let a = test_frame(dims);
+        let b = Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 5 + p.y * 3 + 17) % 256) as u8));
+        assert!(assert_datapaths_record_alike(
+            &config,
+            &[(ZbtRegion::InputA, &a), (ZbtRegion::InputB, &b)],
+            &format!("inter seed {seed} {dims:?}"),
+            |mode, zbt, probe| inter_on(mode, zbt, dims, &config, 24, probe),
+        ));
+    }
+
+    let config = EngineConfig::prototype_detailed();
+    let dims = Dims::new(96, 72);
+    let a = test_frame(dims);
+    let b = Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 7 + p.y * 13 + 31) % 256) as u8));
+    assert!(assert_datapaths_record_alike(
+        &config,
+        &[(ZbtRegion::InputA, &a)],
+        "96x72 sobel",
+        |mode, zbt, probe| intra_on(mode, zbt, dims, &SobelGradient::new(), &config, 0, probe),
+    ));
+    assert!(assert_datapaths_record_alike(
+        &config,
+        &[(ZbtRegion::InputA, &a), (ZbtRegion::InputB, &b)],
+        "96x72 absdiff",
+        |mode, zbt, probe| inter_on(mode, zbt, dims, &config, 0, probe),
+    ));
 }
