@@ -243,7 +243,7 @@ impl AddressEngine {
             return Err(EngineError::FrameTooLarge {
                 dims: frame.dims(),
                 required_bytes: frame.pixel_count() * 8,
-                available_bytes: self.config.zbt_bytes() / 3,
+                available_bytes: self.zbt.region_bytes(),
             });
         }
         Ok(())
@@ -485,7 +485,7 @@ impl AddressEngine {
 mod tests {
     use super::*;
     use vip_core::pixel::Pixel;
-    use vip_core::geometry::Dims;
+    use vip_core::geometry::{Dims, ImageFormat};
     use vip_core::ops::arith::AbsDiff;
     use vip_core::ops::filter::{BoxBlur, SobelGradient};
     use vip_core::ops::morph::Dilate;
@@ -598,8 +598,60 @@ mod tests {
         let f = Frame::new(Dims::new(1024, 1024));
         assert!(matches!(
             e.run_intra(&f, &BoxBlur::con8()),
+            Err(EngineError::FrameTooLarge { available_bytes: 2_097_152, .. })
+        ));
+        // Extra banks do not enlarge a region: each image still lives in
+        // two banks, so the reported capacity stays two banks' worth.
+        let mut cfg = EngineConfig::prototype();
+        cfg.zbt_banks = 8;
+        let mut e = AddressEngine::new(cfg).unwrap();
+        assert!(matches!(
+            e.run_intra(&f, &BoxBlur::con8()),
+            Err(EngineError::FrameTooLarge { available_bytes: 2_097_152, .. })
+        ));
+    }
+
+    #[test]
+    fn analytic_calls_and_rejected_calls_leave_the_zbt_unallocated() {
+        let f = frame(Dims::new(16, 16));
+        let mut e = AddressEngine::new(EngineConfig::outlook_v2()).unwrap();
+        assert_eq!(e.config().fidelity, SimulationFidelity::Analytic);
+        e.run_intra(&f, &SobelGradient::new()).unwrap();
+        e.run_inter(&f, &f, &AbsDiff::luma()).unwrap();
+        let seeds = [Point::new(4, 4)];
+        e.run_segment(&f, &seeds, &HomogeneityCriterion::luma(9), SegmentOptions::default())
+            .unwrap();
+        let _ = e.memory_map(f.dims());
+        assert!(!e.zbt.is_materialised());
+
+        let mut d = AddressEngine::new(EngineConfig::prototype_detailed()).unwrap();
+        let too_large = Frame::new(Dims::new(1024, 1024));
+        assert!(matches!(
+            d.run_intra(&too_large, &BoxBlur::con8()),
             Err(EngineError::FrameTooLarge { .. })
         ));
+        assert!(d.run_intra(&Frame::new(Dims::new(0, 0)), &BoxBlur::con8()).is_err());
+        assert!(d.run_inter(&f, &frame(Dims::new(16, 17)), &AbsDiff::luma()).is_err());
+        assert!(!d.zbt.is_materialised(), "rejected calls allocate nothing");
+        d.run_intra(&f, &BoxBlur::con8()).unwrap();
+        assert!(d.zbt.is_materialised(), "the first detailed call allocates the banks");
+    }
+
+    #[test]
+    fn reused_detailed_engine_never_leaks_a_larger_frame_into_a_smaller_one() {
+        let mut e = AddressEngine::new(EngineConfig::prototype_detailed()).unwrap();
+        let cif = ImageFormat::Cif.dims();
+        let qcif = ImageFormat::Qcif.dims();
+        for (i, dims) in (0i32..).zip([cif, qcif, cif]) {
+            let a = Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 7 + p.y + i) % 256) as u8));
+            let b = Frame::from_fn(dims, |p| Pixel::from_luma(((p.x + p.y * 9 + i) % 256) as u8));
+            let intra = e.run_intra(&a, &SobelGradient::new()).unwrap();
+            let sw = vip_core::addressing::intra::run_intra(&a, &SobelGradient::new()).unwrap();
+            assert_eq!(intra.output, sw.output, "intra call {i} at {dims}");
+            let inter = e.run_inter(&a, &b, &AbsDiff::luma()).unwrap();
+            let sw = vip_core::addressing::inter::run_inter(&a, &b, &AbsDiff::luma()).unwrap();
+            assert_eq!(inter.output, sw.output, "inter call {i} at {dims}");
+        }
     }
 
     #[test]

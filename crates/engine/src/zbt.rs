@@ -9,6 +9,12 @@
 //! why a result-pixel write costs two word cycles and the OIM has to
 //! buffer (§3.1).
 //!
+//! A fresh [`ZbtMemory`] holds only its geometry. The banks are allocated
+//! on the first data access, each as its own zeroed allocation, so an
+//! engine that never drives the hardware datapath holds no bank storage
+//! and a detailed one has resident only the pages its frames touch.
+//! Untouched words read as 0 either way.
+//!
 //! # Examples
 //!
 //! ```
@@ -81,6 +87,9 @@ impl BankStats {
 /// The six-bank ZBT memory with fig. 3 layout and access accounting.
 #[derive(Debug, Clone)]
 pub struct ZbtMemory {
+    bank_count: usize,
+    bank_words: usize,
+    /// Bank contents; empty until the first data access.
     banks: Vec<Vec<u32>>,
     stats: Vec<BankStats>,
     /// Pixel-granularity access cycles (the Table 2 "hardware accesses"):
@@ -89,11 +98,14 @@ pub struct ZbtMemory {
 }
 
 impl ZbtMemory {
-    /// Allocates the banks described by `config`.
+    /// A memory with the bank geometry of `config`. No bank storage is
+    /// allocated until the first data access.
     #[must_use]
     pub fn new(config: &EngineConfig) -> Self {
         ZbtMemory {
-            banks: vec![vec![0u32; config.zbt_bank_words]; config.zbt_banks],
+            bank_count: config.zbt_banks,
+            bank_words: config.zbt_bank_words,
+            banks: Vec::new(),
             stats: vec![BankStats::default(); config.zbt_banks],
             pixel_access_cycles: 0,
         }
@@ -102,13 +114,35 @@ impl ZbtMemory {
     /// Number of banks.
     #[must_use]
     pub fn bank_count(&self) -> usize {
-        self.banks.len()
+        self.bank_count
     }
 
     /// Words per bank.
     #[must_use]
     pub fn bank_words(&self) -> usize {
-        self.banks.first().map_or(0, Vec::len)
+        self.bank_words
+    }
+
+    /// Bytes one image region holds: two banks of 32-bit words, i.e. one
+    /// 64-bit pixel per bank word.
+    pub(crate) fn region_bytes(&self) -> usize {
+        self.bank_words * 8
+    }
+
+    /// Whether the bank storage has been allocated (by a data access).
+    #[cfg(test)]
+    pub(crate) fn is_materialised(&self) -> bool {
+        !self.banks.is_empty()
+    }
+
+    /// The bank contents, allocated on first use. Each bank is its own
+    /// zeroed allocation rather than a copy of one, so only the pages that
+    /// are written or read become resident.
+    fn banks(&mut self) -> &mut [Vec<u32>] {
+        if self.banks.is_empty() {
+            self.banks = (0..self.bank_count).map(|_| vec![0u32; self.bank_words]).collect();
+        }
+        &mut self.banks
     }
 
     /// Whether a frame of `dims` fits each region (pixel-paired regions
@@ -119,7 +153,7 @@ impl ZbtMemory {
         // Paired input regions: px words per bank. Result region: each
         // Res_block half takes ceil(px/2) pixels at two words each, so
         // the result bound 2·ceil(px/2) covers the input bound too.
-        2 * px.div_ceil(2) <= self.bank_words()
+        2 * px.div_ceil(2) <= self.bank_words
     }
 
     fn region_banks(&self, region: ZbtRegion) -> (usize, usize) {
@@ -131,11 +165,11 @@ impl ZbtMemory {
     }
 
     fn check(&self, bank: usize, addr: usize) -> EngineResult<()> {
-        if bank >= self.banks.len() || addr >= self.banks[bank].len() {
+        if bank >= self.bank_count || addr >= self.bank_words {
             return Err(EngineError::ZbtOutOfRange {
                 bank,
                 addr,
-                bank_words: self.bank_words(),
+                bank_words: self.bank_words,
             });
         }
         Ok(())
@@ -148,7 +182,7 @@ impl ZbtMemory {
     /// Returns [`EngineError::ZbtOutOfRange`] for invalid addresses.
     pub fn write_word(&mut self, bank: usize, addr: usize, word: u32) -> EngineResult<()> {
         self.check(bank, addr)?;
-        self.banks[bank][addr] = word;
+        self.banks()[bank][addr] = word;
         self.stats[bank].word_writes += 1;
         Ok(())
     }
@@ -161,7 +195,7 @@ impl ZbtMemory {
     pub fn read_word(&mut self, bank: usize, addr: usize) -> EngineResult<u32> {
         self.check(bank, addr)?;
         self.stats[bank].word_reads += 1;
-        Ok(self.banks[bank][addr])
+        Ok(self.banks()[bank][addr])
     }
 
     /// Writes an input pixel at linear index `index`: lo and hi words go
@@ -306,10 +340,11 @@ impl ZbtMemory {
         let (lo_bank, hi_bank) = self.region_banks(region);
         self.check(lo_bank, start + n - 1)?;
         self.check(hi_bank, start + n - 1)?;
-        for (dst, px) in self.banks[lo_bank][start..start + n].iter_mut().zip(pixels) {
+        let banks = self.banks();
+        for (dst, px) in banks[lo_bank][start..start + n].iter_mut().zip(pixels) {
             *dst = px.to_words().0;
         }
-        for (dst, px) in self.banks[hi_bank][start..start + n].iter_mut().zip(pixels) {
+        for (dst, px) in banks[hi_bank][start..start + n].iter_mut().zip(pixels) {
             *dst = px.to_words().1;
         }
         self.stats[lo_bank].word_writes += n as u64;
@@ -341,9 +376,10 @@ impl ZbtMemory {
         let (lo_bank, hi_bank) = self.region_banks(region);
         self.check(lo_bank, start + count - 1)?;
         self.check(hi_bank, start + count - 1)?;
-        let out = self.banks[lo_bank][start..start + count]
+        let banks = self.banks();
+        let out = banks[lo_bank][start..start + count]
             .iter()
-            .zip(&self.banks[hi_bank][start..start + count])
+            .zip(&banks[hi_bank][start..start + count])
             .map(|(&lo, &hi)| Pixel::from_words(lo, hi))
             .collect();
         self.stats[lo_bank].word_reads += count as u64;
@@ -371,10 +407,11 @@ impl ZbtMemory {
             self.check(bank, start + count - 1)?;
         }
         let range = start..start + count;
-        let out = self.banks[0][range.clone()]
+        let banks = self.banks();
+        let out = banks[0][range.clone()]
             .iter()
-            .zip(&self.banks[1][range.clone()])
-            .zip(self.banks[2][range.clone()].iter().zip(&self.banks[3][range]))
+            .zip(&banks[1][range.clone()])
+            .zip(banks[2][range.clone()].iter().zip(&banks[3][range]))
             .map(|((&a_lo, &a_hi), (&b_lo, &b_hi))| {
                 (Pixel::from_words(a_lo, a_hi), Pixel::from_words(b_lo, b_hi))
             })
@@ -417,7 +454,7 @@ impl ZbtMemory {
                 continue;
             }
             self.check(bank, 2 * (local + seg.len() - 1) + 1)?;
-            let dst = &mut self.banks[bank][2 * local..2 * (local + seg.len())];
+            let dst = &mut self.banks()[bank][2 * local..2 * (local + seg.len())];
             for (pair, px) in dst.chunks_exact_mut(2).zip(seg) {
                 let (lo, hi) = px.to_words();
                 pair[0] = lo;
@@ -461,7 +498,7 @@ impl ZbtMemory {
             }
             self.check(bank, 2 * (local + len - 1) + 1)?;
             out.extend(
-                self.banks[bank][2 * local..2 * (local + len)]
+                self.banks()[bank][2 * local..2 * (local + len)]
                     .chunks_exact(2)
                     .map(|pair| Pixel::from_words(pair[0], pair[1])),
             );
@@ -584,6 +621,39 @@ mod tests {
         assert!(z.fits(Dims::new(512, 512)));
         assert!(!z.fits(Dims::new(513, 512)));
         assert!(!z.fits(Dims::new(1, 262_145)));
+        assert_eq!(z.region_bytes(), 2 * 1024 * 1024);
+    }
+
+    #[test]
+    fn geometry_and_range_checks_do_not_materialise() {
+        let mut z = zbt();
+        assert_eq!((z.bank_count(), z.bank_words()), (6, 262_144));
+        assert!(z.fits(ImageFormat::Cif.dims()));
+        assert_eq!(z.memory_map(ImageFormat::Cif.dims(), 16).regions.len(), 4);
+        assert!(matches!(
+            z.read_word(0, 262_144),
+            Err(EngineError::ZbtOutOfRange { bank: 0, addr: 262_144, bank_words: 262_144 })
+        ));
+        assert!(matches!(z.write_word(6, 0, 1), Err(EngineError::ZbtOutOfRange { .. })));
+        assert!(z.read_input_run(ZbtRegion::InputA, 262_143, 2).is_err());
+        assert!(z.write_result_run(0, 8, &[]).is_ok(), "empty run");
+        assert!(!z.is_materialised());
+        assert_eq!(z.stats(), &[BankStats::default(); 6]);
+    }
+
+    #[test]
+    fn fresh_memory_reads_zeros() {
+        let mut z = zbt();
+        assert!(!z.is_materialised());
+        assert_eq!(z.read_word(5, 262_143).unwrap(), 0);
+        assert!(z.is_materialised());
+        let zero = Pixel::from_words(0, 0);
+        assert_eq!(z.read_input_run(ZbtRegion::InputB, 1000, 3).unwrap(), vec![zero; 3]);
+        assert_eq!(z.read_result_pixel(7, 100).unwrap(), zero);
+        // Every access kind materialises, reads included.
+        let mut w = zbt();
+        w.read_input_pair(0).unwrap();
+        assert!(w.is_materialised());
     }
 
     #[test]

@@ -164,6 +164,10 @@ impl GmeBackend for SoftwareBackend {
 #[derive(Debug)]
 pub struct EngineBackend {
     engine: AddressEngine,
+    /// Pixels of successful intra/inter calls; the engine counts calls
+    /// but not pixels per addressing class.
+    intra_pixels: u64,
+    inter_pixels: u64,
     pm_seconds: f64,
     cost_model: CostModel,
 }
@@ -177,6 +181,8 @@ impl EngineBackend {
     pub fn new(config: EngineConfig) -> Result<Self, EngineError> {
         Ok(EngineBackend {
             engine: AddressEngine::new(config)?,
+            intra_pixels: 0,
+            inter_pixels: 0,
             pm_seconds: 0.0,
             cost_model: CostModel::pentium_m_xm(),
         })
@@ -210,6 +216,7 @@ impl GmeBackend for EngineBackend {
     fn intra(&mut self, frame: &Frame, op: &dyn IntraOp) -> CoreResult<Frame> {
         match self.engine.run_intra(frame, &op) {
             Ok(run) => {
+                self.intra_pixels += frame.pixel_count() as u64;
                 self.pm_seconds +=
                     software_call_seconds(&run.report.descriptor, frame.dims(), &self.cost_model);
                 Ok(run.output)
@@ -225,6 +232,7 @@ impl GmeBackend for EngineBackend {
     fn inter(&mut self, a: &Frame, b: &Frame, op: &dyn InterOp) -> CoreResult<Frame> {
         match self.engine.run_inter(a, b, &op) {
             Ok(run) => {
+                self.inter_pixels += a.pixel_count() as u64;
                 self.pm_seconds +=
                     software_call_seconds(&run.report.descriptor, a.dims(), &self.cost_model);
                 Ok(run.output)
@@ -242,10 +250,8 @@ impl GmeBackend for EngineBackend {
         CallTally {
             intra: s.intra_calls,
             inter: s.inter_calls,
-            // The engine does not track per-class pixels; derive from
-            // hardware accesses (2 per pixel across all calls).
-            intra_pixels: 0,
-            inter_pixels: 0,
+            intra_pixels: self.intra_pixels,
+            inter_pixels: self.inter_pixels,
         }
     }
 
@@ -308,6 +314,7 @@ mod tests {
         b.inter(&f, &f, &AbsDiff::luma()).unwrap();
         let t = b.tally();
         assert_eq!((t.intra, t.inter), (1, 1));
+        assert_eq!((t.intra_pixels, t.inter_pixels), (384, 384));
         assert!(b.modelled_seconds() > 0.0);
         assert!(
             b.pm_modelled_seconds() > b.modelled_seconds(),
@@ -328,6 +335,7 @@ mod tests {
         let c = sw.inter(&f, &a, &AbsDiff::luma()).unwrap();
         let d = hw.inter(&f, &a, &AbsDiff::luma()).unwrap();
         assert_eq!(c, d);
+        assert_eq!(sw.tally(), hw.tally(), "calls and pixels per class");
     }
 
     #[test]

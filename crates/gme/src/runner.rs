@@ -428,7 +428,6 @@ mod tests {
             assert_eq!(ra.relative, rb.relative, "frame {}", ra.index);
         }
         // Identical call pattern on both backends.
-        assert_eq!(a.tally.intra, b.tally.intra);
-        assert_eq!(a.tally.inter, b.tally.inter);
+        assert_eq!(a.tally, b.tally);
     }
 }

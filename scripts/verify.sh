@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full offline verification: release build, tests, static verifier, a
-# perfbench smoke run and clippy with warnings denied. This is exactly
-# what CI runs; run it before pushing.
+# perfbench smoke run and clippy (perfbench and workspace) with warnings
+# denied. This is exactly what CI runs; run it before pushing.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -26,7 +26,10 @@ for workload in gme_clip gme_batch engine_detailed surveillance; do
 done
 perfbench --workload engine_detailed --trace 1
 
-echo "==> cargo clippy (deny warnings)"
+echo "==> cargo clippy on perfbench (deny warnings)"
+cargo clippy --offline --all-targets --manifest-path perfbench/Cargo.toml -- -D warnings
+
+echo "==> cargo clippy on the workspace (deny warnings)"
 cargo clippy --all-targets --workspace -- -D warnings
 
 echo "==> OK"
