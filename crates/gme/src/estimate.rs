@@ -10,6 +10,15 @@
 //! mask clean-up — is an AddressLib call dispatched through a
 //! [`GmeBackend`].
 //!
+//! Each iteration makes one host pass per pixel: one warp of the current
+//! level writes the warped frame for the `AbsDiff` inter call together
+//! with the unrounded samples; inliers are tagged in place in the alpha
+//! channel of the residual frame the backend returns; the
+//! `AlphaMajority` intra call cleans that mask; and the normal equations
+//! accumulate from the kept samples, on the stack, without warping
+//! again. The warped frame and the sample buffer are allocated once per
+//! pyramid level.
+//!
 //! # Examples
 //!
 //! ```
@@ -37,7 +46,6 @@
 
 use vip_core::error::{CoreError, CoreResult};
 use vip_core::frame::Frame;
-use vip_core::geometry::Point;
 use vip_core::ops::arith::AbsDiff;
 use vip_core::ops::filter::CentralGradient;
 use vip_core::ops::morph::AlphaMajority;
@@ -46,7 +54,7 @@ use vip_obs::{Recorder, Track};
 use crate::backend::GmeBackend;
 use crate::model::{solve_linear, Motion, MotionModel};
 use crate::pyramid::{level_scale, Pyramid};
-use crate::warp::{centre_of, sample_bilinear, warp_frame};
+use crate::warp::{centre_of, round_clamped, warp_into};
 
 /// Estimator configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,7 +102,10 @@ impl GmeConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] for zero levels,
-    /// iterations or subsample.
+    /// iterations or subsample, for an outlier threshold that is not a
+    /// positive finite number (no pixel would ever count as an inlier,
+    /// so estimation would silently return its initial motion), and for
+    /// a NaN or negative `epsilon`.
     pub fn validate(&self) -> CoreResult<()> {
         if self.levels == 0 {
             return Err(CoreError::InvalidParameter {
@@ -112,6 +123,18 @@ impl GmeConfig {
             return Err(CoreError::InvalidParameter {
                 name: "subsample",
                 reason: "subsample must be at least 1",
+            });
+        }
+        if !(self.outlier_threshold.is_finite() && self.outlier_threshold > 0.0) {
+            return Err(CoreError::InvalidParameter {
+                name: "outlier_threshold",
+                reason: "outlier threshold must be positive and finite",
+            });
+        }
+        if self.epsilon.is_nan() || self.epsilon < 0.0 {
+            return Err(CoreError::InvalidParameter {
+                name: "epsilon",
+                reason: "epsilon must be a non-negative number",
             });
         }
         Ok(())
@@ -230,19 +253,33 @@ impl Estimator {
             // level (signed central differences into y/aux).
             let grad = backend.intra(cur_level, &CentralGradient::new())?;
 
+            // Per-level buffers, overwritten by every iteration's warp.
+            let mut warped = Frame::new(cur_level.dims());
+            let mut samples = vec![f64::NAN; cur_level.pixel_count()];
             for _ in 0..self.config.max_iterations {
                 total_iters += 1;
-                // warp_frame(cur, motion): output(p) = cur(motion(p)) ≈ ref(p).
-                let warped = warp_frame(cur_level, &motion);
+                // warped(p) = cur(motion(p)) ≈ ref(p); `samples` keeps the
+                // unrounded values for the normal equations.
+                warp_into(cur_level, &motion, &mut warped, &mut samples);
                 // AddressLib inter call: residual magnitude image — the
                 // convergence measure XM evaluates per iteration.
-                let residual_img = backend.inter(ref_level, &warped.frame, &AbsDiff::luma())?;
+                let mut residual_img = backend.inter(ref_level, &warped, &AbsDiff::luma())?;
+                tag_inliers(&mut residual_img, &warped, self.config.outlier_threshold);
                 // AddressLib intra call: clean the inlier mask
                 // (majority vote removes speckle outliers).
-                let mask = backend.intra(&tag_inliers(&residual_img, &warped.frame,
-                    self.config.outlier_threshold), &AlphaMajority::new())?;
+                let mask = backend.intra(&residual_img, &AlphaMajority::new())?;
 
-                let step = self.accumulate_step(ref_level, cur_level, &grad, &mask, &motion);
+                let step = match self.config.model {
+                    MotionModel::Translational => {
+                        self.accumulate::<2>(ref_level, &grad, &mask, &warped, &samples, &motion)
+                    }
+                    MotionModel::Affine => {
+                        self.accumulate::<6>(ref_level, &grad, &mask, &warped, &samples, &motion)
+                    }
+                    MotionModel::Perspective => {
+                        self.accumulate::<8>(ref_level, &grad, &mask, &warped, &samples, &motion)
+                    }
+                };
                 let Some((delta, stats)) = step else { break };
                 last_residual = stats.mean_residual;
                 last_inliers = stats.inlier_fraction;
@@ -275,55 +312,59 @@ impl Estimator {
         })
     }
 
-    /// Accumulates one Gauss-Newton step. Returns `None` when the system
-    /// is singular or no inliers survive.
-    fn accumulate_step(
+    /// Accumulates one Gauss-Newton step over `NP` parameters (the
+    /// model's count) from the iteration's warped frame and unrounded
+    /// samples, without warping again. Returns `None` when the system is
+    /// singular or no inliers survive.
+    fn accumulate<const NP: usize>(
         &self,
         ref_level: &Frame,
-        cur_level: &Frame,
         grad: &Frame,
         mask: &Frame,
+        warped: &Frame,
+        samples: &[f64],
         motion: &Motion,
     ) -> Option<(Vec<f64>, StepStats)> {
-        let np = self.config.model.parameter_count();
-        let mut ata = vec![vec![0.0f64; np]; np];
-        let mut atb = vec![0.0f64; np];
+        debug_assert_eq!(NP, self.config.model.parameter_count());
+        let mut ata = [[0.0f64; NP]; NP];
+        let mut atb = [0.0f64; NP];
+        let mut jac = [0.0f64; NP];
+        let (w, h) = (ref_level.width(), ref_level.height());
         let (cx, cy) = centre_of(ref_level.dims());
         let mut n = 0usize;
         let mut considered = 0usize;
         let mut resid_sum = 0.0f64;
         let step = self.config.subsample;
 
-        let mut jac = vec![0.0f64; np];
-        for py in (1..ref_level.height().saturating_sub(1)).step_by(step) {
-            for px in (1..ref_level.width().saturating_sub(1)).step_by(step) {
-                let p = Point::new(px as i32, py as i32);
+        for py in (1..h.saturating_sub(1)).step_by(step) {
+            let ref_row = ref_level.line(py);
+            let mask_row = mask.line(py);
+            let warped_row = warped.line(py);
+            let sample_row = &samples[py * w..(py + 1) * w];
+            for px in (1..w.saturating_sub(1)).step_by(step) {
                 considered += 1;
-                if mask.get(p).alpha == 0 {
+                // Pixels the warp could not sample have nothing to fit;
+                // the mask's majority vote alone does not rule them out.
+                if mask_row[px].alpha == 0 || warped_row[px].alpha == 0 {
+                    continue;
+                }
+                let r = sample_row[px] - f64::from(ref_row[px].y);
+                if r.abs() > self.config.outlier_threshold {
                     continue;
                 }
                 let x = px as f64 - cx;
                 let y = py as f64 - cy;
                 let (wx, wy) = motion.apply(x, y);
-                let Some(cur_val) = sample_bilinear(cur_level, wx + cx, wy + cy) else {
-                    continue;
-                };
-                let r = cur_val - f64::from(ref_level.get(p).y);
-                if r.abs() > self.config.outlier_threshold {
-                    continue;
-                }
                 // Gradient of the current level, sampled at the warped
                 // position (nearest sample of the backend gradient call).
-                let gp = Point::new(
-                    (wx + cx).round().clamp(0.0, (cur_level.width() - 1) as f64) as i32,
-                    (wy + cy).round().clamp(0.0, (cur_level.height() - 1) as f64) as i32,
-                );
-                let (gx, gy) = CentralGradient::decode(grad.get(gp));
+                let gxi = round_clamped(wx + cx, grad.width() - 1);
+                let gyi = round_clamped(wy + cy, grad.height() - 1);
+                let (gx, gy) = CentralGradient::decode(grad.line(gyi)[gxi]);
                 let (gx, gy) = (f64::from(gx), f64::from(gy));
 
                 fill_jacobian(&mut jac, self.config.model, x, y, wx, wy, gx, gy, motion);
-                for i in 0..np {
-                    for j in i..np {
+                for i in 0..NP {
+                    for j in i..NP {
                         ata[i][j] += jac[i] * jac[j];
                     }
                     atb[i] -= jac[i] * r;
@@ -332,11 +373,11 @@ impl Estimator {
                 n += 1;
             }
         }
-        if n < np * 4 {
+        if n < NP * 4 {
             return None;
         }
         #[allow(clippy::needless_range_loop)] // symmetric-matrix fill reads ata[j][i]
-        for i in 0..np {
+        for i in 0..NP {
             for j in 0..i {
                 ata[i][j] = ata[j][i];
             }
@@ -344,6 +385,7 @@ impl Estimator {
             ata[i][i] *= 1.0 + 1e-4;
             ata[i][i] += 1e-9;
         }
+        let mut ata: Vec<Vec<f64>> = ata.iter().map(|row| row.to_vec()).collect();
         let delta = solve_linear(&mut ata, &mut atb)?;
         Some((
             delta,
@@ -388,13 +430,12 @@ impl StepStats {
 }
 
 /// Marks inliers (|residual| ≤ threshold on valid warp pixels) in the
-/// alpha channel for the majority-vote clean-up call.
-fn tag_inliers(residual: &Frame, warped: &Frame, threshold: f64) -> Frame {
-    Frame::from_fn(residual.dims(), |p| {
-        let valid = warped.get(p).alpha != 0;
-        let inlier = valid && f64::from(residual.get(p).y) <= threshold;
-        residual.get(p).with_alpha(u16::from(inlier))
-    })
+/// residual frame's alpha channel, in place, for the majority-vote
+/// clean-up call.
+fn tag_inliers(residual: &mut Frame, warped: &Frame, threshold: f64) {
+    for (r, w) in residual.pixels_mut().iter_mut().zip(warped.pixels()) {
+        r.alpha = u16::from(w.alpha != 0 && f64::from(r.y) <= threshold);
+    }
 }
 
 /// Writes the Jacobian row of the chosen model at centred point `(x, y)`
@@ -469,8 +510,10 @@ fn apply_delta(motion: &Motion, delta: &[f64], model: MotionModel) -> Motion {
 mod tests {
     use super::*;
     use crate::backend::SoftwareBackend;
-    use vip_core::geometry::Dims;
+    use crate::warp::warp_frame;
+    use vip_core::geometry::{Dims, Point};
     use vip_core::pixel::Pixel;
+    use vip_video::rng::XorShift64;
 
     fn textured(dims: Dims) -> Frame {
         Frame::from_fn(dims, |p| {
@@ -620,12 +663,100 @@ mod tests {
             GmeConfig { levels: 0, ..GmeConfig::default() },
             GmeConfig { max_iterations: 0, ..GmeConfig::default() },
             GmeConfig { subsample: 0, ..GmeConfig::default() },
+            GmeConfig { outlier_threshold: 0.0, ..GmeConfig::default() },
+            GmeConfig { outlier_threshold: -1.0, ..GmeConfig::default() },
+            GmeConfig { outlier_threshold: f64::NAN, ..GmeConfig::default() },
+            GmeConfig { outlier_threshold: f64::INFINITY, ..GmeConfig::default() },
+            GmeConfig { epsilon: -0.01, ..GmeConfig::default() },
+            GmeConfig { epsilon: f64::NAN, ..GmeConfig::default() },
         ] {
             let f = textured(Dims::new(32, 32));
             let mut backend = SoftwareBackend::new();
-            assert!(Estimator::new(cfg)
-                .estimate(&f, &f, Motion::identity(), &mut backend)
-                .is_err());
+            assert!(
+                matches!(
+                    Estimator::new(cfg).estimate(&f, &f, Motion::identity(), &mut backend),
+                    Err(CoreError::InvalidParameter { .. })
+                ),
+                "{cfg:?} accepted"
+            );
+        }
+        // Zero epsilon (always run every iteration) stays valid.
+        assert!(GmeConfig { epsilon: 0.0, ..GmeConfig::default() }.validate().is_ok());
+    }
+
+    /// A seeded texture built from basic arithmetic only (no libm), so
+    /// the golden bits below do not depend on the platform's `sin`:
+    /// random control values every 8 px, bilinearly blended, plus pixel
+    /// noise.
+    fn seeded_texture(dims: Dims, seed: u64) -> Frame {
+        let mut rng = XorShift64::new(seed);
+        let gw = dims.width / 8 + 2;
+        let grid: Vec<f64> = (0..gw * (dims.height / 8 + 2))
+            .map(|_| rng.uniform(30.0, 220.0))
+            .collect();
+        Frame::from_fn(dims, |p| {
+            let (gx, gy) = (p.x as usize / 8, p.y as usize / 8);
+            let (tx, ty) = (f64::from(p.x % 8) / 8.0, f64::from(p.y % 8) / 8.0);
+            let at = |i: usize, j: usize| grid[(gy + j) * gw + gx + i];
+            let top = at(0, 0) + (at(1, 0) - at(0, 0)) * tx;
+            let bottom = at(0, 1) + (at(1, 1) - at(0, 1)) * tx;
+            let v = top + (bottom - top) * ty + rng.uniform(-3.0, 3.0);
+            Pixel::from_luma(v.clamp(0.0, 255.0) as u8)
+        })
+    }
+
+    /// The golden pairs: a zoom-rotate-shift, and a shift whose current
+    /// frame carries an occluding bright patch (a block of outliers).
+    fn golden_pair(occluded: bool) -> (Frame, Frame) {
+        let dims = Dims::new(80, 64);
+        let (seed, truth) = if occluded {
+            (0x5eed_0002, Motion::translation(-1.75, 1.25))
+        } else {
+            (0x5eed_0001, Motion::similarity(1.02, 0.015, 2.5, -1.5))
+        };
+        let reference = seeded_texture(dims, seed);
+        let mut current = warp_frame(&reference, &truth.inverse().unwrap()).frame;
+        if occluded {
+            for y in 10..26 {
+                for x in 50..66 {
+                    current.set(Point::new(x, y), Pixel::from_luma(250));
+                }
+            }
+        }
+        (reference, current)
+    }
+
+    fn golden_run(occluded: bool, model: MotionModel) -> GmeResult {
+        let (reference, current) = golden_pair(occluded);
+        let mut backend = SoftwareBackend::new();
+        Estimator::new(GmeConfig { model, ..GmeConfig::default() })
+            .estimate(&reference, &current, Motion::identity(), &mut backend)
+            .unwrap()
+    }
+
+    /// Bit patterns of `(occluded, model, motion.h, residual,
+    /// inlier_fraction, iterations)` recorded before the one-pass
+    /// iteration rewrite; any change in summation order, rounding or
+    /// pixel visiting order shows up here.
+    #[rustfmt::skip]
+    const GOLDEN: [(bool, MotionModel, [u64; 8], u64, u64, usize); 6] = [
+        (false, MotionModel::Translational, [0x3ff0000000000000, 0x0000000000000000, 0x4003ff5aefcd945c, 0x0000000000000000, 0x3ff0000000000000, 0xbff612553e5293f1, 0x0000000000000000, 0x0000000000000000], 0x4013449e024f9e3f, 0x3feeab837e6972fa, 8),
+        (false, MotionModel::Affine, [0x3ff0509f7a429993, 0xbf8ecdef27a5a099, 0x40040f08a556977a, 0x3f8fa451783a9b40, 0x3ff0530a4f4e7dd5, 0xbff8148c93bda17a, 0x0000000000000000, 0x0000000000000000], 0x3ff39828b398aaad, 0x3fee0a9656d0c7e3, 10),
+        (false, MotionModel::Perspective, [0x3ff050a9798c37fe, 0xbf8f10ccd29ed0e8, 0x40040a84c1ae2c6c, 0x3f8f0dbcd40c9347, 0x3ff053199b99ae1f, 0xbff80fb154f4f259, 0x3ea8aad831d5b938, 0x3ee1cd578a626c14], 0x3ff38c0104636ceb, 0x3fee0c47fe4e5882, 11),
+        (true, MotionModel::Translational, [0x3ff0000000000000, 0x0000000000000000, 0xbffd66eade60eed0, 0x0000000000000000, 0x3ff0000000000000, 0x3ff300257b49f844, 0x0000000000000000, 0x0000000000000000], 0x3ff830e05979f709, 0x3fed5f7f4246b911, 10),
+        (true, MotionModel::Affine, [0x3feffd6ec2cd5939, 0x3f730a37326d90ee, 0xbffd5603850df4af, 0x3f5953587f2edd96, 0x3fefe5b4617f25e0, 0x3ff56d688c76a5b0, 0x0000000000000000, 0x0000000000000000], 0x3ff91f5d0cee2e65, 0x3fed461671eb3fbc, 12),
+        (true, MotionModel::Perspective, [0x3ff01dd2beb69a4b, 0xbf7af0f304f35f93, 0xbffa5a5cb40bf582, 0xbf648caed9757cd9, 0x3ff0039c44637ffe, 0x3ff41abdba560622, 0xbf1f0913196d7624, 0x3f189d6feef0ea1a], 0x3fffdff9814b55e7, 0x3fed5c1bf34b97d2, 12),
+    ];
+
+    #[test]
+    fn golden_estimates_are_bit_identical() {
+        for (occluded, model, h, residual, inliers, iterations) in GOLDEN {
+            let r = golden_run(occluded, model);
+            let case = format!("occluded={occluded} model={model:?}");
+            assert_eq!(r.motion.h.map(f64::to_bits), h, "{case}: motion");
+            assert_eq!(r.residual.to_bits(), residual, "{case}: residual");
+            assert_eq!(r.inlier_fraction.to_bits(), inliers, "{case}: inlier fraction");
+            assert_eq!(r.iterations, iterations, "{case}: iterations");
         }
     }
 

@@ -32,7 +32,7 @@ use vip_core::pixel::Pixel;
 
 use crate::backend::GmeBackend;
 use crate::model::Motion;
-use crate::warp::{centre_of, sample_bilinear};
+use crate::warp::{centre_of, sample_bilinear, warped_pixel};
 
 /// A mosaic canvas accumulating aligned frames.
 #[derive(Debug, Clone)]
@@ -167,10 +167,7 @@ impl Mosaic {
             let (cxp, cyp) = canvas_pos(p);
             let (fx, fy) = absolute.apply(cxp - ccx, cyp - ccy);
             let (fcx2, fcy2) = centre_of(frame.dims());
-            match sample_bilinear(frame, fx + fcx2, fy + fcy2) {
-                Some(v) => Pixel::from_luma(v.round().clamp(0.0, 255.0) as u8).with_alpha(1),
-                None => Pixel::BLACK.with_alpha(0),
-            }
+            warped_pixel(sample_bilinear(frame, fx + fcx2, fy + fcy2))
         });
         let existing = Frame::from_fn(patch_dims, |p| {
             let (cxp, cyp) = canvas_pos(p);

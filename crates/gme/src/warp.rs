@@ -21,7 +21,7 @@
 //! ```
 
 use vip_core::frame::Frame;
-use vip_core::geometry::{Dims, Point};
+use vip_core::geometry::Dims;
 use vip_core::pixel::Pixel;
 
 use crate::model::Motion;
@@ -50,27 +50,52 @@ impl Warped {
 /// interpolation. Returns `None` outside the frame.
 #[must_use]
 pub fn sample_bilinear(frame: &Frame, x: f64, y: f64) -> Option<f64> {
-    let w = frame.width() as f64;
-    let h = frame.height() as f64;
-    if x < 0.0 || y < 0.0 || x > w - 1.0 || y > h - 1.0 {
+    let (w, h) = (frame.width(), frame.height());
+    if x < 0.0 || y < 0.0 || x > w as f64 - 1.0 || y > h as f64 - 1.0 {
         return None;
     }
-    let x0 = x.floor();
-    let y0 = y.floor();
-    let tx = x - x0;
-    let ty = y - y0;
-    let xi = x0 as i32;
-    let yi = y0 as i32;
-    let at = |dx: i32, dy: i32| -> f64 {
-        let p = Point::new(
-            (xi + dx).min(frame.width() as i32 - 1),
-            (yi + dy).min(frame.height() as i32 - 1),
-        );
-        f64::from(frame.get(p).y)
-    };
-    let a = at(0, 0) + (at(1, 0) - at(0, 0)) * tx;
-    let b = at(0, 1) + (at(1, 1) - at(0, 1)) * tx;
+    let (xi, yi) = (floor_index(x), floor_index(y));
+    let tx = x - xi as f64;
+    let ty = y - yi as f64;
+    let (x1, row0, row1) = ((xi + 1).min(w - 1), yi * w, (yi + 1).min(h - 1) * w);
+    let pixels = frame.pixels();
+    let at = |row: usize, col: usize| f64::from(pixels[row + col].y);
+    let a = at(row0, xi) + (at(row0, x1) - at(row0, xi)) * tx;
+    let b = at(row1, xi) + (at(row1, x1) - at(row1, xi)) * tx;
     Some(a + (b - a) * ty)
+}
+
+/// `v.floor() as usize` for `v >= 0`, by truncation. Baseline x86-64 has
+/// no floor instruction, so `f64::floor` is a libm call. NaN maps to 0,
+/// as the cast does; negative `v` also maps to 0, which is *not* its
+/// floor, so callers range-check first.
+#[must_use]
+pub(crate) fn floor_index(v: f64) -> usize {
+    v as usize
+}
+
+/// `v.round().clamp(0.0, max as f64) as usize` (ties away from zero) for
+/// every `v`, NaN included (it maps to 0), without libm's `round`.
+#[must_use]
+pub(crate) fn round_clamped(v: f64, max: usize) -> usize {
+    // Saturating truncation: negatives and NaN give 0. Below `max` the
+    // fraction `v - t` is exact (`t <= v < t + 1`).
+    let t = v as usize;
+    if t >= max {
+        return max;
+    }
+    t + usize::from(v - t as f64 >= 0.5)
+}
+
+/// The warped pixel for one bilinear sample: its rounded luma with
+/// `alpha = 1`, or black with `alpha = 0` where the sample fell outside
+/// the source.
+#[must_use]
+pub(crate) fn warped_pixel(sample: Option<f64>) -> Pixel {
+    match sample {
+        Some(v) => Pixel::from_luma(round_clamped(v, 255) as u8).with_alpha(1),
+        None => Pixel::BLACK.with_alpha(0),
+    }
 }
 
 /// Centre of a frame (the origin of the centred motion coordinates).
@@ -84,24 +109,56 @@ pub fn centre_of(dims: Dims) -> (f64, f64) {
 /// the source get `alpha = 0`; valid pixels get `alpha = 1`.
 #[must_use]
 pub fn warp_frame(src: &Frame, motion: &Motion) -> Warped {
+    let mut frame = Frame::new(src.dims());
+    let mut samples = vec![f64::NAN; src.pixel_count()];
+    let valid = warp_into(src, motion, &mut frame, &mut samples);
+    Warped { frame, valid }
+}
+
+/// The one warp pass behind [`warp_frame`]: writes the warped frame into
+/// `out` and each pixel's unrounded sample into `samples` (NaN where the
+/// pixel maps outside the source), and returns the valid-pixel count.
+/// Every element of both buffers is overwritten, so they can be reused
+/// from call to call.
+///
+/// # Panics
+///
+/// Panics when `out` or `samples` does not match `src` in size.
+pub(crate) fn warp_into(
+    src: &Frame,
+    motion: &Motion,
+    out: &mut Frame,
+    samples: &mut [f64],
+) -> usize {
+    assert_eq!(out.dims(), src.dims(), "warp buffer dims");
+    assert_eq!(samples.len(), src.pixel_count(), "sample buffer length");
+    let w = src.width();
+    if w == 0 {
+        return 0;
+    }
     let (cx, cy) = centre_of(src.dims());
     let mut valid = 0usize;
-    let frame = Frame::from_fn(src.dims(), |p| {
-        let (mx, my) = motion.apply(p.x as f64 - cx, p.y as f64 - cy);
-        match sample_bilinear(src, mx + cx, my + cy) {
-            Some(y) => {
-                valid += 1;
-                Pixel::from_luma(y.round().clamp(0.0, 255.0) as u8).with_alpha(1)
-            }
-            None => Pixel::BLACK.with_alpha(0),
+    let rows = out
+        .pixels_mut()
+        .chunks_exact_mut(w)
+        .zip(samples.chunks_exact_mut(w));
+    for (py, (row, row_samples)) in rows.enumerate() {
+        let y = py as f64 - cy;
+        for (px, (pixel, slot)) in row.iter_mut().zip(row_samples).enumerate() {
+            let (mx, my) = motion.apply(px as f64 - cx, y);
+            let sample = sample_bilinear(src, mx + cx, my + cy);
+            valid += usize::from(sample.is_some());
+            *slot = sample.unwrap_or(f64::NAN);
+            *pixel = warped_pixel(sample);
         }
-    });
-    Warped { frame, valid }
+    }
+    valid
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vip_core::geometry::Point;
 
     fn ramp(dims: Dims) -> Frame {
         Frame::from_fn(dims, |p| Pixel::from_luma((p.x * 10) as u8))
@@ -184,6 +241,78 @@ mod tests {
         }
         assert!(n > 100);
         assert!(err / n <= 1, "mean roundtrip error {}", err as f64 / n as f64);
+    }
+
+    #[test]
+    fn floor_index_matches_floor_on_the_sampled_range() {
+        let sampled = [
+            0.0, -0.0, 0.49999999999999994, 0.5, 1.0 - f64::EPSILON / 2.0, 7.999, 254.5, 255.0, 1e6,
+        ];
+        for v in sampled {
+            assert_eq!(floor_index(v), v.floor() as usize, "v = {v}");
+        }
+        assert_eq!(floor_index(f64::NAN), f64::NAN.floor() as usize);
+    }
+
+    #[test]
+    fn round_clamped_matches_round_then_clamp() {
+        let edge = [
+            0.0, -0.0, 0.5, 1.5, 2.5, 0.49999999999999994, 0.5000000000000001,
+            254.49999999999997, 254.5, 254.9, 255.0, 255.4, 255.5, 256.0, 1e9, 1e300,
+            -0.4, -0.5, -0.6, -1.5, -1e300, f64::INFINITY, f64::NEG_INFINITY, f64::NAN,
+        ];
+        let sweep = (-40..=2600).map(|i| f64::from(i) * 0.1);
+        for v in edge.into_iter().chain(sweep) {
+            for max in [0usize, 1, 175, 255] {
+                let want = v.round().clamp(0.0, max as f64) as usize;
+                assert_eq!(round_clamped(v, max), want, "v = {v}, max = {max}");
+            }
+        }
+    }
+
+    #[test]
+    fn warped_pixel_rounds_and_marks_validity() {
+        assert_eq!(
+            warped_pixel(Some(254.5)),
+            Pixel::from_luma(255).with_alpha(1)
+        );
+        assert_eq!(
+            warped_pixel(Some(0.49999999999999994)),
+            Pixel::from_luma(0).with_alpha(1)
+        );
+        assert_eq!(
+            warped_pixel(Some(f64::NAN)),
+            Pixel::from_luma(0).with_alpha(1)
+        );
+        assert_eq!(warped_pixel(None), Pixel::BLACK.with_alpha(0));
+    }
+
+    #[test]
+    fn reused_buffers_hold_no_stale_samples() {
+        let f = Frame::from_fn(Dims::new(24, 20), |p| {
+            Pixel::from_luma(((p.x * 13 + p.y * 7) % 256) as u8)
+        });
+        let mut out = Frame::new(f.dims());
+        let mut samples = vec![0.0; f.pixel_count()];
+        // A large motion first (most pixels invalid), then a small one
+        // (most valid), then the large one again.
+        let large = Motion::similarity(1.3, 0.2, 6.5, -4.25);
+        let small = Motion::translation(0.25, -0.5);
+        for motion in [large, small, large] {
+            let valid = warp_into(&f, &motion, &mut out, &mut samples);
+            let fresh = warp_frame(&f, &motion);
+            assert_eq!(valid, fresh.valid);
+            assert_eq!(out, fresh.frame);
+            for (i, (&s, px)) in samples.iter().zip(fresh.frame.pixels()).enumerate() {
+                let p = Point::new((i % 24) as i32, (i / 24) as i32);
+                let (cx, cy) = centre_of(f.dims());
+                let (mx, my) = motion.apply(f64::from(p.x) - cx, f64::from(p.y) - cy);
+                match sample_bilinear(&f, mx + cx, my + cy) {
+                    Some(v) => assert_eq!(s.to_bits(), v.to_bits(), "at {p}"),
+                    None => assert!(s.is_nan() && px.alpha == 0, "at {p}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Produces the object-with-`traceEvents` form of the [trace-event
 //! format], loadable in Perfetto (<https://ui.perfetto.dev>) or
-//! `chrome://tracing`. Each [`Track`](crate::Track) becomes one named
+//! `chrome://tracing`. Each [`Track`] becomes one named
 //! thread of a single process; timestamps convert from virtual-clock
 //! nanoseconds to the format's microseconds with three decimals, so no
 //! precision is lost.

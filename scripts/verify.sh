@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full offline verification: release build, tests, static verifier, a
-# perfbench smoke run and clippy (perfbench and workspace) with warnings
-# denied. This is exactly what CI runs; run it before pushing.
+# perfbench smoke run, and clippy (perfbench and workspace) and rustdoc
+# with warnings denied. This is exactly what CI runs; run it before pushing.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -31,5 +31,8 @@ cargo clippy --offline --all-targets --manifest-path perfbench/Cargo.toml -- -D 
 
 echo "==> cargo clippy on the workspace (deny warnings)"
 cargo clippy --all-targets --workspace -- -D warnings
+
+echo "==> cargo doc on the workspace (deny warnings, so intra-doc links cannot rot)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "==> OK"
