@@ -20,8 +20,10 @@
 //!      between the inbound DMA and the Process-Unit reads, and the §3.1
 //!      guarantee that the outbound DMA never overtakes the OIM drain
 //!      pointer,
-//!    * hazard freedom of the 4-stage Process-Unit pipeline against the
-//!      PLC start-pipeline, exhaustively over all short control sequences.
+//!    * in-order, hazard-free sequencing of the 4-stage Process-Unit
+//!      pipeline, proved on the [`Pipeline`](vip_engine::plc::Pipeline)
+//!      both detailed datapaths step, exhaustively over all short
+//!      sequences of per-cycle inputs.
 //! 2. **Source lint** ([`lint`]) — a token-level scanner over
 //!    `crates/**/*.rs` and every `Cargo.toml` enforcing workspace
 //!    invariants: metric-key agreement with `vip-engine::report::keys`,
@@ -138,9 +140,9 @@ pub fn check_model(scenarios: &[Scenario]) -> CheckReport {
         report.cases += 1;
         report.violations.extend(violations);
     }
-    // The start-pipeline hazard check is scenario-independent: one
-    // exhaustive pass over every control sequence.
-    report.merge(pipeline::check_start_pipeline(pipeline::DEFAULT_SEQUENCE_LEN));
+    // The pipeline proof is scenario-independent: one exhaustive pass
+    // over every input sequence, on the type both datapaths step.
+    report.merge(pipeline::check_pipeline(pipeline::DEFAULT_SEQUENCE_LEN));
     report
 }
 

@@ -1,7 +1,7 @@
 //! `vip-check` — static schedule/hazard verifier and workspace lint.
 //!
 //! Runs the full model-checking sweep (ZBT bank schedule, IIM/OIM
-//! occupancy, start-pipeline hazards, call-timeline ordering) plus the
+//! occupancy, the Process-Unit pipeline proof, call-timeline ordering) plus the
 //! source lints over the enclosing workspace, prints every violation
 //! with its witness, and exits non-zero if any invariant fails.
 

@@ -18,48 +18,47 @@
 //!   DMA's read pointer never overtakes the OIM drain's write pointer
 //!   on the result banks, so the PC always receives finished pixels.
 //!
-//! The bank assignments are mirrored from [`vip_engine::zbt`] and locked
-//! to it by a unit test, so the two models cannot drift apart silently.
+//! The map and capacity checks read the engine's own bank map and fit
+//! predicate ([`ZbtMemory::memory_map`], [`ZbtMemory::fits`]), so the
+//! checker proves properties of the memory the simulator runs.
+
+use vip_engine::zbt::ZbtMemory;
 
 use crate::schedule::{timeline_of, DrainModel};
 use crate::witness::{CallKind, Scenario};
 use crate::Violation;
 
-/// Bank pairs of the fig. 3 regions, mirrored from
-/// [`vip_engine::zbt::ZbtMemory`]: `(first_bank, last_bank)` for
-/// input A, input B, Res_block_A, Res_block_B.
-pub const REGION_BANKS: [(usize, usize); 4] = [(0, 1), (2, 3), (4, 4), (5, 5)];
-
-/// Region labels matching [`REGION_BANKS`].
-pub const REGION_NAMES: [&str; 4] = ["input_A", "input_B", "Res_block_A", "Res_block_B"];
-
-/// Verifies that the fig. 3 bank map is disjoint and within the
-/// configured bank count.
+/// Verifies that the engine's fig. 3 bank map
+/// ([`ZbtMemory::memory_map`]) is disjoint and within the configured
+/// bank count.
 #[must_use]
 pub fn check_bank_map(s: &Scenario) -> Vec<Violation> {
     let mut out = Vec::new();
-    for (i, (first, last)) in REGION_BANKS.iter().enumerate() {
-        if *last >= s.config.zbt_banks {
+    let map = ZbtMemory::new(&s.config).memory_map(s.dims, s.config.strip_lines);
+    for (i, a) in map.regions.iter().enumerate() {
+        let (first, last) = a.banks;
+        if last >= s.config.zbt_banks {
             out.push(Violation {
                 check: "zbt.bank_range",
                 message: format!(
                     "region {} claims bank {last} but the configuration has only {} banks",
-                    REGION_NAMES[i], s.config.zbt_banks
+                    a.name, s.config.zbt_banks
                 ),
                 witness: s.witness(),
             });
         }
-        for (j, (f2, l2)) in REGION_BANKS.iter().enumerate().skip(i + 1) {
+        for b in &map.regions[i + 1..] {
+            let (f2, l2) = b.banks;
             if first <= l2 && f2 <= last {
                 out.push(Violation {
                     check: "zbt.bank_overlap",
                     message: format!(
                         "regions {} and {} overlap on banks {}..={} — concurrent DMA \
                          writes and Process-Unit reads would collide on one port",
-                        REGION_NAMES[i],
-                        REGION_NAMES[j],
-                        (*first).max(*f2),
-                        (*last).min(*l2)
+                        a.name,
+                        b.name,
+                        first.max(f2),
+                        last.min(l2)
                     ),
                     witness: s.witness(),
                 });
@@ -69,26 +68,26 @@ pub fn check_bank_map(s: &Scenario) -> Vec<Violation> {
     out
 }
 
-/// Verifies that the scenario's frame fits every region of the bank map
-/// (paired input regions need one word per pixel per bank; each result
-/// block takes half the pixels at two sequential words each).
+/// Verifies that the scenario's frame fits every region of the bank map,
+/// by the engine's own predicate ([`ZbtMemory::fits`]).
 #[must_use]
 pub fn check_capacity(s: &Scenario) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let px = s.dims.pixel_count();
-    let words = s.config.zbt_bank_words;
-    if 2 * px.div_ceil(2) > words {
-        out.push(Violation {
-            check: "zbt.capacity",
-            message: format!(
-                "{px}-pixel frame needs {px} words per input bank and {} words per \
-                 result block, but each bank holds {words} words",
-                px.div_ceil(2) * 2
-            ),
-            witness: s.witness(),
-        });
+    let zbt = ZbtMemory::new(&s.config);
+    if zbt.fits(s.dims) {
+        return Vec::new();
     }
-    out
+    let px = s.dims.pixel_count();
+    let map = zbt.memory_map(s.dims, s.config.strip_lines);
+    let needed = map.regions.iter().map(|r| r.words_per_bank).max().unwrap_or(0);
+    vec![Violation {
+        check: "zbt.capacity",
+        message: format!(
+            "{px}-pixel frame needs up to {needed} words in one bank of the fig. 3 map, \
+             but each bank holds {} words",
+            zbt.bank_words()
+        ),
+        witness: s.witness(),
+    }]
 }
 
 /// Verifies the steady-state port duty on the paired input banks: the
@@ -173,19 +172,9 @@ mod tests {
     use super::*;
     use vip_core::geometry::Dims;
     use vip_engine::config::{EngineConfig, InterOverlap};
-    use vip_engine::zbt::ZbtMemory;
 
     fn proto(dims: Dims, mode: CallKind) -> Scenario {
         Scenario::new("prototype", EngineConfig::prototype(), dims, mode)
-    }
-
-    #[test]
-    fn region_banks_locked_to_engine_model() {
-        // The checker's mirrored map must match the engine's fig. 3 map.
-        let zbt = ZbtMemory::new(&EngineConfig::prototype());
-        let map = zbt.memory_map(Dims::new(352, 288), 16);
-        let banks: Vec<(usize, usize)> = map.regions.iter().map(|r| r.banks).collect();
-        assert_eq!(banks, REGION_BANKS.to_vec());
     }
 
     #[test]

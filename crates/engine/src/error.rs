@@ -42,8 +42,10 @@ pub enum EngineError {
         /// The missing capability.
         capability: &'static str,
     },
-    /// The pixel-level controller detected a structural hazard that the
-    /// arbiter could not resolve (a simulator invariant violation).
+    /// A datapath invariant failed: a detailed simulation exceeded its
+    /// cycle bound because the eviction gate deadlocked the sweep (e.g.
+    /// an IIM too small for the window), or a ZBT region was addressed
+    /// through the wrong accessor.
     PipelineHazard {
         /// Description of the conflict.
         detail: &'static str,

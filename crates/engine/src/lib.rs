@@ -12,8 +12,8 @@
 //! * [`iim`] / [`oim`] — the input/output intermediate memories
 //!   (16 line blocks × 2 BRAM banks, single-cycle neighbourhood fetch),
 //! * [`matrix`] — the matrix register with LOAD/SHIFT instructions,
-//! * [`plc`] — the pixel-level controller (control FSM, arbiter,
-//!   start-pipeline),
+//! * [`plc`] — the pixel-level controller (control FSM, instructions,
+//!   and the start-pipeline both detailed datapaths step),
 //! * [`process_unit`] — the cycle-stepped 4-stage datapath (fig. 6),
 //! * [`fast`] — the event-driven fast-forward datapath (bit-identical
 //!   statistics, a fraction of the simulated work),

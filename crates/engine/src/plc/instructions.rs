@@ -3,8 +3,9 @@
 //! §3.4/§3.5: the datapath has four stages; *"In order to generate a
 //! result pixel one instruction has to be performed in each one of the
 //! stages"*. The control FSM emits one [`PixelBundle`] per pixel-cycle;
-//! the start-pipeline overlaps bundles so that instructions of different
-//! pixel-cycles occupy different stages simultaneously.
+//! the start-pipeline ([`crate::plc::Pipeline`]) overlaps bundles so that
+//! instructions of different pixel-cycles occupy different stages
+//! simultaneously.
 
 use core::fmt;
 
@@ -36,17 +37,6 @@ impl Stage {
             Stage::Store => 3,
         }
     }
-
-    /// The datapath resource the stage occupies, for the arbiter.
-    #[must_use]
-    pub const fn resource(self) -> Resource {
-        match self {
-            Stage::Scan => Resource::PositionCounters,
-            Stage::Fetch => Resource::IimPort,
-            Stage::Execute => Resource::Alu,
-            Stage::Store => Resource::OimPort,
-        }
-    }
 }
 
 impl fmt::Display for Stage {
@@ -59,31 +49,6 @@ impl fmt::Display for Stage {
         };
         f.write_str(s)
     }
-}
-
-/// Lockable datapath resources (§3.2: *"The instructions FSM can request
-/// and lock the resources in the Process Unit"*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum Resource {
-    /// The pixel position counters of stage 1.
-    PositionCounters,
-    /// The IIM read port of stage 2.
-    IimPort,
-    /// The arithmetic unit of stage 3.
-    Alu,
-    /// The OIM write port of stage 4.
-    OimPort,
-}
-
-impl Resource {
-    /// All resources.
-    pub const ALL: [Resource; 4] = [
-        Resource::PositionCounters,
-        Resource::IimPort,
-        Resource::Alu,
-        Resource::OimPort,
-    ];
 }
 
 /// How stage 2 fills the matrix register.
@@ -139,13 +104,6 @@ mod tests {
         for (i, s) in Stage::ALL.iter().enumerate() {
             assert_eq!(s.index(), i);
         }
-    }
-
-    #[test]
-    fn stages_own_distinct_resources() {
-        let resources: Vec<_> = Stage::ALL.iter().map(|s| s.resource()).collect();
-        let unique: std::collections::HashSet<_> = resources.iter().collect();
-        assert_eq!(unique.len(), 4, "each stage owns its own resource");
     }
 
     #[test]

@@ -3,23 +3,21 @@
 //! §3.4: *"The pixel level controller is the controlpath of the processor.
 //! Its purpose is to control the process unit (i.e. datapath) enabling the
 //! intervention of its components when necessary."* Per fig. 5 it is
-//! composed of four modules, each modelled by a submodule here:
+//! composed of four modules, modelled here by three submodules:
 //!
 //! * [`control_fsm`] — generates the set of instructions for every
 //!   pixel-cycle,
-//! * [`arbiter`] — guarantees instructions in different stages never
-//!   touch the same Process-Unit resource,
-//! * instructions ([`instructions`]) — the micro-ops that request and
-//!   lock resources and steer their behaviour,
-//! * [`start_pipeline`] — keeps instructions of different pixel-cycles in
-//!   different stages concurrently.
+//! * instructions ([`instructions`]) — the micro-ops that steer each
+//!   stage (LOAD or SHIFT for the matrix register),
+//! * [`pipeline`] — the start-pipeline, which keeps instructions of
+//!   different pixel-cycles in different stages concurrently; one bundle
+//!   per stage is also the arbiter's guarantee that no two stages touch
+//!   the same Process-Unit resource. Both detailed datapaths step it.
 
-pub mod arbiter;
 pub mod control_fsm;
 pub mod instructions;
-pub mod start_pipeline;
+pub mod pipeline;
 
-pub use arbiter::Arbiter;
 pub use control_fsm::ControlFsm;
-pub use instructions::{FetchKind, PixelBundle, Resource, Stage};
-pub use start_pipeline::{StageSnapshot, StartPipeline};
+pub use instructions::{FetchKind, PixelBundle, Stage};
+pub use pipeline::{Cycle, Pipeline, StageSnapshot, Stages, Stall};

@@ -9,7 +9,8 @@
 //! [`run_intra_detailed`] and [`run_inter_detailed`] simulate one call
 //! cycle by cycle; they are the reference that [`crate::fast`] and the
 //! analytic model in [`crate::timing`] are validated against. Both
-//! datapaths publish the same trace through [`PuProbe`].
+//! datapaths step a [`Pipeline`] through the same cycle loop, which
+//! also publishes their trace through [`PuProbe`].
 
 use vip_core::border::BorderPolicy;
 use vip_core::geometry::{Dims, Point};
@@ -20,11 +21,11 @@ use vip_core::scan::ScanOrder;
 use vip_obs::{Recorder, Track};
 
 use crate::config::EngineConfig;
-use crate::error::EngineResult;
+use crate::error::{EngineError, EngineResult};
 use crate::iim::Iim;
 use crate::matrix::MatrixRegister;
 use crate::oim::Oim;
-use crate::plc::{ControlFsm, FetchKind, StageSnapshot};
+use crate::plc::{ControlFsm, Cycle, FetchKind, Pipeline, StageSnapshot, Stages, Stall};
 use crate::zbt::{ZbtMemory, ZbtRegion};
 
 /// Statistics of one detailed (cycle-stepped) processing phase.
@@ -72,6 +73,17 @@ impl ProcessingStats {
         self.cycles
             .saturating_sub(self.iim_stalls + self.oim_stalls + self.idle_cycles)
     }
+
+    /// Charges `n` cycles of kind `cycle` to its counter; busy cycles are
+    /// the complement and have none.
+    pub(crate) fn count(&mut self, cycle: Cycle, n: u64) {
+        match cycle {
+            Cycle::Busy => {}
+            Cycle::Idle => self.idle_cycles += n,
+            Cycle::Stalled(Stall::Iim) => self.iim_stalls += n,
+            Cycle::Stalled(Stall::Oim) => self.oim_stalls += n,
+        }
+    }
 }
 
 /// Shortest stall run worth a span of its own. The OIM drains at two
@@ -80,15 +92,6 @@ impl ProcessingStats {
 /// would swamp the trace. Short runs still reach the aggregate stall
 /// counters; only runs of at least this length become spans.
 const MIN_STALL_RUN: u64 = 8;
-
-/// Why the pipeline did not advance on a cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Stall {
-    /// A stage-2 window fetch found a needed IIM line missing.
-    Iim,
-    /// Stage 4 found the OIM full.
-    Oim,
-}
 
 /// Observability probe for the Process Unit datapaths: maps engine
 /// cycles onto the session's virtual clock and publishes spans for line
@@ -310,6 +313,127 @@ impl<const HOOKS: bool> PuTrace<'_, HOOKS> {
     }
 }
 
+/// A datapath's stages plus the ports [`run_phase`] runs ahead of them
+/// every cycle: the OIM → ZBT drain and, for intra sweeps, the ZBT → IIM
+/// transmission unit (TxU).
+pub(crate) trait Datapath: Stages {
+    /// An intra sweep: line fills extend the cycle bound, and issues
+    /// open `line_sweep` spans.
+    const INTRA: bool;
+
+    /// Result pixels drained to the ZBT.
+    fn drained(&self) -> usize;
+
+    /// Pixels waiting in the OIM.
+    fn oim_occupancy(&self) -> usize;
+
+    /// One cycle of the drain and the TxU, which never evicts a line the
+    /// window of `inflight_pixel` needs.
+    fn ports<const HOOKS: bool>(
+        &mut self,
+        cycle: u64,
+        inflight_pixel: usize,
+        trace: &mut PuTrace<'_, HOOKS>,
+    ) -> EngineResult<()>;
+
+    /// The first cycle after `now` on which a port acts (`None`: never).
+    /// The cycle-stepped datapaths answer `now + 1`: no skipping.
+    fn next_event(&self, now: u64, _inflight_pixel: usize) -> Option<u64> {
+        Some(now + 1)
+    }
+
+    /// Lets `cycles` cycles pass in which no port acts.
+    fn idle(&mut self, _cycles: u64) {}
+}
+
+/// Runs the processing phase of a `dims` call on `dp`, cycle by cycle:
+/// the ports, then the pipeline stages 4 → 1. While the pipeline is at
+/// rest and the stage trace is full, the clock jumps to the next port
+/// event; each skipped cycle repeats the at-rest kind, so it is counted
+/// as that kind and replayed to the probe in one step. Fails with
+/// [`EngineError::PipelineHazard`] past the cycle bound (a deadlocked
+/// eviction gate).
+pub(crate) fn run_phase<D: Datapath>(
+    dp: &mut D,
+    pipe: Pipeline<D::Scan, D::Fetched, D::Result>,
+    dims: Dims,
+    config: &EngineConfig,
+    trace_limit: usize,
+    probe: &PuProbe,
+) -> EngineResult<ProcessingStats> {
+    // An untraced call runs an instance with the probe hooks compiled out.
+    let run = if probe.is_enabled() { phase::<D, true> } else { phase::<D, false> };
+    run(dp, pipe, dims, config, trace_limit, probe)
+}
+
+fn phase<D: Datapath, const HOOKS: bool>(
+    dp: &mut D,
+    mut pipe: Pipeline<D::Scan, D::Fetched, D::Result>,
+    dims: Dims,
+    config: &EngineConfig,
+    trace_limit: usize,
+    probe: &PuProbe,
+) -> EngineResult<ProcessingStats> {
+    let total = dims.pixel_count();
+    // Generous safety bound: every pixel may stall a few times, and an
+    // intra sweep waits for its line fills.
+    let fills = if D::INTRA { (dims.height as u64 + 4) * dims.width as u64 } else { 0 };
+    let bound = (total as u64 + 64) * (config.oim_drain_cycles_per_pixel + 6) + fills;
+    let hazard = EngineError::PipelineHazard {
+        detail: if D::INTRA {
+            "cycle-stepped intra simulation exceeded its cycle bound"
+        } else {
+            "cycle-stepped inter simulation exceeded its cycle bound"
+        },
+    };
+    let mut trace = probe.start::<HOOKS>(dims);
+    let mut stats = ProcessingStats::default();
+    let mut cycle = 0u64;
+
+    while dp.drained() < total {
+        if stats.trace.len() >= trace_limit {
+            if let Some(rest) = pipe.at_rest(dp) {
+                let occupancy = dp.oim_occupancy();
+                let next = dp.next_event(cycle, pipe.inflight_pixel());
+                // Nothing acts again within the bound: the run stalls in
+                // place until the bound trips.
+                let Some(target) = next.filter(|&t| t <= bound) else {
+                    trace.skip(cycle + 1, bound, rest.stall(), occupancy);
+                    return Err(hazard);
+                };
+                let skipped = target - cycle - 1;
+                if skipped > 0 {
+                    trace.skip(cycle + 1, cycle + skipped, rest.stall(), occupancy);
+                    dp.idle(skipped);
+                    stats.count(rest, skipped);
+                    cycle += skipped;
+                }
+            }
+        }
+
+        cycle += 1;
+        if cycle > bound {
+            return Err(hazard);
+        }
+        dp.ports(cycle, pipe.inflight_pixel(), &mut trace)?;
+        let issued = pipe.issued();
+        let kind = pipe.step(dp)?;
+        if HOOKS && D::INTRA && pipe.issued() > issued {
+            trace.issue((issued / dims.width) as i32, cycle);
+        }
+        stats.count(kind, 1);
+        if stats.trace.len() < trace_limit {
+            stats.trace.push(pipe.snapshot());
+        }
+        trace.end_cycle(cycle, kind.stall(), dp.oim_occupancy());
+    }
+
+    trace.finish(cycle, &stats, total);
+    stats.cycles = cycle;
+    stats.pixels = total as u64;
+    Ok(stats)
+}
+
 /// Runs the processing phase of an intra call cycle by cycle, publishing
 /// IIM line fills, PLC line sweeps, coalesced stall runs, OIM occupancy
 /// samples and one enclosing processing span through `probe`.
@@ -331,152 +455,161 @@ pub fn run_intra_detailed<O: IntraOp>(
     trace_limit: usize,
     probe: &PuProbe,
 ) -> EngineResult<ProcessingStats> {
-    let total = dims.pixel_count();
-    let radius = op.shape().radius();
     let square = square_shape(op.shape());
-    let mut iim = Iim::new(config.iim_lines, dims.width);
-    let mut oim = Oim::new(config.oim_lines, dims.width);
-    let mut matrix = MatrixRegister::new(square);
-    let mut fsm = ControlFsm::new(dims, ScanOrder::RowMajor);
-    let mut stats = ProcessingStats::default();
-    let mut trace = probe.start::<true>(dims);
+    let mut dp = IntraDatapath {
+        drain: OimDrain::new(zbt, config, dims),
+        op,
+        dims,
+        border,
+        square,
+        iim: Iim::new(config.iim_lines, dims.width),
+        matrix: MatrixRegister::new(square),
+        fsm: ControlFsm::new(dims, ScanOrder::RowMajor),
+        txu_line: 0,
+        txu_buf: Vec::with_capacity(dims.width),
+    };
+    let mut stats = run_phase(&mut dp, Pipeline::default(), dims, config, trace_limit, probe)?;
+    stats.matrix_loads = dp.matrix.loads();
+    stats.matrix_shifts = dp.matrix.shifts();
+    stats.oim_max_occupancy = dp.drain.oim.max_occupancy();
+    Ok(stats)
+}
 
-    // Transmission-unit state: next line to load and position within it.
-    let mut txu_line = 0usize;
-    let mut txu_x = 0usize;
-    let mut txu_buf: Vec<Pixel> = Vec::with_capacity(dims.width);
+/// The OIM and its port to the ZBT result banks, which takes one pixel
+/// per `per` cycles.
+struct OimDrain<'a> {
+    zbt: &'a mut ZbtMemory,
+    oim: Oim,
+    per: u64,
+    timer: u64,
+    total: usize,
+}
 
-    // In-flight pipeline data.
-    let mut scan_slot: Option<(Point, FetchKind, usize)> = None;
-    let mut fetch_slot: Option<(Point, Window, usize)> = None;
-    let mut exec_slot: Option<(usize, Pixel)> = None;
-
-    let mut drained = 0usize;
-    let mut drain_timer = 0u64;
-    let mut cycles = 0u64;
-    // Generous safety bound: every pixel may stall a few times.
-    let bound = (total as u64 + 64) * (config.oim_drain_cycles_per_pixel + 6)
-        + (dims.height as u64 + 4) * dims.width as u64;
-
-    while drained < total {
-        cycles += 1;
-        if cycles > bound {
-            return Err(crate::error::EngineError::PipelineHazard {
-                detail: "cycle-stepped intra simulation exceeded its cycle bound",
-            });
+impl<'a> OimDrain<'a> {
+    fn new(zbt: &'a mut ZbtMemory, config: &EngineConfig, dims: Dims) -> Self {
+        OimDrain {
+            zbt,
+            oim: Oim::new(config.oim_lines, dims.width),
+            per: config.oim_drain_cycles_per_pixel,
+            timer: 0,
+            total: dims.pixel_count(),
         }
-        let mut stalled = None;
-
-        // Idle classification (slot state at cycle start, mirrored by
-        // `fast.rs`): nothing in flight and nothing left to issue.
-        if exec_slot.is_none() && fetch_slot.is_none() && scan_slot.is_none() && fsm.len() == 0 {
-            stats.idle_cycles += 1;
-        }
-
-        // --- OIM → ZBT drain (result port, independent of input banks).
-        drain_timer += 1;
-        if drain_timer >= config.oim_drain_cycles_per_pixel {
-            if let Some((idx, px)) = oim.pop() {
-                zbt.write_result_pixel(idx, total, px)?;
-                drained += 1;
-                drain_timer = 0;
-            }
-        }
-
-        // --- Transmission unit: one pixel per cycle ZBT → IIM line buffer.
-        if txu_line < dims.height {
-            // Gate: never evict a line the sweep still needs — track the
-            // oldest in-flight pixel (a fetch may lag the issue counter).
-            let inflight_line = fetch_slot
-                .as_ref()
-                .map(|f| f.0.y as usize)
-                .or_else(|| scan_slot.as_ref().map(|s| s.0.y as usize))
-                .unwrap_or_else(|| fsm.issued() / dims.width.max(1));
-            let needed_oldest = inflight_line.saturating_sub(radius);
-            if iim.can_accept(needed_oldest) {
-                let idx = txu_line * dims.width + txu_x;
-                let px = zbt.read_input_pixel(ZbtRegion::InputA, idx)?;
-                trace.txu_pixel(txu_line, txu_x, dims.width, cycles);
-                txu_buf.push(px);
-                txu_x += 1;
-                if txu_x == dims.width {
-                    iim.load_line(txu_line, &txu_buf);
-                    txu_buf.clear();
-                    txu_line += 1;
-                    txu_x = 0;
-                }
-            }
-        }
-
-        // --- Stage 4: store into OIM.
-        let mut advance = true;
-        if let Some((idx, px)) = exec_slot {
-            if oim.push(idx, px) {
-                exec_slot = None;
-            } else {
-                stats.oim_stalls += 1;
-                stalled = Some(Stall::Oim);
-                advance = false;
-            }
-        }
-
-        // --- Stage 3: execute (always single-cycle once data present).
-        // --- Stage 2: fetch window from the IIM.
-        if advance {
-            if let (Some((point, window, idx)), None) = (&fetch_slot, &exec_slot) {
-                let shaped = Window::from_samples(*point, op.shape(), window.iter());
-                let result = op.apply(&shaped);
-                let mut out = window
-                    .sample(Point::ORIGIN)
-                    .unwrap_or_default();
-                out.merge_channels(result, op.output_channels());
-                exec_slot = Some((*idx, out));
-                fetch_slot = None;
-            }
-        }
-        if advance {
-            if let (Some((point, fetch, idx)), None) = (scan_slot, &fetch_slot) {
-                match iim.fetch_window(point, square, dims, border) {
-                    Some(samples) => {
-                        drive_matrix(&mut matrix, fetch, &samples, square);
-                        stats.matrix_loads = matrix.loads();
-                        stats.matrix_shifts = matrix.shifts();
-                        fetch_slot =
-                            Some((point, Window::from_samples(point, square, samples), idx));
-                        scan_slot = None;
-                    }
-                    None => {
-                        stats.iim_stalls += 1;
-                        stalled = Some(Stall::Iim);
-                    }
-                }
-            }
-        }
-
-        // --- Stage 1: scan — issue the next pixel position.
-        if scan_slot.is_none() {
-            if let Some((point, bundle)) = fsm.next() {
-                trace.issue(point.y, cycles);
-                scan_slot = Some((point, bundle.fetch, bundle.pixel_index));
-            }
-        }
-
-        // --- Stage-occupancy trace (fig. 5).
-        if stats.trace.len() < trace_limit {
-            stats.trace.push(snapshot_of(
-                scan_slot.as_ref().map(|s| s.2),
-                fetch_slot.as_ref().map(|s| s.2),
-                exec_slot.as_ref().map(|s| s.0),
-            ));
-        }
-        trace.end_cycle(cycles, stalled, oim.occupancy());
     }
 
-    trace.finish(cycles, &stats, total);
-    stats.cycles = cycles;
-    stats.pixels = total as u64;
-    stats.oim_max_occupancy = oim.max_occupancy();
-    Ok(stats)
+    fn tick(&mut self) -> EngineResult<()> {
+        self.timer += 1;
+        if self.timer >= self.per {
+            if let Some((idx, px)) = self.oim.pop() {
+                self.zbt.write_result_pixel(idx, self.total, px)?;
+                self.timer = 0;
+            }
+        }
+        Ok(())
+    }
+
+    fn store(&mut self, pixel: usize, result: Pixel) {
+        let stored = self.oim.push(pixel, result);
+        debug_assert!(stored, "the pipeline stores only into a non-full OIM");
+    }
+}
+
+/// The cycle-stepped intra datapath: the TxU fills IIM lines from the
+/// ZBT, stage 2 fetches windows from the IIM into the matrix register,
+/// stage 3 applies the operation.
+struct IntraDatapath<'a, O> {
+    drain: OimDrain<'a>,
+    op: &'a O,
+    dims: Dims,
+    border: BorderPolicy,
+    square: Connectivity,
+    iim: Iim,
+    matrix: MatrixRegister,
+    fsm: ControlFsm,
+    /// The TxU's next line and the part of it read so far.
+    txu_line: usize,
+    txu_buf: Vec<Pixel>,
+}
+
+impl<O: IntraOp> Datapath for IntraDatapath<'_, O> {
+    const INTRA: bool = true;
+
+    fn drained(&self) -> usize {
+        self.drain.oim.pops() as usize
+    }
+
+    fn oim_occupancy(&self) -> usize {
+        self.drain.oim.occupancy()
+    }
+
+    fn ports<const HOOKS: bool>(
+        &mut self,
+        cycle: u64,
+        inflight_pixel: usize,
+        trace: &mut PuTrace<'_, HOOKS>,
+    ) -> EngineResult<()> {
+        self.drain.tick()?;
+        // TxU: one pixel per cycle into the current line buffer.
+        let width = self.dims.width;
+        let needed_oldest = (inflight_pixel / width).saturating_sub(self.square.radius());
+        if self.txu_line < self.dims.height && self.iim.can_accept(needed_oldest) {
+            let x = self.txu_buf.len();
+            let px = self.drain.zbt.read_input_pixel(ZbtRegion::InputA, self.txu_line * width + x)?;
+            trace.txu_pixel(self.txu_line, x, width, cycle);
+            self.txu_buf.push(px);
+            if x + 1 == width {
+                self.iim.load_line(self.txu_line, &self.txu_buf);
+                self.txu_buf.clear();
+                self.txu_line += 1;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl<O: IntraOp> Stages for IntraDatapath<'_, O> {
+    type Scan = (Point, FetchKind);
+    type Fetched = (Point, Window);
+    type Result = Pixel;
+
+    fn oim_has_room(&self) -> bool {
+        !self.drain.oim.is_full()
+    }
+
+    fn window_ready(&self, &(point, _): &(Point, FetchKind)) -> bool {
+        self.iim.window_ready(point, self.square, self.dims)
+    }
+
+    fn has_next(&self) -> bool {
+        self.fsm.len() > 0
+    }
+
+    fn issue(&mut self) -> Option<(Point, FetchKind)> {
+        self.fsm.next().map(|(point, bundle)| (point, bundle.fetch))
+    }
+
+    fn fetch(
+        &mut self,
+        _: usize,
+        (point, fetch): (Point, FetchKind),
+    ) -> EngineResult<(Point, Window)> {
+        let samples = self
+            .iim
+            .fetch_window(point, self.square, self.dims, self.border)
+            .expect("the pipeline fetches only ready windows");
+        drive_matrix(&mut self.matrix, fetch, &samples, self.square);
+        Ok((point, Window::from_samples(point, self.square, samples)))
+    }
+
+    fn execute(&mut self, _: usize, (point, window): (Point, Window)) -> Pixel {
+        let shaped = Window::from_samples(point, self.op.shape(), window.iter());
+        let mut out = window.sample(Point::ORIGIN).unwrap_or_default();
+        out.merge_channels(self.op.apply(&shaped), self.op.output_channels());
+        out
+    }
+
+    fn store(&mut self, pixel: usize, result: Pixel) {
+        self.drain.store(pixel, result);
+    }
 }
 
 /// Runs the processing phase of an inter call cycle by cycle: stage 2
@@ -496,83 +629,77 @@ pub fn run_inter_detailed<O: InterOp>(
     trace_limit: usize,
     probe: &PuProbe,
 ) -> EngineResult<ProcessingStats> {
-    let total = dims.pixel_count();
-    let mut oim = Oim::new(config.oim_lines, dims.width);
-    let mut stats = ProcessingStats::default();
-    let mut trace = probe.start::<true>(dims);
+    let mut dp = InterDatapath {
+        drain: OimDrain::new(zbt, config, dims),
+        op,
+        issued: 0,
+    };
+    // No window to wait for: pixel 0 is fetched on the first cycle.
+    let pipe = Pipeline::primed(&mut dp);
+    let mut stats = run_phase(&mut dp, pipe, dims, config, trace_limit, probe)?;
+    stats.oim_max_occupancy = dp.drain.oim.max_occupancy();
+    Ok(stats)
+}
 
-    let mut fetch_slot: Option<(usize, Pixel, Pixel)> = None;
-    let mut exec_slot: Option<(usize, Pixel)> = None;
-    let mut next_pixel = 0usize;
-    let mut drained = 0usize;
-    let mut drain_timer = 0u64;
-    let mut cycles = 0u64;
-    let bound = (total as u64 + 64) * (config.oim_drain_cycles_per_pixel + 6);
+/// The cycle-stepped inter datapath: stage 2 reads pixel pairs straight
+/// from the paired ZBT input banks.
+struct InterDatapath<'a, O> {
+    drain: OimDrain<'a>,
+    op: &'a O,
+    issued: usize,
+}
 
-    while drained < total {
-        cycles += 1;
-        if cycles > bound {
-            return Err(crate::error::EngineError::PipelineHazard {
-                detail: "cycle-stepped inter simulation exceeded its cycle bound",
-            });
-        }
-        let mut stalled = None;
+impl<O: InterOp> Datapath for InterDatapath<'_, O> {
+    const INTRA: bool = false;
 
-        // Idle classification (slot state at cycle start, mirrored by
-        // `fast.rs`): the sweep is exhausted and both slots are empty.
-        if exec_slot.is_none() && fetch_slot.is_none() && next_pixel >= total {
-            stats.idle_cycles += 1;
-        }
-
-        drain_timer += 1;
-        if drain_timer >= config.oim_drain_cycles_per_pixel {
-            if let Some((idx, px)) = oim.pop() {
-                zbt.write_result_pixel(idx, total, px)?;
-                drained += 1;
-                drain_timer = 0;
-            }
-        }
-
-        let mut advance = true;
-        if let Some((idx, px)) = exec_slot {
-            if oim.push(idx, px) {
-                exec_slot = None;
-            } else {
-                stats.oim_stalls += 1;
-                stalled = Some(Stall::Oim);
-                advance = false;
-            }
-        }
-        if advance {
-            if let (Some((idx, a, b)), None) = (fetch_slot, &exec_slot) {
-                let result = op.apply(a, b);
-                let mut out = a;
-                out.merge_channels(result, op.output_channels());
-                exec_slot = Some((idx, out));
-                fetch_slot = None;
-            }
-            if fetch_slot.is_none() && next_pixel < total {
-                let (a, b) = zbt.read_input_pair(next_pixel)?;
-                fetch_slot = Some((next_pixel, a, b));
-                next_pixel += 1;
-            }
-        }
-
-        if stats.trace.len() < trace_limit {
-            stats.trace.push(snapshot_of(
-                (next_pixel < total).then_some(next_pixel),
-                fetch_slot.as_ref().map(|s| s.0),
-                exec_slot.as_ref().map(|s| s.0),
-            ));
-        }
-        trace.end_cycle(cycles, stalled, oim.occupancy());
+    fn drained(&self) -> usize {
+        self.drain.oim.pops() as usize
     }
 
-    trace.finish(cycles, &stats, total);
-    stats.cycles = cycles;
-    stats.pixels = total as u64;
-    stats.oim_max_occupancy = oim.max_occupancy();
-    Ok(stats)
+    fn oim_occupancy(&self) -> usize {
+        self.drain.oim.occupancy()
+    }
+
+    fn ports<const HOOKS: bool>(
+        &mut self,
+        _: u64,
+        _: usize,
+        _: &mut PuTrace<'_, HOOKS>,
+    ) -> EngineResult<()> {
+        self.drain.tick()
+    }
+}
+
+impl<O: InterOp> Stages for InterDatapath<'_, O> {
+    type Scan = ();
+    type Fetched = (Pixel, Pixel);
+    type Result = Pixel;
+
+    fn oim_has_room(&self) -> bool {
+        !self.drain.oim.is_full()
+    }
+
+    fn has_next(&self) -> bool {
+        self.issued < self.drain.total
+    }
+
+    fn issue(&mut self) -> Option<()> {
+        self.has_next().then(|| self.issued += 1)
+    }
+
+    fn fetch(&mut self, pixel: usize, (): ()) -> EngineResult<(Pixel, Pixel)> {
+        self.drain.zbt.read_input_pair(pixel)
+    }
+
+    fn execute(&mut self, _: usize, (a, b): (Pixel, Pixel)) -> Pixel {
+        let mut out = a;
+        out.merge_channels(self.op.apply(a, b), self.op.output_channels());
+        out
+    }
+
+    fn store(&mut self, pixel: usize, result: Pixel) {
+        self.drain.store(pixel, result);
+    }
 }
 
 /// The full-square shape backing the matrix register for any sub-shape.
@@ -617,18 +744,6 @@ fn drive_matrix(
                 matrix.load_with(|col, row| sample_at(col as i32 - r, row as i32 - r));
             }
         }
-    }
-}
-
-/// One fig. 5 stage-occupancy sample of the scan, fetch and execute
-/// slots (the store slot is recorded as a bubble).
-pub(crate) fn snapshot_of(
-    scan: Option<usize>,
-    fetch: Option<usize>,
-    exec: Option<usize>,
-) -> StageSnapshot {
-    StageSnapshot {
-        slots: [scan, fetch, exec, None],
     }
 }
 

@@ -66,6 +66,16 @@ impl fmt::Display for ZbtRegion {
     }
 }
 
+/// The fig. 3 bank map in bank order: each region's label and its
+/// `(first, last)` bank. The pixel accessors and
+/// [`ZbtMemory::memory_map`] both read it.
+const BANK_MAP: [(&str, (usize, usize)); 4] = [
+    ("input_A (block_A/block_B alternating strips)", (0, 1)),
+    ("input_B (block_A/block_B alternating strips)", (2, 3)),
+    ("Res_block_A (lo/hi sequential)", (4, 4)),
+    ("Res_block_B (lo/hi sequential)", (5, 5)),
+];
+
 /// Per-bank access statistics (32-bit word operations).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -156,11 +166,13 @@ impl ZbtMemory {
         2 * px.div_ceil(2) <= self.bank_words
     }
 
+    /// The `(first, second)` banks of `region`: the lo/hi pair of an
+    /// input region, Res_block_A and Res_block_B of the result region.
     fn region_banks(&self, region: ZbtRegion) -> (usize, usize) {
         match region {
-            ZbtRegion::InputA => (0, 1),
-            ZbtRegion::InputB => (2, 3),
-            ZbtRegion::Result => (4, 5),
+            ZbtRegion::InputA => BANK_MAP[0].1,
+            ZbtRegion::InputB => BANK_MAP[1].1,
+            ZbtRegion::Result => (BANK_MAP[2].1 .0, BANK_MAP[3].1 .0),
         }
     }
 
@@ -251,16 +263,9 @@ impl ZbtMemory {
     ///
     /// Returns [`EngineError::ZbtOutOfRange`] for invalid indices.
     pub fn read_input_pair(&mut self, index: usize) -> EngineResult<(Pixel, Pixel)> {
-        let a = {
-            let lo = self.read_word(0, index)?;
-            let hi = self.read_word(1, index)?;
-            Pixel::from_words(lo, hi)
-        };
-        let b = {
-            let lo = self.read_word(2, index)?;
-            let hi = self.read_word(3, index)?;
-            Pixel::from_words(lo, hi)
-        };
+        let [a, b] = [ZbtRegion::InputA, ZbtRegion::InputB].map(|r| self.region_banks(r));
+        let a = Pixel::from_words(self.read_word(a.0, index)?, self.read_word(a.1, index)?);
+        let b = Pixel::from_words(self.read_word(b.0, index)?, self.read_word(b.1, index)?);
         self.pixel_access_cycles += 1; // all four banks fire together
         Ok((a, b))
     }
@@ -403,20 +408,22 @@ impl ZbtMemory {
         if count == 0 {
             return Ok(Vec::new());
         }
-        for bank in 0..4 {
+        let (a, b) = (self.region_banks(ZbtRegion::InputA), self.region_banks(ZbtRegion::InputB));
+        let pair_banks = [a.0, a.1, b.0, b.1];
+        for bank in pair_banks {
             self.check(bank, start + count - 1)?;
         }
         let range = start..start + count;
         let banks = self.banks();
-        let out = banks[0][range.clone()]
+        let out = banks[a.0][range.clone()]
             .iter()
-            .zip(&banks[1][range.clone()])
-            .zip(banks[2][range.clone()].iter().zip(&banks[3][range]))
+            .zip(&banks[a.1][range.clone()])
+            .zip(banks[b.0][range.clone()].iter().zip(&banks[b.1][range]))
             .map(|((&a_lo, &a_hi), (&b_lo, &b_hi))| {
                 (Pixel::from_words(a_lo, a_hi), Pixel::from_words(b_lo, b_hi))
             })
             .collect();
-        for bank in 0..4 {
+        for bank in pair_banks {
             self.stats[bank].word_reads += count as u64;
         }
         self.pixel_access_cycles += count as u64;
@@ -532,32 +539,21 @@ impl ZbtMemory {
         let strip_px = strip_lines * dims.width;
         MemoryMap {
             dims,
-            regions: vec![
-                MapRegion {
-                    name: "input_A (block_A/block_B alternating strips)",
-                    banks: (0, 1),
-                    words_per_bank: px,
-                    strip_words: strip_px,
-                },
-                MapRegion {
-                    name: "input_B (block_A/block_B alternating strips)",
-                    banks: (2, 3),
-                    words_per_bank: px,
-                    strip_words: strip_px,
-                },
-                MapRegion {
-                    name: "Res_block_A (lo/hi sequential)",
-                    banks: (4, 4),
-                    words_per_bank: px.div_ceil(2) * 2,
-                    strip_words: strip_px * 2,
-                },
-                MapRegion {
-                    name: "Res_block_B (lo/hi sequential)",
-                    banks: (5, 5),
-                    words_per_bank: (px - px.div_ceil(2)) * 2,
-                    strip_words: strip_px * 2,
-                },
-            ],
+            regions: BANK_MAP
+                .iter()
+                .zip([
+                    (px, strip_px),
+                    (px, strip_px),
+                    (px.div_ceil(2) * 2, strip_px * 2),
+                    ((px - px.div_ceil(2)) * 2, strip_px * 2),
+                ])
+                .map(|(&(name, banks), (words_per_bank, strip_words))| MapRegion {
+                    name,
+                    banks,
+                    words_per_bank,
+                    strip_words,
+                })
+                .collect(),
         }
     }
 }

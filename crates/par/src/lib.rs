@@ -1,8 +1,8 @@
 //! # vip-par — zero-dependency parallel runtime for embarrassingly parallel sweeps
 //!
 //! The workspace's slowest paths are outer loops over independent work
-//! units: seeded configuration sweeps (`static_vs_detailed`), the 3^9
-//! start-pipeline proof in `vip-check`, per-frame GME backend runs, and
+//! units: seeded configuration sweeps (`static_vs_detailed`), the 8^6
+//! Process-Unit pipeline proof in `vip-check`, per-frame GME backend runs, and
 //! the figure/table benchmark sweeps. This crate parallelises them with
 //! nothing but `std::thread::scope` — no rayon, no registry access —
 //! and with **deterministic result ordering**: the output of

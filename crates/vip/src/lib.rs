@@ -17,8 +17,8 @@
 //! * [`profiling`] (`vip-profiling`) — instruction profiling and the ×30
 //!   Amdahl bound.
 //! * [`check`] (`vip-check`) — static schedule/hazard verifier: proves
-//!   ZBT bank-conflict freedom, IIM/OIM occupancy bounds, start-pipeline
-//!   hazard freedom and call-timeline ordering without running the
+//!   ZBT bank-conflict freedom, IIM/OIM occupancy bounds, in-order
+//!   hazard-free Process-Unit pipeline sequencing and call-timeline ordering without running the
 //!   simulator, plus the zero-dependency workspace lints
 //!   (`vipctl check` / the `vip-check` binary).
 //! * [`obs`] (`vip-obs`) — the zero-dependency observability layer:

@@ -15,6 +15,9 @@ cargo test -q --workspace
 echo "==> vip-check (static schedule/hazard verifier + workspace lint)"
 cargo run --release -q -p vip-check -- .
 
+echo "==> fig5 (prints the fig. 5 stage-occupancy trace of a detailed call)"
+cargo run --release -q -p vip-bench --bin fig5
+
 echo "==> perfbench smoke (every workload; fails on any output-check failure)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 perfbench() {
