@@ -43,9 +43,7 @@ fn main() {
     let mut samples = 0usize;
     for p in scan_points(Dims::new(dims.width, cfg.iim_lines.min(dims.height)), ScanOrder::ColumnMajor)
     {
-        let w = iim
-            .fetch_window(p, shape, dims, BorderPolicy::Clamp)
-            .expect("all lines resident: no stall possible");
+        let w = iim.fetch_window(p, shape, dims, BorderPolicy::Clamp);
         fetches += 1;
         samples += w.len();
     }
@@ -54,9 +52,7 @@ fn main() {
     println!("  window fetches     : {}", iim.window_fetches());
     println!("  memory cycles used : {} (exactly one per window)", iim.window_fetches());
     println!("  samples delivered  : {samples} ({} per window)", samples as u64 / fetches);
-    println!("  stalls             : {}", iim.stall_cycles());
     assert_eq!(iim.window_fetches(), fetches);
-    assert_eq!(iim.stall_cycles(), 0);
 
     // Contrast: the software model pays per-pixel loads.
     let call = vip_core::accounting::CallDescriptor::intra(

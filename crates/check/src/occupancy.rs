@@ -12,8 +12,8 @@
 //!   the cycle-stepped simulator surfaces as a
 //!   `PipelineHazard` cycle-bound error. [`check_iim`] proves the
 //!   condition per configuration instead of running the deadlock.
-//! * **OIM** — the FIFO back-pressures the producer (`push` fails when
-//!   full), so it can never overflow; the interesting static quantity is
+//! * **OIM** — the FIFO back-pressures the producer (stage 4 holds while
+//!   it is full), so it can never overflow; the interesting static quantity is
 //!   the *occupancy upper bound* [`oim_occupancy_bound`]: the producer
 //!   inserts at most one pixel per cycle while the drain removes one per
 //!   `d` cycles, so occupancy never exceeds `⌈n·(d−1)/d⌉ + 2` (and never

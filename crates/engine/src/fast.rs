@@ -13,18 +13,17 @@
 //!    one pass (the exact access sequence the transmission unit would
 //!    issue, so bank statistics match), and the result pixels are
 //!    computed through the software addressing path once, up front.
-//! 2. **Integer timing skeleton** — both loops drive the same
-//!    [`Pipeline`] as the stepped simulator, through the same cycle
-//!    loop (drain, TxU, stages 4→1), but the slots carry only indices,
-//!    so each modelled cycle costs a handful of integer operations
-//!    instead of a window gather and an operator application. The
-//!    intermediate memories become O(1) mirrors: the fill path loads
-//!    lines strictly in scan order and evicts FIFO, so the IIM's resident
-//!    set is always the contiguous range `[txu_line − iim_lines,
-//!    txu_line)` and window readiness / the eviction gate reduce to two
-//!    integer comparisons; the sweep produces pixels in index order, so
-//!    the OIM FIFO always holds the contiguous range `[popped, pushed)`
-//!    and becomes a pair of counters.
+//! 2. **Integer timing skeleton** — both skeletons run through the same
+//!    cycle loop as the stepped simulator, with the same control FSM,
+//!    [`Pipeline`] and [`Oim`] (OIM port, TxU, stages 4→1), but the
+//!    slots carry no pixels, so each modelled cycle costs a handful of
+//!    integer operations instead of a window gather and an operator
+//!    application. The OIM buffers `()` payloads, so it is its two
+//!    counters. The IIM becomes an O(1) mirror: the fill path loads
+//!    lines strictly in scan order and evicts FIFO, so its resident set
+//!    is always the contiguous range `[txu_line − iim_lines, txu_line)`
+//!    and window readiness / the eviction gate reduce to two integer
+//!    comparisons.
 //! 3. **Event-driven fast-forward** — while [`Pipeline::at_rest`] says
 //!    no bundle will move, the loop asks the skeleton for its next
 //!    port event (the drain countdown, or a fill the eviction gate
@@ -45,18 +44,20 @@
 //! across seeded configurations by `tests/fast_forward_equivalence.rs`.
 //!
 //! [`StepMode::FastForward`]: crate::config::StepMode::FastForward
+//! [`Pipeline`]: crate::plc::Pipeline
+//! [`Pipeline::at_rest`]: crate::plc::Pipeline::at_rest
 //! [`EngineError::PipelineHazard`]: crate::error::EngineError::PipelineHazard
 
 use vip_core::addressing::intra::IntraOptions;
 use vip_core::border::BorderPolicy;
 use vip_core::frame::Frame;
-use vip_core::geometry::Dims;
+use vip_core::geometry::{Dims, Point};
 use vip_core::ops::{InterOp, IntraOp};
-use vip_core::scan::ScanOrder;
 
 use crate::config::EngineConfig;
 use crate::error::EngineResult;
-use crate::plc::{ControlFsm, FetchKind, Pipeline, Stages};
+use crate::oim::Oim;
+use crate::plc::FetchKind;
 use crate::process_unit::{run_phase, Datapath, ProcessingStats, PuProbe, PuTrace};
 use crate::zbt::{ZbtMemory, ZbtRegion};
 
@@ -99,8 +100,6 @@ pub fn run_intra_fast<O: IntraOp>(
 
     assert!(config.iim_lines > 0, "IIM needs at least one line block");
     let mut dp = IntraSkeleton {
-        oim: OimPort::new(config, dims),
-        fsm: ControlFsm::new(dims, ScanOrder::RowMajor),
         dims,
         radius: op.shape().radius(),
         iim_lines: config.iim_lines,
@@ -110,24 +109,20 @@ pub fn run_intra_fast<O: IntraOp>(
         matrix_loads: 0,
         matrix_shifts: 0,
     };
-    let mut stats =
-        run_phase(&mut dp, Pipeline::default(), dims, config, trace_limit, probe)?;
+    let mut stats = run_phase(&mut dp, dims, config, trace_limit, probe)?;
     // The OIM drain's ZBT writes land in one bulk pass: the interleaving
     // is unobservable and the accounting identical.
     zbt.write_result_run(0, total, outs.pixels())?;
     stats.matrix_loads = dp.matrix_loads;
     stats.matrix_shifts = dp.matrix_shifts;
-    stats.oim_max_occupancy = dp.oim.max;
     Ok(stats)
 }
 
-/// The intra timing skeleton: indices only, with O(1) mirrors of the IIM
-/// residency (lines `[txu_line − iim_lines, txu_line)`, see the module
-/// doc) and the OIM. `window_ready` and `fills` are the predicates
+/// The intra timing skeleton: indices only, with an O(1) mirror of the
+/// IIM residency (lines `[txu_line − iim_lines, txu_line)`, see the
+/// module doc). `window_ready` and `fills` are the predicates
 /// `Iim::window_ready` / `Iim::can_accept` evaluate on the resident list.
 struct IntraSkeleton {
-    oim: OimPort,
-    fsm: ControlFsm,
     dims: Dims,
     radius: usize,
     iim_lines: usize,
@@ -155,22 +150,35 @@ impl IntraSkeleton {
 
 impl Datapath for IntraSkeleton {
     const INTRA: bool = true;
+    // Stage 3's result is implied by the index: the pixels were computed
+    // up front.
+    type Fetched = ();
+    type Result = ();
 
-    fn drained(&self) -> usize {
-        self.oim.popped
+    fn window_ready(&self, point: Point) -> bool {
+        let r = self.radius as i32;
+        let lo = (point.y - r).max(0) as usize;
+        let hi = (point.y + r).min(self.dims.height as i32 - 1) as usize;
+        hi < self.txu_line && lo >= self.txu_line.saturating_sub(self.iim_lines)
     }
 
-    fn oim_occupancy(&self) -> usize {
-        self.oim.occupancy()
+    fn fetch(&mut self, _: usize, (_, fetch): (Point, FetchKind)) -> EngineResult<()> {
+        match fetch {
+            FetchKind::Shift if self.matrix_valid => self.matrix_shifts += 1,
+            FetchKind::Load | FetchKind::Shift => self.matrix_loads += 1,
+        }
+        self.matrix_valid = true;
+        Ok(())
     }
 
-    fn ports<const HOOKS: bool>(
+    fn execute(&mut self, _: usize, (): ()) {}
+
+    fn txu<const HOOKS: bool>(
         &mut self,
         cycle: u64,
         inflight_pixel: usize,
         trace: &mut PuTrace<'_, HOOKS>,
     ) -> EngineResult<()> {
-        self.oim.tick();
         if self.fills(inflight_pixel) {
             trace.txu_pixel(self.txu_line, self.txu_x, self.dims.width, cycle);
             self.txu_x += 1;
@@ -182,58 +190,12 @@ impl Datapath for IntraSkeleton {
         Ok(())
     }
 
-    fn next_event(&self, now: u64, inflight_pixel: usize) -> Option<u64> {
+    fn next_event(&self, now: u64, inflight_pixel: usize, oim: &Oim<()>) -> Option<u64> {
         // A fill is always the earliest possible event.
         if self.fills(inflight_pixel) {
             return Some(now + 1);
         }
-        self.oim.next_pop(now)
-    }
-
-    fn idle(&mut self, cycles: u64) {
-        self.oim.timer += cycles;
-    }
-}
-
-impl Stages for IntraSkeleton {
-    type Scan = (i32, FetchKind);
-    type Fetched = ();
-    type Result = ();
-
-    fn oim_has_room(&self) -> bool {
-        self.oim.has_room()
-    }
-
-    fn window_ready(&self, &(y, _): &(i32, FetchKind)) -> bool {
-        let r = self.radius as i32;
-        let lo = (y - r).max(0) as usize;
-        let hi = (y + r).min(self.dims.height as i32 - 1) as usize;
-        hi < self.txu_line && lo >= self.txu_line.saturating_sub(self.iim_lines)
-    }
-
-    fn has_next(&self) -> bool {
-        self.fsm.len() > 0
-    }
-
-    fn issue(&mut self) -> Option<(i32, FetchKind)> {
-        self.fsm.next().map(|(point, bundle)| (point.y, bundle.fetch))
-    }
-
-    fn fetch(&mut self, _: usize, (_, fetch): (i32, FetchKind)) -> EngineResult<()> {
-        match fetch {
-            FetchKind::Shift if self.matrix_valid => self.matrix_shifts += 1,
-            FetchKind::Load | FetchKind::Shift => self.matrix_loads += 1,
-        }
-        self.matrix_valid = true;
-        Ok(())
-    }
-
-    // Stage 3's result is implied by the index: the pixels were computed
-    // up front.
-    fn execute(&mut self, _: usize, (): ()) {}
-
-    fn store(&mut self, pixel: usize, (): ()) {
-        self.oim.push(pixel);
+        oim.next_pop(now)
     }
 }
 
@@ -268,137 +230,28 @@ pub fn run_inter_fast<O: InterOp>(
         })
         .collect();
 
-    let mut dp = InterSkeleton {
-        oim: OimPort::new(config, dims),
-        total,
-        issued: 0,
-    };
-    let pipe = Pipeline::primed(&mut dp);
-    let mut stats = run_phase(&mut dp, pipe, dims, config, trace_limit, probe)?;
+    let stats = run_phase(&mut InterSkeleton, dims, config, trace_limit, probe)?;
     zbt.write_result_run(0, total, &out_pixels)?;
-    stats.oim_max_occupancy = dp.oim.max;
     Ok(stats)
 }
 
 /// The inter timing skeleton: every pixel pair is ready the cycle it is
-/// issued, and only the drain port wakes a pipeline at rest.
-struct InterSkeleton {
-    oim: OimPort,
-    total: usize,
-    issued: usize,
-}
+/// issued, and only the OIM port wakes a pipeline at rest.
+struct InterSkeleton;
 
 impl Datapath for InterSkeleton {
     const INTRA: bool = false;
-
-    fn drained(&self) -> usize {
-        self.oim.popped
-    }
-
-    fn oim_occupancy(&self) -> usize {
-        self.oim.occupancy()
-    }
-
-    fn ports<const HOOKS: bool>(
-        &mut self,
-        _: u64,
-        _: usize,
-        _: &mut PuTrace<'_, HOOKS>,
-    ) -> EngineResult<()> {
-        self.oim.tick();
-        Ok(())
-    }
-
-    fn next_event(&self, now: u64, _: usize) -> Option<u64> {
-        self.oim.next_pop(now)
-    }
-
-    fn idle(&mut self, cycles: u64) {
-        self.oim.timer += cycles;
-    }
-}
-
-impl Stages for InterSkeleton {
-    type Scan = ();
     type Fetched = ();
     type Result = ();
 
-    fn oim_has_room(&self) -> bool {
-        self.oim.has_room()
-    }
-
-    fn has_next(&self) -> bool {
-        self.issued < self.total
-    }
-
-    fn issue(&mut self) -> Option<()> {
-        self.has_next().then(|| self.issued += 1)
-    }
-
-    fn fetch(&mut self, _: usize, (): ()) -> EngineResult<()> {
+    fn fetch(&mut self, _: usize, _: (Point, FetchKind)) -> EngineResult<()> {
         Ok(())
     }
 
     fn execute(&mut self, _: usize, (): ()) {}
 
-    fn store(&mut self, pixel: usize, (): ()) {
-        self.oim.push(pixel);
-    }
-}
-
-/// O(1) mirror of the OIM and its ZBT drain port: the sweep produces
-/// pixels in index order, so the FIFO always holds the contiguous index
-/// range `[popped, pushed)` and becomes a pair of counters. The port pops
-/// one pixel once `per` cycles have passed since the last pop.
-struct OimPort {
-    cap: usize,
-    per: u64,
-    timer: u64,
-    pushed: usize,
-    popped: usize,
-    max: usize,
-}
-
-impl OimPort {
-    fn new(config: &EngineConfig, dims: Dims) -> Self {
-        let cap = config.oim_lines * dims.width;
-        assert!(cap > 0, "OIM capacity must be positive");
-        OimPort {
-            cap,
-            per: config.oim_drain_cycles_per_pixel,
-            timer: 0,
-            pushed: 0,
-            popped: 0,
-            max: 0,
-        }
-    }
-
-    fn occupancy(&self) -> usize {
-        self.pushed - self.popped
-    }
-
-    fn has_room(&self) -> bool {
-        self.occupancy() < self.cap
-    }
-
-    fn push(&mut self, pixel: usize) {
-        debug_assert_eq!(pixel, self.pushed, "the sweep pushes in index order");
-        self.pushed += 1;
-        self.max = self.max.max(self.occupancy());
-    }
-
-    /// One cycle of the drain port.
-    fn tick(&mut self) {
-        self.timer += 1;
-        if self.timer >= self.per && self.pushed > self.popped {
-            self.popped += 1;
-            self.timer = 0;
-        }
-    }
-
-    /// The cycle of the next pop, seen from cycle `now`.
-    fn next_pop(&self, now: u64) -> Option<u64> {
-        (self.pushed > self.popped).then(|| now + self.per.saturating_sub(self.timer).max(1))
+    fn next_event(&self, now: u64, _: usize, oim: &Oim<()>) -> Option<u64> {
+        oim.next_pop(now)
     }
 }
 
@@ -479,7 +332,7 @@ mod tests {
         cfg.iim_lines = 2;
         let (stepped, fast) = intra_both(&cfg, Dims::new(10, 8), &BoxBlur::con8(), 0);
         assert!(matches!(stepped, Err(EngineError::PipelineHazard { .. })));
-        assert!(matches!(fast, Err(EngineError::PipelineHazard { .. })));
+        assert_eq!(stepped, fast);
     }
 
     #[test]

@@ -49,8 +49,6 @@ pub struct Iim {
     window_fetches: u64,
     /// Lines loaded from the ZBT since construction.
     lines_loaded: u64,
-    /// Pixel-cycles the consumer stalled waiting for lines.
-    stall_cycles: u64,
 }
 
 impl Iim {
@@ -70,7 +68,6 @@ impl Iim {
             lines: VecDeque::new(),
             window_fetches: 0,
             lines_loaded: 0,
-            stall_cycles: 0,
         }
     }
 
@@ -132,12 +129,6 @@ impl Iim {
         self.lines_loaded += 1;
     }
 
-    /// Records one stalled pixel-cycle (image-level controller halting
-    /// the PLC while a needed line is in flight, §3.3).
-    pub fn record_stall(&mut self) {
-        self.stall_cycles += 1;
-    }
-
     /// Whether the transmission unit may load another pixel without
     /// evicting a line the sweep still needs: either a free line block
     /// exists, or the eviction victim lies strictly before the oldest
@@ -161,9 +152,13 @@ impl Iim {
     /// Fetches the full neighbourhood window around `centre` in a single
     /// memory cycle — every line block delivers its column in parallel.
     ///
-    /// Returns `None` (a stall) when a needed line is not resident.
     /// Horizontal border accesses resolve via `border`; vertical accesses
     /// clamp to the frame like the hardware re-delivering edge lines.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the window is [ready](Iim::window_ready): the
+    /// pipeline holds a pixel in stage 1 until it is.
     #[must_use]
     pub fn fetch_window(
         &mut self,
@@ -171,11 +166,11 @@ impl Iim {
         shape: Connectivity,
         dims: Dims,
         border: BorderPolicy,
-    ) -> Option<Vec<(Point, Pixel)>> {
-        if !self.window_ready(centre, shape, dims) {
-            self.record_stall();
-            return None;
-        }
+    ) -> Vec<(Point, Pixel)> {
+        assert!(
+            self.window_ready(centre, shape, dims),
+            "window fetched before its lines are resident"
+        );
         self.window_fetches += 1;
         let mut out = Vec::with_capacity(shape.offset_count());
         for off in shape.offsets_iter() {
@@ -210,7 +205,7 @@ impl Iim {
             };
             out.push((off, px));
         }
-        Some(out)
+        out
     }
 
     /// Single-cycle window fetches served so far.
@@ -223,12 +218,6 @@ impl Iim {
     #[must_use]
     pub const fn lines_loaded(&self) -> u64 {
         self.lines_loaded
-    }
-
-    /// Pixel-cycles stalled on missing lines.
-    #[must_use]
-    pub const fn stall_cycles(&self) -> u64 {
-        self.stall_cycles
     }
 }
 
@@ -276,9 +265,12 @@ mod tests {
         for l in 0..4 {
             iim.load_line(l, &line(l as u8 * 10, 4));
         }
-        let w = iim
-            .fetch_window(Point::new(1, 1), Connectivity::Con8, dims, BorderPolicy::Clamp)
-            .expect("all lines resident");
+        let w = iim.fetch_window(
+            Point::new(1, 1),
+            Connectivity::Con8,
+            dims,
+            BorderPolicy::Clamp,
+        );
         assert_eq!(w.len(), 9);
         assert_eq!(iim.window_fetches(), 1);
         // Sample correctness: offset (1,-1) → line 0, x 2 → 0·10 + 2.
@@ -287,16 +279,31 @@ mod tests {
     }
 
     #[test]
-    fn missing_line_stalls() {
+    fn missing_line_is_not_ready() {
         let dims = Dims::new(4, 4);
         let mut iim = Iim::new(16, 4);
         iim.load_line(0, &line(0, 4));
-        // Window at line 1 needs lines 0..=2.
-        assert!(iim
-            .fetch_window(Point::new(1, 1), Connectivity::Con8, dims, BorderPolicy::Clamp)
-            .is_none());
-        assert_eq!(iim.stall_cycles(), 1);
-        assert_eq!(iim.window_fetches(), 0);
+        // Window at line 1 needs lines 0..=2; on line 0 it clamps to 0..=1.
+        assert!(!iim.window_ready(Point::new(1, 1), Connectivity::Con8, dims));
+        assert!(!iim.window_ready(Point::new(1, 0), Connectivity::Con8, dims));
+        assert!(iim.window_ready(Point::new(1, 0), Connectivity::Con0, dims));
+        iim.load_line(1, &line(10, 4));
+        assert!(iim.window_ready(Point::new(1, 0), Connectivity::Con8, dims));
+        assert!(!iim.window_ready(Point::new(1, 1), Connectivity::Con8, dims));
+    }
+
+    #[test]
+    #[should_panic(expected = "before its lines are resident")]
+    fn fetching_a_window_that_is_not_ready_panics() {
+        let mut iim = Iim::new(16, 4);
+        iim.load_line(0, &line(0, 4));
+        let dims = Dims::new(4, 4);
+        let _ = iim.fetch_window(
+            Point::new(1, 1),
+            Connectivity::Con8,
+            dims,
+            BorderPolicy::Clamp,
+        );
     }
 
     #[test]
@@ -306,9 +313,12 @@ mod tests {
         iim.load_line(0, &line(0, 4));
         iim.load_line(1, &line(10, 4));
         // Centre on line 0: offsets dy=-1 clamp to line 0 (resident) — ready.
-        let w = iim
-            .fetch_window(Point::new(1, 0), Connectivity::Con8, dims, BorderPolicy::Clamp)
-            .expect("clamped rows resident");
+        let w = iim.fetch_window(
+            Point::new(1, 0),
+            Connectivity::Con8,
+            dims,
+            BorderPolicy::Clamp,
+        );
         let nw = w.iter().find(|(o, _)| *o == Point::new(-1, -1)).unwrap().1;
         assert_eq!(nw.y, 0, "clamped to line 0, x 0");
     }
@@ -319,9 +329,12 @@ mod tests {
         let mut iim = Iim::new(16, 4);
         iim.load_line(0, &line(0, 4));
         iim.load_line(1, &line(10, 4));
-        let w = iim
-            .fetch_window(Point::new(0, 1), Connectivity::Con8, dims, BorderPolicy::Clamp)
-            .unwrap();
+        let w = iim.fetch_window(
+            Point::new(0, 1),
+            Connectivity::Con8,
+            dims,
+            BorderPolicy::Clamp,
+        );
         let west = w.iter().find(|(o, _)| *o == Point::new(-1, 0)).unwrap().1;
         assert_eq!(west.y, 10, "clamped to x 0 of line 1");
     }
@@ -331,19 +344,16 @@ mod tests {
         let dims = Dims::new(3, 1);
         let mut iim = Iim::new(4, 3);
         iim.load_line(0, &line(5, 3));
-        let w = iim
-            .fetch_window(
-                Point::new(0, 0),
-                Connectivity::Con8,
-                dims,
-                BorderPolicy::Constant(Pixel::from_luma(99)),
-            )
-            .unwrap();
+        let constant = BorderPolicy::Constant(Pixel::from_luma(99));
+        let w = iim.fetch_window(Point::new(0, 0), Connectivity::Con8, dims, constant);
         let west = w.iter().find(|(o, _)| *o == Point::new(-1, 0)).unwrap().1;
         assert_eq!(west.y, 99);
-        let w2 = iim
-            .fetch_window(Point::new(0, 0), Connectivity::Con8, dims, BorderPolicy::Skip)
-            .unwrap();
+        let w2 = iim.fetch_window(
+            Point::new(0, 0),
+            Connectivity::Con8,
+            dims,
+            BorderPolicy::Skip,
+        );
         assert!(w2.len() < 9, "skip drops out-of-frame samples");
     }
 
@@ -361,9 +371,7 @@ mod tests {
         for y in 0..6 {
             for x in 0..6 {
                 let c = Point::new(x, y);
-                let hw = iim
-                    .fetch_window(c, Connectivity::Con8, dims, BorderPolicy::Clamp)
-                    .unwrap();
+                let hw = iim.fetch_window(c, Connectivity::Con8, dims, BorderPolicy::Clamp);
                 let sw = Window::gather(&f, c, Connectivity::Con8, BorderPolicy::Clamp);
                 for (off, px) in hw {
                     assert_eq!(Some(px), sw.sample(off), "at {c} offset {off}");
@@ -383,9 +391,12 @@ mod tests {
         let mut iim = Iim::new(2, 4);
         iim.load_line(0, &line(1, 2)); // shorter than width
         let dims = Dims::new(4, 1);
-        let w = iim
-            .fetch_window(Point::new(3, 0), Connectivity::Con0, dims, BorderPolicy::Clamp)
-            .unwrap();
+        let w = iim.fetch_window(
+            Point::new(3, 0),
+            Connectivity::Con0,
+            dims,
+            BorderPolicy::Clamp,
+        );
         assert_eq!(w[0].1, Pixel::default(), "padded region is default pixels");
     }
 }

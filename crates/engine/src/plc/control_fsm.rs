@@ -1,82 +1,65 @@
-//! The control FSM: generates the per-pixel instruction bundles.
+//! The control FSM: generates the per-pixel instructions.
 //!
 //! §3.2: *"The control FSM generates the set of instructions to be
-//! performed in every pixel-cycle."* For a sweep over a frame it emits one
-//! [`PixelBundle`] per pixel: a LOAD at every scan-line start (the matrix
-//! register must refill from scratch) and SHIFTs while sliding along the
-//! line.
+//! performed in every pixel-cycle."* For a row-major sweep over a frame it
+//! emits one stage-2 instruction per pixel: a LOAD at every scan-line
+//! start (the matrix register must refill from scratch) and SHIFTs while
+//! sliding along the line. It is the issue source of every datapath; an
+//! inter sweep ignores the instruction.
 
 use vip_core::geometry::{Dims, Point};
-use vip_core::scan::{scan_points, ScanOrder, ScanPoints};
 
-use crate::plc::instructions::{FetchKind, PixelBundle};
+use crate::plc::instructions::FetchKind;
 
-/// Instruction generator for one call's sweep.
+/// Instruction generator for one call's row-major sweep.
 #[derive(Debug, Clone)]
 pub struct ControlFsm {
-    points: ScanPoints,
-    order: ScanOrder,
-    issued: usize,
-    prev: Option<Point>,
+    width: usize,
+    x: usize,
+    y: usize,
+    remaining: usize,
 }
 
 impl ControlFsm {
-    /// Creates the FSM for a sweep of `dims` in `order`.
+    /// Creates the FSM for a row-major sweep of `dims`.
     #[must_use]
-    pub fn new(dims: Dims, order: ScanOrder) -> Self {
+    pub fn new(dims: Dims) -> Self {
         ControlFsm {
-            points: scan_points(dims, order),
-            order,
-            issued: 0,
-            prev: None,
+            width: dims.width,
+            x: 0,
+            y: 0,
+            remaining: dims.pixel_count(),
         }
     }
 
-    /// Number of bundles issued so far.
+    /// Whether another pixel remains to be issued.
     #[must_use]
-    pub const fn issued(&self) -> usize {
-        self.issued
-    }
-
-    /// The scan order being generated.
-    #[must_use]
-    pub const fn order(&self) -> ScanOrder {
-        self.order
-    }
-
-    fn is_contiguous(&self, prev: Point, next: Point) -> bool {
-        let step = next - prev;
-        let primary = self.order.primary_step();
-        match self.order {
-            ScanOrder::Serpentine => {
-                // Within a line, either direction; a vertical step of one
-                // line at the turn also keeps the matrix reusable only in
-                // column-major sense — the prototype reloads, so treat
-                // turns as discontinuities.
-                step.y == 0 && step.x.abs() == 1
-            }
-            _ => step == primary,
-        }
+    pub const fn has_next(&self) -> bool {
+        self.remaining > 0
     }
 }
 
 impl Iterator for ControlFsm {
-    type Item = (Point, PixelBundle);
+    type Item = (Point, FetchKind);
 
-    fn next(&mut self) -> Option<(Point, PixelBundle)> {
-        let p = self.points.next()?;
-        let fetch = match self.prev {
-            Some(prev) if self.is_contiguous(prev, p) => FetchKind::Shift,
-            _ => FetchKind::Load,
+    fn next(&mut self) -> Option<(Point, FetchKind)> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        let point = Point::new(self.x as i32, self.y as i32);
+        let fetch = if self.x == 0 {
+            FetchKind::Load
+        } else {
+            FetchKind::Shift
         };
-        let bundle = PixelBundle::new(self.issued, fetch);
-        self.issued += 1;
-        self.prev = Some(p);
-        Some((p, bundle))
+        self.x += 1;
+        if self.x == self.width {
+            self.x = 0;
+            self.y += 1;
+        }
+        Some((point, fetch))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.points.size_hint()
+        (self.remaining, Some(self.remaining))
     }
 }
 
@@ -88,9 +71,9 @@ mod tests {
 
     #[test]
     fn row_major_loads_once_per_line() {
-        let fsm = ControlFsm::new(Dims::new(4, 3), ScanOrder::RowMajor);
+        let fsm = ControlFsm::new(Dims::new(4, 3));
         let loads: Vec<Point> = fsm
-            .filter(|(_, b)| b.fetch == FetchKind::Load)
+            .filter(|&(_, fetch)| fetch == FetchKind::Load)
             .map(|(p, _)| p)
             .collect();
         assert_eq!(
@@ -102,44 +85,35 @@ mod tests {
 
     #[test]
     fn shift_count_complements_loads() {
-        let fsm = ControlFsm::new(Dims::new(5, 4), ScanOrder::RowMajor);
+        let fsm = ControlFsm::new(Dims::new(5, 4));
         let bundles: Vec<_> = fsm.collect();
         assert_eq!(bundles.len(), 20);
-        let loads = bundles.iter().filter(|(_, b)| b.fetch == FetchKind::Load).count();
-        let shifts = bundles.iter().filter(|(_, b)| b.fetch == FetchKind::Shift).count();
+        assert_eq!(
+            bundles[6],
+            (Point::new(1, 1), FetchKind::Shift),
+            "row-major order"
+        );
+        let loads = bundles
+            .iter()
+            .filter(|(_, f)| *f == FetchKind::Load)
+            .count();
+        let shifts = bundles
+            .iter()
+            .filter(|(_, f)| *f == FetchKind::Shift)
+            .count();
         assert_eq!(loads, 4);
         assert_eq!(shifts, 16);
     }
 
     #[test]
-    fn column_major_loads_once_per_column() {
-        let fsm = ControlFsm::new(Dims::new(3, 4), ScanOrder::ColumnMajor);
-        let loads = fsm.filter(|(_, b)| b.fetch == FetchKind::Load).count();
-        assert_eq!(loads, 3);
-    }
-
-    #[test]
-    fn serpentine_reuses_within_lines_reloads_at_turns() {
-        let fsm = ControlFsm::new(Dims::new(3, 3), ScanOrder::Serpentine);
-        let bundles: Vec<_> = fsm.collect();
-        let loads = bundles.iter().filter(|(_, b)| b.fetch == FetchKind::Load).count();
-        assert_eq!(loads, 3, "line turns reload the matrix");
-    }
-
-    #[test]
-    fn pixel_indices_sequential() {
-        let fsm = ControlFsm::new(Dims::new(2, 2), ScanOrder::RowMajor);
-        let idx: Vec<usize> = fsm.map(|(_, b)| b.pixel_index).collect();
-        assert_eq!(idx, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
     fn exact_size() {
-        let mut fsm = ControlFsm::new(Dims::new(4, 4), ScanOrder::RowMajor);
+        let mut fsm = ControlFsm::new(Dims::new(4, 4));
         assert_eq!(fsm.len(), 16);
         fsm.next();
         assert_eq!(fsm.len(), 15);
-        assert_eq!(fsm.issued(), 1);
-        assert_eq!(fsm.order(), ScanOrder::RowMajor);
+        assert!(fsm.has_next());
+        assert_eq!(fsm.by_ref().count(), 15);
+        assert!(!fsm.has_next());
+        assert!(fsm.next().is_none());
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! §3.4/§3.5: the datapath has four stages; *"In order to generate a
 //! result pixel one instruction has to be performed in each one of the
-//! stages"*. The control FSM emits one [`PixelBundle`] per pixel-cycle;
-//! the start-pipeline ([`crate::plc::Pipeline`]) overlaps bundles so that
-//! instructions of different pixel-cycles occupy different stages
-//! simultaneously.
+//! stages"*. The control FSM ([`crate::plc::ControlFsm`]) emits each
+//! pixel-cycle's stage-2 instruction, a [`FetchKind`]; the start-pipeline
+//! ([`crate::plc::Pipeline`]) overlaps pixel-cycles so that instructions
+//! of different pixel-cycles occupy different stages simultaneously.
 
 use core::fmt;
 
@@ -70,30 +70,6 @@ impl fmt::Display for FetchKind {
     }
 }
 
-/// The per-pixel instruction bundle: one instruction per stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct PixelBundle {
-    /// Sequence number of the pixel within the call (scan order).
-    pub pixel_index: usize,
-    /// How stage 2 fills the matrix register.
-    pub fetch: FetchKind,
-}
-
-impl PixelBundle {
-    /// Creates a bundle.
-    #[must_use]
-    pub const fn new(pixel_index: usize, fetch: FetchKind) -> Self {
-        PixelBundle { pixel_index, fetch }
-    }
-}
-
-impl fmt::Display for PixelBundle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "px#{} ({})", self.pixel_index, self.fetch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,6 +86,5 @@ mod tests {
     fn displays() {
         assert_eq!(Stage::Fetch.to_string(), "fetch");
         assert_eq!(FetchKind::Load.to_string(), "LOAD");
-        assert_eq!(PixelBundle::new(3, FetchKind::Shift).to_string(), "px#3 (SHIFT)");
     }
 }

@@ -17,7 +17,6 @@ use vip_core::geometry::{Dims, Point};
 use vip_core::neighborhood::{Connectivity, Window};
 use vip_core::ops::{InterOp, IntraOp};
 use vip_core::pixel::Pixel;
-use vip_core::scan::ScanOrder;
 use vip_obs::{Recorder, Track};
 
 use crate::config::EngineConfig;
@@ -313,49 +312,108 @@ impl<const HOOKS: bool> PuTrace<'_, HOOKS> {
     }
 }
 
-/// A datapath's stages plus the ports [`run_phase`] runs ahead of them
-/// every cycle: the OIM → ZBT drain and, for intra sweeps, the ZBT → IIM
-/// transmission unit (TxU).
-pub(crate) trait Datapath: Stages {
-    /// An intra sweep: line fills extend the cycle bound, and issues
-    /// open `line_sweep` spans.
+/// What one Process-Unit datapath does itself: stages 2 and 3, the
+/// ZBT → IIM transmission unit (TxU) of an intra sweep, and where the
+/// drained results go. [`run_phase`] supplies the rest, shared by all
+/// four datapaths: the control FSM that issues (stage 1) and the OIM
+/// that stage 4 stores into, with its port to the ZBT.
+pub(crate) trait Datapath {
+    /// An intra sweep: line fills extend the cycle bound, issues open
+    /// `line_sweep` spans, and the pipeline starts empty. An inter sweep
+    /// has no window to wait for, so pixel 0 is fetched on the first
+    /// cycle.
     const INTRA: bool;
+    /// What stage 2 hands to stage 3.
+    type Fetched;
+    /// What stage 3 hands to stage 4, and the OIM buffers.
+    type Result;
 
-    /// Result pixels drained to the ZBT.
-    fn drained(&self) -> usize;
-
-    /// Pixels waiting in the OIM.
-    fn oim_occupancy(&self) -> usize;
-
-    /// One cycle of the drain and the TxU, which never evicts a line the
-    /// window of `inflight_pixel` needs.
-    fn ports<const HOOKS: bool>(
-        &mut self,
-        cycle: u64,
-        inflight_pixel: usize,
-        trace: &mut PuTrace<'_, HOOKS>,
-    ) -> EngineResult<()>;
-
-    /// The first cycle after `now` on which a port acts (`None`: never).
-    /// The cycle-stepped datapaths answer `now + 1`: no skipping.
-    fn next_event(&self, now: u64, _inflight_pixel: usize) -> Option<u64> {
-        Some(now + 1)
+    /// Whether every IIM line the window at `point` needs is resident.
+    fn window_ready(&self, _point: Point) -> bool {
+        true
     }
 
-    /// Lets `cycles` cycles pass in which no port acts.
-    fn idle(&mut self, _cycles: u64) {}
+    /// Stage 2: fills the matrix register for `pixel` at `point`.
+    fn fetch(&mut self, pixel: usize, scan: (Point, FetchKind)) -> EngineResult<Self::Fetched>;
+
+    /// Stage 3: applies the operation.
+    fn execute(&mut self, pixel: usize, fetched: Self::Fetched) -> Self::Result;
+
+    /// The OIM port hands the result of `pixel` to the ZBT result banks.
+    fn write_result(&mut self, _pixel: usize, _result: Self::Result) -> EngineResult<()> {
+        Ok(())
+    }
+
+    /// One cycle of the TxU, which never evicts a line the window of
+    /// `inflight_pixel` needs.
+    fn txu<const HOOKS: bool>(
+        &mut self,
+        _cycle: u64,
+        _inflight_pixel: usize,
+        _trace: &mut PuTrace<'_, HOOKS>,
+    ) -> EngineResult<()> {
+        Ok(())
+    }
+
+    /// The first cycle after `now` on which the TxU or the `oim` port
+    /// acts (`None`: never). The cycle-stepped datapaths answer
+    /// `now + 1`: no skipping.
+    fn next_event(&self, now: u64, _inflight: usize, _oim: &Oim<Self::Result>) -> Option<u64> {
+        Some(now + 1)
+    }
+}
+
+/// A datapath with the parts every datapath shares: the control FSM and
+/// the OIM. This is what the [`Pipeline`] steps.
+struct Unit<'d, D: Datapath> {
+    dp: &'d mut D,
+    fsm: ControlFsm,
+    oim: Oim<D::Result>,
+}
+
+impl<D: Datapath> Stages for Unit<'_, D> {
+    type Scan = (Point, FetchKind);
+    type Fetched = D::Fetched;
+    type Result = D::Result;
+
+    fn oim_has_room(&self) -> bool {
+        !self.oim.is_full()
+    }
+
+    fn window_ready(&self, &(point, _): &(Point, FetchKind)) -> bool {
+        self.dp.window_ready(point)
+    }
+
+    fn has_next(&self) -> bool {
+        self.fsm.has_next()
+    }
+
+    fn issue(&mut self) -> Option<(Point, FetchKind)> {
+        self.fsm.next()
+    }
+
+    fn fetch(&mut self, pixel: usize, scan: (Point, FetchKind)) -> EngineResult<D::Fetched> {
+        self.dp.fetch(pixel, scan)
+    }
+
+    fn execute(&mut self, pixel: usize, fetched: D::Fetched) -> D::Result {
+        self.dp.execute(pixel, fetched)
+    }
+
+    fn store(&mut self, pixel: usize, result: D::Result) {
+        self.oim.push(pixel, result);
+    }
 }
 
 /// Runs the processing phase of a `dims` call on `dp`, cycle by cycle:
-/// the ports, then the pipeline stages 4 → 1. While the pipeline is at
-/// rest and the stage trace is full, the clock jumps to the next port
-/// event; each skipped cycle repeats the at-rest kind, so it is counted
-/// as that kind and replayed to the probe in one step. Fails with
-/// [`EngineError::PipelineHazard`] past the cycle bound (a deadlocked
-/// eviction gate).
+/// the OIM port and the TxU, then the pipeline stages 4 → 1. While the
+/// pipeline is at rest and the stage trace is full, the clock jumps to
+/// the next port event; each skipped cycle repeats the at-rest kind, so
+/// it is counted as that kind and replayed to the probe in one step.
+/// Fails with [`EngineError::PipelineHazard`] past the cycle bound (a
+/// deadlocked eviction gate).
 pub(crate) fn run_phase<D: Datapath>(
     dp: &mut D,
-    pipe: Pipeline<D::Scan, D::Fetched, D::Result>,
     dims: Dims,
     config: &EngineConfig,
     trace_limit: usize,
@@ -363,12 +421,11 @@ pub(crate) fn run_phase<D: Datapath>(
 ) -> EngineResult<ProcessingStats> {
     // An untraced call runs an instance with the probe hooks compiled out.
     let run = if probe.is_enabled() { phase::<D, true> } else { phase::<D, false> };
-    run(dp, pipe, dims, config, trace_limit, probe)
+    run(dp, dims, config, trace_limit, probe)
 }
 
 fn phase<D: Datapath, const HOOKS: bool>(
     dp: &mut D,
-    mut pipe: Pipeline<D::Scan, D::Fetched, D::Result>,
     dims: Dims,
     config: &EngineConfig,
     trace_limit: usize,
@@ -381,20 +438,34 @@ fn phase<D: Datapath, const HOOKS: bool>(
     let bound = (total as u64 + 64) * (config.oim_drain_cycles_per_pixel + 6) + fills;
     let hazard = EngineError::PipelineHazard {
         detail: if D::INTRA {
-            "cycle-stepped intra simulation exceeded its cycle bound"
+            "intra processing exceeded its cycle bound"
         } else {
-            "cycle-stepped inter simulation exceeded its cycle bound"
+            "inter processing exceeded its cycle bound"
         },
     };
     let mut trace = probe.start::<HOOKS>(dims);
     let mut stats = ProcessingStats::default();
     let mut cycle = 0u64;
+    let mut unit = Unit {
+        dp,
+        fsm: ControlFsm::new(dims),
+        oim: Oim::new(
+            config.oim_lines,
+            dims.width,
+            config.oim_drain_cycles_per_pixel,
+        ),
+    };
+    let mut pipe = if D::INTRA {
+        Pipeline::default()
+    } else {
+        Pipeline::primed(&mut unit)
+    };
 
-    while dp.drained() < total {
+    while unit.oim.pops() < total {
         if stats.trace.len() >= trace_limit {
-            if let Some(rest) = pipe.at_rest(dp) {
-                let occupancy = dp.oim_occupancy();
-                let next = dp.next_event(cycle, pipe.inflight_pixel());
+            if let Some(rest) = pipe.at_rest(&unit) {
+                let occupancy = unit.oim.occupancy();
+                let next = unit.dp.next_event(cycle, pipe.inflight_pixel(), &unit.oim);
                 // Nothing acts again within the bound: the run stalls in
                 // place until the bound trips.
                 let Some(target) = next.filter(|&t| t <= bound) else {
@@ -404,7 +475,7 @@ fn phase<D: Datapath, const HOOKS: bool>(
                 let skipped = target - cycle - 1;
                 if skipped > 0 {
                     trace.skip(cycle + 1, cycle + skipped, rest.stall(), occupancy);
-                    dp.idle(skipped);
+                    unit.oim.idle(skipped);
                     stats.count(rest, skipped);
                     cycle += skipped;
                 }
@@ -415,9 +486,12 @@ fn phase<D: Datapath, const HOOKS: bool>(
         if cycle > bound {
             return Err(hazard);
         }
-        dp.ports(cycle, pipe.inflight_pixel(), &mut trace)?;
+        if let Some((pixel, result)) = unit.oim.tick() {
+            unit.dp.write_result(pixel, result)?;
+        }
+        unit.dp.txu(cycle, pipe.inflight_pixel(), &mut trace)?;
         let issued = pipe.issued();
-        let kind = pipe.step(dp)?;
+        let kind = pipe.step(&mut unit)?;
         if HOOKS && D::INTRA && pipe.issued() > issued {
             trace.issue((issued / dims.width) as i32, cycle);
         }
@@ -425,12 +499,13 @@ fn phase<D: Datapath, const HOOKS: bool>(
         if stats.trace.len() < trace_limit {
             stats.trace.push(pipe.snapshot());
         }
-        trace.end_cycle(cycle, kind.stall(), dp.oim_occupancy());
+        trace.end_cycle(cycle, kind.stall(), unit.oim.occupancy());
     }
 
     trace.finish(cycle, &stats, total);
     stats.cycles = cycle;
     stats.pixels = total as u64;
+    stats.oim_max_occupancy = unit.oim.max_occupancy();
     Ok(stats)
 }
 
@@ -457,74 +532,33 @@ pub fn run_intra_detailed<O: IntraOp>(
 ) -> EngineResult<ProcessingStats> {
     let square = square_shape(op.shape());
     let mut dp = IntraDatapath {
-        drain: OimDrain::new(zbt, config, dims),
+        zbt,
         op,
         dims,
         border,
         square,
         iim: Iim::new(config.iim_lines, dims.width),
         matrix: MatrixRegister::new(square),
-        fsm: ControlFsm::new(dims, ScanOrder::RowMajor),
         txu_line: 0,
         txu_buf: Vec::with_capacity(dims.width),
     };
-    let mut stats = run_phase(&mut dp, Pipeline::default(), dims, config, trace_limit, probe)?;
+    let mut stats = run_phase(&mut dp, dims, config, trace_limit, probe)?;
     stats.matrix_loads = dp.matrix.loads();
     stats.matrix_shifts = dp.matrix.shifts();
-    stats.oim_max_occupancy = dp.drain.oim.max_occupancy();
     Ok(stats)
-}
-
-/// The OIM and its port to the ZBT result banks, which takes one pixel
-/// per `per` cycles.
-struct OimDrain<'a> {
-    zbt: &'a mut ZbtMemory,
-    oim: Oim,
-    per: u64,
-    timer: u64,
-    total: usize,
-}
-
-impl<'a> OimDrain<'a> {
-    fn new(zbt: &'a mut ZbtMemory, config: &EngineConfig, dims: Dims) -> Self {
-        OimDrain {
-            zbt,
-            oim: Oim::new(config.oim_lines, dims.width),
-            per: config.oim_drain_cycles_per_pixel,
-            timer: 0,
-            total: dims.pixel_count(),
-        }
-    }
-
-    fn tick(&mut self) -> EngineResult<()> {
-        self.timer += 1;
-        if self.timer >= self.per {
-            if let Some((idx, px)) = self.oim.pop() {
-                self.zbt.write_result_pixel(idx, self.total, px)?;
-                self.timer = 0;
-            }
-        }
-        Ok(())
-    }
-
-    fn store(&mut self, pixel: usize, result: Pixel) {
-        let stored = self.oim.push(pixel, result);
-        debug_assert!(stored, "the pipeline stores only into a non-full OIM");
-    }
 }
 
 /// The cycle-stepped intra datapath: the TxU fills IIM lines from the
 /// ZBT, stage 2 fetches windows from the IIM into the matrix register,
 /// stage 3 applies the operation.
 struct IntraDatapath<'a, O> {
-    drain: OimDrain<'a>,
+    zbt: &'a mut ZbtMemory,
     op: &'a O,
     dims: Dims,
     border: BorderPolicy,
     square: Connectivity,
     iim: Iim,
     matrix: MatrixRegister,
-    fsm: ControlFsm,
     /// The TxU's next line and the part of it read so far.
     txu_line: usize,
     txu_buf: Vec<Pixel>,
@@ -532,70 +566,18 @@ struct IntraDatapath<'a, O> {
 
 impl<O: IntraOp> Datapath for IntraDatapath<'_, O> {
     const INTRA: bool = true;
-
-    fn drained(&self) -> usize {
-        self.drain.oim.pops() as usize
-    }
-
-    fn oim_occupancy(&self) -> usize {
-        self.drain.oim.occupancy()
-    }
-
-    fn ports<const HOOKS: bool>(
-        &mut self,
-        cycle: u64,
-        inflight_pixel: usize,
-        trace: &mut PuTrace<'_, HOOKS>,
-    ) -> EngineResult<()> {
-        self.drain.tick()?;
-        // TxU: one pixel per cycle into the current line buffer.
-        let width = self.dims.width;
-        let needed_oldest = (inflight_pixel / width).saturating_sub(self.square.radius());
-        if self.txu_line < self.dims.height && self.iim.can_accept(needed_oldest) {
-            let x = self.txu_buf.len();
-            let px = self.drain.zbt.read_input_pixel(ZbtRegion::InputA, self.txu_line * width + x)?;
-            trace.txu_pixel(self.txu_line, x, width, cycle);
-            self.txu_buf.push(px);
-            if x + 1 == width {
-                self.iim.load_line(self.txu_line, &self.txu_buf);
-                self.txu_buf.clear();
-                self.txu_line += 1;
-            }
-        }
-        Ok(())
-    }
-}
-
-impl<O: IntraOp> Stages for IntraDatapath<'_, O> {
-    type Scan = (Point, FetchKind);
     type Fetched = (Point, Window);
     type Result = Pixel;
 
-    fn oim_has_room(&self) -> bool {
-        !self.drain.oim.is_full()
-    }
-
-    fn window_ready(&self, &(point, _): &(Point, FetchKind)) -> bool {
+    fn window_ready(&self, point: Point) -> bool {
         self.iim.window_ready(point, self.square, self.dims)
     }
 
-    fn has_next(&self) -> bool {
-        self.fsm.len() > 0
-    }
-
-    fn issue(&mut self) -> Option<(Point, FetchKind)> {
-        self.fsm.next().map(|(point, bundle)| (point, bundle.fetch))
-    }
-
-    fn fetch(
-        &mut self,
-        _: usize,
-        (point, fetch): (Point, FetchKind),
-    ) -> EngineResult<(Point, Window)> {
+    fn fetch(&mut self, _: usize, scan: (Point, FetchKind)) -> EngineResult<(Point, Window)> {
+        let (point, fetch) = scan;
         let samples = self
             .iim
-            .fetch_window(point, self.square, self.dims, self.border)
-            .expect("the pipeline fetches only ready windows");
+            .fetch_window(point, self.square, self.dims, self.border);
         drive_matrix(&mut self.matrix, fetch, &samples, self.square);
         Ok((point, Window::from_samples(point, self.square, samples)))
     }
@@ -607,8 +589,35 @@ impl<O: IntraOp> Stages for IntraDatapath<'_, O> {
         out
     }
 
-    fn store(&mut self, pixel: usize, result: Pixel) {
-        self.drain.store(pixel, result);
+    fn write_result(&mut self, pixel: usize, result: Pixel) -> EngineResult<()> {
+        self.zbt
+            .write_result_pixel(pixel, self.dims.pixel_count(), result)
+            .map(drop)
+    }
+
+    fn txu<const HOOKS: bool>(
+        &mut self,
+        cycle: u64,
+        inflight_pixel: usize,
+        trace: &mut PuTrace<'_, HOOKS>,
+    ) -> EngineResult<()> {
+        // One pixel per cycle into the current line buffer.
+        let width = self.dims.width;
+        let needed_oldest = (inflight_pixel / width).saturating_sub(self.square.radius());
+        if self.txu_line < self.dims.height && self.iim.can_accept(needed_oldest) {
+            let x = self.txu_buf.len();
+            let px = self
+                .zbt
+                .read_input_pixel(ZbtRegion::InputA, self.txu_line * width + x)?;
+            trace.txu_pixel(self.txu_line, x, width, cycle);
+            self.txu_buf.push(px);
+            if x + 1 == width {
+                self.iim.load_line(self.txu_line, &self.txu_buf);
+                self.txu_buf.clear();
+                self.txu_line += 1;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -630,65 +639,28 @@ pub fn run_inter_detailed<O: InterOp>(
     probe: &PuProbe,
 ) -> EngineResult<ProcessingStats> {
     let mut dp = InterDatapath {
-        drain: OimDrain::new(zbt, config, dims),
+        zbt,
         op,
-        issued: 0,
+        total: dims.pixel_count(),
     };
-    // No window to wait for: pixel 0 is fetched on the first cycle.
-    let pipe = Pipeline::primed(&mut dp);
-    let mut stats = run_phase(&mut dp, pipe, dims, config, trace_limit, probe)?;
-    stats.oim_max_occupancy = dp.drain.oim.max_occupancy();
-    Ok(stats)
+    run_phase(&mut dp, dims, config, trace_limit, probe)
 }
 
 /// The cycle-stepped inter datapath: stage 2 reads pixel pairs straight
 /// from the paired ZBT input banks.
 struct InterDatapath<'a, O> {
-    drain: OimDrain<'a>,
+    zbt: &'a mut ZbtMemory,
     op: &'a O,
-    issued: usize,
+    total: usize,
 }
 
 impl<O: InterOp> Datapath for InterDatapath<'_, O> {
     const INTRA: bool = false;
-
-    fn drained(&self) -> usize {
-        self.drain.oim.pops() as usize
-    }
-
-    fn oim_occupancy(&self) -> usize {
-        self.drain.oim.occupancy()
-    }
-
-    fn ports<const HOOKS: bool>(
-        &mut self,
-        _: u64,
-        _: usize,
-        _: &mut PuTrace<'_, HOOKS>,
-    ) -> EngineResult<()> {
-        self.drain.tick()
-    }
-}
-
-impl<O: InterOp> Stages for InterDatapath<'_, O> {
-    type Scan = ();
     type Fetched = (Pixel, Pixel);
     type Result = Pixel;
 
-    fn oim_has_room(&self) -> bool {
-        !self.drain.oim.is_full()
-    }
-
-    fn has_next(&self) -> bool {
-        self.issued < self.drain.total
-    }
-
-    fn issue(&mut self) -> Option<()> {
-        self.has_next().then(|| self.issued += 1)
-    }
-
-    fn fetch(&mut self, pixel: usize, (): ()) -> EngineResult<(Pixel, Pixel)> {
-        self.drain.zbt.read_input_pair(pixel)
+    fn fetch(&mut self, pixel: usize, _: (Point, FetchKind)) -> EngineResult<(Pixel, Pixel)> {
+        self.zbt.read_input_pair(pixel)
     }
 
     fn execute(&mut self, _: usize, (a, b): (Pixel, Pixel)) -> Pixel {
@@ -697,8 +669,10 @@ impl<O: InterOp> Stages for InterDatapath<'_, O> {
         out
     }
 
-    fn store(&mut self, pixel: usize, result: Pixel) {
-        self.drain.store(pixel, result);
+    fn write_result(&mut self, pixel: usize, result: Pixel) -> EngineResult<()> {
+        self.zbt
+            .write_result_pixel(pixel, self.total, result)
+            .map(drop)
     }
 }
 

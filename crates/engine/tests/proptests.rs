@@ -53,12 +53,12 @@ proptest! {
 
     #[test]
     fn oim_preserves_order(pixels in proptest::collection::vec(arb_pixel(), 1..64)) {
-        let mut oim = Oim::new(16, 16);
+        let mut oim = Oim::new(16, 16, 1);
         for (i, px) in pixels.iter().enumerate() {
-            prop_assert!(oim.push(i, *px));
+            oim.push(i, *px);
         }
         for (i, px) in pixels.iter().enumerate() {
-            let (idx, out) = oim.pop().expect("pushed");
+            let (idx, out) = oim.tick().expect("pushed");
             prop_assert_eq!(idx, i);
             prop_assert_eq!(out, *px);
         }
@@ -72,9 +72,7 @@ proptest! {
         for l in 0..dims.height {
             iim.load_line(l, frame.line(l));
         }
-        let hw = iim
-            .fetch_window(centre, Connectivity::Con8, dims, BorderPolicy::Clamp)
-            .expect("all lines resident");
+        let hw = iim.fetch_window(centre, Connectivity::Con8, dims, BorderPolicy::Clamp);
         let sw = vip_core::neighborhood::Window::gather(
             &frame, centre, Connectivity::Con8, BorderPolicy::Clamp);
         for (off, px) in hw {

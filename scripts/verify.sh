@@ -18,6 +18,9 @@ cargo run --release -q -p vip-check -- .
 echo "==> fig5 (prints the fig. 5 stage-occupancy trace of a detailed call)"
 cargo run --release -q -p vip-bench --bin fig5
 
+echo "==> fig4 (sweeps radius-4 windows out of the IIM, one fetch per window)"
+cargo run --release -q -p vip-bench --bin fig4
+
 echo "==> perfbench smoke (every workload; fails on any output-check failure)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 perfbench() {
