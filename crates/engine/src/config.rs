@@ -160,9 +160,30 @@ impl EngineConfig {
     /// # Errors
     ///
     /// Returns [`EngineError::InvalidConfig`] on any violated constraint
-    /// (zero-sized strips or banks, fewer than the paired banks required,
+    /// (non-positive or non-finite clock rates, a zero PCI width,
+    /// zero-sized strips or banks, fewer than the paired banks required,
     /// out-of-range fractions, …).
     pub fn validate(&self) -> EngineResult<()> {
+        // Every timeline divides by these clock rates, and the engine
+        // clock is the probe timebase: zero, negative or non-finite rates
+        // give infinite or negative schedules.
+        for (field, hz) in [
+            ("pci_clock.hz", self.pci_clock.hz),
+            ("engine_clock.hz", self.engine_clock.hz),
+        ] {
+            if !(hz.is_finite() && hz > 0.0) {
+                return Err(EngineError::InvalidConfig {
+                    field,
+                    reason: "must be finite and positive",
+                });
+            }
+        }
+        if self.pci_bytes_per_cycle == 0 {
+            return Err(EngineError::InvalidConfig {
+                field: "pci_bytes_per_cycle",
+                reason: "must be positive",
+            });
+        }
         if self.strip_lines == 0 {
             return Err(EngineError::InvalidConfig {
                 field: "strip_lines",

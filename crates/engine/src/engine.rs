@@ -42,7 +42,7 @@ use vip_obs::{Recorder, Registry, Track};
 use crate::config::{EngineConfig, InterOverlap, SimulationFidelity, StepMode};
 use crate::dma::{schedule_inter_call, schedule_intra_call, DmaSchedule};
 use crate::error::{EngineError, EngineResult};
-use crate::fast::{run_inter_fast, run_intra_fast};
+use crate::fast::{run_inter_fast, run_intra_fast, Skeletons};
 use crate::process_unit::{run_inter_detailed, run_intra_detailed, PuProbe};
 use crate::report::{record_into, stats_from_registry, EngineReport, EngineStats};
 use crate::timing::{inter_timeline, intra_timeline, segment_timeline};
@@ -82,6 +82,8 @@ pub struct AddressEngine {
     clock_ns: u64,
     /// Number of stage-trace cycles recorded per detailed call.
     trace_limit: usize,
+    /// Fast-forward timing-skeleton results, one per call geometry.
+    skeletons: Skeletons,
 }
 
 impl AddressEngine {
@@ -95,6 +97,7 @@ impl AddressEngine {
         config.validate()?;
         let zbt = ZbtMemory::new(&config);
         Ok(AddressEngine {
+            skeletons: Skeletons::new(config.clone()),
             config,
             zbt,
             metrics: Registry::new(),
@@ -314,19 +317,21 @@ impl AddressEngine {
                         .as_ref()
                         .map_or(0.0, |s| self.pci_seconds(s.input_strips[0].transfer.end())),
                 );
-                let run = match self.config.step_mode {
-                    StepMode::FastForward => run_intra_fast,
-                    StepMode::CycleStepped => run_intra_detailed,
-                };
-                let stats = run(
-                    &mut self.zbt,
-                    frame.dims(),
-                    op,
-                    border,
-                    &self.config,
-                    self.trace_limit,
-                    &probe,
-                )?;
+                let (zbt, dims, trace_limit) = (&mut self.zbt, frame.dims(), self.trace_limit);
+                let stats = match self.config.step_mode {
+                    StepMode::FastForward => run_intra_fast(
+                        zbt,
+                        &mut self.skeletons,
+                        dims,
+                        op,
+                        border,
+                        trace_limit,
+                        &probe,
+                    ),
+                    StepMode::CycleStepped => {
+                        run_intra_detailed(zbt, dims, op, border, &self.config, trace_limit, &probe)
+                    }
+                }?;
                 let hw = self.zbt.pixel_access_cycles();
                 (self.unload_result(frame.dims())?, hw, Some(stats))
             }
@@ -396,12 +401,15 @@ impl AddressEngine {
                         }
                     }
                 }));
-                let run = match self.config.step_mode {
-                    StepMode::FastForward => run_inter_fast,
-                    StepMode::CycleStepped => run_inter_detailed,
-                };
-                let stats =
-                    run(&mut self.zbt, a.dims(), op, &self.config, self.trace_limit, &probe)?;
+                let (zbt, dims, trace_limit) = (&mut self.zbt, a.dims(), self.trace_limit);
+                let stats = match self.config.step_mode {
+                    StepMode::FastForward => {
+                        run_inter_fast(zbt, &mut self.skeletons, dims, op, trace_limit, &probe)
+                    }
+                    StepMode::CycleStepped => {
+                        run_inter_detailed(zbt, dims, op, &self.config, trace_limit, &probe)
+                    }
+                }?;
                 let hw = self.zbt.pixel_access_cycles();
                 (self.unload_result(a.dims())?, hw, Some(stats))
             }
@@ -759,5 +767,32 @@ mod tests {
             AddressEngine::new(cfg),
             Err(EngineError::InvalidConfig { field: "oim_lines", .. })
         ));
+        // Clock rates and the PCI width feed every timeline: a zero,
+        // negative or non-finite rate would report an infinite or
+        // negative call time.
+        let clocked = |pci_hz: f64, engine_hz: f64, bytes: usize| {
+            let mut cfg = EngineConfig::prototype_detailed();
+            cfg.pci_clock.hz = pci_hz;
+            cfg.engine_clock.hz = engine_hz;
+            cfg.pci_bytes_per_cycle = bytes;
+            AddressEngine::new(cfg).err()
+        };
+        let rejected = |field: &'static str| {
+            Some(EngineError::InvalidConfig {
+                field,
+                reason: if field == "pci_bytes_per_cycle" {
+                    "must be positive"
+                } else {
+                    "must be finite and positive"
+                },
+            })
+        };
+        let pci = EngineConfig::prototype().pci_clock.hz;
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(clocked(bad, pci, 4), rejected("pci_clock.hz"), "pci {bad}");
+            assert_eq!(clocked(pci, bad, 4), rejected("engine_clock.hz"), "engine {bad}");
+        }
+        assert_eq!(clocked(pci, pci, 0), rejected("pci_bytes_per_cycle"));
+        assert_eq!(clocked(pci, pci, 4), None);
     }
 }

@@ -16,7 +16,8 @@
 //!   and the start-pipeline both detailed datapaths step),
 //! * [`process_unit`] — the cycle-stepped 4-stage datapath (fig. 6),
 //! * [`fast`] — the event-driven fast-forward datapath (bit-identical
-//!   statistics, a fraction of the simulated work),
+//!   statistics, a fraction of the simulated work, the timing skeleton
+//!   run once per call geometry),
 //! * [`timing`] — the analytic image-level schedule (validated against
 //!   the cycle-stepped path),
 //! * [`resource`] — the calibrated Table 1 device-utilisation model,

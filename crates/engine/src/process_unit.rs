@@ -93,10 +93,11 @@ impl ProcessingStats {
 const MIN_STALL_RUN: u64 = 8;
 
 /// Observability probe for the Process Unit datapaths: maps engine
-/// cycles onto the session's virtual clock and publishes spans for line
-/// fills, pipeline bubbles, line sweeps, and OIM occupancy. The stepped
-/// and fast-forward loops feed it the same per-cycle hooks, so both
-/// publish the same trace.
+/// cycles onto the session's virtual clock and publishes the spans a
+/// processing phase logged: line fills, pipeline bubbles, line sweeps,
+/// and OIM occupancy. The stepped and fast-forward loops feed the same
+/// per-cycle hooks into one cycle-stamped log, so both publish the same
+/// trace.
 #[derive(Debug, Clone, Default)]
 pub struct PuProbe {
     /// Where the spans go; disabled by default.
@@ -124,20 +125,76 @@ impl PuProbe {
         }
     }
 
-    /// Whether the probe publishes anything.
-    pub(crate) fn is_enabled(&self) -> bool {
-        self.recorder.is_enabled()
+    /// Runs `phase` with a log when the probe publishes anything (and
+    /// without one, hooks compiled out, when it does not), then publishes
+    /// what it logged, whatever its verdict.
+    pub(crate) fn record<T>(&self, phase: impl FnOnce(Option<&mut PuLog>) -> T) -> T {
+        if !self.recorder.is_enabled() {
+            return phase(None);
+        }
+        let mut log = PuLog::default();
+        let out = phase(Some(&mut log));
+        self.publish(&log);
+        out
     }
 
-    /// Per-call probe state for one processing phase over `dims`.
-    pub(crate) fn start<const HOOKS: bool>(&self, dims: Dims) -> PuTrace<'_, HOOKS> {
-        PuTrace {
-            probe: self,
-            occupancy_every: dims.width.max(1) as u64,
-            stall: None,
-            stall_start: 0,
-            fill_start: 0,
-            sweep: None,
+    /// Publishes `log` on this probe's clock.
+    pub(crate) fn publish(&self, log: &PuLog) {
+        if !self.recorder.is_enabled() {
+            return;
+        }
+        let rec = &self.recorder;
+        for event in &log.events {
+            match *event {
+                PuEvent::LineFill { line, start, end } => rec.span(
+                    Track::Iim,
+                    "line_fill",
+                    self.ts(start),
+                    self.ts(end),
+                    &[("line", (line as u64).into())],
+                ),
+                PuEvent::LineSweep { line, start, end } => rec.span(
+                    Track::Plc,
+                    "line_sweep",
+                    self.ts(start),
+                    self.ts(end),
+                    &[("line", i64::from(line).into())],
+                ),
+                PuEvent::Stall { kind, start, end } => rec.span(
+                    Track::Pu,
+                    match kind {
+                        Stall::Iim => "iim_stall",
+                        Stall::Oim => "oim_stall",
+                    },
+                    self.ts(start),
+                    self.ts(end),
+                    &[("cycles", (end - start).into())],
+                ),
+                PuEvent::Occupancy { first, last, value } => {
+                    let mut cycle = first;
+                    while cycle <= last {
+                        rec.counter(Track::Oim, "occupancy", self.ts(cycle), value as f64);
+                        cycle += log.occupancy_every;
+                    }
+                }
+                PuEvent::Processing {
+                    cycles,
+                    pixels,
+                    iim_stalls,
+                    oim_stalls,
+                } => rec.span(
+                    Track::Pu,
+                    "processing",
+                    self.ts(0),
+                    self.ts(cycles),
+                    &[
+                        ("cycles", cycles.into()),
+                        ("pixels", pixels.into()),
+                        ("iim_stalls", iim_stalls.into()),
+                        ("oim_stalls", oim_stalls.into()),
+                    ],
+                ),
+            }
         }
     }
 
@@ -147,12 +204,41 @@ impl PuProbe {
     }
 }
 
-/// The hooks a datapath loop calls while it runs one processing phase.
-/// With `HOOKS = false` every hook compiles to nothing; a disabled
-/// recorder drops whatever the compiled-in hooks publish.
-pub(crate) struct PuTrace<'a, const HOOKS: bool> {
-    probe: &'a PuProbe,
+/// What the probe hooks of one processing phase logged, stamped in
+/// engine cycles rather than on a clock, so a [`PuProbe`] can publish it
+/// at any call's start time ([`PuProbe::publish`]).
+#[derive(Debug, Default)]
+pub(crate) struct PuLog {
+    /// OIM occupancy sampling period in cycles (the frame width).
     occupancy_every: u64,
+    events: Vec<PuEvent>,
+}
+
+/// One logged probe event, its times in engine cycles.
+#[derive(Debug, Clone, Copy)]
+enum PuEvent {
+    /// An IIM `line_fill` span from the line's first pixel to its last.
+    LineFill { line: usize, start: u64, end: u64 },
+    /// A PLC `line_sweep` span.
+    LineSweep { line: i32, start: u64, end: u64 },
+    /// A PU stall-run span of `end − start` cycles.
+    Stall { kind: Stall, start: u64, end: u64 },
+    /// One OIM `occupancy` sample per sampling period in `first..=last`
+    /// (`first` is a sampling cycle), all of the same value.
+    Occupancy { first: u64, last: u64, value: usize },
+    /// The enclosing PU `processing` span.
+    Processing {
+        cycles: u64,
+        pixels: u64,
+        iim_stalls: u64,
+        oim_stalls: u64,
+    },
+}
+
+/// The hooks a datapath loop calls while it runs one processing phase.
+/// With `HOOKS = false` every hook compiles to nothing.
+pub(crate) struct PuTrace<'a, const HOOKS: bool> {
+    log: &'a mut PuLog,
     /// The open stall run and its first cycle.
     stall: Option<Stall>,
     stall_start: u64,
@@ -162,7 +248,20 @@ pub(crate) struct PuTrace<'a, const HOOKS: bool> {
     sweep: Option<(i32, u64)>,
 }
 
-impl<const HOOKS: bool> PuTrace<'_, HOOKS> {
+impl<'a, const HOOKS: bool> PuTrace<'a, HOOKS> {
+    /// Per-call hook state for one processing phase over `dims`, logging
+    /// into `log`.
+    fn start(log: &'a mut PuLog, dims: Dims) -> Self {
+        log.occupancy_every = dims.width.max(1) as u64;
+        PuTrace {
+            log,
+            stall: None,
+            stall_start: 0,
+            fill_start: 0,
+            sweep: None,
+        }
+    }
+
     /// The transmission unit moves pixel `x` of IIM line `line` on
     /// `cycle`: the line's `line_fill` span opens at its first pixel and
     /// closes at its last.
@@ -175,13 +274,11 @@ impl<const HOOKS: bool> PuTrace<'_, HOOKS> {
             self.fill_start = cycle;
         }
         if x + 1 == width {
-            self.probe.recorder.span(
-                Track::Iim,
-                "line_fill",
-                self.probe.ts(self.fill_start),
-                self.probe.ts(cycle),
-                &[("line", (line as u64).into())],
-            );
+            self.log.events.push(PuEvent::LineFill {
+                line,
+                start: self.fill_start,
+                end: cycle,
+            });
         }
     }
 
@@ -210,8 +307,8 @@ impl<const HOOKS: bool> PuTrace<'_, HOOKS> {
             return;
         }
         self.stall_step(cycle, stall);
-        if cycle.is_multiple_of(self.occupancy_every) {
-            self.sample_occupancy(cycle, oim_occupancy);
+        if cycle.is_multiple_of(self.log.occupancy_every) {
+            self.sample_occupancy(cycle, cycle, oim_occupancy);
         }
     }
 
@@ -230,16 +327,15 @@ impl<const HOOKS: bool> PuTrace<'_, HOOKS> {
             return;
         }
         self.stall_step(first, stall);
-        let every = self.occupancy_every;
-        let mut cycle = first.div_ceil(every) * every;
-        while cycle <= last {
-            self.sample_occupancy(cycle, oim_occupancy);
-            cycle += every;
+        let every = self.log.occupancy_every;
+        let sample = first.div_ceil(every) * every;
+        if sample <= last {
+            self.sample_occupancy(sample, last, oim_occupancy);
         }
     }
 
     /// Ends the phase after `cycles` cycles: closes the open stall run
-    /// and line sweep, then emits the enclosing `processing` span.
+    /// and line sweep, then logs the enclosing `processing` span.
     pub(crate) fn finish(mut self, cycles: u64, stats: &ProcessingStats, pixels: usize) {
         if !HOOKS {
             return;
@@ -248,19 +344,12 @@ impl<const HOOKS: bool> PuTrace<'_, HOOKS> {
         if let Some((line, start)) = self.sweep {
             self.emit_sweep(line, start, cycles);
         }
-        let probe = self.probe;
-        probe.recorder.span(
-            Track::Pu,
-            "processing",
-            probe.ts(0),
-            probe.ts(cycles),
-            &[
-                ("cycles", cycles.into()),
-                ("pixels", (pixels as u64).into()),
-                ("iim_stalls", stats.iim_stalls.into()),
-                ("oim_stalls", stats.oim_stalls.into()),
-            ],
-        );
+        self.log.events.push(PuEvent::Processing {
+            cycles,
+            pixels: pixels as u64,
+            iim_stalls: stats.iim_stalls,
+            oim_stalls: stats.oim_stalls,
+        });
     }
 
     /// Coalesces per-cycle stall states into runs (`None` = the pipeline
@@ -278,37 +367,26 @@ impl<const HOOKS: bool> PuTrace<'_, HOOKS> {
     /// it lasted at least [`MIN_STALL_RUN`] cycles.
     fn flush_stall(&mut self, cycle: u64) {
         if let Some(kind) = self.stall.take() {
-            let run = cycle - self.stall_start;
-            if run >= MIN_STALL_RUN {
-                let name = match kind {
-                    Stall::Iim => "iim_stall",
-                    Stall::Oim => "oim_stall",
-                };
-                self.probe.recorder.span(
-                    Track::Pu,
-                    name,
-                    self.probe.ts(self.stall_start),
-                    self.probe.ts(cycle),
-                    &[("cycles", run.into())],
-                );
+            if cycle - self.stall_start >= MIN_STALL_RUN {
+                self.log.events.push(PuEvent::Stall {
+                    kind,
+                    start: self.stall_start,
+                    end: cycle,
+                });
             }
         }
     }
 
-    fn emit_sweep(&self, line: i32, start_cycle: u64, end_cycle: u64) {
-        self.probe.recorder.span(
-            Track::Plc,
-            "line_sweep",
-            self.probe.ts(start_cycle),
-            self.probe.ts(end_cycle),
-            &[("line", i64::from(line).into())],
-        );
+    fn emit_sweep(&mut self, line: i32, start: u64, end: u64) {
+        self.log
+            .events
+            .push(PuEvent::LineSweep { line, start, end });
     }
 
-    fn sample_occupancy(&self, cycle: u64, oim_occupancy: usize) {
-        self.probe
-            .recorder
-            .counter(Track::Oim, "occupancy", self.probe.ts(cycle), oim_occupancy as f64);
+    fn sample_occupancy(&mut self, first: u64, last: u64, value: usize) {
+        self.log
+            .events
+            .push(PuEvent::Occupancy { first, last, value });
     }
 }
 
@@ -409,19 +487,21 @@ impl<D: Datapath> Stages for Unit<'_, D> {
 /// the OIM port and the TxU, then the pipeline stages 4 → 1. While the
 /// pipeline is at rest and the stage trace is full, the clock jumps to
 /// the next port event; each skipped cycle repeats the at-rest kind, so
-/// it is counted as that kind and replayed to the probe in one step.
-/// Fails with [`EngineError::PipelineHazard`] past the cycle bound (a
-/// deadlocked eviction gate).
+/// it is counted as that kind and logged in one step. With a `log` the
+/// probe hooks are compiled in and record into it; without one they are
+/// compiled out. Fails with [`EngineError::PipelineHazard`] past the
+/// cycle bound (a deadlocked eviction gate).
 pub(crate) fn run_phase<D: Datapath>(
     dp: &mut D,
     dims: Dims,
     config: &EngineConfig,
     trace_limit: usize,
-    probe: &PuProbe,
+    log: Option<&mut PuLog>,
 ) -> EngineResult<ProcessingStats> {
-    // An untraced call runs an instance with the probe hooks compiled out.
-    let run = if probe.is_enabled() { phase::<D, true> } else { phase::<D, false> };
-    run(dp, dims, config, trace_limit, probe)
+    match log {
+        Some(log) => phase::<D, true>(dp, dims, config, trace_limit, log),
+        None => phase::<D, false>(dp, dims, config, trace_limit, &mut PuLog::default()),
+    }
 }
 
 fn phase<D: Datapath, const HOOKS: bool>(
@@ -429,7 +509,7 @@ fn phase<D: Datapath, const HOOKS: bool>(
     dims: Dims,
     config: &EngineConfig,
     trace_limit: usize,
-    probe: &PuProbe,
+    log: &mut PuLog,
 ) -> EngineResult<ProcessingStats> {
     let total = dims.pixel_count();
     // Generous safety bound: every pixel may stall a few times, and an
@@ -443,7 +523,7 @@ fn phase<D: Datapath, const HOOKS: bool>(
             "inter processing exceeded its cycle bound"
         },
     };
-    let mut trace = probe.start::<HOOKS>(dims);
+    let mut trace = PuTrace::<HOOKS>::start(log, dims);
     let mut stats = ProcessingStats::default();
     let mut cycle = 0u64;
     let mut unit = Unit {
@@ -542,7 +622,7 @@ pub fn run_intra_detailed<O: IntraOp>(
         txu_line: 0,
         txu_buf: Vec::with_capacity(dims.width),
     };
-    let mut stats = run_phase(&mut dp, dims, config, trace_limit, probe)?;
+    let mut stats = probe.record(|log| run_phase(&mut dp, dims, config, trace_limit, log))?;
     stats.matrix_loads = dp.matrix.loads();
     stats.matrix_shifts = dp.matrix.shifts();
     Ok(stats)
@@ -643,7 +723,7 @@ pub fn run_inter_detailed<O: InterOp>(
         op,
         total: dims.pixel_count(),
     };
-    run_phase(&mut dp, dims, config, trace_limit, probe)
+    probe.record(|log| run_phase(&mut dp, dims, config, trace_limit, log))
 }
 
 /// The cycle-stepped inter datapath: stage 2 reads pixel pairs straight
@@ -889,19 +969,25 @@ mod tests {
         assert!(stats.trace.iter().any(|s| s.occupancy() >= 2));
     }
 
-    /// The two intra datapaths, under one signature.
-    type IntraPath<O> = fn(
-        &mut ZbtMemory,
-        Dims,
-        &O,
-        BorderPolicy,
-        &EngineConfig,
-        usize,
-        &PuProbe,
-    ) -> EngineResult<ProcessingStats>;
+    /// The two datapaths: whether each is the fast-forward one.
+    const PATHS: [(&str, bool); 2] = [("stepped", false), ("fast", true)];
 
-    fn intra_paths<O: IntraOp>() -> [(&'static str, IntraPath<O>); 2] {
-        [("stepped", run_intra_detailed), ("fast", crate::fast::run_intra_fast)]
+    /// One clamp-border intra call with no stage trace on the stepped or
+    /// the fast-forward datapath.
+    fn intra_path<O: IntraOp>(
+        fast: bool,
+        zbt: &mut ZbtMemory,
+        dims: Dims,
+        op: &O,
+        cfg: &EngineConfig,
+        probe: &PuProbe,
+    ) -> EngineResult<ProcessingStats> {
+        if fast {
+            let skeletons = &mut crate::fast::Skeletons::new(cfg.clone());
+            crate::fast::run_intra_fast(zbt, skeletons, dims, op, BorderPolicy::Clamp, 0, probe)
+        } else {
+            run_intra_detailed(zbt, dims, op, BorderPolicy::Clamp, cfg, 0, probe)
+        }
     }
 
     #[test]
@@ -909,14 +995,13 @@ mod tests {
         let cfg = EngineConfig::prototype_detailed();
         let dims = Dims::new(20, 12);
         let frame = test_frame(dims);
-        for (path, run) in intra_paths::<BoxBlur>() {
+        for (path, fast) in PATHS {
             let mut zbt = ZbtMemory::new(&cfg);
             load_input(&mut zbt, ZbtRegion::InputA, &frame);
             let session = vip_obs::Session::new();
             let ns_per_cycle = 1e9 / cfg.engine_clock.hz;
             let probe = PuProbe::new(session.recorder(), 5_000, ns_per_cycle);
-            let stats = run(&mut zbt, dims, &BoxBlur::con8(), BorderPolicy::Clamp, &cfg, 0, &probe)
-                .unwrap();
+            let stats = intra_path(fast, &mut zbt, dims, &BoxBlur::con8(), &cfg, &probe).unwrap();
             let recording = session.finish();
             // One line_fill per image line, one line_sweep per swept line.
             assert_eq!(recording.on_track(Track::Iim).len(), dims.height, "{path}");
@@ -949,18 +1034,17 @@ mod tests {
         let dims = Dims::new(16, 10);
         let frame = test_frame(dims);
         let op = SobelGradient::new();
-        for (path, run) in intra_paths::<SobelGradient>() {
+        for (path, fast) in PATHS {
             let mut zbt = ZbtMemory::new(&cfg);
             load_input(&mut zbt, ZbtRegion::InputA, &frame);
-            let plain = run(&mut zbt, dims, &op, BorderPolicy::Clamp, &cfg, 0, &PuProbe::disabled())
-                .unwrap();
+            let plain = intra_path(fast, &mut zbt, dims, &op, &cfg, &PuProbe::disabled()).unwrap();
             let plain_out = read_result(&mut zbt, dims);
 
             let session = vip_obs::Session::new();
             let probe = PuProbe::new(session.recorder(), 0, 1.0);
             let mut zbt = ZbtMemory::new(&cfg);
             load_input(&mut zbt, ZbtRegion::InputA, &frame);
-            let probed = run(&mut zbt, dims, &op, BorderPolicy::Clamp, &cfg, 0, &probe).unwrap();
+            let probed = intra_path(fast, &mut zbt, dims, &op, &cfg, &probe).unwrap();
             assert_eq!(plain, probed, "{path}: probing must not change the simulation");
             assert_eq!(plain_out, read_result(&mut zbt, dims), "{path}");
         }
@@ -968,26 +1052,22 @@ mod tests {
 
     #[test]
     fn inter_probe_emits_processing_span() {
-        type InterPath = fn(
-            &mut ZbtMemory,
-            Dims,
-            &AbsDiff,
-            &EngineConfig,
-            usize,
-            &PuProbe,
-        ) -> EngineResult<ProcessingStats>;
-        let paths: [(&str, InterPath); 2] =
-            [("stepped", run_inter_detailed), ("fast", crate::fast::run_inter_fast)];
         let cfg = EngineConfig::prototype_detailed();
         let dims = Dims::new(16, 8);
         let a = test_frame(dims);
-        for (path, run) in paths {
+        for (path, fast) in PATHS {
             let mut zbt = ZbtMemory::new(&cfg);
             load_input(&mut zbt, ZbtRegion::InputA, &a);
             load_input(&mut zbt, ZbtRegion::InputB, &a);
             let session = vip_obs::Session::new();
             let probe = PuProbe::new(session.recorder(), 0, 2.0);
-            run(&mut zbt, dims, &AbsDiff::luma(), &cfg, 0, &probe).unwrap();
+            if fast {
+                let skeletons = &mut crate::fast::Skeletons::new(cfg.clone());
+                crate::fast::run_inter_fast(&mut zbt, skeletons, dims, &AbsDiff::luma(), 0, &probe)
+            } else {
+                run_inter_detailed(&mut zbt, dims, &AbsDiff::luma(), &cfg, 0, &probe)
+            }
+            .unwrap();
             let recording = session.finish();
             assert!(
                 recording.on_track(Track::Pu).iter().any(|e| e.name == "processing"),

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full offline verification: release build, tests, static verifier, a
+# Full offline verification: release build, tests, static verifier, the
+# fig. 5/fig. 4 harnesses, the GME utilization report and Chrome trace, a
 # perfbench smoke run, and clippy (perfbench and workspace) and rustdoc
 # with warnings denied. This is exactly what CI runs; run it before pushing.
 set -euo pipefail
@@ -20,6 +21,13 @@ cargo run --release -q -p vip-bench --bin fig5
 
 echo "==> fig4 (sweeps radius-4 windows out of the IIM, one fetch per window)"
 cargo run --release -q -p vip-bench --bin fig4
+
+echo "==> vipctl report/trace gme (a recorder on a reused detailed engine: replayed skeleton spans)"
+obs_out=$(mktemp -d)
+trap 'rm -rf "$obs_out"' EXIT
+cargo run --release -q -p vip --bin vipctl -- report gme > "$obs_out/report_gme.txt"
+cargo run --release -q -p vip --bin vipctl -- report gme --format json > "$obs_out/report_gme.json"
+cargo run --release -q -p vip --bin vipctl -- trace gme --out "$obs_out/trace_gme.json"
 
 echo "==> perfbench smoke (every workload; fails on any output-check failure)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml

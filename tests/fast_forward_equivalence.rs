@@ -24,7 +24,7 @@ use vip::core::ops::filter::{BoxBlur, SobelGradient};
 use vip::core::ops::segment_ops::HomogeneityCriterion;
 use vip::core::ops::IntraOp;
 use vip::core::pixel::Pixel;
-use vip::engine::fast::{run_inter_fast, run_intra_fast};
+use vip::engine::fast::{run_inter_fast, run_intra_fast, Skeletons};
 use vip::engine::process_unit::{run_inter_detailed, run_intra_detailed, ProcessingStats, PuProbe};
 use vip::engine::zbt::{ZbtMemory, ZbtRegion};
 use vip::engine::{AddressEngine, EngineConfig, EngineError, EngineRun, StepMode};
@@ -206,22 +206,56 @@ fn segment_calls_are_mode_independent() {
 #[test]
 fn recorded_fast_forward_matches_unrecorded_and_stepped_recording() {
     // Attaching a recorder changes nothing the engine computes, and the
-    // fast-forward recording is the stepped recording, byte for byte.
+    // fast-forward recording is the stepped recording, byte for byte,
+    // also when the timing skeleton is replayed. Every engine makes the
+    // same call twice, so its second fast-forward call is served from
+    // the skeleton of its first; one fast-forward engine warms its
+    // skeleton with an untraced call before the recorder is attached, so
+    // both of its recorded calls are replays.
+    const TRACE: usize = 16;
     let (config, dims, radius) = random_case(3);
-    let unrecorded = intra_in_mode(&config, dims, radius, 0, StepMode::FastForward)
-        .expect("seed 3 is a clean configuration");
+    let frame = test_frame(dims);
+    let op = BoxBlur::with_radius(radius).expect("radius ≤ 4");
+    let two_calls = |engine: &mut AddressEngine| -> Vec<(EngineRun, vip::engine::EngineStats)> {
+        (0..2)
+            .map(|_| {
+                let run = engine.run_intra(&frame, &op).expect("seed 3 is a clean configuration");
+                (run, engine.stats())
+            })
+            .collect()
+    };
+    let unrecorded = {
+        let mut engine = AddressEngine::new(config.clone()).expect("valid config");
+        engine.set_trace_limit(TRACE);
+        two_calls(&mut engine)
+    };
     let mut traces = Vec::new();
-    for mode in [StepMode::CycleStepped, StepMode::FastForward] {
+    for (mode, warm) in [
+        (StepMode::CycleStepped, false),
+        (StepMode::FastForward, false),
+        (StepMode::FastForward, true),
+    ] {
         let mut engine = AddressEngine::new(with_mode(&config, mode)).expect("valid config");
+        engine.set_trace_limit(TRACE);
+        if warm {
+            engine.run_intra(&frame, &op).expect("warm-up call succeeds");
+            // Rewinds the virtual clock, so this recording starts where
+            // the others do; the skeleton results stay.
+            engine.reset_stats();
+        }
         let session = vip::engine::Session::new();
         engine.set_recorder(session.recorder());
-        let op = BoxBlur::with_radius(radius).expect("radius ≤ 4");
-        let run = engine.run_intra(&test_frame(dims), &op).expect("recorded run succeeds");
-        assert_identical(&unrecorded, &(run, engine.stats()), &format!("recorded {mode:?}"));
+        for (call, (want, got)) in unrecorded.iter().zip(two_calls(&mut engine)).enumerate() {
+            let context = format!("recorded {mode:?} warm={warm} call {call}");
+            let snapshots = &got.0.report.processing.as_ref().expect("detailed stats").trace;
+            assert_eq!(snapshots.len(), TRACE, "{context}: fig. 5 snapshots missing");
+            assert_identical(want, &got, &context);
+        }
         traces.push(session.finish().to_chrome_json());
     }
     assert!(traces[1].contains("\"line_sweep\""), "recorded run must emit probe spans");
     assert!(traces[0] == traces[1], "fast-forward recording diverges from the stepped one");
+    assert!(traces[0] == traces[2], "replayed recording diverges from the stepped one");
 }
 
 /// Runs one call on both datapaths with an enabled probe and asserts
@@ -263,7 +297,8 @@ fn assert_datapaths_record_alike(
     stepped.is_ok()
 }
 
-/// One clamp-border intra call straight on the datapath `mode` selects.
+/// One clamp-border intra call straight on the datapath `mode` selects
+/// (fast-forward with no skeleton results yet).
 fn intra_on<O: IntraOp>(
     mode: StepMode,
     zbt: &mut ZbtMemory,
@@ -273,14 +308,20 @@ fn intra_on<O: IntraOp>(
     trace_limit: usize,
     probe: &PuProbe,
 ) -> Result<ProcessingStats, EngineError> {
-    let run = match mode {
-        StepMode::CycleStepped => run_intra_detailed,
-        StepMode::FastForward => run_intra_fast,
-    };
-    run(zbt, dims, op, BorderPolicy::Clamp, config, trace_limit, probe)
+    let border = BorderPolicy::Clamp;
+    match mode {
+        StepMode::CycleStepped => {
+            run_intra_detailed(zbt, dims, op, border, config, trace_limit, probe)
+        }
+        StepMode::FastForward => {
+            let skeletons = &mut Skeletons::new(config.clone());
+            run_intra_fast(zbt, skeletons, dims, op, border, trace_limit, probe)
+        }
+    }
 }
 
-/// One AbsDiff inter call straight on the datapath `mode` selects.
+/// One AbsDiff inter call straight on the datapath `mode` selects
+/// (fast-forward with no skeleton results yet).
 fn inter_on(
     mode: StepMode,
     zbt: &mut ZbtMemory,
@@ -289,11 +330,14 @@ fn inter_on(
     trace_limit: usize,
     probe: &PuProbe,
 ) -> Result<ProcessingStats, EngineError> {
-    let run = match mode {
-        StepMode::CycleStepped => run_inter_detailed,
-        StepMode::FastForward => run_inter_fast,
-    };
-    run(zbt, dims, &AbsDiff::luma(), config, trace_limit, probe)
+    let op = AbsDiff::luma();
+    match mode {
+        StepMode::CycleStepped => run_inter_detailed(zbt, dims, &op, config, trace_limit, probe),
+        StepMode::FastForward => {
+            let skeletons = &mut Skeletons::new(config.clone());
+            run_inter_fast(zbt, skeletons, dims, &op, trace_limit, probe)
+        }
+    }
 }
 
 #[test]

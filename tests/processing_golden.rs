@@ -8,10 +8,16 @@
 //! largest OIM occupancy and a digest of the whole fig. 5 stage trace.
 //! They must not change unless the timing model is meant to.
 //!
+//! Every pinned call runs twice on one engine, the second time on other
+//! pixels. In fast-forward mode the repeat is served from the timing
+//! skeleton the first call ran, and it must give the pinned values too.
+//!
 //! The second half asserts the data-independence contract the
 //! fast-forward datapath rests on: the statistics depend on geometry,
 //! window shape and configuration only, never on pixel contents or on
-//! which operation of a given shape runs.
+//! which operation of a given shape runs. The last test checks the
+//! skeleton key: a reused engine answers every call exactly as a fresh
+//! one would.
 
 use vip::core::frame::Frame;
 use vip::core::geometry::Dims;
@@ -20,7 +26,8 @@ use vip::core::ops::filter::{BoxBlur, SobelGradient};
 use vip::core::ops::{InterOp, IntraOp};
 use vip::core::pixel::Pixel;
 use vip::engine::process_unit::ProcessingStats;
-use vip::engine::{AddressEngine, EngineConfig, EngineError, EngineResult, StepMode};
+use vip::engine::report::zbt_bank_key;
+use vip::engine::{AddressEngine, EngineConfig, EngineError, EngineResult, EngineRun, StepMode};
 use vip::video::rng::XorShift64;
 
 const MODES: [StepMode; 2] = [StepMode::CycleStepped, StepMode::FastForward];
@@ -45,36 +52,52 @@ fn frame(dims: Dims, seed: u64) -> Frame {
     })
 }
 
+/// Seed of the second call's pixels, derived from the first's.
+const REPEAT: u64 = 0x5ca1ab1e;
+
+/// The processing statistics of two `dims` intra calls on one engine,
+/// the second on other pixels. In fast-forward mode the second call is
+/// served from the timing skeleton of the first.
 fn intra<O: IntraOp>(
     cfg: EngineConfig,
     dims: Dims,
     op: &O,
     seed: u64,
     trace: usize,
-) -> EngineResult<ProcessingStats> {
-    let mut engine = AddressEngine::new(cfg)?;
+) -> [EngineResult<ProcessingStats>; 2] {
+    let mut engine = AddressEngine::new(cfg).expect("valid config");
     engine.set_trace_limit(trace);
-    let run = engine.run_intra(&frame(dims, seed), op)?;
-    Ok(run
-        .report
-        .processing
-        .expect("detailed fidelity reports processing stats"))
+    [seed, seed ^ REPEAT].map(|seed| {
+        let run = engine.run_intra(&frame(dims, seed), op)?;
+        Ok(run
+            .report
+            .processing
+            .expect("detailed fidelity reports processing stats"))
+    })
 }
 
+/// [`intra`] for inter calls.
 fn inter<O: InterOp>(
     cfg: EngineConfig,
     dims: Dims,
     op: &O,
     seed: u64,
     trace: usize,
-) -> EngineResult<ProcessingStats> {
-    let mut engine = AddressEngine::new(cfg)?;
+) -> [EngineResult<ProcessingStats>; 2] {
+    let mut engine = AddressEngine::new(cfg).expect("valid config");
     engine.set_trace_limit(trace);
-    let run = engine.run_inter(&frame(dims, seed), &frame(dims, seed ^ 0xb0b), op)?;
-    Ok(run
-        .report
-        .processing
-        .expect("detailed fidelity reports processing stats"))
+    [seed, seed ^ REPEAT].map(|seed| {
+        let run = engine.run_inter(&frame(dims, seed), &frame(dims, seed ^ 0xb0b), op)?;
+        Ok(run
+            .report
+            .processing
+            .expect("detailed fidelity reports processing stats"))
+    })
+}
+
+/// Both calls' statistics; panics with `context` on an error.
+fn ok(calls: [EngineResult<ProcessingStats>; 2], context: &str) -> [ProcessingStats; 2] {
+    calls.map(|call| call.unwrap_or_else(|e| panic!("{context}: {e}")))
 }
 
 /// 64-bit FNV-1a over every slot of the stage trace.
@@ -108,11 +131,11 @@ fn summary(stats: &ProcessingStats) -> String {
     )
 }
 
-/// One pinned call: its name, the call in a given step mode, and the
-/// expected summary.
+/// One pinned call: its name, the call made twice on one engine in a
+/// given step mode, and the expected summary of each.
 type Case = (
     &'static str,
-    fn(StepMode) -> EngineResult<ProcessingStats>,
+    fn(StepMode) -> [EngineResult<ProcessingStats>; 2],
     &'static str,
 );
 
@@ -181,19 +204,24 @@ const CASES: [Case; 12] = [
 
 #[test]
 fn processing_stats_match_the_recorded_values_in_both_step_modes() {
+    // The repeat call must give the pinned values too: in fast-forward
+    // mode it replays the first call's timing skeleton.
     for (name, run, expected) in CASES {
         for mode in MODES {
-            let stats = run(mode).unwrap_or_else(|e| panic!("{name} ({mode:?}): {e}"));
-            assert_eq!(summary(&stats), expected, "{name} ({mode:?})");
+            let context = format!("{name} ({mode:?})");
+            for (call, stats) in ok(run(mode), &context).iter().enumerate() {
+                assert_eq!(summary(stats), expected, "{context} call {call}");
+            }
         }
     }
 }
 
 #[test]
 fn iim_too_small_for_the_window_deadlocks_in_both_step_modes() {
-    // Two IIM lines cannot hold a radius-1 window's three lines.
+    // Two IIM lines cannot hold a radius-1 window's three lines. The
+    // repeat call on the same engine gets the same verdict.
     for mode in MODES {
-        let verdict = intra(
+        let [first, repeat] = intra(
             config(2, 16, 2, mode),
             Dims::new(10, 8),
             &BoxBlur::con8(),
@@ -201,9 +229,10 @@ fn iim_too_small_for_the_window_deadlocks_in_both_step_modes() {
             32,
         );
         assert!(
-            matches!(verdict, Err(EngineError::PipelineHazard { .. })),
-            "{mode:?}: {verdict:?}"
+            matches!(first, Err(EngineError::PipelineHazard { .. })),
+            "{mode:?}: {first:?}"
         );
+        assert_eq!(first, repeat, "{mode:?}: the repeat call's verdict");
     }
 }
 
@@ -222,11 +251,11 @@ fn processing_stats_do_not_depend_on_pixel_contents() {
         for mode in MODES {
             let cfg = || config(16, 1 + case % 4, drain, mode);
             let context = format!("case {case} {dims:?} r{radius} drain {drain} ({mode:?})");
-            let a = intra(cfg(), dims, &op, seed_a, 48).expect(&context);
-            let b = intra(cfg(), dims, &op, seed_b, 48).expect(&context);
+            let a = ok(intra(cfg(), dims, &op, seed_a, 48), &context);
+            let b = ok(intra(cfg(), dims, &op, seed_b, 48), &context);
             assert_eq!(a, b, "intra {context}");
-            let a = inter(cfg(), dims, &AbsDiff::luma(), seed_a, 48).expect(&context);
-            let b = inter(cfg(), dims, &AbsDiff::luma(), seed_b, 48).expect(&context);
+            let a = ok(inter(cfg(), dims, &AbsDiff::luma(), seed_a, 48), &context);
+            let b = ok(inter(cfg(), dims, &AbsDiff::luma(), seed_b, 48), &context);
             assert_eq!(a, b, "inter {context}");
         }
     }
@@ -245,13 +274,74 @@ fn processing_stats_do_not_depend_on_the_operation_of_a_shape() {
             for drain in [1, 2, 5] {
                 let cfg = || config(16, 2, drain, mode);
                 let context = format!("{dims:?} drain {drain} ({mode:?})");
-                let sobel = intra(cfg(), dims, &SobelGradient::new(), seed, 64).expect(&context);
-                let blur = intra(cfg(), dims, &BoxBlur::con8(), seed, 64).expect(&context);
+                let sobel = ok(intra(cfg(), dims, &SobelGradient::new(), seed, 64), &context);
+                let blur = ok(intra(cfg(), dims, &BoxBlur::con8(), seed, 64), &context);
                 assert_eq!(sobel, blur, "intra {context}");
-                let luma = inter(cfg(), dims, &AbsDiff::luma(), seed, 64).expect(&context);
-                let yuv = inter(cfg(), dims, &AbsDiff::yuv(), seed, 64).expect(&context);
+                let luma = ok(inter(cfg(), dims, &AbsDiff::luma(), seed, 64), &context);
+                let yuv = ok(inter(cfg(), dims, &AbsDiff::yuv(), seed, 64), &context);
                 assert_eq!(luma, yuv, "inter {context}");
             }
+        }
+    }
+}
+
+/// One call of [`a_reused_engine_answers_every_call_like_a_fresh_one`]:
+/// an intra box blur of the given radius (`None`: an inter AbsDiff), the
+/// frame size and the stage-trace limit.
+type Call = (Option<usize>, Dims, usize);
+
+fn call(
+    engine: &mut AddressEngine,
+    (radius, dims, trace): Call,
+    seed: u64,
+) -> EngineResult<EngineRun> {
+    engine.set_trace_limit(trace);
+    let a = frame(dims, seed);
+    match radius {
+        Some(r) => engine.run_intra(&a, &BoxBlur::with_radius(r).expect("radius ≤ 4")),
+        None => engine.run_inter(&a, &frame(dims, seed ^ 0xb0b), &AbsDiff::luma()),
+    }
+}
+
+#[test]
+fn a_reused_engine_answers_every_call_like_a_fresh_one() {
+    // Each call differs from the one before it in exactly one field of
+    // the fast-forward skeleton key (width, height, radius, call kind,
+    // trace limit), so dropping any field from the key serves a call the
+    // previous call's skeleton. The last two calls repeat earlier ones.
+    let (w, h) = (Dims::new(20, 12), Dims::new(21, 12));
+    let hw = Dims::new(21, 13);
+    let calls: [Call; 10] = [
+        (Some(1), w, 0),
+        (Some(1), h, 0),
+        (Some(1), hw, 0),
+        (Some(2), hw, 0),
+        (Some(0), hw, 0),
+        (None, hw, 0),
+        (None, hw, 24),
+        (Some(0), hw, 24),
+        (Some(0), hw, 0),
+        (Some(1), w, 0),
+    ];
+    for mode in MODES {
+        let cfg = config(16, 4, 2, mode);
+        let mut reused = AddressEngine::new(cfg.clone()).expect("valid config");
+        for (i, &c) in calls.iter().enumerate() {
+            let context = format!("call {i} {c:?} ({mode:?})");
+            // A clean registry, so it holds this call's ZBT bank counters
+            // alone; the skeleton results survive the reset.
+            reused.reset_stats();
+            let got = call(&mut reused, c, i as u64).unwrap_or_else(|e| panic!("{context}: {e}"));
+            let mut fresh = AddressEngine::new(cfg.clone()).expect("valid config");
+            let want = call(&mut fresh, c, i as u64).unwrap_or_else(|e| panic!("{context}: {e}"));
+            assert_eq!(got.output, want.output, "{context}: output");
+            assert_eq!(got.report.processing, want.report.processing, "{context}: stats");
+            assert_eq!(got.report, want.report, "{context}: report");
+            assert!(
+                fresh.metrics().counter(zbt_bank_key(0)) > 0,
+                "{context}: no ZBT bank traffic recorded"
+            );
+            assert_eq!(reused.metrics(), fresh.metrics(), "{context}: metrics and ZBT banks");
         }
     }
 }
