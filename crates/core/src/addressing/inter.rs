@@ -22,7 +22,6 @@ use crate::addressing::CallReport;
 use crate::error::{CoreError, CoreResult};
 use crate::frame::Frame;
 use crate::ops::InterOp;
-use crate::scan::{scan_points, ScanOrder};
 
 /// Result of an inter call: the output frame plus the execution report.
 #[derive(Debug, Clone)]
@@ -34,33 +33,17 @@ pub struct InterResult {
     pub report: CallReport,
 }
 
-/// Runs an inter-addressing call over two frames with the default
-/// row-major scan.
+/// Runs an inter-addressing call over two frames: one
+/// [`InterOp::apply_row`] over the whole frames. A pointwise kernel reads
+/// and writes each position once whatever the scan order, so the access
+/// counts are closed-form: `n·k` reads and `n` writes for `n` pixels and
+/// `k` input reads per pixel.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::DimsMismatch`] when the frames differ in size and
 /// [`CoreError::EmptyFrame`] when they have zero area.
 pub fn run_inter(a: &Frame, b: &Frame, op: &impl InterOp) -> CoreResult<InterResult> {
-    run_inter_scanned(a, b, op, ScanOrder::RowMajor)
-}
-
-/// Runs an inter-addressing call with an explicit scan order.
-///
-/// The scan order does not change the result (inter kernels are pointwise)
-/// but determines the access pattern, which the engine simulator's strip
-/// transfer mirrors.
-///
-/// # Errors
-///
-/// Returns [`CoreError::DimsMismatch`] when the frames differ in size and
-/// [`CoreError::EmptyFrame`] when they have zero area.
-pub fn run_inter_scanned(
-    a: &Frame,
-    b: &Frame,
-    op: &impl InterOp,
-    scan: ScanOrder,
-) -> CoreResult<InterResult> {
     if a.dims() != b.dims() {
         return Err(CoreError::DimsMismatch {
             left: a.dims(),
@@ -72,22 +55,15 @@ pub fn run_inter_scanned(
     }
 
     let descriptor = CallDescriptor::inter(op.input_channels(), op.output_channels());
-    let mut counter = AccessCounter::new();
-    let mut output = a.clone();
-    let per_pixel_reads = descriptor.software_accesses_per_pixel() - 1;
+    let n = a.pixel_count();
+    let mut pixels = Vec::with_capacity(n);
+    op.apply_row(a.pixels(), b.pixels(), &mut pixels);
+    let output = Frame::from_pixels(a.dims(), pixels)?;
 
-    let mut applied = 0u64;
-    for p in scan_points(a.dims(), scan) {
-        let pa = a.get(p);
-        let pb = b.get(p);
-        counter.read(per_pixel_reads);
-        let result = op.apply(pa, pb);
-        let mut out = pa;
-        out.merge_channels(result, op.output_channels());
-        output.set(p, out);
-        counter.write(1);
-        applied += 1;
-    }
+    let applied = n as u64;
+    let mut counter = AccessCounter::new();
+    counter.read(applied * (descriptor.software_accesses_per_pixel() - 1));
+    counter.write(applied);
 
     Ok(InterResult {
         output,
@@ -104,8 +80,12 @@ pub fn run_inter_scanned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::{Dims, Point};
-    use crate::ops::arith::{AbsDiff, Add, ChangeMask, Sub};
+    use core::cell::Cell;
+
+    use crate::geometry::{Dims, ImageFormat, Point};
+    use crate::ops::arith::{AbsDiff, Add, Blend, ChangeMask, Mult, Sub};
+    use crate::ops::compose::InterThen;
+    use crate::ops::lut::Threshold;
     use crate::pixel::{ChannelSet, Pixel};
 
     fn frames() -> (Frame, Frame) {
@@ -172,16 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_order_does_not_change_result() {
-        let (a, b) = frames();
-        let base = run_inter(&a, &b, &Sub::yuv()).unwrap().output;
-        for order in ScanOrder::ALL {
-            let r = run_inter_scanned(&a, &b, &Sub::yuv(), order).unwrap();
-            assert_eq!(r.output, base, "{order}");
-        }
-    }
-
-    #[test]
     fn change_mask_merges_alpha_output() {
         let (a, b) = frames();
         let r = run_inter(&a, &b, &ChangeMask::new(15)).unwrap();
@@ -203,5 +173,117 @@ mod tests {
             r.report.descriptor.mode,
             crate::accounting::AddressingMode::Inter
         );
+    }
+
+    /// A frame of seeded pixels with every channel in play.
+    fn seeded(dims: Dims, mut state: u64) -> Frame {
+        Frame::from_fn(dims, |_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            Pixel::from_bits(state)
+        })
+    }
+
+    /// Reference executor: `apply` plus the channel merge at each
+    /// position, ticking the counter per pixel.
+    fn per_pixel_reference(a: &Frame, b: &Frame, op: &impl InterOp) -> (Frame, CallReport) {
+        let descriptor = CallDescriptor::inter(op.input_channels(), op.output_channels());
+        let mut counter = AccessCounter::new();
+        let mut output = a.clone();
+        for (p, pa) in a.enumerate() {
+            counter.read(descriptor.software_accesses_per_pixel() - 1);
+            let mut out = pa;
+            out.merge_channels(op.apply(pa, b.get(p)), op.output_channels());
+            output.set(p, out);
+            counter.write(1);
+        }
+        let n = a.pixel_count() as u64;
+        let report = CallReport {
+            descriptor,
+            dims: a.dims(),
+            pixels_processed: n,
+            op_applies: n,
+            counter,
+        };
+        (output, report)
+    }
+
+    /// `run_inter` on `op` and on `op` behind `&dyn InterOp` equals the
+    /// per-pixel reference on every contract geometry.
+    fn assert_row_contract<O: InterOp>(op: O) {
+        let qcif = ImageFormat::Qcif.dims();
+        let dims = [Dims::new(1, 1), Dims::new(1, 13), Dims::new(13, 1), Dims::new(7, 5), qcif];
+        for (i, dims) in dims.into_iter().enumerate() {
+            let a = seeded(dims, 0x9e37_79b9_7f4a_7c15 + i as u64);
+            let b = seeded(dims, 0x2545_f491_4f6c_dd1d + i as u64);
+            let (output, report) = per_pixel_reference(&a, &b, &op);
+            let dyn_op: &dyn InterOp = &op;
+            for (via, run) in [
+                ("concrete", run_inter(&a, &b, &op).unwrap()),
+                ("dyn", run_inter(&a, &b, &dyn_op).unwrap()),
+            ] {
+                let what = format!("{} {dims:?} {via}", op.name());
+                assert_eq!(run.output, output, "{what}");
+                assert_eq!(run.report, report, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_calls_match_the_per_pixel_reference() {
+        assert_row_contract(Add::luma());
+        assert_row_contract(Add::yuv());
+        assert_row_contract(Add::with_channels(ChannelSet::YUV.union(ChannelSet::AUX)));
+        assert_row_contract(Sub::luma());
+        assert_row_contract(Sub::yuv());
+        assert_row_contract(AbsDiff::luma());
+        assert_row_contract(AbsDiff::yuv());
+        assert_row_contract(Mult::luma());
+        assert_row_contract(Blend::new(77));
+        assert_row_contract(Blend::average());
+        assert_row_contract(ChangeMask::new(15));
+        assert_row_contract(InterThen::new("change", AbsDiff::luma(), Threshold::binary(40)));
+    }
+
+    /// Luma `AbsDiff` that counts the row calls it receives.
+    #[derive(Default)]
+    struct RowCounter {
+        rows: Cell<usize>,
+    }
+
+    impl InterOp for RowCounter {
+        fn name(&self) -> &'static str {
+            "row_counter"
+        }
+        fn input_channels(&self) -> ChannelSet {
+            ChannelSet::Y
+        }
+        fn output_channels(&self) -> ChannelSet {
+            ChannelSet::Y
+        }
+        fn apply(&self, a: Pixel, b: Pixel) -> Pixel {
+            AbsDiff::luma().apply(a, b)
+        }
+        fn apply_row(&self, a: &[Pixel], b: &[Pixel], out: &mut Vec<Pixel>) {
+            self.rows.set(self.rows.get() + 1);
+            AbsDiff::luma().apply_row(a, b, out);
+        }
+    }
+
+    #[test]
+    fn references_forward_the_row_method() {
+        // A forwarding impl that fell back to the provided per-pixel loop
+        // would call the inner `apply` per pixel and never its row method.
+        let (a, b) = frames();
+        let expect = run_inter(&a, &b, &AbsDiff::luma()).unwrap().output;
+        let op = RowCounter::default();
+        assert_eq!(run_inter(&a, &b, &op).unwrap().output, expect);
+        assert_eq!(op.rows.get(), 1);
+        assert_eq!(run_inter(&a, &b, &&op).unwrap().output, expect);
+        assert_eq!(op.rows.get(), 2, "&T forwards the row method");
+        let dyn_op: &dyn InterOp = &op;
+        assert_eq!(run_inter(&a, &b, &dyn_op).unwrap().output, expect);
+        assert_eq!(op.rows.get(), 3, "&dyn InterOp forwards the row method");
     }
 }

@@ -20,8 +20,21 @@
 use crate::ops::InterOp;
 use crate::pixel::{Channel, ChannelSet, Pixel};
 
-fn video_channels(set: ChannelSet) -> impl Iterator<Item = Channel> {
-    set.intersection(ChannelSet::YUV).iter()
+/// `a` with each video channel of `set` replaced by `f` of the two
+/// inputs' values; side channels stay `a`'s.
+#[inline]
+fn zip_video(set: ChannelSet, a: Pixel, b: Pixel, f: impl Fn(u8, u8) -> u8) -> Pixel {
+    let mut out = a;
+    if set.contains(Channel::Y) {
+        out.y = f(a.y, b.y);
+    }
+    if set.contains(Channel::U) {
+        out.u = f(a.u, b.u);
+    }
+    if set.contains(Channel::V) {
+        out.v = f(a.v, b.v);
+    }
+    out
 }
 
 /// Saturating per-channel addition of two pixels.
@@ -65,11 +78,7 @@ impl InterOp for Add {
         self.channels
     }
     fn apply(&self, a: Pixel, b: Pixel) -> Pixel {
-        let mut out = a;
-        for c in video_channels(self.channels) {
-            out.set_channel(c, (a.channel(c) + b.channel(c)).min(255));
-        }
-        out
+        zip_video(self.channels, a, b, u8::saturating_add)
     }
 }
 
@@ -108,11 +117,7 @@ impl InterOp for Sub {
         self.channels
     }
     fn apply(&self, a: Pixel, b: Pixel) -> Pixel {
-        let mut out = a;
-        for c in video_channels(self.channels) {
-            out.set_channel(c, a.channel(c).saturating_sub(b.channel(c)));
-        }
-        out
+        zip_video(self.channels, a, b, u8::saturating_sub)
     }
 }
 
@@ -152,11 +157,7 @@ impl InterOp for AbsDiff {
         self.channels
     }
     fn apply(&self, a: Pixel, b: Pixel) -> Pixel {
-        let mut out = a;
-        for c in video_channels(self.channels) {
-            out.set_channel(c, a.channel(c).abs_diff(b.channel(c)));
-        }
-        out
+        zip_video(self.channels, a, b, u8::abs_diff)
     }
 }
 
@@ -187,12 +188,7 @@ impl InterOp for Mult {
         self.channels
     }
     fn apply(&self, a: Pixel, b: Pixel) -> Pixel {
-        let mut out = a;
-        for c in video_channels(self.channels) {
-            let prod = u32::from(a.channel(c)) * u32::from(b.channel(c)) / 255;
-            out.set_channel(c, prod as u16);
-        }
-        out
+        zip_video(self.channels, a, b, |x, y| (u16::from(x) * u16::from(y) / 255) as u8)
     }
 }
 
@@ -233,13 +229,9 @@ impl InterOp for Blend {
     }
     fn apply(&self, a: Pixel, b: Pixel) -> Pixel {
         let w = u32::from(self.weight);
-        let mut out = a;
-        for c in video_channels(ChannelSet::YUV) {
-            let va = u32::from(a.channel(c));
-            let vb = u32::from(b.channel(c));
-            out.set_channel(c, ((w * va + (256 - w) * vb) >> 8) as u16);
-        }
-        out
+        zip_video(ChannelSet::YUV, a, b, |x, y| {
+            ((w * u32::from(x) + (256 - w) * u32::from(y)) >> 8) as u8
+        })
     }
 }
 

@@ -32,8 +32,11 @@ use crate::pixel::{ChannelSet, Pixel};
 /// A kernel for inter addressing: one output pixel from a pair of input
 /// pixels at the same position of two frames.
 ///
-/// Implementors should be cheap to call; the executors invoke them once per
-/// pixel. The kernel reports which channels it reads and writes so the
+/// Implementors define [`InterOp::apply`] for one pixel pair; the
+/// executors drive it through the provided [`InterOp::apply_row`], one
+/// call per row of pixels, so a `&dyn InterOp` costs one virtual call per
+/// row and the per-pixel loop is monomorphised for the concrete kernel.
+/// The kernel reports which channels it reads and writes so the
 /// memory-access accounting (Table 2) can attribute traffic exactly.
 pub trait InterOp {
     /// Short stable kernel name (used in reports and traces).
@@ -48,6 +51,23 @@ pub trait InterOp {
 
     /// Combines one pixel from frame A and one from frame B.
     fn apply(&self, a: Pixel, b: Pixel) -> Pixel;
+
+    /// Appends to `out` the output pixel of each pair `(a[i], b[i])`: the
+    /// channels of [`InterOp::apply`]'s result that
+    /// [`InterOp::output_channels`] names, merged into `a[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `a` and `b` differ in length.
+    fn apply_row(&self, a: &[Pixel], b: &[Pixel], out: &mut Vec<Pixel>) {
+        assert_eq!(a.len(), b.len(), "inter rows differ in length");
+        let set = self.output_channels();
+        out.extend(a.iter().zip(b).map(|(&pa, &pb)| {
+            let mut merged = pa;
+            merged.merge_channels(self.apply(pa, pb), set);
+            merged
+        }));
+    }
 }
 
 /// A kernel for intra addressing: one output pixel from the neighbourhood
@@ -82,6 +102,9 @@ impl<T: InterOp + ?Sized> InterOp for &T {
     }
     fn apply(&self, a: Pixel, b: Pixel) -> Pixel {
         (**self).apply(a, b)
+    }
+    fn apply_row(&self, a: &[Pixel], b: &[Pixel], out: &mut Vec<Pixel>) {
+        (**self).apply_row(a, b, out);
     }
 }
 

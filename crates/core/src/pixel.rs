@@ -188,10 +188,12 @@ impl Pixel {
     /// leaving the others untouched.
     ///
     /// This models an AddressLib call writing only its output channels.
+    /// It is one mask blend over the packed [`Pixel::to_bits`] form: every
+    /// channel keeps its width, so no value needs saturating.
+    #[inline]
     pub fn merge_channels(&mut self, src: Pixel, set: ChannelSet) {
-        for channel in set.iter() {
-            self.set_channel(channel, src.channel(channel));
-        }
+        let mask = set.bit_mask();
+        *self = Pixel::from_bits(self.to_bits() & !mask | src.to_bits() & mask);
     }
 }
 
@@ -267,6 +269,17 @@ impl Channel {
         match self {
             Channel::Y | Channel::U | Channel::V => 0,
             Channel::Alpha | Channel::Aux => 1,
+        }
+    }
+
+    /// The channel's bits in the packed [`Pixel::to_bits`] form.
+    const fn bit_mask(self) -> u64 {
+        match self {
+            Channel::Y => 0xff,
+            Channel::U => 0xff << 8,
+            Channel::V => 0xff << 16,
+            Channel::Alpha => 0xffff << 32,
+            Channel::Aux => 0xffff << 48,
         }
     }
 
@@ -382,6 +395,12 @@ impl ChannelSet {
     /// Iterates over the channels of the set in canonical order.
     pub fn iter(self) -> impl Iterator<Item = Channel> {
         Channel::ALL.into_iter().filter(move |c| self.contains(*c))
+    }
+
+    /// The bits of the set's channels in the packed [`Pixel::to_bits`]
+    /// form.
+    fn bit_mask(self) -> u64 {
+        self.iter().fold(0, |mask, c| mask | c.bit_mask())
     }
 
     /// Number of distinct 32-bit ZBT words touched by the channels of the
@@ -531,6 +550,44 @@ mod tests {
         let src = Pixel::new(10, 20, 30, 40, 50);
         dst.merge_channels(src, ChannelSet::Y.with(Channel::Alpha));
         assert_eq!(dst, Pixel::new(10, 2, 3, 40, 5));
+    }
+
+    /// Reference model of the mask blend: a per-channel `set_channel`
+    /// loop.
+    fn merge_reference(mut dst: Pixel, src: Pixel, set: ChannelSet) -> Pixel {
+        for channel in set.iter() {
+            dst.set_channel(channel, src.channel(channel));
+        }
+        dst
+    }
+
+    #[test]
+    fn merge_channels_matches_the_per_channel_loop() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut seeded = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            Pixel::from_bits(state)
+        };
+        let mut pixels = vec![
+            Pixel::default(),
+            Pixel::new(255, 255, 255, u16::MAX, u16::MAX),
+            Pixel::new(0, 0, 0, u16::MAX, 0),
+            Pixel::new(0, 0, 0, 0, u16::MAX),
+            Pixel::new(255, 0, 255, 0x8000, 0x00ff),
+        ];
+        pixels.extend((0..24).map(|_| seeded()));
+        for bits in 0..32u8 {
+            let set = ChannelSet(bits);
+            for &dst in &pixels {
+                for &src in &pixels {
+                    let mut merged = dst;
+                    merged.merge_channels(src, set);
+                    assert_eq!(merged, merge_reference(dst, src, set), "{set} {dst} <- {src}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,10 +9,15 @@
 //! identical to the software AddressLib result. This module exploits
 //! both facts:
 //!
-//! 1. **Batched datapath** — the input image is read out of the ZBT in
-//!    one pass (the exact access sequence the transmission unit would
-//!    issue, so bank statistics match), and the result pixels are
-//!    computed through the software addressing path once, up front.
+//! 1. **Batched datapath** — an intra call reads the input image out of
+//!    the ZBT in one pass (the exact access sequence the transmission
+//!    unit would issue, so bank statistics match) and computes the
+//!    result pixels through the software addressing path once, up front.
+//!    An inter call streams fixed-size chunks of pixel pairs from the
+//!    four input banks through the kernel's row method
+//!    ([`InterOp::apply_row`]) into the result banks, through buffers
+//!    reused across chunks; the accounting is per pixel, so it matches
+//!    the stepped datapath's pair reads and result writes.
 //! 2. **Integer timing skeleton** — both skeletons run through the same
 //!    cycle loop as the stepped simulator, with the same control FSM,
 //!    [`Pipeline`] and [`Oim`] (OIM port, TxU, stages 4→1), but the
@@ -67,6 +72,7 @@ use vip_core::border::BorderPolicy;
 use vip_core::frame::Frame;
 use vip_core::geometry::{Dims, Point};
 use vip_core::ops::{InterOp, IntraOp};
+use vip_core::pixel::Pixel;
 
 use crate::config::EngineConfig;
 use crate::error::EngineResult;
@@ -284,9 +290,15 @@ impl Datapath for IntraSkeleton {
     }
 }
 
+/// Pixel pairs the fast-forward inter datapath streams per chunk from the
+/// input banks into the result banks.
+pub const INTER_CHUNK: usize = 1024;
+
 /// Fast-forward equivalent of
 /// [`crate::process_unit::run_inter_detailed`], probe output included.
-/// The timing skeleton runs once per geometry on `skeletons`.
+/// The timing skeleton runs once per geometry on `skeletons`; the pixel
+/// pairs stream through [`InterOp::apply_row`] in chunks of
+/// [`INTER_CHUNK`].
 ///
 /// # Errors
 ///
@@ -301,20 +313,10 @@ pub fn run_inter_fast<O: InterOp>(
     probe: &PuProbe,
 ) -> EngineResult<ProcessingStats> {
     let total = dims.pixel_count();
-
-    // Batched datapath: stage 2 reads each pixel pair exactly once, in
-    // index order; the result is the stepped loop's own computation.
-    let out_channels = op.output_channels();
-    let out_pixels: Vec<_> = zbt
-        .read_input_pair_run(0, total)?
-        .into_iter()
-        .map(|(a, b)| {
-            let result = op.apply(a, b);
-            let mut out = a;
-            out.merge_channels(result, out_channels);
-            out
-        })
-        .collect();
+    // Bounds-check the whole run before the skeleton publishes anything,
+    // so a frame that does not fit the input banks fails with the same
+    // error, before any probe output, however the run is chunked.
+    zbt.check_input_pair_run(0, total)?;
 
     let key = SkeletonKey {
         intra: false,
@@ -325,7 +327,22 @@ pub fn run_inter_fast<O: InterOp>(
     let stats = skeletons.replay(key, probe, |config, log| {
         run_phase(&mut InterSkeleton, dims, config, trace_limit, Some(log))
     })?;
-    zbt.write_result_run(0, total, &out_pixels)?;
+
+    // Streamed datapath: each chunk of pairs goes through the kernel's
+    // row method (the stepped loop's own `apply` + merge) straight into
+    // the result banks. Per-bank accounting is per pixel, so the chunking
+    // is unobservable.
+    let mut a = [Pixel::default(); INTER_CHUNK];
+    let mut b = [Pixel::default(); INTER_CHUNK];
+    let mut out = Vec::with_capacity(INTER_CHUNK);
+    for start in (0..total).step_by(INTER_CHUNK) {
+        let len = INTER_CHUNK.min(total - start);
+        let (a, b) = (&mut a[..len], &mut b[..len]);
+        zbt.read_input_pair_chunk(start, a, b)?;
+        out.clear();
+        op.apply_row(a, b, &mut out);
+        zbt.write_result_run(start, total, &out)?;
+    }
     Ok(stats)
 }
 
@@ -356,7 +373,6 @@ mod tests {
     use crate::process_unit::{run_inter_detailed, run_intra_detailed};
     use vip_core::ops::arith::AbsDiff;
     use vip_core::ops::filter::{BoxBlur, Identity, SobelGradient};
-    use vip_core::pixel::Pixel;
 
     fn load_input(zbt: &mut ZbtMemory, region: ZbtRegion, frame: &Frame) {
         for (i, px) in frame.pixels().iter().enumerate() {

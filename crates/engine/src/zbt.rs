@@ -393,41 +393,59 @@ impl ZbtMemory {
         Ok(out)
     }
 
-    /// Reads a run of `count` pixel pairs from both input regions — the
-    /// bulk form of [`ZbtMemory::read_input_pair`] with identical
-    /// accounting (all four banks fire together, one cycle per pair).
+    /// Checks that pixel pairs `start..start + count` lie inside all four
+    /// input banks, with the error a bulk read of that run reports.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::ZbtOutOfRange`] when the run exceeds a bank.
-    pub fn read_input_pair_run(
-        &mut self,
-        start: usize,
-        count: usize,
-    ) -> EngineResult<Vec<(Pixel, Pixel)>> {
+    pub(crate) fn check_input_pair_run(&self, start: usize, count: usize) -> EngineResult<()> {
         if count == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let (a, b) = (self.region_banks(ZbtRegion::InputA), self.region_banks(ZbtRegion::InputB));
-        let pair_banks = [a.0, a.1, b.0, b.1];
-        for bank in pair_banks {
+        for bank in [a.0, a.1, b.0, b.1] {
             self.check(bank, start + count - 1)?;
         }
+        Ok(())
+    }
+
+    /// Reads the pixel pairs at `start..start + a.len()` of both input
+    /// regions into `a` and `b` — the bulk form of
+    /// [`ZbtMemory::read_input_pair`] with identical accounting (all four
+    /// banks fire together, one cycle per pair), into caller-owned
+    /// buffers so a run can stream through in fixed-size chunks.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::ZbtOutOfRange`] when the chunk exceeds a
+    /// bank; nothing is read or counted then.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `a` and `b` differ in length.
+    pub fn read_input_pair_chunk(
+        &mut self,
+        start: usize,
+        a: &mut [Pixel],
+        b: &mut [Pixel],
+    ) -> EngineResult<()> {
+        assert_eq!(a.len(), b.len(), "pair chunk halves differ in length");
+        let count = a.len();
+        self.check_input_pair_run(start, count)?;
         let range = start..start + count;
-        let banks = self.banks();
-        let out = banks[a.0][range.clone()]
-            .iter()
-            .zip(&banks[a.1][range.clone()])
-            .zip(banks[b.0][range.clone()].iter().zip(&banks[b.1][range]))
-            .map(|((&a_lo, &a_hi), (&b_lo, &b_hi))| {
-                (Pixel::from_words(a_lo, a_hi), Pixel::from_words(b_lo, b_hi))
-            })
-            .collect();
-        for bank in pair_banks {
-            self.stats[bank].word_reads += count as u64;
+        for (region, dst) in [(ZbtRegion::InputA, a), (ZbtRegion::InputB, b)] {
+            let (lo_bank, hi_bank) = self.region_banks(region);
+            let banks = self.banks();
+            let words = banks[lo_bank][range.clone()].iter().zip(&banks[hi_bank][range.clone()]);
+            for (px, (&lo, &hi)) in dst.iter_mut().zip(words) {
+                *px = Pixel::from_words(lo, hi);
+            }
+            self.stats[lo_bank].word_reads += count as u64;
+            self.stats[hi_bank].word_reads += count as u64;
         }
         self.pixel_access_cycles += count as u64;
-        Ok(out)
+        Ok(())
     }
 
     /// Writes a run of result pixels starting at `start` — the bulk form
@@ -678,7 +696,15 @@ mod tests {
         assert_eq!(b.read_input_run(ZbtRegion::InputA, 0, total).unwrap(), singles);
         let pairs: Vec<(Pixel, Pixel)> =
             (0..total).map(|i| a.read_input_pair(i).unwrap()).collect();
-        assert_eq!(b.read_input_pair_run(0, total).unwrap(), pairs);
+        // Chunks of 16 leave a partial last chunk of 3.
+        let mut chunked = Vec::new();
+        for start in (0..total).step_by(16) {
+            let len = 16.min(total - start);
+            let (mut ca, mut cb) = (vec![Pixel::BLACK; len], vec![Pixel::BLACK; len]);
+            b.read_input_pair_chunk(start, &mut ca, &mut cb).unwrap();
+            chunked.extend(ca.into_iter().zip(cb));
+        }
+        assert_eq!(chunked, pairs);
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.pixel_access_cycles(), b.pixel_access_cycles());
 
@@ -704,7 +730,8 @@ mod tests {
         let far = z.bank_words() - 2;
         assert!(z.write_input_run(ZbtRegion::InputA, far, &px).is_err());
         assert!(z.read_input_run(ZbtRegion::InputA, far, 4).is_err());
-        assert!(z.read_input_pair_run(far, 4).is_err());
+        let (mut ca, mut cb) = (px.clone(), px.clone());
+        assert!(z.read_input_pair_chunk(far, &mut ca, &mut cb).is_err());
         assert!(z.write_result_run(far, 2 * z.bank_words(), &px).is_err());
         assert!(z.read_result_run(far, 2 * z.bank_words(), 4).is_err());
         // Empty runs are free no-ops.

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full offline verification: release build, tests, static verifier, the
-# fig. 5/fig. 4 harnesses, the GME utilization report and Chrome trace, a
-# perfbench smoke run, and clippy (perfbench and workspace) and rustdoc
-# with warnings denied. This is exactly what CI runs; run it before pushing.
+# fig. 5/fig. 4 harnesses, the four examples, the GME utilization report
+# and Chrome trace, a perfbench smoke run, and clippy (perfbench and
+# workspace) and rustdoc with warnings denied. This is exactly what CI
+# runs; run it before pushing.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -21,6 +22,11 @@ cargo run --release -q -p vip-bench --bin fig5
 
 echo "==> fig4 (sweeps radius-4 windows out of the IIM, one fetch per window)"
 cargo run --release -q -p vip-bench --bin fig4
+
+echo "==> examples (each asserts its own results; a non-zero exit fails)"
+for example in quickstart surveillance_diff segmentation_grow motion_mosaic; do
+    cargo run --release -q -p vip --example "$example" > /dev/null
+done
 
 echo "==> vipctl report/trace gme (a recorder on a reused detailed engine: replayed skeleton spans)"
 obs_out=$(mktemp -d)

@@ -19,12 +19,14 @@ use vip::check::schedule::instants;
 use vip::core::border::BorderPolicy;
 use vip::core::frame::Frame;
 use vip::core::geometry::{Dims, Point};
-use vip::core::ops::arith::AbsDiff;
+use vip::core::addressing::inter::run_inter;
+use vip::core::geometry::ImageFormat;
+use vip::core::ops::arith::{AbsDiff, ChangeMask};
 use vip::core::ops::filter::{BoxBlur, SobelGradient};
 use vip::core::ops::segment_ops::HomogeneityCriterion;
-use vip::core::ops::IntraOp;
+use vip::core::ops::{InterOp, IntraOp};
 use vip::core::pixel::Pixel;
-use vip::engine::fast::{run_inter_fast, run_intra_fast, Skeletons};
+use vip::engine::fast::{run_inter_fast, run_intra_fast, Skeletons, INTER_CHUNK};
 use vip::engine::process_unit::{run_inter_detailed, run_intra_detailed, ProcessingStats, PuProbe};
 use vip::engine::zbt::{ZbtMemory, ZbtRegion};
 use vip::engine::{AddressEngine, EngineConfig, EngineError, EngineRun, StepMode};
@@ -320,22 +322,22 @@ fn intra_on<O: IntraOp>(
     }
 }
 
-/// One AbsDiff inter call straight on the datapath `mode` selects
+/// One inter call of `op` straight on the datapath `mode` selects
 /// (fast-forward with no skeleton results yet).
-fn inter_on(
+fn inter_on<O: InterOp>(
     mode: StepMode,
     zbt: &mut ZbtMemory,
     dims: Dims,
+    op: &O,
     config: &EngineConfig,
     trace_limit: usize,
     probe: &PuProbe,
 ) -> Result<ProcessingStats, EngineError> {
-    let op = AbsDiff::luma();
     match mode {
-        StepMode::CycleStepped => run_inter_detailed(zbt, dims, &op, config, trace_limit, probe),
+        StepMode::CycleStepped => run_inter_detailed(zbt, dims, op, config, trace_limit, probe),
         StepMode::FastForward => {
             let skeletons = &mut Skeletons::new(config.clone());
-            run_inter_fast(zbt, skeletons, dims, &op, trace_limit, probe)
+            run_inter_fast(zbt, skeletons, dims, op, trace_limit, probe)
         }
     }
 }
@@ -368,7 +370,7 @@ fn datapaths_publish_byte_identical_probe_recordings() {
             &config,
             &[(ZbtRegion::InputA, &a), (ZbtRegion::InputB, &b)],
             &format!("inter seed {seed} {dims:?}"),
-            |mode, zbt, probe| inter_on(mode, zbt, dims, &config, 24, probe),
+            |mode, zbt, probe| inter_on(mode, zbt, dims, &AbsDiff::luma(), &config, 24, probe),
         ));
     }
 
@@ -386,6 +388,58 @@ fn datapaths_publish_byte_identical_probe_recordings() {
         &config,
         &[(ZbtRegion::InputA, &a), (ZbtRegion::InputB, &b)],
         "96x72 absdiff",
-        |mode, zbt, probe| inter_on(mode, zbt, dims, &config, 0, probe),
+        |mode, zbt, probe| inter_on(mode, zbt, dims, &AbsDiff::luma(), &config, 0, probe),
     ));
+}
+
+#[test]
+fn inter_chunks_are_unobservable() {
+    // The fast-forward inter datapath streams INTER_CHUNK pixel pairs at a
+    // time. At pixel counts off the chunk grid, with the Res_block_A/B
+    // split (ceil(px/2)) inside a chunk, on a chunk edge and on 1×N / N×1
+    // frames, it must leave what the per-pixel stepped datapath leaves
+    // and compute what the software library computes.
+    let split_inside = |px: usize| !px.div_ceil(2).is_multiple_of(INTER_CHUNK);
+    let cases = [
+        Dims::new(1, 1),
+        Dims::new(7, 5),
+        Dims::new(1, 2 * INTER_CHUNK + 3),
+        Dims::new(INTER_CHUNK + 5, 1),
+        Dims::new(INTER_CHUNK / 16, 32),
+        ImageFormat::Qcif.dims(),
+    ];
+    assert!(split_inside(cases[2].pixel_count()) && split_inside(cases[5].pixel_count()));
+    assert_eq!(cases[4].pixel_count(), 2 * INTER_CHUNK, "split on a chunk edge");
+    let config = EngineConfig::prototype_detailed();
+    let op = ChangeMask::new(20);
+    for dims in cases {
+        let seeded = |seed: u64| {
+            let mut rng = vip::video::rng::XorShift64::new(seed);
+            Frame::from_fn(dims, |_| Pixel::from_bits(rng.next_u64()))
+        };
+        let (a, b) = (seeded(dims.pixel_count() as u64), seeded(!dims.pixel_count() as u64));
+        let mut runs = Vec::new();
+        for mode in [StepMode::CycleStepped, StepMode::FastForward] {
+            let mut zbt = ZbtMemory::new(&config);
+            zbt.write_input_run(ZbtRegion::InputA, 0, a.pixels()).expect("input fits");
+            zbt.write_input_run(ZbtRegion::InputB, 0, b.pixels()).expect("input fits");
+            zbt.reset_stats();
+            let session = vip::engine::Session::new();
+            let probe = PuProbe::new(session.recorder(), 1_000, 1e9 / config.engine_clock.hz);
+            let stats = inter_on(mode, &mut zbt, dims, &op, &config, 8, &probe)
+                .unwrap_or_else(|e| panic!("{dims:?} {mode:?}: {e}"));
+            let (banks, cycles) = (zbt.stats().to_vec(), zbt.pixel_access_cycles());
+            let total = dims.pixel_count();
+            let output = zbt.read_result_run(0, total, total).expect("result fits");
+            runs.push((stats, banks, cycles, output, session.finish().to_chrome_json()));
+        }
+        let (stepped, fast) = (&runs[0], &runs[1]);
+        assert_eq!(stepped.0, fast.0, "{dims:?}: ProcessingStats diverge");
+        assert_eq!(stepped.1, fast.1, "{dims:?}: per-bank stats diverge");
+        assert_eq!(stepped.2, fast.2, "{dims:?}: pixel access cycles diverge");
+        assert_eq!(stepped.3, fast.3, "{dims:?}: result pixels diverge");
+        assert!(stepped.4 == fast.4, "{dims:?}: recordings diverge");
+        let software = run_inter(&a, &b, &op).expect("software call succeeds").output;
+        assert_eq!(fast.3, software.pixels(), "{dims:?}: fast-forward differs from software");
+    }
 }
