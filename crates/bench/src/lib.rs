@@ -191,16 +191,70 @@ mod tests {
         assert!(json.contains("\"speedup\":3"), "{json}");
     }
 
+    /// The `table3 --quick` rows, pinned exactly: any change to the GME,
+    /// the kernels or the timing models that moves the paper's headline
+    /// fails here. Per sequence: frames, intra calls, inter calls, and the
+    /// bits of `pm_seconds`, `fpga_seconds` and `mean_truth_error`. An
+    /// intended change updates these values and EXPERIMENTS.md together.
     #[test]
     fn quick_row_produces_sane_numbers() {
-        let seq = TestSequence::movie();
-        let row = run_table3_row(&seq, Some((64, 48, 4)));
-        assert_eq!(row.name, "movie");
-        assert_eq!(row.frames, 4);
-        assert!(row.pm_seconds > 0.0);
-        assert!(row.fpga_seconds > 0.0);
-        assert!(row.speedup() > 1.0, "engine must win: {}", row.speedup());
-        assert!(row.intra_calls > row.inter_calls / 2);
-        assert!(row.mean_truth_error < 2.0, "{}", row.mean_truth_error);
+        type Pin = (&'static str, usize, u64, u64, [u64; 3]);
+        let pinned: [Pin; 4] = [
+            (
+                "singapore",
+                12,
+                150,
+                93,
+                [0x3fc8e19332cd31ce, 0x3faa96ed2a74f78d, 0x3fd75a58f03fce1c],
+            ),
+            (
+                "dome",
+                12,
+                170,
+                113,
+                [0x3fd2366506bfe2af, 0x3fb338d27b55731e, 0x3fb3f3df60c853b5],
+            ),
+            (
+                "pisa",
+                12,
+                162,
+                105,
+                [0x3fd1dea14dc30171, 0x3fb2b30910f9ae2e, 0x3fb77ce8ec74ed2d],
+            ),
+            (
+                "movie",
+                12,
+                156,
+                99,
+                [0x3fccf8df449e9580, 0x3faebc7468e945c8, 0x3f941177466bc229],
+            ),
+        ];
+        let sequences = TestSequence::table3();
+        assert_eq!(sequences.len(), pinned.len());
+        for (seq, (name, frames, intra, inter, bits)) in sequences.iter().zip(pinned) {
+            let row = run_table3_row(seq, Some((88, 72, 12)));
+            assert_eq!(row.name, name);
+            assert_eq!(
+                (row.frames, row.intra_calls, row.inter_calls),
+                (frames, intra, inter),
+                "{name} frames and calls"
+            );
+            let measured = [row.pm_seconds, row.fpga_seconds, row.mean_truth_error];
+            assert_eq!(
+                measured.map(f64::to_bits),
+                bits,
+                "{name} pm_seconds, fpga_seconds, mean_truth_error: {measured:?}"
+            );
+            assert!(
+                row.speedup() > 1.0,
+                "{name}: engine must win: {}",
+                row.speedup()
+            );
+            assert!(
+                row.mean_truth_error < 2.0,
+                "{name}: {}",
+                row.mean_truth_error
+            );
+        }
     }
 }

@@ -25,17 +25,6 @@ use crate::frame::Frame;
 use crate::geometry::Point;
 use crate::neighborhood::Window;
 use crate::ops::IntraOp;
-use crate::scan::{scan_points, ScanOrder};
-
-/// Options of an intra call beyond the kernel itself.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct IntraOptions {
-    /// Scan order of the sweep (default row-major).
-    pub scan: ScanOrder,
-    /// Border policy for window samples outside the frame (default clamp,
-    /// matching the IIM's edge-line replication).
-    pub border: BorderPolicy,
-}
 
 /// Result of an intra call: the output frame plus the execution report.
 #[derive(Debug, Clone)]
@@ -47,17 +36,19 @@ pub struct IntraResult {
     pub report: CallReport,
 }
 
-/// Runs an intra-addressing call with default options.
+/// Runs an intra-addressing call with clamped borders, matching the IIM's
+/// edge-line replication.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::EmptyFrame`] when the frame has zero area.
 pub fn run_intra(frame: &Frame, op: &impl IntraOp) -> CoreResult<IntraResult> {
-    run_intra_with(frame, op, IntraOptions::default())
+    run_intra_with(frame, op, BorderPolicy::Clamp)
 }
 
-/// Runs an intra-addressing call with explicit scan order and border
-/// policy.
+/// Runs an intra-addressing call with an explicit border policy for
+/// window samples outside the frame. The sweep is row-major; the kernel
+/// reads only the input frame, so the order cannot change the result.
 ///
 /// # Errors
 ///
@@ -65,7 +56,7 @@ pub fn run_intra(frame: &Frame, op: &impl IntraOp) -> CoreResult<IntraResult> {
 pub fn run_intra_with(
     frame: &Frame,
     op: &impl IntraOp,
-    options: IntraOptions,
+    border: BorderPolicy,
 ) -> CoreResult<IntraResult> {
     if frame.dims().is_empty() {
         return Err(CoreError::EmptyFrame);
@@ -80,8 +71,8 @@ pub fn run_intra_with(
     // One window reused across the sweep: `regather` refills the sample
     // buffer in place instead of allocating per pixel.
     let mut window = Window::from_samples(Point::ORIGIN, op.shape(), std::iter::empty());
-    for p in scan_points(frame.dims(), options.scan) {
-        window.regather(frame, p, options.border);
+    for p in frame.dims().bounds().points() {
+        window.regather(frame, p, border);
         counter.read(per_pixel_reads);
         let result = op.apply(&window);
         let mut out = frame.get(p);
@@ -108,7 +99,7 @@ mod tests {
     use super::*;
     use crate::geometry::{Dims, Point};
     use crate::neighborhood::Connectivity;
-    use crate::ops::filter::{Binomial3, BoxBlur, Identity, SobelGradient};
+    use crate::ops::filter::{BoxBlur, Identity, SobelGradient};
     use crate::ops::morph::{Dilate, Erode, MorphGradient};
     use crate::pixel::{ChannelSet, Pixel};
 
@@ -162,42 +153,15 @@ mod tests {
     }
 
     #[test]
-    fn scan_order_invariance() {
-        // Intra kernels read only the input frame, so results are
-        // scan-order independent (the engine relies on this to choose its
-        // strip orientation freely).
-        let f = spot();
-        let base = run_intra(&f, &Binomial3::new()).unwrap().output;
-        for order in ScanOrder::ALL {
-            let opts = IntraOptions {
-                scan: order,
-                ..IntraOptions::default()
-            };
-            let r = run_intra_with(&f, &Binomial3::new(), opts).unwrap();
-            assert_eq!(r.output, base, "{order}");
-        }
-    }
-
-    #[test]
     fn border_policy_changes_edges_only() {
         let f = spot();
-        let clamp = run_intra_with(
-            &f,
-            &BoxBlur::con8(),
-            IntraOptions {
-                border: BorderPolicy::Clamp,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .output;
+        let clamp = run_intra_with(&f, &BoxBlur::con8(), BorderPolicy::Clamp)
+            .unwrap()
+            .output;
         let constant = run_intra_with(
             &f,
             &BoxBlur::con8(),
-            IntraOptions {
-                border: BorderPolicy::Constant(Pixel::from_luma(255)),
-                ..Default::default()
-            },
+            BorderPolicy::Constant(Pixel::from_luma(255)),
         )
         .unwrap()
         .output;

@@ -27,7 +27,6 @@ use crate::error::{CoreError, CoreResult};
 use crate::frame::Frame;
 use crate::geometry::Point;
 use crate::ops::segment_ops::NeighborCriterion;
-use crate::scan::{scan_points, ScanOrder};
 
 /// A complete frame labelling.
 #[derive(Debug, Clone)]
@@ -105,7 +104,7 @@ pub fn label_all_segments(
     let mut segments: Vec<Vec<SegmentPixel>> = Vec::new();
     let mut counter = AccessCounter::new();
 
-    for seed in scan_points(dims, ScanOrder::RowMajor) {
+    for seed in dims.bounds().points() {
         if work.get(seed).alpha != 0 {
             continue;
         }

@@ -73,7 +73,6 @@ pub use frame::Frame;
 pub use geometry::{Dims, ImageFormat, Point, Rect};
 pub use neighborhood::{Connectivity, Window};
 pub use pixel::{Channel, ChannelSet, Pixel};
-pub use scan::ScanOrder;
 
 #[cfg(test)]
 mod tests {
@@ -81,7 +80,6 @@ mod tests {
     fn reexports_compile() {
         let _ = crate::Pixel::from_luma(1);
         let _ = crate::Dims::new(1, 1);
-        let _ = crate::ScanOrder::RowMajor;
         let _ = crate::Connectivity::Con8;
         let _ = crate::BorderPolicy::Clamp;
     }

@@ -59,12 +59,6 @@ impl Add {
             channels: ChannelSet::YUV,
         }
     }
-
-    /// Addition on an arbitrary video channel subset.
-    #[must_use]
-    pub const fn with_channels(channels: ChannelSet) -> Self {
-        Add { channels }
-    }
 }
 
 impl InterOp for Add {
@@ -360,7 +354,7 @@ mod tests {
             2,
             "change mask writes Y and alpha"
         );
-        assert_eq!(Add::with_channels(ChannelSet::Y).input_channels(), ChannelSet::Y);
+        assert_eq!(Add::luma().input_channels(), ChannelSet::Y);
         assert_eq!(Blend::average().input_channels(), ChannelSet::YUV);
         assert_eq!(Mult::luma().input_channels(), ChannelSet::Y);
     }

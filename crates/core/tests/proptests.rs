@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use vip_core::accounting::CallDescriptor;
 use vip_core::addressing::inter::run_inter;
-use vip_core::addressing::intra::{run_intra, run_intra_with, IntraOptions};
+use vip_core::addressing::intra::run_intra;
 use vip_core::addressing::segment::{run_segment, SegmentOptions};
 use vip_core::border::BorderPolicy;
 use vip_core::frame::Frame;
@@ -21,7 +21,7 @@ use vip_core::ops::reduce::{sad, ssd, Histogram, LumaStats};
 use vip_core::ops::segment_ops::HomogeneityCriterion;
 use vip_core::ops::InterOp;
 use vip_core::pixel::{Channel, ChannelSet, Pixel};
-use vip_core::scan::{scan_points, strips, ScanOrder};
+use vip_core::scan::strips;
 
 fn arb_pixel() -> impl Strategy<Value = Pixel> {
     (any::<u8>(), any::<u8>(), any::<u8>(), any::<u16>(), any::<u16>())
@@ -66,31 +66,15 @@ proptest! {
     }
 
     #[test]
-    fn scan_orders_are_permutations(dims in arb_dims()) {
-        for order in ScanOrder::ALL {
-            let mut seen = vec![false; dims.pixel_count()];
-            for p in scan_points(dims, order) {
-                prop_assert!(dims.contains(p));
-                let idx = dims.index_of(p);
-                prop_assert!(!seen[idx], "{} revisits {}", order, p);
-                seen[idx] = true;
-            }
-            prop_assert!(seen.iter().all(|&s| s));
-        }
-    }
-
-    #[test]
     fn strips_partition_frame(dims in arb_dims(), strip_len in 1usize..20) {
-        for order in [ScanOrder::RowMajor, ScanOrder::ColumnMajor] {
-            let ss = strips(dims, order, strip_len);
-            let total: usize = ss.iter().map(|s| s.pixel_count(dims)).sum();
-            prop_assert_eq!(total, dims.pixel_count());
-            // Contiguous, non-overlapping.
-            let mut expected_start = 0;
-            for s in &ss {
-                prop_assert_eq!(s.start, expected_start);
-                expected_start += s.len;
-            }
+        let ss = strips(dims, strip_len);
+        let total: usize = ss.iter().map(|s| s.pixel_count(dims)).sum();
+        prop_assert_eq!(total, dims.pixel_count());
+        // Contiguous, non-overlapping.
+        let mut expected_start = 0;
+        for s in &ss {
+            prop_assert_eq!(s.start, expected_start);
+            expected_start += s.len;
         }
     }
 
@@ -184,16 +168,6 @@ proptest! {
         prop_assert!(stats_out.max <= stats_in.max);
         // Smoothing never increases variance beyond input (allow rounding).
         prop_assert!(stats_out.variance <= stats_in.variance + 1.0);
-    }
-
-    #[test]
-    fn intra_scan_order_invariant(f in arb_frame()) {
-        let base = run_intra(&f, &BoxBlur::con8()).expect("valid").output;
-        for order in ScanOrder::ALL {
-            let r = run_intra_with(&f, &BoxBlur::con8(),
-                IntraOptions { scan: order, ..Default::default() }).expect("valid");
-            prop_assert_eq!(&r.output, &base);
-        }
     }
 
     #[test]

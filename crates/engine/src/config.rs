@@ -10,7 +10,11 @@ use crate::error::{EngineError, EngineResult};
 pub enum SimulationFidelity {
     /// Cycle-level simulation: pixels flow through ZBT → IIM → matrix
     /// register → Process Unit pipeline → OIM → ZBT, advanced as
-    /// [`StepMode`] says. Use for verification, traces and the fig. 5 print.
+    /// [`StepMode`] says. The cycle-stepped datapath computes each pixel
+    /// from the matrix register; the fast-forward one computes the same
+    /// pixels with the software AddressLib. Window samples outside the
+    /// frame clamp, as the IIM re-delivers edge lines. Use for
+    /// verification, traces and the fig. 5 print.
     Detailed,
     /// Analytic cycle counts derived from the same architectural
     /// parameters, validated against [`SimulationFidelity::Detailed`] on

@@ -25,7 +25,7 @@
 //! ```
 
 use vip_core::geometry::Dims;
-use vip_core::scan::{strips, ScanOrder};
+use vip_core::scan::strips;
 use vip_obs::{Recorder, Track};
 
 use crate::clock::Cycles;
@@ -174,7 +174,7 @@ pub fn schedule_intra_call(dims: Dims, config: &EngineConfig) -> DmaSchedule {
     let mut pci = PciBus::new(config);
     pci.interrupt();
     let mut input_strips = Vec::new();
-    for s in strips(dims, ScanOrder::RowMajor, config.strip_lines) {
+    for s in strips(dims, config.strip_lines) {
         let t = pci.schedule(Direction::HostToBoard, s.bytes(dims), Cycles::ZERO);
         input_strips.push(StripTransfer {
             strip: s.index,
@@ -197,7 +197,7 @@ pub fn schedule_intra_call(dims: Dims, config: &EngineConfig) -> DmaSchedule {
 pub fn schedule_inter_call(dims: Dims, config: &EngineConfig) -> DmaSchedule {
     let mut pci = PciBus::new(config);
     pci.interrupt();
-    let image_strips = strips(dims, ScanOrder::RowMajor, config.strip_lines);
+    let image_strips = strips(dims, config.strip_lines);
     let mut input_strips = Vec::new();
     match config.inter_overlap {
         InterOverlap::Sequential => {

@@ -29,9 +29,7 @@
 //! ```
 
 use vip_core::accounting::{AccessModel, CallDescriptor};
-use vip_core::addressing::intra::IntraOptions;
 use vip_core::addressing::segment::{SegmentOptions, SegmentResult};
-use vip_core::border::BorderPolicy;
 use vip_core::frame::Frame;
 use vip_core::geometry::Point;
 use vip_core::ops::segment_ops::NeighborCriterion;
@@ -263,44 +261,20 @@ impl AddressEngine {
         Ok(Frame::from_pixels(dims, pixels)?)
     }
 
-    /// Runs an intra call with the default clamp border.
+    /// Runs an intra call. Window samples outside the frame clamp to the
+    /// nearest edge pixel, as the IIM re-delivers edge lines (§3.1).
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::FrameTooLarge`] when the frame exceeds the
     /// ZBT capacity, and propagates AddressLib errors.
     pub fn run_intra<O: IntraOp>(&mut self, frame: &Frame, op: &O) -> EngineResult<EngineRun> {
-        self.run_intra_with(frame, op, BorderPolicy::Clamp)
-    }
-
-    /// Runs an intra call with an explicit border policy.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`AddressEngine::run_intra`].
-    pub fn run_intra_with<O: IntraOp>(
-        &mut self,
-        frame: &Frame,
-        op: &O,
-        border: BorderPolicy,
-    ) -> EngineResult<EngineRun> {
         self.check_fits(frame)?;
         let descriptor =
             CallDescriptor::intra(op.shape(), op.input_channels(), op.output_channels());
         let timeline = intra_timeline(frame.dims(), op.shape().radius(), &self.config);
         let access_model = AccessModel::for_call(&descriptor, frame.dims());
 
-        // The hardware IIM replicates edge lines (clamp); other border
-        // policies exist only in the software library. Refuse rather
-        // than silently diverge.
-        if self.config.fidelity == SimulationFidelity::Detailed
-            && !matches!(border, BorderPolicy::Clamp)
-            && op.shape().radius() > 0
-        {
-            return Err(EngineError::UnsupportedCapability {
-                capability: "non-clamp border policies in the cycle-stepped datapath",
-            });
-        }
         // The strip schedule doubles as the trace's PCI/DMA span source
         // and the processing-phase time origin; only built when recording.
         let schedule = self
@@ -319,31 +293,18 @@ impl AddressEngine {
                 );
                 let (zbt, dims, trace_limit) = (&mut self.zbt, frame.dims(), self.trace_limit);
                 let stats = match self.config.step_mode {
-                    StepMode::FastForward => run_intra_fast(
-                        zbt,
-                        &mut self.skeletons,
-                        dims,
-                        op,
-                        border,
-                        trace_limit,
-                        &probe,
-                    ),
+                    StepMode::FastForward => {
+                        run_intra_fast(zbt, &mut self.skeletons, dims, op, trace_limit, &probe)
+                    }
                     StepMode::CycleStepped => {
-                        run_intra_detailed(zbt, dims, op, border, &self.config, trace_limit, &probe)
+                        run_intra_detailed(zbt, dims, op, &self.config, trace_limit, &probe)
                     }
                 }?;
                 let hw = self.zbt.pixel_access_cycles();
                 (self.unload_result(frame.dims())?, hw, Some(stats))
             }
             SimulationFidelity::Analytic => {
-                let result = vip_core::addressing::intra::run_intra_with(
-                    frame,
-                    op,
-                    IntraOptions {
-                        border,
-                        ..IntraOptions::default()
-                    },
-                )?;
+                let result = vip_core::addressing::intra::run_intra(frame, op)?;
                 (result.output, access_model.hardware_accesses, None)
             }
         };
@@ -737,21 +698,6 @@ mod tests {
         let e = AddressEngine::new(EngineConfig::prototype()).unwrap();
         let map = e.memory_map(Dims::new(352, 288));
         assert_eq!(map.regions.len(), 4);
-    }
-
-    #[test]
-    fn detailed_mode_rejects_non_clamp_borders() {
-        let mut e = AddressEngine::new(EngineConfig::prototype_detailed()).unwrap();
-        let f = frame(Dims::new(8, 8));
-        let err = e.run_intra_with(&f, &BoxBlur::con8(), BorderPolicy::Mirror);
-        assert!(matches!(err, Err(EngineError::UnsupportedCapability { .. })));
-        // CON_0 kernels have no border accesses: any policy is fine.
-        assert!(e
-            .run_intra_with(&f, &vip_core::ops::filter::Identity::luma(), BorderPolicy::Mirror)
-            .is_ok());
-        // The analytic engine supports every policy (it runs the software path).
-        let mut a = AddressEngine::new(EngineConfig::prototype()).unwrap();
-        assert!(a.run_intra_with(&f, &BoxBlur::con8(), BorderPolicy::Mirror).is_ok());
     }
 
     #[test]

@@ -67,8 +67,6 @@
 //! [`Pipeline::at_rest`]: crate::plc::Pipeline::at_rest
 //! [`EngineError::PipelineHazard`]: crate::error::EngineError::PipelineHazard
 
-use vip_core::addressing::intra::IntraOptions;
-use vip_core::border::BorderPolicy;
 use vip_core::frame::Frame;
 use vip_core::geometry::{Dims, Point};
 use vip_core::ops::{InterOp, IntraOp};
@@ -158,7 +156,6 @@ pub fn run_intra_fast<O: IntraOp>(
     skeletons: &mut Skeletons,
     dims: Dims,
     op: &O,
-    border: BorderPolicy,
     trace_limit: usize,
     probe: &PuProbe,
 ) -> EngineResult<ProcessingStats> {
@@ -169,15 +166,7 @@ pub fn run_intra_fast<O: IntraOp>(
     // up-front pass leaves the per-bank counters exactly as the stepped
     // interleaving would.
     let input = Frame::from_pixels(dims, zbt.read_input_run(ZbtRegion::InputA, 0, total)?)?;
-    let outs = vip_core::addressing::intra::run_intra_with(
-        &input,
-        op,
-        IntraOptions {
-            border,
-            ..IntraOptions::default()
-        },
-    )?
-    .output;
+    let outs = vip_core::addressing::intra::run_intra(&input, op)?.output;
 
     let radius = op.shape().radius();
     let key = SkeletonKey {
@@ -404,21 +393,12 @@ mod tests {
         load_input(&mut zbt_a, ZbtRegion::InputA, &frame);
         zbt_a.reset_stats();
         let off = PuProbe::disabled();
-        let stepped =
-            run_intra_detailed(&mut zbt_a, dims, op, BorderPolicy::Clamp, cfg, trace, &off);
+        let stepped = run_intra_detailed(&mut zbt_a, dims, op, cfg, trace, &off);
         let mut zbt_b = ZbtMemory::new(cfg);
         load_input(&mut zbt_b, ZbtRegion::InputA, &frame);
         zbt_b.reset_stats();
         let mut skeletons = Skeletons::new(cfg.clone());
-        let fast = run_intra_fast(
-            &mut zbt_b,
-            &mut skeletons,
-            dims,
-            op,
-            BorderPolicy::Clamp,
-            trace,
-            &off,
-        );
+        let fast = run_intra_fast(&mut zbt_b, &mut skeletons, dims, op, trace, &off);
         if stepped.is_ok() {
             assert_eq!(
                 zbt_a.pixel_access_cycles(),

@@ -26,7 +26,6 @@
 
 use std::collections::VecDeque;
 
-use vip_core::border::BorderPolicy;
 use vip_core::geometry::{Dims, Point};
 use vip_core::neighborhood::Connectivity;
 use vip_core::pixel::Pixel;
@@ -151,9 +150,9 @@ impl Iim {
 
     /// Fetches the full neighbourhood window around `centre` in a single
     /// memory cycle — every line block delivers its column in parallel.
-    ///
-    /// Horizontal border accesses resolve via `border`; vertical accesses
-    /// clamp to the frame like the hardware re-delivering edge lines.
+    /// Samples come in row-major offset order. Accesses outside the frame
+    /// clamp to the nearest edge pixel, like the hardware re-delivering
+    /// edge lines and edge pixels.
     ///
     /// # Panics
     ///
@@ -165,47 +164,26 @@ impl Iim {
         centre: Point,
         shape: Connectivity,
         dims: Dims,
-        border: BorderPolicy,
     ) -> Vec<(Point, Pixel)> {
         assert!(
             self.window_ready(centre, shape, dims),
             "window fetched before its lines are resident"
         );
         self.window_fetches += 1;
-        let mut out = Vec::with_capacity(shape.offset_count());
-        for off in shape.offsets_iter() {
-            let line = (centre.y + off.y).clamp(0, dims.height as i32 - 1) as usize;
-            let row = &self
-                .lines
-                .iter()
-                .find(|l| l.line_no == line)
-                .expect("window_ready checked residency")
-                .pixels;
-            let x = centre.x + off.x;
-            let px = if (0..dims.width as i32).contains(&x) {
-                row[x as usize]
-            } else {
-                match border.map_point(dims, Point::new(x, centre.y + off.y)) {
-                    Some(q) if self.has_line(q.y as usize) => {
-                        let qrow = &self
-                            .lines
-                            .iter()
-                            .find(|l| l.line_no == q.y as usize)
-                            .expect("checked")
-                            .pixels;
-                        qrow[q.x as usize]
-                    }
-                    _ => match border {
-                        BorderPolicy::Constant(c) => c,
-                        BorderPolicy::Skip => continue,
-                        // Clamp fallback within the resident line.
-                        _ => row[(x.clamp(0, dims.width as i32 - 1)) as usize],
-                    },
-                }
-            };
-            out.push((off, px));
-        }
-        out
+        shape
+            .offsets_iter()
+            .map(|off| {
+                let line = (centre.y + off.y).clamp(0, dims.height as i32 - 1) as usize;
+                let x = (centre.x + off.x).clamp(0, dims.width as i32 - 1) as usize;
+                let row = &self
+                    .lines
+                    .iter()
+                    .find(|l| l.line_no == line)
+                    .expect("window_ready checked residency")
+                    .pixels;
+                (off, row[x])
+            })
+            .collect()
     }
 
     /// Single-cycle window fetches served so far.
@@ -265,12 +243,7 @@ mod tests {
         for l in 0..4 {
             iim.load_line(l, &line(l as u8 * 10, 4));
         }
-        let w = iim.fetch_window(
-            Point::new(1, 1),
-            Connectivity::Con8,
-            dims,
-            BorderPolicy::Clamp,
-        );
+        let w = iim.fetch_window(Point::new(1, 1), Connectivity::Con8, dims);
         assert_eq!(w.len(), 9);
         assert_eq!(iim.window_fetches(), 1);
         // Sample correctness: offset (1,-1) → line 0, x 2 → 0·10 + 2.
@@ -298,12 +271,7 @@ mod tests {
         let mut iim = Iim::new(16, 4);
         iim.load_line(0, &line(0, 4));
         let dims = Dims::new(4, 4);
-        let _ = iim.fetch_window(
-            Point::new(1, 1),
-            Connectivity::Con8,
-            dims,
-            BorderPolicy::Clamp,
-        );
+        let _ = iim.fetch_window(Point::new(1, 1), Connectivity::Con8, dims);
     }
 
     #[test]
@@ -313,12 +281,7 @@ mod tests {
         iim.load_line(0, &line(0, 4));
         iim.load_line(1, &line(10, 4));
         // Centre on line 0: offsets dy=-1 clamp to line 0 (resident) — ready.
-        let w = iim.fetch_window(
-            Point::new(1, 0),
-            Connectivity::Con8,
-            dims,
-            BorderPolicy::Clamp,
-        );
+        let w = iim.fetch_window(Point::new(1, 0), Connectivity::Con8, dims);
         let nw = w.iter().find(|(o, _)| *o == Point::new(-1, -1)).unwrap().1;
         assert_eq!(nw.y, 0, "clamped to line 0, x 0");
     }
@@ -329,37 +292,15 @@ mod tests {
         let mut iim = Iim::new(16, 4);
         iim.load_line(0, &line(0, 4));
         iim.load_line(1, &line(10, 4));
-        let w = iim.fetch_window(
-            Point::new(0, 1),
-            Connectivity::Con8,
-            dims,
-            BorderPolicy::Clamp,
-        );
+        let w = iim.fetch_window(Point::new(0, 1), Connectivity::Con8, dims);
         let west = w.iter().find(|(o, _)| *o == Point::new(-1, 0)).unwrap().1;
         assert_eq!(west.y, 10, "clamped to x 0 of line 1");
     }
 
     #[test]
-    fn horizontal_border_constant_and_skip() {
-        let dims = Dims::new(3, 1);
-        let mut iim = Iim::new(4, 3);
-        iim.load_line(0, &line(5, 3));
-        let constant = BorderPolicy::Constant(Pixel::from_luma(99));
-        let w = iim.fetch_window(Point::new(0, 0), Connectivity::Con8, dims, constant);
-        let west = w.iter().find(|(o, _)| *o == Point::new(-1, 0)).unwrap().1;
-        assert_eq!(west.y, 99);
-        let w2 = iim.fetch_window(
-            Point::new(0, 0),
-            Connectivity::Con8,
-            dims,
-            BorderPolicy::Skip,
-        );
-        assert!(w2.len() < 9, "skip drops out-of-frame samples");
-    }
-
-    #[test]
     fn window_matches_core_gather_in_interior() {
         // The IIM fetch must agree with the software Window gather.
+        use vip_core::border::BorderPolicy;
         use vip_core::frame::Frame;
         use vip_core::neighborhood::Window;
         let dims = Dims::new(6, 6);
@@ -371,7 +312,7 @@ mod tests {
         for y in 0..6 {
             for x in 0..6 {
                 let c = Point::new(x, y);
-                let hw = iim.fetch_window(c, Connectivity::Con8, dims, BorderPolicy::Clamp);
+                let hw = iim.fetch_window(c, Connectivity::Con8, dims);
                 let sw = Window::gather(&f, c, Connectivity::Con8, BorderPolicy::Clamp);
                 for (off, px) in hw {
                     assert_eq!(Some(px), sw.sample(off), "at {c} offset {off}");
@@ -391,12 +332,7 @@ mod tests {
         let mut iim = Iim::new(2, 4);
         iim.load_line(0, &line(1, 2)); // shorter than width
         let dims = Dims::new(4, 1);
-        let w = iim.fetch_window(
-            Point::new(3, 0),
-            Connectivity::Con0,
-            dims,
-            BorderPolicy::Clamp,
-        );
+        let w = iim.fetch_window(Point::new(3, 0), Connectivity::Con0, dims);
         assert_eq!(w[0].1, Pixel::default(), "padded region is default pixels");
     }
 }

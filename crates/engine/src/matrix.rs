@@ -15,9 +15,11 @@
 //! use vip_core::pixel::Pixel;
 //!
 //! let mut m = MatrixRegister::new(Connectivity::Con8);
-//! let col = vec![Pixel::from_luma(1); 3];
-//! m.load(vec![col.clone(), col.clone(), col]);
-//! assert!(m.is_valid());
+//! m.load(|col, row| Pixel::from_luma((3 * col + row) as u8));
+//! assert_eq!(m.centre().y, 4);
+//! m.shift(|row| Pixel::from_luma(9 + row as u8));
+//! assert_eq!(m.centre().y, 7);
+//! assert_eq!((m.loads(), m.shifts()), (1, 1));
 //! ```
 
 use vip_core::geometry::Point;
@@ -70,30 +72,12 @@ impl MatrixRegister {
         self.valid
     }
 
-    /// LOAD: fills the whole matrix from scratch with `columns`
-    /// (left→right, each top→bottom).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the column count or any column height differs from the
-    /// window side.
-    pub fn load(&mut self, columns: Vec<Vec<Pixel>>) {
-        assert_eq!(columns.len(), self.side, "LOAD needs {} columns", self.side);
-        for c in &columns {
-            assert_eq!(c.len(), self.side, "column height must be {}", self.side);
-        }
-        self.columns = columns;
-        self.valid = true;
-        self.loads += 1;
-    }
-
-    /// LOAD without allocating: fills every cell from `fill(col, row)`,
-    /// reusing the register's column buffers. Semantically identical to
-    /// [`MatrixRegister::load`] — the allocation-free path the per-pixel
-    /// simulation loop drives.
-    pub fn load_with(&mut self, mut fill: impl FnMut(usize, usize) -> Pixel) {
+    /// LOAD: fills the whole matrix from scratch, each cell from
+    /// `fill(col, row)` (columns left→right, rows top→bottom), reusing the
+    /// register's column buffers.
+    pub fn load(&mut self, mut fill: impl FnMut(usize, usize) -> Pixel) {
         let side = self.side;
-        if self.columns.len() != side || self.columns.iter().any(|c| c.len() != side) {
+        if self.columns.len() != side {
             self.columns = vec![vec![Pixel::default(); side]; side];
         }
         for (col, column) in self.columns.iter_mut().enumerate() {
@@ -105,29 +89,14 @@ impl MatrixRegister {
         self.loads += 1;
     }
 
-    /// SHIFT: advances the window one pixel in the scan direction by
-    /// dropping the leftmost column and appending `new_column` on the
-    /// right — the pixel-reuse path that makes the IIM worthwhile.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the register is invalid or the column height is wrong.
-    pub fn shift(&mut self, new_column: Vec<Pixel>) {
-        assert!(self.valid, "SHIFT requires a previously LOADed matrix");
-        assert_eq!(new_column.len(), self.side, "column height must be {}", self.side);
-        self.columns.remove(0);
-        self.columns.push(new_column);
-        self.shifts += 1;
-    }
-
-    /// SHIFT without allocating: rotates the leftmost column buffer to
-    /// the right edge and refills it from `fill(row)`. Semantically
-    /// identical to [`MatrixRegister::shift`].
+    /// SHIFT: advances the window one pixel in the scan direction. The
+    /// leftmost column buffer rotates to the right edge and refills from
+    /// `fill(row)` — the pixel-reuse path that makes the IIM worthwhile.
     ///
     /// # Panics
     ///
     /// Panics when the register is invalid.
-    pub fn shift_with(&mut self, mut fill: impl FnMut(usize) -> Pixel) {
+    pub fn shift(&mut self, mut fill: impl FnMut(usize) -> Pixel) {
         assert!(self.valid, "SHIFT requires a previously LOADed matrix");
         self.columns.rotate_left(1);
         let column = self.columns.last_mut().expect("LOADed matrix has columns");
@@ -196,11 +165,26 @@ mod tests {
         vals.iter().map(|&v| Pixel::from_luma(v)).collect()
     }
 
+    /// LOADs `m` with `cols` (left→right, each top→bottom).
+    fn load(m: &mut MatrixRegister, cols: &[Vec<Pixel>]) {
+        m.load(|c, r| cols[c][r]);
+    }
+
+    /// SHIFTs `new_column` into `m`.
+    fn shift(m: &mut MatrixRegister, new_column: &[Pixel]) {
+        m.shift(|r| new_column[r]);
+    }
+
+    /// The 3×3 register columns 1..9, left→right.
+    fn nine() -> Vec<Vec<Pixel>> {
+        vec![col(&[1, 2, 3]), col(&[4, 5, 6]), col(&[7, 8, 9])]
+    }
+
     #[test]
     fn load_makes_valid() {
         let mut m = MatrixRegister::new(Connectivity::Con8);
         assert!(!m.is_valid());
-        m.load(vec![col(&[1, 2, 3]), col(&[4, 5, 6]), col(&[7, 8, 9])]);
+        load(&mut m, &nine());
         assert!(m.is_valid());
         assert_eq!(m.centre().y, 5);
         assert_eq!(m.loads(), 1);
@@ -210,7 +194,7 @@ mod tests {
     #[test]
     fn samples_map_offsets_correctly() {
         let mut m = MatrixRegister::new(Connectivity::Con8);
-        m.load(vec![col(&[1, 2, 3]), col(&[4, 5, 6]), col(&[7, 8, 9])]);
+        load(&mut m, &nine());
         let s = m.samples();
         let get = |dx: i32, dy: i32| {
             s.iter()
@@ -228,8 +212,8 @@ mod tests {
     #[test]
     fn shift_advances_window() {
         let mut m = MatrixRegister::new(Connectivity::Con8);
-        m.load(vec![col(&[1, 2, 3]), col(&[4, 5, 6]), col(&[7, 8, 9])]);
-        m.shift(col(&[10, 11, 12]));
+        load(&mut m, &nine());
+        shift(&mut m, &col(&[10, 11, 12]));
         assert_eq!(m.centre().y, 8, "old right column is the new centre");
         let s = m.samples();
         let right_top = s
@@ -251,36 +235,17 @@ mod tests {
         let c2 = col(&[7, 8, 9]);
         let c3 = col(&[10, 11, 12]);
         let mut shifted = MatrixRegister::new(Connectivity::Con8);
-        shifted.load(vec![c0, c1.clone(), c2.clone()]);
-        shifted.shift(c3.clone());
+        load(&mut shifted, &[c0, c1.clone(), c2.clone()]);
+        shift(&mut shifted, &c3);
         let mut loaded = MatrixRegister::new(Connectivity::Con8);
-        loaded.load(vec![c1, c2, c3]);
+        load(&mut loaded, &[c1, c2, c3]);
         assert_eq!(shifted.samples(), loaded.samples());
-    }
-
-    #[test]
-    fn load_with_and_shift_with_match_the_allocating_api() {
-        let cols: Vec<Vec<Pixel>> =
-            vec![col(&[1, 2, 3]), col(&[4, 5, 6]), col(&[7, 8, 9])];
-        let mut a = MatrixRegister::new(Connectivity::Con8);
-        a.load(cols.clone());
-        a.shift(col(&[10, 11, 12]));
-
-        let mut b = MatrixRegister::new(Connectivity::Con8);
-        b.load_with(|c, r| cols[c][r]);
-        let next = col(&[10, 11, 12]);
-        b.shift_with(|r| next[r]);
-
-        assert_eq!(a.samples(), b.samples());
-        assert_eq!(a.loads(), b.loads());
-        assert_eq!(a.shifts(), b.shifts());
-        assert_eq!(a.centre(), b.centre());
     }
 
     #[test]
     fn invalidate_clears() {
         let mut m = MatrixRegister::new(Connectivity::Con8);
-        m.load(vec![col(&[1, 2, 3]); 3]);
+        load(&mut m, &nine());
         m.invalidate();
         assert!(!m.is_valid());
     }
@@ -288,7 +253,7 @@ mod tests {
     #[test]
     fn con0_matrix_is_single_pixel() {
         let mut m = MatrixRegister::new(Connectivity::Con0);
-        m.load(vec![col(&[42])]);
+        load(&mut m, &[col(&[42])]);
         assert_eq!(m.centre().y, 42);
         assert_eq!(m.samples().len(), 1);
     }
@@ -296,23 +261,16 @@ mod tests {
     #[test]
     fn con4_samples_restricted_to_cross() {
         let mut m = MatrixRegister::new(Connectivity::Con4);
-        m.load(vec![col(&[1, 2, 3]), col(&[4, 5, 6]), col(&[7, 8, 9])]);
+        load(&mut m, &nine());
         let s = m.samples();
         assert_eq!(s.len(), 5);
         assert!(s.iter().all(|(o, _)| o.x == 0 || o.y == 0));
     }
 
     #[test]
-    #[should_panic(expected = "LOAD needs")]
-    fn bad_load_width_panics() {
-        let mut m = MatrixRegister::new(Connectivity::Con8);
-        m.load(vec![col(&[1, 2, 3]); 2]);
-    }
-
-    #[test]
     #[should_panic(expected = "SHIFT requires")]
     fn shift_invalid_panics() {
         let mut m = MatrixRegister::new(Connectivity::Con8);
-        m.shift(col(&[1, 2, 3]));
+        shift(&mut m, &col(&[1, 2, 3]));
     }
 }

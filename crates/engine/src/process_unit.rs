@@ -12,7 +12,6 @@
 //! datapaths step a [`Pipeline`] through the same cycle loop, which
 //! also publishes their trace through [`PuProbe`].
 
-use vip_core::border::BorderPolicy;
 use vip_core::geometry::{Dims, Point};
 use vip_core::neighborhood::{Connectivity, Window};
 use vip_core::ops::{InterOp, IntraOp};
@@ -605,7 +604,6 @@ pub fn run_intra_detailed<O: IntraOp>(
     zbt: &mut ZbtMemory,
     dims: Dims,
     op: &O,
-    border: BorderPolicy,
     config: &EngineConfig,
     trace_limit: usize,
     probe: &PuProbe,
@@ -615,7 +613,6 @@ pub fn run_intra_detailed<O: IntraOp>(
         zbt,
         op,
         dims,
-        border,
         square,
         iim: Iim::new(config.iim_lines, dims.width),
         matrix: MatrixRegister::new(square),
@@ -629,13 +626,17 @@ pub fn run_intra_detailed<O: IntraOp>(
 }
 
 /// The cycle-stepped intra datapath: the TxU fills IIM lines from the
-/// ZBT, stage 2 fetches windows from the IIM into the matrix register,
-/// stage 3 applies the operation.
+/// ZBT, stage 2 moves windows from the IIM into the matrix register,
+/// stage 3 applies the operation to the matrix register.
+///
+/// Stage 3 needs no window of its own: a [`Pipeline`] cycle executes
+/// before it fetches, and an OIM stall holds stages 2–4 together, so
+/// when stage 3 runs, the register still holds the window stage 2
+/// filled for that pixel.
 struct IntraDatapath<'a, O> {
     zbt: &'a mut ZbtMemory,
     op: &'a O,
     dims: Dims,
-    border: BorderPolicy,
     square: Connectivity,
     iim: Iim,
     matrix: MatrixRegister,
@@ -646,26 +647,28 @@ struct IntraDatapath<'a, O> {
 
 impl<O: IntraOp> Datapath for IntraDatapath<'_, O> {
     const INTRA: bool = true;
-    type Fetched = (Point, Window);
+    type Fetched = Point;
     type Result = Pixel;
 
     fn window_ready(&self, point: Point) -> bool {
         self.iim.window_ready(point, self.square, self.dims)
     }
 
-    fn fetch(&mut self, _: usize, scan: (Point, FetchKind)) -> EngineResult<(Point, Window)> {
-        let (point, fetch) = scan;
-        let samples = self
-            .iim
-            .fetch_window(point, self.square, self.dims, self.border);
-        drive_matrix(&mut self.matrix, fetch, &samples, self.square);
-        Ok((point, Window::from_samples(point, self.square, samples)))
+    fn fetch(&mut self, _: usize, (point, fetch): (Point, FetchKind)) -> EngineResult<Point> {
+        let samples = self.iim.fetch_window(point, self.square, self.dims);
+        // The IIM delivers the square in row-major offset order.
+        let side = self.matrix.side();
+        match fetch {
+            FetchKind::Load => self.matrix.load(|col, row| samples[row * side + col].1),
+            FetchKind::Shift => self.matrix.shift(|row| samples[row * side + side - 1].1),
+        }
+        Ok(point)
     }
 
-    fn execute(&mut self, _: usize, (point, window): (Point, Window)) -> Pixel {
-        let shaped = Window::from_samples(point, self.op.shape(), window.iter());
-        let mut out = window.sample(Point::ORIGIN).unwrap_or_default();
-        out.merge_channels(self.op.apply(&shaped), self.op.output_channels());
+    fn execute(&mut self, _: usize, point: Point) -> Pixel {
+        let window = Window::from_samples(point, self.op.shape(), self.matrix.samples());
+        let mut out = self.matrix.centre();
+        out.merge_channels(self.op.apply(&window), self.op.output_channels());
         out
     }
 
@@ -765,42 +768,6 @@ pub(crate) fn square_shape(shape: Connectivity) -> Connectivity {
     }
 }
 
-fn drive_matrix(
-    matrix: &mut MatrixRegister,
-    fetch: FetchKind,
-    samples: &[(Point, Pixel)],
-    square: Connectivity,
-) {
-    let r = square.radius() as i32;
-    let side = (2 * r + 1) as usize;
-    // Full-square fetches arrive in row-major offset order, so the cell
-    // for (dx, dy) normally sits at a fixed index; fall back to a scan
-    // when border skipping thinned the sample list.
-    let sample_at = |dx: i32, dy: i32| -> Pixel {
-        let idx = (dy + r) as usize * side + (dx + r) as usize;
-        match samples.get(idx) {
-            Some((o, p)) if o.x == dx && o.y == dy => *p,
-            _ => samples
-                .iter()
-                .find(|(o, _)| o.x == dx && o.y == dy)
-                .map(|(_, p)| *p)
-                .unwrap_or_default(),
-        }
-    };
-    match fetch {
-        FetchKind::Load => {
-            matrix.load_with(|col, row| sample_at(col as i32 - r, row as i32 - r));
-        }
-        FetchKind::Shift => {
-            if matrix.is_valid() {
-                matrix.shift_with(|row| sample_at(r, row as i32 - r));
-            } else {
-                matrix.load_with(|col, row| sample_at(col as i32 - r, row as i32 - r));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -828,7 +795,7 @@ mod tests {
         })
     }
 
-    /// An unprobed clamp-border intra call on the stepped datapath.
+    /// An unprobed intra call on the stepped datapath.
     fn stepped_intra<O: IntraOp>(
         zbt: &mut ZbtMemory,
         dims: Dims,
@@ -837,7 +804,7 @@ mod tests {
         trace_limit: usize,
     ) -> EngineResult<ProcessingStats> {
         let probe = PuProbe::disabled();
-        run_intra_detailed(zbt, dims, op, BorderPolicy::Clamp, cfg, trace_limit, &probe)
+        run_intra_detailed(zbt, dims, op, cfg, trace_limit, &probe)
     }
 
     /// An unprobed AbsDiff inter call on the stepped datapath.
@@ -972,7 +939,7 @@ mod tests {
     /// The two datapaths: whether each is the fast-forward one.
     const PATHS: [(&str, bool); 2] = [("stepped", false), ("fast", true)];
 
-    /// One clamp-border intra call with no stage trace on the stepped or
+    /// One intra call with no stage trace on the stepped or
     /// the fast-forward datapath.
     fn intra_path<O: IntraOp>(
         fast: bool,
@@ -984,9 +951,9 @@ mod tests {
     ) -> EngineResult<ProcessingStats> {
         if fast {
             let skeletons = &mut crate::fast::Skeletons::new(cfg.clone());
-            crate::fast::run_intra_fast(zbt, skeletons, dims, op, BorderPolicy::Clamp, 0, probe)
+            crate::fast::run_intra_fast(zbt, skeletons, dims, op, 0, probe)
         } else {
-            run_intra_detailed(zbt, dims, op, BorderPolicy::Clamp, cfg, 0, probe)
+            run_intra_detailed(zbt, dims, op, cfg, 0, probe)
         }
     }
 

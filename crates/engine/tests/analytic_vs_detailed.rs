@@ -2,7 +2,6 @@
 //! Unit, and the engine datapath against the software AddressLib, across
 //! frame sizes and kernels.
 
-use vip_core::border::BorderPolicy;
 use vip_core::frame::Frame;
 use vip_core::geometry::Dims;
 use vip_core::ops::arith::{AbsDiff, Add, Blend, ChangeMask};
@@ -41,9 +40,7 @@ fn detailed_intra_cycles_track_analytic_rate() {
         let frame = textured(dims);
         let mut zbt = ZbtMemory::new(&cfg);
         load(&mut zbt, ZbtRegion::InputA, &frame);
-        let stats =
-            run_intra_detailed(&mut zbt, dims, &BoxBlur::con8(), BorderPolicy::Clamp, &cfg, 0, &off)
-                .unwrap();
+        let stats = run_intra_detailed(&mut zbt, dims, &BoxBlur::con8(), &cfg, 0, &off).unwrap();
         let n = dims.pixel_count() as u64;
         let analytic = cfg.oim_drain_cycles_per_pixel * n;
         // Lead: window lines + pipeline fill + drain pipeline.

@@ -72,7 +72,7 @@ proptest! {
         for l in 0..dims.height {
             iim.load_line(l, frame.line(l));
         }
-        let hw = iim.fetch_window(centre, Connectivity::Con8, dims, BorderPolicy::Clamp);
+        let hw = iim.fetch_window(centre, Connectivity::Con8, dims);
         let sw = vip_core::neighborhood::Window::gather(
             &frame, centre, Connectivity::Con8, BorderPolicy::Clamp);
         for (off, px) in hw {
@@ -88,11 +88,11 @@ proptest! {
         // Slide a 3-wide matrix along arbitrary columns; every SHIFT
         // must equal a fresh LOAD of the same three columns.
         let mut m = MatrixRegister::new(Connectivity::Con8);
-        m.load(vec![cols[0].clone(), cols[1].clone(), cols[2].clone()]);
+        m.load(|c, r| cols[c][r]);
         for i in 3..cols.len() {
-            m.shift(cols[i].clone());
+            m.shift(|r| cols[i][r]);
             let mut fresh = MatrixRegister::new(Connectivity::Con8);
-            fresh.load(vec![cols[i - 2].clone(), cols[i - 1].clone(), cols[i].clone()]);
+            fresh.load(|c, r| cols[i - 2 + c][r]);
             prop_assert_eq!(m.samples(), fresh.samples());
         }
     }

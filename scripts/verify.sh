@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full offline verification: release build, tests, static verifier, the
-# fig. 5/fig. 4 harnesses, the four examples, the GME utilization report
-# and Chrome trace, a perfbench smoke run, and clippy (perfbench and
-# workspace) and rustdoc with warnings denied. This is exactly what CI
+# fig. 5/fig. 4 harnesses, the four examples, the intra/inter/GME
+# utilization reports and Chrome traces, a perfbench smoke run, and
+# clippy (perfbench and workspace) and rustdoc with warnings denied. This is exactly what CI
 # runs; run it before pushing.
 set -euo pipefail
 
@@ -28,9 +28,13 @@ for example in quickstart surveillance_diff segmentation_grow motion_mosaic; do
     cargo run --release -q -p vip --example "$example" > /dev/null
 done
 
-echo "==> vipctl report/trace gme (a recorder on a reused detailed engine: replayed skeleton spans)"
+echo "==> vipctl report/trace intra, inter and gme (gme: a recorder on a reused detailed engine, so replayed skeleton spans)"
 obs_out=$(mktemp -d)
 trap 'rm -rf "$obs_out"' EXIT
+for scenario in intra inter; do
+    cargo run --release -q -p vip --bin vipctl -- report "$scenario" > "$obs_out/report_$scenario.txt"
+done
+cargo run --release -q -p vip --bin vipctl -- trace intra --out "$obs_out/trace_intra.json" > /dev/null
 cargo run --release -q -p vip --bin vipctl -- report gme > "$obs_out/report_gme.txt"
 cargo run --release -q -p vip --bin vipctl -- report gme --format json > "$obs_out/report_gme.json"
 cargo run --release -q -p vip --bin vipctl -- trace gme --out "$obs_out/trace_gme.json"

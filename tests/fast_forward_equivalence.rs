@@ -16,7 +16,6 @@
 //! recordings.
 
 use vip::check::schedule::instants;
-use vip::core::border::BorderPolicy;
 use vip::core::frame::Frame;
 use vip::core::geometry::{Dims, Point};
 use vip::core::addressing::inter::run_inter;
@@ -299,7 +298,7 @@ fn assert_datapaths_record_alike(
     stepped.is_ok()
 }
 
-/// One clamp-border intra call straight on the datapath `mode` selects
+/// One intra call straight on the datapath `mode` selects
 /// (fast-forward with no skeleton results yet).
 fn intra_on<O: IntraOp>(
     mode: StepMode,
@@ -310,14 +309,11 @@ fn intra_on<O: IntraOp>(
     trace_limit: usize,
     probe: &PuProbe,
 ) -> Result<ProcessingStats, EngineError> {
-    let border = BorderPolicy::Clamp;
     match mode {
-        StepMode::CycleStepped => {
-            run_intra_detailed(zbt, dims, op, border, config, trace_limit, probe)
-        }
+        StepMode::CycleStepped => run_intra_detailed(zbt, dims, op, config, trace_limit, probe),
         StepMode::FastForward => {
             let skeletons = &mut Skeletons::new(config.clone());
-            run_intra_fast(zbt, skeletons, dims, op, border, trace_limit, probe)
+            run_intra_fast(zbt, skeletons, dims, op, trace_limit, probe)
         }
     }
 }

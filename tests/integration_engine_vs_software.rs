@@ -3,11 +3,14 @@
 //! content, and its memory traffic must match the Table 2 model.
 
 use vip::core::addressing::{inter, intra};
+use vip::core::frame::Frame;
 use vip::core::geometry::Dims;
 use vip::core::ops::arith::{AbsDiff, ChangeMask};
-use vip::core::ops::filter::{Binomial3, SobelGradient};
-use vip::core::ops::morph::MorphGradient;
-use vip::engine::{AddressEngine, EngineConfig, EngineError, StepMode};
+use vip::core::ops::filter::{Binomial3, BoxBlur, Identity, SobelGradient};
+use vip::core::ops::morph::{Dilate, MorphGradient};
+use vip::core::ops::{InterOp, IntraOp};
+use vip::core::pixel::Pixel;
+use vip::engine::{AddressEngine, EngineConfig, EngineError, EngineRun, StepMode};
 use vip::video::TestSequence;
 
 /// Every Table 3 sequence, rendered small, processed by both paths.
@@ -42,13 +45,7 @@ fn frame_at_zbt_capacity_runs_on_every_fidelity() {
     let sw_diff = inter::run_inter(&f0, &f1, &AbsDiff::luma()).unwrap().output;
     let too_wide = vip::core::frame::Frame::new(Dims::new(513, 512));
 
-    let mut stepped = EngineConfig::prototype_detailed();
-    stepped.step_mode = StepMode::CycleStepped;
-    for (name, config) in [
-        ("analytic", EngineConfig::prototype()),
-        ("detailed-ff", EngineConfig::prototype_detailed()),
-        ("detailed-stepped", stepped),
-    ] {
+    for (name, config) in every_fidelity() {
         let mut engine = AddressEngine::new(config).unwrap();
         let hw_sobel = engine.run_intra(&f0, &SobelGradient::new()).unwrap();
         assert_eq!(hw_sobel.output, sw_sobel, "{name} sobel");
@@ -61,6 +58,115 @@ fn frame_at_zbt_capacity_runs_on_every_fidelity() {
             ),
             "{name} must reject 513x512"
         );
+    }
+}
+
+/// The three engines every fidelity test runs: analytic, detailed
+/// fast-forward and detailed cycle-stepped.
+fn every_fidelity() -> [(&'static str, EngineConfig); 3] {
+    let mut stepped = EngineConfig::prototype_detailed();
+    stepped.step_mode = StepMode::CycleStepped;
+    [
+        ("analytic", EngineConfig::prototype()),
+        ("detailed-ff", EngineConfig::prototype_detailed()),
+        ("detailed-stepped", stepped),
+    ]
+}
+
+/// A frame whose every channel varies pixel to pixel, from `seed`.
+fn hashed_frame(dims: Dims, seed: u32) -> Frame {
+    Frame::from_fn(dims, |p| {
+        let h = (p.x as u32)
+            .wrapping_mul(0x9e37_79b9)
+            .wrapping_add((p.y as u32).wrapping_mul(0x85eb_ca6b))
+            .wrapping_add(seed)
+            .wrapping_mul(0xc2b2_ae35);
+        let h = h ^ (h >> 15);
+        Pixel::new(
+            h as u8,
+            (h >> 8) as u8,
+            (h >> 16) as u8,
+            (h >> 4) as u16,
+            (h >> 12) as u16,
+        )
+    })
+}
+
+/// Asserts that every engine's run produced `software` and that all of
+/// them agree on the call's schedule and traffic.
+fn assert_runs_agree(what: &str, software: &Frame, runs: &[(&str, EngineRun)]) {
+    let (_, first) = &runs[0];
+    for (name, run) in runs {
+        assert_eq!(&run.output, software, "{what}: {name} output");
+        assert_eq!(
+            run.report.timeline, first.report.timeline,
+            "{what}: {name} timeline"
+        );
+        assert_eq!(
+            run.report.access_model, first.report.access_model,
+            "{what}: {name} model"
+        );
+        assert_eq!(
+            run.report.hardware_accesses, first.report.hardware_accesses,
+            "{what}: {name} hardware accesses"
+        );
+    }
+}
+
+/// Runs `op` on `frame` on a fresh engine of every fidelity.
+fn intra_alike<O: IntraOp>(frame: &Frame, op: &O) {
+    let software = intra::run_intra(frame, op).unwrap().output;
+    let runs = every_fidelity().map(|(name, config)| {
+        let mut engine = AddressEngine::new(config).unwrap();
+        (name, engine.run_intra(frame, op).unwrap())
+    });
+    let what = format!("{} {} r{}", frame.dims(), op.name(), op.shape().radius());
+    assert_runs_agree(&what, &software, &runs);
+}
+
+/// Runs `op` on `a` and `b` on a fresh engine of every fidelity.
+fn inter_alike<O: InterOp>(a: &Frame, b: &Frame, op: &O) {
+    let software = inter::run_inter(a, b, op).unwrap().output;
+    let runs = every_fidelity().map(|(name, config)| {
+        let mut engine = AddressEngine::new(config).unwrap();
+        (name, engine.run_inter(a, b, op).unwrap())
+    });
+    assert_runs_agree(&format!("{} {}", a.dims(), op.name()), &software, &runs);
+}
+
+/// Frames one pixel wide or high, tiny squares, strip remainders and
+/// windows wider than the frame: every fidelity matches the software
+/// AddressLib and reports the same schedule and traffic. Radius-4 windows
+/// on 1-wide and 1-high frames are all border: every sample the stepped
+/// datapath's matrix register holds off the centre line is a clamped
+/// edge pixel.
+#[test]
+fn edge_dims_run_alike_on_every_fidelity() {
+    let blur = |r| BoxBlur::with_radius(r).expect("radius at most 4");
+    let sizes = [
+        (1, 1),
+        (1, 40),
+        (40, 1),
+        (2, 2),
+        (5, 17),
+        (17, 5),
+        (3, 50),
+        (33, 35),
+    ];
+    for (w, h) in sizes {
+        let dims = Dims::new(w, h);
+        let a = hashed_frame(dims, 1);
+        let b = hashed_frame(dims, 2);
+        intra_alike(&a, &Identity::luma());
+        intra_alike(&a, &SobelGradient::new());
+        for r in [1, 2, 4] {
+            intra_alike(&a, &blur(r));
+        }
+        intra_alike(&a, &Dilate::con4());
+        intra_alike(&a, &MorphGradient::con8());
+        inter_alike(&a, &b, &AbsDiff::luma());
+        inter_alike(&a, &b, &AbsDiff::yuv());
+        inter_alike(&a, &b, &ChangeMask::new(30));
     }
 }
 
