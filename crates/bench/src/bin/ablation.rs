@@ -25,7 +25,10 @@ fn main() {
     // 1. Strip size: affects the intra processing lead (latency), not the
     //    sustained PCI-bound throughput.
     println!("--- strip / IIM size (intra CON_8 call, CIF) ---");
-    println!("{:>6} {:>12} {:>12} {:>8}", "lines", "total ms", "nonPCI ms", "BRAMs");
+    println!(
+        "{:>6} {:>12} {:>12} {:>8}",
+        "lines", "total ms", "nonPCI ms", "BRAMs"
+    );
     for lines in [8usize, 16, 32, 64] {
         let mut c = base.clone();
         c.strip_lines = lines;
@@ -50,7 +53,11 @@ fn main() {
         let mut c = base.clone();
         c.oim_drain_cycles_per_pixel = drain;
         let t = intra_timeline(cif, 1, &c);
-        println!("{drain:>6} {:>12.3} {:>12.3}", t.total * 1e3, t.non_pci() * 1e3);
+        println!(
+            "{drain:>6} {:>12.3} {:>12.3}",
+            t.total * 1e3,
+            t.non_pci() * 1e3
+        );
     }
     println!("  → the sequential lo/hi result write (2 cyc/px) is fully hidden behind the");
     println!("    PCI transfers; even 4 cyc/px barely shows. The OIM buffer works.\n");
@@ -99,11 +106,7 @@ fn main() {
             c.pci_bytes_per_cycle = 2;
         }
         let t = intra_timeline(cif, 1, &c);
-        println!(
-            "  {:>4.2}× bandwidth  total {:>7.3} ms",
-            eff,
-            t.total * 1e3
-        );
+        println!("  {:>4.2}× bandwidth  total {:>7.3} ms", eff, t.total * 1e3);
     }
     println!("  → call time scales almost inversely with bus bandwidth: replacing the PCI");
     println!("    with an on-chip bus (PowerPC + CoreConnect, §4.3) is the right next step.");

@@ -27,8 +27,12 @@ fn main() {
     let inter = run_inter(&a, &b, &AbsDiff::luma()).expect("valid frames");
     println!("INTER addressing: result(x,y) = f(frameA(x,y), frameB(x,y))");
     println!("  frames scanned in parallel, row-major →");
-    println!("  {} ({} pixels, {} sw accesses)\n", inter.report, dims.pixel_count(),
-        inter.report.counter.total());
+    println!(
+        "  {} ({} pixels, {} sw accesses)\n",
+        inter.report,
+        dims.pixel_count(),
+        inter.report.counter.total()
+    );
 
     // --- Intra addressing: one frame, neighbourhood window.
     let f = Frame::from_fn(dims, |p| Pixel::from_luma((p.x * 20) as u8));

@@ -17,7 +17,10 @@ fn main() {
     println!("================== Fig. 2 — AddressEngine architecture ==================");
     println!();
     println!("  PC (host CPU: high-level algorithm, AddressLib call dispatch)");
-    println!("    │ interrupt-oriented DMA, {} overhead cycles/call", cfg.interrupt_overhead_cycles);
+    println!(
+        "    │ interrupt-oriented DMA, {} overhead cycles/call",
+        cfg.interrupt_overhead_cycles
+    );
     println!("    ▼");
     println!(
         "  PCI bus          {} × {} B  = {:.0} MB/s  ← the system bottleneck (§4.1)",
@@ -25,7 +28,10 @@ fn main() {
         cfg.pci_bytes_per_cycle,
         cfg.pci_bandwidth() / 1e6
     );
-    println!("    │ strips of {} lines, alternating block_A/block_B", cfg.strip_lines);
+    println!(
+        "    │ strips of {} lines, alternating block_A/block_B",
+        cfg.strip_lines
+    );
     println!("    ▼");
     println!(
         "  ZBT on-board memory   {} banks × {} words × 32 bit = {} MB",
@@ -34,7 +40,10 @@ fn main() {
         cfg.zbt_bytes() / (1024 * 1024)
     );
     println!("    │ input: lo/hi paired banks (1 cycle/pixel)");
-    println!("    │ result: sequential words in Res_block_A/B ({} cycles/pixel)", cfg.oim_drain_cycles_per_pixel);
+    println!(
+        "    │ result: sequential words in Res_block_A/B ({} cycles/pixel)",
+        cfg.oim_drain_cycles_per_pixel
+    );
     println!("    ▼                                   ▲");
     println!("  TxU (transmission units)            TxU");
     println!("    ▼                                   │");

@@ -17,16 +17,17 @@ fn main() {
     println!("=================== Fig. 3 — ZBT memory distribution ===================\n");
     for format in [ImageFormat::Qcif, ImageFormat::Cif] {
         let dims = format.dims();
-        println!("--- {format} ({dims}, {} kB/image) ---", format.bytes() / 1024);
+        println!(
+            "--- {format} ({dims}, {} kB/image) ---",
+            format.bytes() / 1024
+        );
         print!("{}", zbt.memory_map(dims, cfg.strip_lines));
         let strips = dims.height / cfg.strip_lines;
         println!(
             "  transfer: {} strips of {} lines, written to alternating blocks;",
             strips, cfg.strip_lines
         );
-        println!(
-            "  strip in block_A is processed while the next strip lands in block_B (§3.1)\n"
-        );
+        println!("  strip in block_A is processed while the next strip lands in block_B (§3.1)\n");
     }
 
     println!(

@@ -52,8 +52,14 @@ fn main() {
 
     println!("vertical scan over {} pixels with a 9×9 window:", fetches);
     println!("  window fetches     : {}", iim.window_fetches());
-    println!("  memory cycles used : {} (exactly one per window)", iim.window_fetches());
-    println!("  samples delivered  : {samples} ({} per window)", samples as u64 / fetches);
+    println!(
+        "  memory cycles used : {} (exactly one per window)",
+        iim.window_fetches()
+    );
+    println!(
+        "  samples delivered  : {samples} ({} per window)",
+        samples as u64 / fetches
+    );
     assert_eq!(iim.window_fetches(), fetches);
 
     // Contrast: the software model pays per-pixel loads.
@@ -73,7 +79,11 @@ fn main() {
     // ASCII sketch of the fig. 4 geometry.
     println!("\n  scan ↓ (column-major)     window (9 lines ⊥ scan):");
     for i in 0..5 {
-        let marker = if i == 2 { "━━━━━━━━━●━━━━━━━━━" } else { "───────────────────" };
+        let marker = if i == 2 {
+            "━━━━━━━━━●━━━━━━━━━"
+        } else {
+            "───────────────────"
+        };
         println!("    {}  {}", if i == 2 { "▼" } else { "│" }, marker);
     }
 }

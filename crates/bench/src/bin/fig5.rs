@@ -16,8 +16,8 @@ fn main() {
     let dims = Dims::new(8, 6);
     let frame = Frame::from_fn(dims, |p| Pixel::from_luma((p.x * 7 + p.y * 3) as u8));
 
-    let mut engine = AddressEngine::new(EngineConfig::prototype_detailed())
-        .expect("prototype config is valid");
+    let mut engine =
+        AddressEngine::new(EngineConfig::prototype_detailed()).expect("prototype config is valid");
     engine.set_trace_limit(40);
     let run = engine
         .run_intra(&frame, &BoxBlur::con8())
@@ -25,7 +25,10 @@ fn main() {
     let stats = run.report.processing.expect("detailed mode records stats");
 
     println!("=========== Fig. 5/6 — PLC + Process Unit pipeline trace ===========\n");
-    println!("call: intra CON_8 box blur over {dims} ({} pixels)\n", dims.pixel_count());
+    println!(
+        "call: intra CON_8 box blur over {dims} ({} pixels)\n",
+        dims.pixel_count()
+    );
     println!("cycle | stage1 scan | stage2 fetch | stage3 exec | occupancy");
     println!("------+-------------+--------------+-------------+----------");
     for (cycle, snap) in stats.trace.iter().enumerate() {

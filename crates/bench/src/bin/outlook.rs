@@ -27,7 +27,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- segment addressing on the engine ---");
     let dims = Dims::new(176, 144);
     let frame = Frame::from_fn(dims, |p| {
-        Pixel::from_luma(if (p.x - 88).pow(2) + (p.y - 72).pow(2) < 2500 { 200 } else { 40 })
+        Pixel::from_luma(if (p.x - 88).pow(2) + (p.y - 72).pow(2) < 2500 {
+            200
+        } else {
+            40
+        })
     });
     let mut v1 = AddressEngine::new(EngineConfig::prototype())?;
     let rejected = v1
@@ -71,7 +75,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A segmentation-style kernel schedule: smooth, gradient, then a
     // morphological open (erode+dilate), alternating per frame.
     println!("\n  kernel schedule over 4 synthetic frames:");
-    println!("  {:>5} {:<14} {:>12} {:>12} {:>8}", "call", "kernel", "reconf ms", "total ms", "slot");
+    println!(
+        "  {:>5} {:<14} {:>12} {:>12} {:>8}",
+        "call", "kernel", "reconf ms", "total ms", "slot"
+    );
     for frame_no in 0..4 {
         for i in 0..4 {
             let (name, r) = match i {
@@ -104,7 +111,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pm = CostModel::pentium_m_xm();
     let intra = CallDescriptor::intra(Connectivity::Con8, ChannelSet::Y, ChannelSet::Y);
     let sw_call = software_call_seconds(&intra, ImageFormat::Cif.dims(), &pm);
-    let hw_call = vip_engine::timing::intra_timeline(ImageFormat::Cif.dims(), 1, engine.engine().config()).total;
+    let hw_call =
+        vip_engine::timing::intra_timeline(ImageFormat::Cif.dims(), 1, engine.engine().config())
+            .total;
     let breakeven = engine.break_even_calls(hw_call, sw_call);
     println!(
         "  CIF CON_8 intra: host {:.1} ms vs engine {:.1} ms per call",

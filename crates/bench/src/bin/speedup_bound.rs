@@ -38,7 +38,10 @@ fn main() {
     );
 
     let bound = SpeedupBound::of(&mix, &pm);
-    println!("\noffloadable (low-level) fraction f = {:.4}", bound.offloadable_fraction);
+    println!(
+        "\noffloadable (low-level) fraction f = {:.4}",
+        bound.offloadable_fraction
+    );
     println!(
         "maximum achievable acceleration 1/(1−f) = ×{:.1}   (paper: ×30)",
         bound.ideal_bound
@@ -48,7 +51,11 @@ fn main() {
     println!("  {:>6} {:>10}", "s", "overall");
     for s in [2.0, 4.0, 6.3, 10.0, 30.0, 100.0, 1e6] {
         let overall = amdahl(bound.offloadable_fraction, s);
-        let label = if s >= 1e6 { "∞".to_string() } else { format!("{s:.1}") };
+        let label = if s >= 1e6 {
+            "∞".to_string()
+        } else {
+            format!("{s:.1}")
+        };
         println!("  {label:>6} {overall:>9.2}x");
     }
     println!(

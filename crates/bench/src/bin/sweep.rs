@@ -32,7 +32,12 @@ fn grid() -> Vec<Cell> {
         for iim_lines in [3usize, 5, 9, 16] {
             for oim_lines in [2usize, 8, 16] {
                 for drain in [1u64, 2, 4] {
-                    cells.push(Cell { radius, iim_lines, oim_lines, drain });
+                    cells.push(Cell {
+                        radius,
+                        iim_lines,
+                        oim_lines,
+                        drain,
+                    });
                 }
             }
         }
@@ -74,7 +79,9 @@ fn simulate(dims: Dims, frame: &Frame, cell: Cell) -> String {
 
 fn main() {
     let dims = Dims::new(64, 48);
-    let frame = Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 7 + p.y * 13) % 256) as u8));
+    let frame = Frame::from_fn(dims, |p| {
+        Pixel::from_luma(((p.x * 7 + p.y * 13) % 256) as u8)
+    });
     let cells = grid();
     let threads = vip_par::default_threads();
 

@@ -98,7 +98,12 @@ fn main() {
         "hardware intra CON_8 Y : counted {} = model {}",
         hw.report.hardware_accesses, hw.report.access_model.hardware_accesses
     );
-    assert_eq!(hw.report.hardware_accesses, hw.report.access_model.hardware_accesses);
+    assert_eq!(
+        hw.report.hardware_accesses,
+        hw.report.access_model.hardware_accesses
+    );
 
-    println!("\nall four rows reproduce the paper exactly; counters agree with the analytic model.");
+    println!(
+        "\nall four rows reproduce the paper exactly; counters agree with the analytic model."
+    );
 }

@@ -24,10 +24,20 @@ fn main() {
         println!("(quick mode: 88x72 frames, 12 per sequence — shapes, not magnitudes)\n");
     }
 
-    println!("============================== Table 3 — GME runtimes ==============================");
+    println!(
+        "============================== Table 3 — GME runtimes =============================="
+    );
     println!(
         "{:<10} {:>8} {:>10} {:>10} {:>8} {:>8} {:>8} {:>9} {:>9}",
-        "Video", "frames", "Time PM", "Time FPGA", "speedup", "intra", "inter", "gt-err px", "harness"
+        "Video",
+        "frames",
+        "Time PM",
+        "Time FPGA",
+        "speedup",
+        "intra",
+        "inter",
+        "gt-err px",
+        "harness"
     );
 
     // Paper reference rows for comparison.

@@ -73,7 +73,11 @@ pub struct Violation {
 
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] {}\n    witness: {}", self.check, self.message, self.witness)
+        write!(
+            f,
+            "[{}] {}\n    witness: {}",
+            self.check, self.message, self.witness
+        )
     }
 }
 
@@ -106,7 +110,12 @@ impl fmt::Display for CheckReport {
         if self.is_clean() {
             return write!(f, "OK: {} cases, no violations", self.cases);
         }
-        writeln!(f, "{} violation(s) in {} cases:", self.violations.len(), self.cases)?;
+        writeln!(
+            f,
+            "{} violation(s) in {} cases:",
+            self.violations.len(),
+            self.cases
+        )?;
         for v in &self.violations {
             writeln!(f, "  {v}")?;
         }
@@ -174,7 +183,10 @@ mod tests {
 
     #[test]
     fn report_merge_accumulates() {
-        let mut a = CheckReport { cases: 2, violations: vec![] };
+        let mut a = CheckReport {
+            cases: 2,
+            violations: vec![],
+        };
         let b = CheckReport {
             cases: 3,
             violations: vec![Violation {
@@ -193,13 +205,20 @@ mod tests {
     fn must_pass_sweep_is_clean() {
         let report = check_model(&sweep::must_pass_scenarios());
         assert!(report.is_clean(), "{report}");
-        assert!(report.cases > 500, "sweep too small: {} cases", report.cases);
+        assert!(
+            report.cases > 500,
+            "sweep too small: {} cases",
+            report.cases
+        );
     }
 
     #[test]
     fn adversarial_sweep_finds_witnesses() {
         let report = check_model(&sweep::adversarial_scenarios());
-        assert!(!report.is_clean(), "adversarial sweep must surface violations");
+        assert!(
+            !report.is_clean(),
+            "adversarial sweep must surface violations"
+        );
         // Every violation names a concrete witness.
         for v in &report.violations {
             assert!(!v.witness.is_empty(), "{v}");

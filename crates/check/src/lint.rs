@@ -40,8 +40,15 @@ pub const SIMULATION_CRATES: [&str; 4] = ["core", "engine", "gme", "par"];
 pub const METRIC_KEY_EXEMPT_CRATES: [&str; 1] = ["obs"];
 
 /// Registry methods whose first argument is a metrics key.
-const METRIC_METHODS: [&str; 7] =
-    ["inc", "observe", "add_gauge", "max_gauge", "counter", "gauge", "histogram"];
+const METRIC_METHODS: [&str; 7] = [
+    "inc",
+    "observe",
+    "add_gauge",
+    "max_gauge",
+    "counter",
+    "gauge",
+    "histogram",
+];
 
 /// One lexical token with its 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -189,7 +196,13 @@ fn scan_raw_string(chars: &[char], start: usize) -> (String, usize, usize) {
     let mut value = String::new();
     let mut lines = 0;
     while i < chars.len() {
-        if chars[i] == '"' && chars[i + 1..].iter().take(hashes).filter(|c| **c == '#').count() == hashes
+        if chars[i] == '"'
+            && chars[i + 1..]
+                .iter()
+                .take(hashes)
+                .filter(|c| **c == '#')
+                .count()
+                == hashes
         {
             return (value, i + 1 + hashes, lines);
         }
@@ -513,7 +526,11 @@ pub fn lint_workspace(root: &Path) -> CheckReport {
             continue;
         };
         report.cases += 1;
-        let rel = path.strip_prefix(root).unwrap_or(path).display().to_string();
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(path)
+            .display()
+            .to_string();
         lint_cargo_toml(&text, &rel, &mut report.violations);
     }
 
@@ -532,10 +549,16 @@ mod tests {
     /// A scratch fixture workspace under `target/`, kept inside the
     /// repository.
     fn fixture_root(name: &str) -> PathBuf {
-        let root = workspace_root().join("target/vip-check-fixtures").join(name);
+        let root = workspace_root()
+            .join("target/vip-check-fixtures")
+            .join(name);
         let _ = fs::remove_dir_all(&root);
         fs::create_dir_all(root.join("crates/engine/src")).unwrap();
-        fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/*\"]\n").unwrap();
+        fs::write(
+            root.join("Cargo.toml"),
+            "[workspace]\nmembers = [\"crates/*\"]\n",
+        )
+        .unwrap();
         root
     }
 
@@ -572,7 +595,10 @@ mod tests {
         ";
         let scan = scan_tokens(&tokenize(src));
         let patterns: Vec<&str> = scan.wall_clock.iter().map(|(_, p)| *p).collect();
-        assert_eq!(patterns, vec!["std::time::Instant", "Instant::now", "SystemTime::now"]);
+        assert_eq!(
+            patterns,
+            vec!["std::time::Instant", "Instant::now", "SystemTime::now"]
+        );
     }
 
     #[test]
@@ -599,7 +625,10 @@ mod tests {
             fn f(r: &mut R) { r.inc(keys::A, 1); }
         ";
         let scan = scan_tokens(&tokenize(src));
-        assert_eq!(scan.key_definitions, vec![("A".to_string(), "x.a".to_string())]);
+        assert_eq!(
+            scan.key_definitions,
+            vec![("A".to_string(), "x.a".to_string())]
+        );
         assert_eq!(scan.key_const_uses, vec!["A".to_string()]);
     }
 
@@ -724,7 +753,11 @@ mod tests {
             .collect();
         assert_eq!(unknown.len(), 1, "{report}");
         assert!(unknown[0].message.contains("engine.bogus_key"));
-        assert!(unknown[0].witness.contains("lib.rs:4"), "{}", unknown[0].witness);
+        assert!(
+            unknown[0].witness.contains("lib.rs:4"),
+            "{}",
+            unknown[0].witness
+        );
     }
 
     #[test]
@@ -737,10 +770,19 @@ mod tests {
         .unwrap();
         let report = lint_workspace(&root);
         assert!(
-            report.violations.iter().any(|v| v.check == "lint.missing_forbid_unsafe"),
+            report
+                .violations
+                .iter()
+                .any(|v| v.check == "lint.missing_forbid_unsafe"),
             "{report}"
         );
-        assert!(report.violations.iter().any(|v| v.check == "lint.wall_clock"), "{report}");
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.check == "lint.wall_clock"),
+            "{report}"
+        );
     }
 
     #[test]

@@ -141,7 +141,11 @@ mod tests {
     fn prototype_iim_is_deadlock_free_up_to_radius_four() {
         let dims = Dims::new(352, 288);
         for r in 0..=4 {
-            let s = scenario(EngineConfig::prototype(), dims, CallKind::Intra { radius: r });
+            let s = scenario(
+                EngineConfig::prototype(),
+                dims,
+                CallKind::Intra { radius: r },
+            );
             assert!(check_iim(&s).is_empty(), "radius {r}");
         }
     }
@@ -169,10 +173,18 @@ mod tests {
     #[test]
     fn oim_bound_matches_rate_argument() {
         // Prototype: d=2 ⇒ bound ≈ n/2 + 2, capped at 16·width.
-        let s = scenario(EngineConfig::prototype(), Dims::new(352, 288), CallKind::Inter);
+        let s = scenario(
+            EngineConfig::prototype(),
+            Dims::new(352, 288),
+            CallKind::Inter,
+        );
         let n = 352 * 288u64;
         assert_eq!(oim_occupancy_bound(&s), (n.div_ceil(2) + 2).min(16 * 352));
-        assert_eq!(oim_occupancy_bound(&s), 16 * 352, "CIF saturates the FIFO bound");
+        assert_eq!(
+            oim_occupancy_bound(&s),
+            16 * 352,
+            "CIF saturates the FIFO bound"
+        );
         // Tiny frame: rate bound governs.
         let t = scenario(EngineConfig::prototype(), Dims::new(4, 4), CallKind::Inter);
         assert_eq!(oim_occupancy_bound(&t), 8 + 2);

@@ -320,8 +320,7 @@ pub fn check_pipeline_depth(s: &Scenario) -> Vec<Violation> {
     if s.config.pipeline_stages == 0 {
         out.push(Violation {
             check: "pipeline.depth",
-            message: "pipeline_stages is zero — the Process Unit needs its four stages"
-                .to_string(),
+            message: "pipeline_stages is zero — the Process Unit needs its four stages".to_string(),
             witness: s.witness(),
         });
     }
@@ -346,10 +345,10 @@ pub fn check_pipeline_depth(s: &Scenario) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::witness::CallKind;
     use std::collections::HashSet;
     use vip_core::geometry::Dims;
     use vip_engine::config::EngineConfig;
-    use crate::witness::CallKind;
 
     fn inputs(letters: &str) -> Vec<Inputs> {
         letters

@@ -93,17 +93,12 @@ impl DrainModel {
         let (branches, drained) = match s.mode {
             CallKind::Intra { radius } => {
                 let lead = (radius as f64 + 2.0) * w * r_in + const_lead;
-                (
-                    vec![(t_irq + lead, r_in), (t_irq + lead, r_drain)],
-                    n,
-                )
+                (vec![(t_irq + lead, r_in), (t_irq + lead, r_drain)], n)
             }
             CallKind::Inter => {
                 let input_end = t_irq + 2.0 * n * r_in;
                 match config.inter_overlap {
-                    InterOverlap::Sequential => {
-                        (vec![(input_end + const_lead, r_drain)], n)
-                    }
+                    InterOverlap::Sequential => (vec![(input_end + const_lead, r_drain)], n),
                     InterOverlap::Interleaved => (
                         vec![
                             (t_irq + const_lead, 2.0 * r_in),
@@ -119,7 +114,10 @@ impl DrainModel {
                 (vec![(input_end, r_seg)], pixels as f64)
             }
         };
-        DrainModel { branches, drained_pixels: drained }
+        DrainModel {
+            branches,
+            drained_pixels: drained,
+        }
     }
 
     /// `D(k)`: seconds from call issue until `k` result pixels are
@@ -225,9 +223,9 @@ pub fn check_timeline(s: &Scenario) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::witness::Scenario;
     use vip_core::geometry::Dims;
     use vip_engine::config::EngineConfig;
-    use crate::witness::Scenario;
 
     fn proto(dims: Dims, mode: CallKind) -> Scenario {
         Scenario::new("prototype", EngineConfig::prototype(), dims, mode)
@@ -266,7 +264,9 @@ mod tests {
                 CallKind::Intra { radius: 0 },
                 CallKind::Intra { radius: 2 },
                 CallKind::Inter,
-                CallKind::Segment { pixels: dims.pixel_count() as u64 / 3 },
+                CallKind::Segment {
+                    pixels: dims.pixel_count() as u64 / 3,
+                },
             ] {
                 let s = proto(dims, mode);
                 let t = timeline_of(&s);

@@ -23,8 +23,15 @@ use crate::witness::{CallKind, Scenario};
 
 /// Frame dimensions of the sweep: degenerate, small odd, strip-sized,
 /// QCIF and CIF.
-pub const SWEEP_DIMS: [(usize, usize); 7] =
-    [(1, 1), (3, 3), (16, 16), (17, 5), (64, 48), (176, 144), (352, 288)];
+pub const SWEEP_DIMS: [(usize, usize); 7] = [
+    (1, 1),
+    (3, 3),
+    (16, 16),
+    (17, 5),
+    (64, 48),
+    (176, 144),
+    (352, 288),
+];
 
 /// The configuration family the workspace must keep verification-clean.
 #[must_use]
@@ -82,7 +89,9 @@ fn modes_for(dims: Dims) -> Vec<CallKind> {
         CallKind::Segment { pixels: n / 2 },
         CallKind::Segment { pixels: n },
         CallKind::SegmentIndexed { entries: 1 },
-        CallKind::SegmentIndexed { entries: n.div_ceil(4) },
+        CallKind::SegmentIndexed {
+            entries: n.div_ceil(4),
+        },
     ]
 }
 
@@ -114,7 +123,12 @@ pub fn adversarial_scenarios() -> Vec<Scenario> {
         pci_clock: ClockDomain::new("pci", 133e6),
         ..EngineConfig::prototype()
     };
-    out.push(Scenario::new("fast-pci", fast_pci, cif, CallKind::Intra { radius: 1 }));
+    out.push(Scenario::new(
+        "fast-pci",
+        fast_pci,
+        cif,
+        CallKind::Intra { radius: 1 },
+    ));
 
     // A 33 MHz engine drains at half the outbound DMA rate: the read
     // pointer overtakes the drain (§3.1 ordering broken).
@@ -122,14 +136,24 @@ pub fn adversarial_scenarios() -> Vec<Scenario> {
         engine_clock: ClockDomain::new("engine", 33e6),
         ..EngineConfig::prototype()
     };
-    out.push(Scenario::new("slow-engine", slow_engine, cif, CallKind::Intra { radius: 1 }));
+    out.push(Scenario::new(
+        "slow-engine",
+        slow_engine,
+        cif,
+        CallKind::Intra { radius: 1 },
+    ));
 
     // Draining every cycle needs the full input-bank port: 0.5 + 1.0.
     let drain_one = EngineConfig {
         oim_drain_cycles_per_pixel: 1,
         ..EngineConfig::prototype()
     };
-    out.push(Scenario::new("drain-1", drain_one, cif, CallKind::Intra { radius: 1 }));
+    out.push(Scenario::new(
+        "drain-1",
+        drain_one,
+        cif,
+        CallKind::Intra { radius: 1 },
+    ));
 
     // Three IIM line blocks cannot hold a radius-2 (five-line) window:
     // transmission unit and fetch stage deadlock.
@@ -149,14 +173,24 @@ pub fn adversarial_scenarios() -> Vec<Scenario> {
         iim_lines: 1,
         ..EngineConfig::prototype()
     };
-    out.push(Scenario::new("one-iim", one_iim, Dims::new(16, 16), CallKind::Intra { radius: 0 }));
+    out.push(Scenario::new(
+        "one-iim",
+        one_iim,
+        Dims::new(16, 16),
+        CallKind::Intra { radius: 0 },
+    ));
 
     // Zero OIM lines: every push fails, the call never completes.
     let zero_oim = EngineConfig {
         oim_lines: 0,
         ..EngineConfig::prototype()
     };
-    out.push(Scenario::new("zero-oim", zero_oim, Dims::new(16, 16), CallKind::Inter));
+    out.push(Scenario::new(
+        "zero-oim",
+        zero_oim,
+        Dims::new(16, 16),
+        CallKind::Inter,
+    ));
 
     // Detailed fidelity with a declared depth the hard-wired 4-stage
     // datapath cannot honour.
@@ -164,7 +198,12 @@ pub fn adversarial_scenarios() -> Vec<Scenario> {
         pipeline_stages: 5,
         ..EngineConfig::prototype_detailed()
     };
-    out.push(Scenario::new("deep-detailed", deep, Dims::new(16, 16), CallKind::Inter));
+    out.push(Scenario::new(
+        "deep-detailed",
+        deep,
+        Dims::new(16, 16),
+        CallKind::Inter,
+    ));
 
     // No drain gate: on frames where the processing lead exceeds the
     // input transfer, the ungated DMA starts before the first drained
@@ -173,7 +212,12 @@ pub fn adversarial_scenarios() -> Vec<Scenario> {
         output_latency_fraction: 0.0,
         ..EngineConfig::prototype()
     };
-    out.push(Scenario::new("no-gate", no_gate, Dims::new(3, 3), CallKind::Intra { radius: 1 }));
+    out.push(Scenario::new(
+        "no-gate",
+        no_gate,
+        Dims::new(3, 3),
+        CallKind::Intra { radius: 1 },
+    ));
 
     // A megapixel frame overflows the 256 Ki-word banks.
     out.push(Scenario::new(
@@ -188,7 +232,12 @@ pub fn adversarial_scenarios() -> Vec<Scenario> {
         zbt_banks: 4,
         ..EngineConfig::prototype()
     };
-    out.push(Scenario::new("four-banks", four_banks, Dims::new(16, 16), CallKind::Inter));
+    out.push(Scenario::new(
+        "four-banks",
+        four_banks,
+        Dims::new(16, 16),
+        CallKind::Inter,
+    ));
 
     out
 }
@@ -220,11 +269,26 @@ mod tests {
     #[test]
     fn adversarial_witnesses_name_the_broken_field() {
         let report = check_model(&adversarial_scenarios());
-        let witnesses: Vec<&str> =
-            report.violations.iter().map(|v| v.witness.as_str()).collect();
-        assert!(witnesses.iter().any(|w| w.contains("pci_clock=133.0MHz")), "{witnesses:?}");
-        assert!(witnesses.iter().any(|w| w.contains("engine_clock=33.0MHz")), "{witnesses:?}");
-        assert!(witnesses.iter().any(|w| w.contains("iim_lines=3")), "{witnesses:?}");
-        assert!(witnesses.iter().any(|w| w.contains("1024")), "{witnesses:?}");
+        let witnesses: Vec<&str> = report
+            .violations
+            .iter()
+            .map(|v| v.witness.as_str())
+            .collect();
+        assert!(
+            witnesses.iter().any(|w| w.contains("pci_clock=133.0MHz")),
+            "{witnesses:?}"
+        );
+        assert!(
+            witnesses.iter().any(|w| w.contains("engine_clock=33.0MHz")),
+            "{witnesses:?}"
+        );
+        assert!(
+            witnesses.iter().any(|w| w.contains("iim_lines=3")),
+            "{witnesses:?}"
+        );
+        assert!(
+            witnesses.iter().any(|w| w.contains("1024")),
+            "{witnesses:?}"
+        );
     }
 }

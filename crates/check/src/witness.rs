@@ -65,7 +65,12 @@ impl Scenario {
     /// Creates a scenario.
     #[must_use]
     pub fn new(label: &'static str, config: EngineConfig, dims: Dims, mode: CallKind) -> Self {
-        Scenario { label, config, dims, mode }
+        Scenario {
+            label,
+            config,
+            dims,
+            mode,
+        }
     }
 
     /// Renders the scenario as a reproducible witness string: label,
@@ -100,16 +105,25 @@ pub fn config_delta(config: &EngineConfig) -> Vec<String> {
         delta.push(format!("pci_clock={:.1}MHz", config.pci_clock.hz / 1e6));
     }
     if config.engine_clock != base.engine_clock {
-        delta.push(format!("engine_clock={:.1}MHz", config.engine_clock.hz / 1e6));
+        delta.push(format!(
+            "engine_clock={:.1}MHz",
+            config.engine_clock.hz / 1e6
+        ));
     }
     if config.pci_bytes_per_cycle != base.pci_bytes_per_cycle {
-        delta.push(format!("pci_bytes_per_cycle={}", config.pci_bytes_per_cycle));
+        delta.push(format!(
+            "pci_bytes_per_cycle={}",
+            config.pci_bytes_per_cycle
+        ));
     }
     if (config.pci_efficiency - base.pci_efficiency).abs() > f64::EPSILON {
         delta.push(format!("pci_efficiency={}", config.pci_efficiency));
     }
     if config.interrupt_overhead_cycles != base.interrupt_overhead_cycles {
-        delta.push(format!("interrupt_overhead_cycles={}", config.interrupt_overhead_cycles));
+        delta.push(format!(
+            "interrupt_overhead_cycles={}",
+            config.interrupt_overhead_cycles
+        ));
     }
     if config.zbt_banks != base.zbt_banks {
         delta.push(format!("zbt_banks={}", config.zbt_banks));
@@ -130,10 +144,16 @@ pub fn config_delta(config: &EngineConfig) -> Vec<String> {
         delta.push(format!("pipeline_stages={}", config.pipeline_stages));
     }
     if config.oim_drain_cycles_per_pixel != base.oim_drain_cycles_per_pixel {
-        delta.push(format!("oim_drain_cycles_per_pixel={}", config.oim_drain_cycles_per_pixel));
+        delta.push(format!(
+            "oim_drain_cycles_per_pixel={}",
+            config.oim_drain_cycles_per_pixel
+        ));
     }
     if (config.output_latency_fraction - base.output_latency_fraction).abs() > f64::EPSILON {
-        delta.push(format!("output_latency_fraction={}", config.output_latency_fraction));
+        delta.push(format!(
+            "output_latency_fraction={}",
+            config.output_latency_fraction
+        ));
     }
     if config.inter_overlap != base.inter_overlap {
         delta.push(format!(
@@ -185,6 +205,9 @@ mod tests {
     fn call_kind_display() {
         assert_eq!(CallKind::Intra { radius: 2 }.to_string(), "intra r=2");
         assert_eq!(CallKind::Segment { pixels: 9 }.to_string(), "segment s=9");
-        assert_eq!(CallKind::SegmentIndexed { entries: 3 }.to_string(), "indexed e=3");
+        assert_eq!(
+            CallKind::SegmentIndexed { entries: 3 }.to_string(),
+            "indexed e=3"
+        );
     }
 }

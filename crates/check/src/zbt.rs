@@ -78,7 +78,12 @@ pub fn check_capacity(s: &Scenario) -> Vec<Violation> {
     }
     let px = s.dims.pixel_count();
     let map = zbt.memory_map(s.dims, s.config.strip_lines);
-    let needed = map.regions.iter().map(|r| r.words_per_bank).max().unwrap_or(0);
+    let needed = map
+        .regions
+        .iter()
+        .map(|r| r.words_per_bank)
+        .max()
+        .unwrap_or(0);
     vec![Violation {
         check: "zbt.capacity",
         message: format!(
@@ -104,9 +109,7 @@ pub fn check_capacity(s: &Scenario) -> Vec<Violation> {
 pub fn check_input_duty(s: &Scenario) -> Vec<Violation> {
     let overlapped = match s.mode {
         CallKind::Intra { .. } => true,
-        CallKind::Inter => {
-            s.config.inter_overlap == vip_engine::config::InterOverlap::Interleaved
-        }
+        CallKind::Inter => s.config.inter_overlap == vip_engine::config::InterOverlap::Interleaved,
         CallKind::Segment { .. } | CallKind::SegmentIndexed { .. } => false,
     };
     if !overlapped {
@@ -201,7 +204,10 @@ mod tests {
         assert!(v[0].message.contains("1048576"), "{}", v[0].message);
         // The bound is exact: 512×512 fills each bank to the last word.
         assert!(check_capacity(&proto(Dims::new(512, 512), CallKind::Inter)).is_empty());
-        assert_eq!(check_capacity(&proto(Dims::new(513, 512), CallKind::Inter)).len(), 1);
+        assert_eq!(
+            check_capacity(&proto(Dims::new(513, 512), CallKind::Inter)).len(),
+            1
+        );
     }
 
     #[test]
@@ -215,11 +221,20 @@ mod tests {
     fn fast_pci_oversubscribes_input_port() {
         let mut c = EngineConfig::prototype();
         c.pci_clock = vip_engine::clock::ClockDomain::new("pci", 133e6);
-        let s = Scenario::new("fast-pci", c, Dims::new(352, 288), CallKind::Intra { radius: 1 });
+        let s = Scenario::new(
+            "fast-pci",
+            c,
+            Dims::new(352, 288),
+            CallKind::Intra { radius: 1 },
+        );
         let v = check_input_duty(&s);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].check, "zbt.input_port_duty");
-        assert!(v[0].witness.contains("pci_clock=133.0MHz"), "{}", v[0].witness);
+        assert!(
+            v[0].witness.contains("pci_clock=133.0MHz"),
+            "{}",
+            v[0].witness
+        );
     }
 
     #[test]
@@ -247,9 +262,17 @@ mod tests {
     fn slow_engine_lets_dma_overtake_drain() {
         let mut c = EngineConfig::prototype();
         c.engine_clock = vip_engine::clock::ClockDomain::new("engine", 33e6);
-        let s = Scenario::new("slow-engine", c, Dims::new(352, 288), CallKind::Intra { radius: 1 });
+        let s = Scenario::new(
+            "slow-engine",
+            c,
+            Dims::new(352, 288),
+            CallKind::Intra { radius: 1 },
+        );
         let v = check_output_overtake(&s);
-        assert!(!v.is_empty(), "drain at 33 MHz cannot keep ahead of a 264 MB/s DMA");
+        assert!(
+            !v.is_empty(),
+            "drain at 33 MHz cannot keep ahead of a 264 MB/s DMA"
+        );
         assert_eq!(v[0].check, "zbt.output_overtake");
     }
 

@@ -234,7 +234,10 @@ impl AccessCounter {
     /// Creates a zeroed counter.
     #[must_use]
     pub const fn new() -> Self {
-        AccessCounter { reads: 0, writes: 0 }
+        AccessCounter {
+            reads: 0,
+            writes: 0,
+        }
     }
 
     /// Records `n` read accesses.
@@ -361,7 +364,10 @@ mod tests {
             .map(|c| AccessModel::for_call(c, CIF).saving_of_software())
             .collect();
         for w in savings.windows(2) {
-            assert!(w[0] <= w[1], "saving must be monotone in traffic: {savings:?}");
+            assert!(
+                w[0] <= w[1],
+                "saving must be monotone in traffic: {savings:?}"
+            );
         }
     }
 
@@ -404,6 +410,9 @@ mod tests {
     fn descriptor_display() {
         let call = CallDescriptor::intra(Connectivity::Con8, ChannelSet::YUV, ChannelSet::Y);
         assert_eq!(call.to_string(), "intra CON_8 Y,U,V→Y");
-        assert_eq!(AddressingMode::SegmentIndexed.to_string(), "segment-indexed");
+        assert_eq!(
+            AddressingMode::SegmentIndexed.to_string(),
+            "segment-indexed"
+        );
     }
 }

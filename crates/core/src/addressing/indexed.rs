@@ -124,7 +124,12 @@ impl<T> AsRef<[T]> for SegmentTable<T> {
 
 impl<T: fmt::Debug> fmt::Display for SegmentTable<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SegmentTable[{} entries, {}]", self.entries.len(), self.accesses)
+        write!(
+            f,
+            "SegmentTable[{} entries, {}]",
+            self.entries.len(),
+            self.accesses
+        )
     }
 }
 

@@ -213,7 +213,13 @@ mod tests {
     /// per-pixel reference on every contract geometry.
     fn assert_row_contract<O: InterOp>(op: O) {
         let qcif = ImageFormat::Qcif.dims();
-        let dims = [Dims::new(1, 1), Dims::new(1, 13), Dims::new(13, 1), Dims::new(7, 5), qcif];
+        let dims = [
+            Dims::new(1, 1),
+            Dims::new(1, 13),
+            Dims::new(13, 1),
+            Dims::new(7, 5),
+            qcif,
+        ];
         for (i, dims) in dims.into_iter().enumerate() {
             let a = seeded(dims, 0x9e37_79b9_7f4a_7c15 + i as u64);
             let b = seeded(dims, 0x2545_f491_4f6c_dd1d + i as u64);
@@ -242,7 +248,11 @@ mod tests {
         assert_row_contract(Blend::new(77));
         assert_row_contract(Blend::average());
         assert_row_contract(ChangeMask::new(15));
-        assert_row_contract(InterThen::new("change", AbsDiff::luma(), Threshold::binary(40)));
+        assert_row_contract(InterThen::new(
+            "change",
+            AbsDiff::luma(),
+            Threshold::binary(40),
+        ));
     }
 
     /// Luma `AbsDiff` that counts the row calls it receives.

@@ -114,12 +114,7 @@ pub fn label_all_segments(
         })?;
 
         let gated = UnlabelledCriterion { inner: criterion };
-        let result = run_segment(
-            &work,
-            &[seed],
-            &gated,
-            SegmentOptions { label, ..options },
-        )?;
+        let result = run_segment(&work, &[seed], &gated, SegmentOptions { label, ..options })?;
 
         // Commit the members into the working frame.
         for member in &result.segment {
@@ -290,8 +285,7 @@ mod tests {
             SegmentOptions::default(),
         )
         .unwrap();
-        let table =
-            crate::addressing::indexed::accumulate_segment_stats(&l.output).unwrap();
+        let table = crate::addressing::indexed::accumulate_segment_stats(&l.output).unwrap();
         assert_eq!(table.as_ref()[1].area, 16);
         assert_eq!(table.as_ref()[2].area, 16);
         assert!((table.as_ref()[2].mean_luma() - 200.0).abs() < 1e-9);

@@ -18,8 +18,8 @@
 
 pub mod indexed;
 pub mod inter;
-pub mod labeling;
 pub mod intra;
+pub mod labeling;
 pub mod segment;
 
 use core::fmt;

@@ -334,8 +334,13 @@ mod tests {
             connectivity: Connectivity::Con8,
             ..SegmentOptions::default()
         };
-        let r = run_segment(&f, &[Point::new(3, 3)], &HomogeneityCriterion::luma(20), opts)
-            .unwrap();
+        let r = run_segment(
+            &f,
+            &[Point::new(3, 3)],
+            &HomogeneityCriterion::luma(20),
+            opts,
+        )
+        .unwrap();
         assert_eq!(r.segment.len(), 9);
         assert_eq!(r.max_distance(), 1); // all 8 neighbours at distance 1
     }
@@ -369,7 +374,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            r.segment.iter().filter(|s| s.point == Point::new(3, 3)).count(),
+            r.segment
+                .iter()
+                .filter(|s| s.point == Point::new(3, 3))
+                .count(),
             1
         );
     }
@@ -378,7 +386,12 @@ mod tests {
     fn errors() {
         let f = block_frame();
         assert!(matches!(
-            run_segment(&f, &[], &HomogeneityCriterion::luma(1), SegmentOptions::default()),
+            run_segment(
+                &f,
+                &[],
+                &HomogeneityCriterion::luma(1),
+                SegmentOptions::default()
+            ),
             Err(CoreError::NoSeeds)
         ));
         assert!(matches!(
@@ -392,7 +405,12 @@ mod tests {
         ));
         let empty = Frame::new(Dims::new(0, 0));
         assert!(matches!(
-            run_segment(&empty, &[Point::ORIGIN], &HomogeneityCriterion::luma(1), SegmentOptions::default()),
+            run_segment(
+                &empty,
+                &[Point::ORIGIN],
+                &HomogeneityCriterion::luma(1),
+                SegmentOptions::default()
+            ),
             Err(CoreError::EmptyFrame)
         ));
     }
@@ -404,8 +422,13 @@ mod tests {
             max_pixels: Some(5),
             ..SegmentOptions::default()
         };
-        let r = run_segment(&f, &[Point::new(5, 5)], &HomogeneityCriterion::luma(5), opts)
-            .unwrap();
+        let r = run_segment(
+            &f,
+            &[Point::new(5, 5)],
+            &HomogeneityCriterion::luma(5),
+            opts,
+        )
+        .unwrap();
         assert_eq!(r.segment.len(), 5);
     }
 

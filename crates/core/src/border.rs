@@ -145,17 +145,41 @@ mod tests {
     #[test]
     fn clamp_replicates_edges() {
         let f = frame();
-        assert_eq!(BorderPolicy::Clamp.resolve(&f, Point::new(-3, 0)).unwrap().y, 0);
-        assert_eq!(BorderPolicy::Clamp.resolve(&f, Point::new(9, 0)).unwrap().y, 30);
-        assert_eq!(BorderPolicy::Clamp.resolve(&f, Point::new(1, 5)).unwrap().y, 10);
+        assert_eq!(
+            BorderPolicy::Clamp
+                .resolve(&f, Point::new(-3, 0))
+                .unwrap()
+                .y,
+            0
+        );
+        assert_eq!(
+            BorderPolicy::Clamp.resolve(&f, Point::new(9, 0)).unwrap().y,
+            30
+        );
+        assert_eq!(
+            BorderPolicy::Clamp.resolve(&f, Point::new(1, 5)).unwrap().y,
+            10
+        );
     }
 
     #[test]
     fn mirror_reflects_without_edge_repeat() {
         let f = frame();
         // x = -1 mirrors to 1, x = 4 mirrors to 2.
-        assert_eq!(BorderPolicy::Mirror.resolve(&f, Point::new(-1, 0)).unwrap().y, 10);
-        assert_eq!(BorderPolicy::Mirror.resolve(&f, Point::new(4, 0)).unwrap().y, 20);
+        assert_eq!(
+            BorderPolicy::Mirror
+                .resolve(&f, Point::new(-1, 0))
+                .unwrap()
+                .y,
+            10
+        );
+        assert_eq!(
+            BorderPolicy::Mirror
+                .resolve(&f, Point::new(4, 0))
+                .unwrap()
+                .y,
+            20
+        );
         // Deep reflection: x = -4 → 4 → period fold → 2.
         assert_eq!(mirror_coord(-4, 4), 2);
         assert_eq!(mirror_coord(0, 1), 0);
@@ -165,8 +189,14 @@ mod tests {
     #[test]
     fn wrap_is_torus() {
         let f = frame();
-        assert_eq!(BorderPolicy::Wrap.resolve(&f, Point::new(-1, 0)).unwrap().y, 30);
-        assert_eq!(BorderPolicy::Wrap.resolve(&f, Point::new(5, 0)).unwrap().y, 10);
+        assert_eq!(
+            BorderPolicy::Wrap.resolve(&f, Point::new(-1, 0)).unwrap().y,
+            30
+        );
+        assert_eq!(
+            BorderPolicy::Wrap.resolve(&f, Point::new(5, 0)).unwrap().y,
+            10
+        );
     }
 
     #[test]
@@ -195,7 +225,11 @@ mod tests {
     #[test]
     fn mapped_points_always_in_bounds() {
         let dims = Dims::new(5, 3);
-        for pol in [BorderPolicy::Clamp, BorderPolicy::Mirror, BorderPolicy::Wrap] {
+        for pol in [
+            BorderPolicy::Clamp,
+            BorderPolicy::Mirror,
+            BorderPolicy::Wrap,
+        ] {
             for x in -12..12 {
                 for y in -12..12 {
                     let q = pol.map_point(dims, Point::new(x, y)).unwrap();
@@ -208,6 +242,8 @@ mod tests {
     #[test]
     fn display() {
         assert_eq!(BorderPolicy::Clamp.to_string(), "clamp");
-        assert!(BorderPolicy::Constant(Pixel::BLACK).to_string().starts_with("constant("));
+        assert!(BorderPolicy::Constant(Pixel::BLACK)
+            .to_string()
+            .starts_with("constant("));
     }
 }

@@ -73,7 +73,10 @@ impl fmt::Display for CoreError {
             CoreError::OutOfBounds { point, dims } => {
                 write!(f, "position {point} outside frame {dims}")
             }
-            CoreError::UnsupportedChannels { requested, supported } => write!(
+            CoreError::UnsupportedChannels {
+                requested,
+                supported,
+            } => write!(
                 f,
                 "operation cannot produce channels {requested} (supports {supported})"
             ),

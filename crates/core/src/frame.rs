@@ -252,9 +252,10 @@ impl Frame {
     /// Iterates over `(Point, Pixel)` pairs in row-major order.
     pub fn enumerate(&self) -> impl Iterator<Item = (Point, Pixel)> + '_ {
         let w = self.dims.width;
-        self.data.iter().enumerate().map(move |(i, &px)| {
-            (Point::new((i % w) as i32, (i / w) as i32), px)
-        })
+        self.data
+            .iter()
+            .enumerate()
+            .map(move |(i, &px)| (Point::new((i % w) as i32, (i / w) as i32), px))
     }
 
     /// Extracts one channel as a plane of widened samples.
@@ -474,7 +475,8 @@ mod tests {
     fn merge_channels_on_frame_pixels() {
         let mut f = Frame::filled(Dims::new(1, 1), Pixel::new(1, 2, 3, 4, 5));
         let src = Pixel::new(9, 9, 9, 9, 9);
-        f.get_mut(Point::ORIGIN).merge_channels(src, ChannelSet::ALPHA);
+        f.get_mut(Point::ORIGIN)
+            .merge_channels(src, ChannelSet::ALPHA);
         assert_eq!(f.get(Point::ORIGIN), Pixel::new(1, 2, 3, 9, 5));
     }
 

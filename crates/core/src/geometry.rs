@@ -197,7 +197,12 @@ impl Rect {
     /// Creates a rectangle.
     #[must_use]
     pub const fn new(x: i32, y: i32, width: usize, height: usize) -> Self {
-        Rect { x, y, width, height }
+        Rect {
+            x,
+            y,
+            width,
+            height,
+        }
     }
 
     /// Whether `p` lies inside the rectangle.

@@ -135,7 +135,9 @@ impl Connectivity {
     /// criterion.
     #[must_use]
     pub fn expansion_offsets(self) -> Vec<Point> {
-        self.offsets_iter().filter(|p| *p != Point::ORIGIN).collect()
+        self.offsets_iter()
+            .filter(|p| *p != Point::ORIGIN)
+            .collect()
     }
 
     /// Number of *new* pixels that enter a sliding window per unit step in
@@ -401,9 +403,7 @@ mod tests {
     use crate::geometry::Dims;
 
     fn ramp() -> Frame {
-        Frame::from_fn(Dims::new(5, 5), |p| {
-            Pixel::from_luma((p.y * 5 + p.x) as u8)
-        })
+        Frame::from_fn(Dims::new(5, 5), |p| Pixel::from_luma((p.y * 5 + p.x) as u8))
     }
 
     #[test]
@@ -509,7 +509,12 @@ mod tests {
     #[test]
     fn gather_interior_full_window() {
         let f = ramp();
-        let w = Window::gather(&f, Point::new(2, 2), Connectivity::Con8, BorderPolicy::Clamp);
+        let w = Window::gather(
+            &f,
+            Point::new(2, 2),
+            Connectivity::Con8,
+            BorderPolicy::Clamp,
+        );
         assert_eq!(w.len(), 9);
         assert_eq!(w.centre_pixel().y, 12);
         assert_eq!(w.sample(Point::new(-1, -1)).unwrap().y, 6);
@@ -546,7 +551,12 @@ mod tests {
     #[test]
     fn luma_min_max() {
         let f = ramp();
-        let w = Window::gather(&f, Point::new(2, 2), Connectivity::Con8, BorderPolicy::Clamp);
+        let w = Window::gather(
+            &f,
+            Point::new(2, 2),
+            Connectivity::Con8,
+            BorderPolicy::Clamp,
+        );
         assert_eq!(w.luma_min_max(), Some((6, 18)));
         let empty = Window {
             centre: Point::ORIGIN,
@@ -560,7 +570,12 @@ mod tests {
     #[test]
     fn window_iteration() {
         let f = ramp();
-        let w = Window::gather(&f, Point::new(1, 1), Connectivity::Con4, BorderPolicy::Clamp);
+        let w = Window::gather(
+            &f,
+            Point::new(1, 1),
+            Connectivity::Con4,
+            BorderPolicy::Clamp,
+        );
         assert_eq!(w.iter().count(), 5);
         assert_eq!((&w).into_iter().count(), 5);
         assert_eq!(w.pixels().count(), 5);

@@ -182,7 +182,9 @@ impl InterOp for Mult {
         self.channels
     }
     fn apply(&self, a: Pixel, b: Pixel) -> Pixel {
-        zip_video(self.channels, a, b, |x, y| (u16::from(x) * u16::from(y) / 255) as u8)
+        zip_video(self.channels, a, b, |x, y| {
+            (u16::from(x) * u16::from(y) / 255) as u8
+        })
     }
 }
 

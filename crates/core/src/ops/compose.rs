@@ -137,7 +137,9 @@ impl<A: IntraOp, P: IntraOp> IntraOp for Then<A, P> {
         self.first.input_channels()
     }
     fn output_channels(&self) -> ChannelSet {
-        self.first.output_channels().union(self.point.output_channels())
+        self.first
+            .output_channels()
+            .union(self.point.output_channels())
     }
     fn apply(&self, window: &Window) -> Pixel {
         let mid = self.first.apply(window);
@@ -183,7 +185,9 @@ impl<A: InterOp, P: IntraOp> InterOp for InterThen<A, P> {
         self.first.input_channels()
     }
     fn output_channels(&self) -> ChannelSet {
-        self.first.output_channels().union(self.point.output_channels())
+        self.first
+            .output_channels()
+            .union(self.point.output_channels())
     }
     fn apply(&self, a: Pixel, b: Pixel) -> Pixel {
         let mid = self.first.apply(a, b);

@@ -298,7 +298,10 @@ mod tests {
 
     #[test]
     fn point_ops_preserve_other_channels() {
-        for op in [&Threshold::binary(1) as &dyn IntraOp, &ScaleOffset::brightness(5)] {
+        for op in [
+            &Threshold::binary(1) as &dyn IntraOp,
+            &ScaleOffset::brightness(5),
+        ] {
             let out = apply_at(&op, 100);
             assert_eq!(out.aux, 7, "{}", op.name());
             assert_eq!((out.u, out.v), (128, 128));

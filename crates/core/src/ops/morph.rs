@@ -326,7 +326,13 @@ mod tests {
         assert_eq!(Dilate::con8().input_channels(), ChannelSet::Y);
         assert_eq!(AlphaMajority::new().input_channels(), ChannelSet::ALPHA);
         assert_eq!(MorphGradient::con8().name(), "morph_gradient");
-        assert_eq!(Dilate::with_shape(Connectivity::Con4).shape(), Connectivity::Con4);
-        assert_eq!(Erode::with_shape(Connectivity::Con8).shape(), Connectivity::Con8);
+        assert_eq!(
+            Dilate::with_shape(Connectivity::Con4).shape(),
+            Connectivity::Con4
+        );
+        assert_eq!(
+            Erode::with_shape(Connectivity::Con8).shape(),
+            Connectivity::Con8
+        );
     }
 }

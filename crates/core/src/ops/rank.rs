@@ -201,7 +201,9 @@ mod tests {
         assert!(RankFilter::new(Connectivity::Con8, 1001).is_err());
         assert!(RankFilter::new(Connectivity::Con8, 1000).is_ok());
         assert_eq!(
-            RankFilter::new(Connectivity::Con4, 250).unwrap().rank_permille(),
+            RankFilter::new(Connectivity::Con4, 250)
+                .unwrap()
+                .rank_permille(),
             250
         );
     }

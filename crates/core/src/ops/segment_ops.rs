@@ -259,7 +259,10 @@ mod tests {
 
     #[test]
     fn display() {
-        assert_eq!(HomogeneityCriterion::luma(8).to_string(), "homogeneity(y≤8)");
+        assert_eq!(
+            HomogeneityCriterion::luma(8).to_string(),
+            "homogeneity(y≤8)"
+        );
         assert_eq!(
             HomogeneityCriterion::luma_chroma(8, 4).to_string(),
             "homogeneity(y≤8, uv≤4)"

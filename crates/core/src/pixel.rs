@@ -83,7 +83,13 @@ impl Pixel {
     /// ```
     #[must_use]
     pub const fn new(y: u8, u: u8, v: u8, alpha: u16, aux: u16) -> Self {
-        Pixel { y, u, v, alpha, aux }
+        Pixel {
+            y,
+            u,
+            v,
+            alpha,
+            aux,
+        }
     }
 
     /// Creates a pixel from the three video channels with zeroed side
@@ -584,7 +590,11 @@ mod tests {
                 for &src in &pixels {
                     let mut merged = dst;
                     merged.merge_channels(src, set);
-                    assert_eq!(merged, merge_reference(dst, src, set), "{set} {dst} <- {src}");
+                    assert_eq!(
+                        merged,
+                        merge_reference(dst, src, set),
+                        "{set} {dst} <- {src}"
+                    );
                 }
             }
         }

@@ -24,7 +24,13 @@ use vip_core::pixel::{Channel, ChannelSet, Pixel};
 use vip_core::scan::strips;
 
 fn arb_pixel() -> impl Strategy<Value = Pixel> {
-    (any::<u8>(), any::<u8>(), any::<u8>(), any::<u16>(), any::<u16>())
+    (
+        any::<u8>(),
+        any::<u8>(),
+        any::<u8>(),
+        any::<u16>(),
+        any::<u16>(),
+    )
         .prop_map(|(y, u, v, a, x)| Pixel::new(y, u, v, a, x))
 }
 

@@ -302,7 +302,10 @@ mod tests {
         c.oim_lines = 0;
         assert!(matches!(
             c.validate(),
-            Err(EngineError::InvalidConfig { field: "oim_lines", .. })
+            Err(EngineError::InvalidConfig {
+                field: "oim_lines",
+                ..
+            })
         ));
         let mut c = base.clone();
         c.zbt_banks = 1;

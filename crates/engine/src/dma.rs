@@ -84,7 +84,11 @@ impl DmaSchedule {
             .iter()
             .map(|s| s.transfer.cycles.count())
             .sum::<u64>()
-            + self.output_halves.iter().map(|t| t.cycles.count()).sum::<u64>();
+            + self
+                .output_halves
+                .iter()
+                .map(|t| t.cycles.count())
+                .sum::<u64>();
         payload as f64 / self.end.count() as f64
     }
 
@@ -164,7 +168,10 @@ fn output_gate(dims: Dims, config: &EngineConfig, processing_start: Cycles) -> C
     let n = dims.pixel_count() as f64;
     let gate_px = (config.output_latency_fraction * n).ceil();
     let drain_s = gate_px * config.oim_drain_cycles_per_pixel as f64 / config.engine_clock.hz;
-    processing_start + config.pci_clock.cycles_in(std::time::Duration::from_secs_f64(drain_s))
+    processing_start
+        + config
+            .pci_clock
+            .cycles_in(std::time::Duration::from_secs_f64(drain_s))
 }
 
 /// Schedules the DMA traffic of an intra call: the input image in
@@ -281,7 +288,11 @@ mod tests {
         for (i, st) in s.input_strips.iter().enumerate() {
             assert_eq!(st.strip, i);
             assert_eq!(st.image, 0);
-            let expect = if i.is_multiple_of(2) { StripBlock::BlockA } else { StripBlock::BlockB };
+            let expect = if i.is_multiple_of(2) {
+                StripBlock::BlockA
+            } else {
+                StripBlock::BlockB
+            };
             assert_eq!(st.block, expect, "strip {i}");
         }
         // Strips are contiguous on the bus.
@@ -317,7 +328,11 @@ mod tests {
         );
         let t = crate::timing::inter_timeline(CIF, &c);
         let end_s = s.end.count() as f64 / c.pci_clock.hz;
-        assert!((end_s - t.total).abs() / t.total < 0.02, "{end_s} vs {}", t.total);
+        assert!(
+            (end_s - t.total).abs() / t.total < 0.02,
+            "{end_s} vs {}",
+            t.total
+        );
     }
 
     #[test]
@@ -329,7 +344,10 @@ mod tests {
         assert_eq!(s.input_strips[0].image, 0);
         assert_eq!(s.input_strips[1].image, 1);
         assert_eq!(s.input_strips[2].strip, 1);
-        assert_eq!(s.output_start, s.input_end, "no gate: processing tracked the input");
+        assert_eq!(
+            s.output_start, s.input_end,
+            "no gate: processing tracked the input"
+        );
     }
 
     #[test]
@@ -369,7 +387,10 @@ mod tests {
         assert_eq!(recording.on_track(Track::Pci).len(), 20);
         assert_eq!(recording.on_track(Track::Dma).len(), 2);
         let end_ns = (s.end.count() as f64 / c.pci_clock.hz * 1e9) as u64;
-        assert!(recording.events.iter().all(|e| e.end_ns() <= end_ns + 1_000));
+        assert!(recording
+            .events
+            .iter()
+            .all(|e| e.end_ns() <= end_ns + 1_000));
         // Disabled recorder records nothing (and must not panic).
         s.emit(&Recorder::disabled(), 0, c.pci_clock.hz);
     }

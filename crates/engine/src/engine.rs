@@ -186,7 +186,8 @@ impl AddressEngine {
             // exactly this call's traffic (input load through result
             // unload) — the per-bank duty behind `vipctl report`.
             for (bank, s) in self.zbt.stats().iter().enumerate() {
-                self.metrics.inc(crate::report::zbt_bank_key(bank), s.total());
+                self.metrics
+                    .inc(crate::report::zbt_bank_key(bank), s.total());
             }
         }
         if self.recorder.is_enabled() {
@@ -334,10 +335,12 @@ impl AddressEngine {
     ) -> EngineResult<EngineRun> {
         self.check_fits(a)?;
         if a.dims() != b.dims() {
-            return Err(EngineError::Core(vip_core::error::CoreError::DimsMismatch {
-                left: a.dims(),
-                right: b.dims(),
-            }));
+            return Err(EngineError::Core(
+                vip_core::error::CoreError::DimsMismatch {
+                    left: a.dims(),
+                    right: b.dims(),
+                },
+            ));
         }
         let descriptor = CallDescriptor::inter(op.input_channels(), op.output_channels());
         let timeline = inter_timeline(a.dims(), &self.config);
@@ -347,38 +350,39 @@ impl AddressEngine {
             .recorder
             .is_enabled()
             .then(|| schedule_inter_call(a.dims(), &self.config));
-        let (output, hardware_accesses, processing) = match self.config.fidelity {
-            SimulationFidelity::Detailed => {
-                self.load_region(ZbtRegion::InputA, a)?;
-                self.load_region(ZbtRegion::InputB, b)?;
-                self.zbt.reset_stats();
-                // Sequential inter processing waits for both images;
-                // interleaved tracks the input strips (see dma.rs).
-                let probe = self.pu_probe(schedule.as_ref().map_or(0.0, |s| {
-                    match self.config.inter_overlap {
-                        InterOverlap::Sequential => self.pci_seconds(s.input_end),
-                        InterOverlap::Interleaved => {
-                            self.pci_seconds(s.input_strips[1].transfer.end())
+        let (output, hardware_accesses, processing) =
+            match self.config.fidelity {
+                SimulationFidelity::Detailed => {
+                    self.load_region(ZbtRegion::InputA, a)?;
+                    self.load_region(ZbtRegion::InputB, b)?;
+                    self.zbt.reset_stats();
+                    // Sequential inter processing waits for both images;
+                    // interleaved tracks the input strips (see dma.rs).
+                    let probe = self.pu_probe(schedule.as_ref().map_or(0.0, |s| {
+                        match self.config.inter_overlap {
+                            InterOverlap::Sequential => self.pci_seconds(s.input_end),
+                            InterOverlap::Interleaved => {
+                                self.pci_seconds(s.input_strips[1].transfer.end())
+                            }
                         }
-                    }
-                }));
-                let (zbt, dims, trace_limit) = (&mut self.zbt, a.dims(), self.trace_limit);
-                let stats = match self.config.step_mode {
-                    StepMode::FastForward => {
-                        run_inter_fast(zbt, &mut self.skeletons, dims, op, trace_limit, &probe)
-                    }
-                    StepMode::CycleStepped => {
-                        run_inter_detailed(zbt, dims, op, &self.config, trace_limit, &probe)
-                    }
-                }?;
-                let hw = self.zbt.pixel_access_cycles();
-                (self.unload_result(a.dims())?, hw, Some(stats))
-            }
-            SimulationFidelity::Analytic => {
-                let result = vip_core::addressing::inter::run_inter(a, b, op)?;
-                (result.output, access_model.hardware_accesses, None)
-            }
-        };
+                    }));
+                    let (zbt, dims, trace_limit) = (&mut self.zbt, a.dims(), self.trace_limit);
+                    let stats = match self.config.step_mode {
+                        StepMode::FastForward => {
+                            run_inter_fast(zbt, &mut self.skeletons, dims, op, trace_limit, &probe)
+                        }
+                        StepMode::CycleStepped => {
+                            run_inter_detailed(zbt, dims, op, &self.config, trace_limit, &probe)
+                        }
+                    }?;
+                    let hw = self.zbt.pixel_access_cycles();
+                    (self.unload_result(a.dims())?, hw, Some(stats))
+                }
+                SimulationFidelity::Analytic => {
+                    let result = vip_core::addressing::inter::run_inter(a, b, op)?;
+                    (result.output, access_model.hardware_accesses, None)
+                }
+            };
 
         let report = EngineReport {
             descriptor,
@@ -414,18 +418,13 @@ impl AddressEngine {
             });
         }
         self.check_fits(frame)?;
-        let result =
-            vip_core::addressing::segment::run_segment(frame, seeds, criterion, options)?;
+        let result = vip_core::addressing::segment::run_segment(frame, seeds, criterion, options)?;
         let descriptor = CallDescriptor::segment(
             options.connectivity,
             ChannelSet::Y,
             ChannelSet::ALPHA.union(ChannelSet::AUX),
         );
-        let timeline = segment_timeline(
-            frame.dims(),
-            result.report.pixels_processed,
-            &self.config,
-        );
+        let timeline = segment_timeline(frame.dims(), result.report.pixels_processed, &self.config);
         let access_model = AccessModel::for_call(&descriptor, frame.dims());
         let report = EngineReport {
             descriptor,
@@ -447,21 +446,22 @@ impl AddressEngine {
     pub fn memory_map(&self, dims: vip_core::geometry::Dims) -> crate::zbt::MemoryMap {
         self.zbt.memory_map(dims, self.config.strip_lines)
     }
-
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vip_core::pixel::Pixel;
     use vip_core::geometry::{Dims, ImageFormat};
     use vip_core::ops::arith::AbsDiff;
     use vip_core::ops::filter::{BoxBlur, SobelGradient};
     use vip_core::ops::morph::Dilate;
     use vip_core::ops::segment_ops::HomogeneityCriterion;
+    use vip_core::pixel::Pixel;
 
     fn frame(dims: Dims) -> Frame {
-        Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 5 + p.y * 11) % 256) as u8))
+        Frame::from_fn(dims, |p| {
+            Pixel::from_luma(((p.x * 5 + p.y * 11) % 256) as u8)
+        })
     }
 
     #[test]
@@ -501,7 +501,10 @@ mod tests {
         let a = frame(Dims::new(16, 16));
         let b = frame(Dims::new(16, 16));
         let sw = vip_core::addressing::inter::run_inter(&a, &b, &AbsDiff::luma()).unwrap();
-        for cfg in [EngineConfig::prototype(), EngineConfig::prototype_detailed()] {
+        for cfg in [
+            EngineConfig::prototype(),
+            EngineConfig::prototype_detailed(),
+        ] {
             let mut e = AddressEngine::new(cfg).unwrap();
             let run = e.run_inter(&a, &b, &AbsDiff::luma()).unwrap();
             assert_eq!(run.output, sw.output);
@@ -533,7 +536,10 @@ mod tests {
             &HomogeneityCriterion::luma(10),
             SegmentOptions::default(),
         );
-        assert!(matches!(err, Err(EngineError::UnsupportedCapability { .. })));
+        assert!(matches!(
+            err,
+            Err(EngineError::UnsupportedCapability { .. })
+        ));
     }
 
     #[test]
@@ -548,7 +554,11 @@ mod tests {
                 SegmentOptions::default(),
             )
             .unwrap();
-        assert_eq!(run.result.segment.len(), 64, "tolerance 255 floods the frame");
+        assert_eq!(
+            run.result.segment.len(),
+            64,
+            "tolerance 255 floods the frame"
+        );
         assert_eq!(e.stats().segment_calls, 1);
         // Matches the pure software path exactly.
         let sw = vip_core::addressing::segment::run_segment(
@@ -567,7 +577,10 @@ mod tests {
         let f = Frame::new(Dims::new(1024, 1024));
         assert!(matches!(
             e.run_intra(&f, &BoxBlur::con8()),
-            Err(EngineError::FrameTooLarge { available_bytes: 2_097_152, .. })
+            Err(EngineError::FrameTooLarge {
+                available_bytes: 2_097_152,
+                ..
+            })
         ));
         // Extra banks do not enlarge a region: each image still lives in
         // two banks, so the reported capacity stays two banks' worth.
@@ -576,7 +589,10 @@ mod tests {
         let mut e = AddressEngine::new(cfg).unwrap();
         assert!(matches!(
             e.run_intra(&f, &BoxBlur::con8()),
-            Err(EngineError::FrameTooLarge { available_bytes: 2_097_152, .. })
+            Err(EngineError::FrameTooLarge {
+                available_bytes: 2_097_152,
+                ..
+            })
         ));
     }
 
@@ -588,8 +604,13 @@ mod tests {
         e.run_intra(&f, &SobelGradient::new()).unwrap();
         e.run_inter(&f, &f, &AbsDiff::luma()).unwrap();
         let seeds = [Point::new(4, 4)];
-        e.run_segment(&f, &seeds, &HomogeneityCriterion::luma(9), SegmentOptions::default())
-            .unwrap();
+        e.run_segment(
+            &f,
+            &seeds,
+            &HomogeneityCriterion::luma(9),
+            SegmentOptions::default(),
+        )
+        .unwrap();
         let _ = e.memory_map(f.dims());
         assert!(!e.zbt.is_materialised());
 
@@ -599,11 +620,18 @@ mod tests {
             d.run_intra(&too_large, &BoxBlur::con8()),
             Err(EngineError::FrameTooLarge { .. })
         ));
-        assert!(d.run_intra(&Frame::new(Dims::new(0, 0)), &BoxBlur::con8()).is_err());
-        assert!(d.run_inter(&f, &frame(Dims::new(16, 17)), &AbsDiff::luma()).is_err());
+        assert!(d
+            .run_intra(&Frame::new(Dims::new(0, 0)), &BoxBlur::con8())
+            .is_err());
+        assert!(d
+            .run_inter(&f, &frame(Dims::new(16, 17)), &AbsDiff::luma())
+            .is_err());
         assert!(!d.zbt.is_materialised(), "rejected calls allocate nothing");
         d.run_intra(&f, &BoxBlur::con8()).unwrap();
-        assert!(d.zbt.is_materialised(), "the first detailed call allocates the banks");
+        assert!(
+            d.zbt.is_materialised(),
+            "the first detailed call allocates the banks"
+        );
     }
 
     #[test]
@@ -612,8 +640,12 @@ mod tests {
         let cif = ImageFormat::Cif.dims();
         let qcif = ImageFormat::Qcif.dims();
         for (i, dims) in (0i32..).zip([cif, qcif, cif]) {
-            let a = Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 7 + p.y + i) % 256) as u8));
-            let b = Frame::from_fn(dims, |p| Pixel::from_luma(((p.x + p.y * 9 + i) % 256) as u8));
+            let a = Frame::from_fn(dims, |p| {
+                Pixel::from_luma(((p.x * 7 + p.y + i) % 256) as u8)
+            });
+            let b = Frame::from_fn(dims, |p| {
+                Pixel::from_luma(((p.x + p.y * 9 + i) % 256) as u8)
+            });
             let intra = e.run_intra(&a, &SobelGradient::new()).unwrap();
             let sw = vip_core::addressing::intra::run_intra(&a, &SobelGradient::new()).unwrap();
             assert_eq!(intra.output, sw.output, "intra call {i} at {dims}");
@@ -711,7 +743,10 @@ mod tests {
         cfg.oim_lines = 0;
         assert!(matches!(
             AddressEngine::new(cfg),
-            Err(EngineError::InvalidConfig { field: "oim_lines", .. })
+            Err(EngineError::InvalidConfig {
+                field: "oim_lines",
+                ..
+            })
         ));
         // Clock rates and the PCI width feed every timeline: a zero,
         // negative or non-finite rate would report an infinite or
@@ -736,7 +771,11 @@ mod tests {
         let pci = EngineConfig::prototype().pci_clock.hz;
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert_eq!(clocked(bad, pci, 4), rejected("pci_clock.hz"), "pci {bad}");
-            assert_eq!(clocked(pci, bad, 4), rejected("engine_clock.hz"), "engine {bad}");
+            assert_eq!(
+                clocked(pci, bad, 4),
+                rejected("engine_clock.hz"),
+                "engine {bad}"
+            );
         }
         assert_eq!(clocked(pci, pci, 0), rejected("pci_bytes_per_cycle"));
         assert_eq!(clocked(pci, pci, 4), None);

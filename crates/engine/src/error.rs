@@ -128,7 +128,9 @@ mod tests {
             EngineError::UnsupportedCapability {
                 capability: "segment addressing",
             },
-            EngineError::PipelineHazard { detail: "double issue" },
+            EngineError::PipelineHazard {
+                detail: "double issue",
+            },
         ];
         for e in cases {
             assert!(!e.to_string().is_empty());
@@ -141,7 +143,9 @@ mod tests {
         assert!(matches!(e, EngineError::Core(_)));
         use std::error::Error;
         assert!(e.source().is_some());
-        assert!(EngineError::PipelineHazard { detail: "x" }.source().is_none());
+        assert!(EngineError::PipelineHazard { detail: "x" }
+            .source()
+            .is_none());
     }
 
     #[test]

@@ -371,8 +371,9 @@ mod tests {
 
     fn read_result(zbt: &mut ZbtMemory, dims: Dims) -> Frame {
         let total = dims.pixel_count();
-        let pixels: Vec<Pixel> =
-            (0..total).map(|i| zbt.read_result_pixel(i, total).unwrap()).collect();
+        let pixels: Vec<Pixel> = (0..total)
+            .map(|i| zbt.read_result_pixel(i, total).unwrap())
+            .collect();
         Frame::from_pixels(dims, pixels).unwrap()
     }
 

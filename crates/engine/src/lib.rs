@@ -79,4 +79,4 @@ pub use resource::ResourceEstimate;
 pub use timing::CallTimeline;
 // Observability handles, re-exported so instrumented hosts need no
 // direct vip-obs dependency.
-pub use vip_obs::{Phase, Recorder, Recording, Registry, Session, Track, TraceRecord};
+pub use vip_obs::{Phase, Recorder, Recording, Registry, Session, TraceRecord, Track};

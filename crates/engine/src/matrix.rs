@@ -201,7 +201,7 @@ mod tests {
                 .find(|(o, _)| *o == Point::new(dx, dy))
                 .expect("offset present")
                 .1
-                 .y
+                .y
         };
         assert_eq!(get(-1, -1), 1); // left column, top
         assert_eq!(get(-1, 1), 3);
@@ -216,12 +216,7 @@ mod tests {
         shift(&mut m, &col(&[10, 11, 12]));
         assert_eq!(m.centre().y, 8, "old right column is the new centre");
         let s = m.samples();
-        let right_top = s
-            .iter()
-            .find(|(o, _)| *o == Point::new(1, -1))
-            .unwrap()
-            .1
-             .y;
+        let right_top = s.iter().find(|(o, _)| *o == Point::new(1, -1)).unwrap().1.y;
         assert_eq!(right_top, 10);
         assert_eq!(m.shifts(), 1);
     }

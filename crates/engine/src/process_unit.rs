@@ -513,7 +513,11 @@ fn phase<D: Datapath, const HOOKS: bool>(
     let total = dims.pixel_count();
     // Generous safety bound: every pixel may stall a few times, and an
     // intra sweep waits for its line fills.
-    let fills = if D::INTRA { (dims.height as u64 + 4) * dims.width as u64 } else { 0 };
+    let fills = if D::INTRA {
+        (dims.height as u64 + 4) * dims.width as u64
+    } else {
+        0
+    };
     let bound = (total as u64 + 64) * (config.oim_drain_cycles_per_pixel + 6) + fills;
     let hazard = EngineError::PipelineHazard {
         detail: if D::INTRA {
@@ -819,9 +823,7 @@ mod tests {
         let frame = test_frame(dims);
         let mut zbt = ZbtMemory::new(&cfg);
         load_input(&mut zbt, ZbtRegion::InputA, &frame);
-        let stats =
-            stepped_intra(&mut zbt, dims, &BoxBlur::con8(), &cfg, 0)
-                .unwrap();
+        let stats = stepped_intra(&mut zbt, dims, &BoxBlur::con8(), &cfg, 0).unwrap();
         let hw = read_result(&mut zbt, dims);
         let sw = vip_core::addressing::intra::run_intra(&frame, &BoxBlur::con8())
             .unwrap()
@@ -838,8 +840,7 @@ mod tests {
         let frame = test_frame(dims);
         let mut zbt = ZbtMemory::new(&cfg);
         load_input(&mut zbt, ZbtRegion::InputA, &frame);
-        stepped_intra(&mut zbt, dims, &SobelGradient::new(), &cfg, 0)
-            .unwrap();
+        stepped_intra(&mut zbt, dims, &SobelGradient::new(), &cfg, 0).unwrap();
         let hw = read_result(&mut zbt, dims);
         let sw = vip_core::addressing::intra::run_intra(&frame, &SobelGradient::new())
             .unwrap()
@@ -872,8 +873,7 @@ mod tests {
         let mut zbt = ZbtMemory::new(&cfg);
         load_input(&mut zbt, ZbtRegion::InputA, &frame);
         zbt.reset_stats();
-        stepped_intra(&mut zbt, dims, &BoxBlur::con8(), &cfg, 0)
-            .unwrap();
+        stepped_intra(&mut zbt, dims, &BoxBlur::con8(), &cfg, 0).unwrap();
         // Exactly 2 pixel-access cycles per pixel: one TxU read, one
         // result write — the Table 2 hardware count.
         assert_eq!(zbt.pixel_access_cycles(), 2 * dims.pixel_count() as u64);
@@ -900,9 +900,7 @@ mod tests {
         let frame = test_frame(dims);
         let mut zbt = ZbtMemory::new(&cfg);
         load_input(&mut zbt, ZbtRegion::InputA, &frame);
-        let stats =
-            stepped_intra(&mut zbt, dims, &Identity::luma(), &cfg, 0)
-                .unwrap();
+        let stats = stepped_intra(&mut zbt, dims, &Identity::luma(), &cfg, 0).unwrap();
         let cpp = stats.cycles_per_pixel();
         assert!((2.0..2.6).contains(&cpp), "cycles/pixel = {cpp}");
     }
@@ -914,9 +912,7 @@ mod tests {
         let frame = test_frame(dims);
         let mut zbt = ZbtMemory::new(&cfg);
         load_input(&mut zbt, ZbtRegion::InputA, &frame);
-        let stats =
-            stepped_intra(&mut zbt, dims, &BoxBlur::con8(), &cfg, 0)
-                .unwrap();
+        let stats = stepped_intra(&mut zbt, dims, &BoxBlur::con8(), &cfg, 0).unwrap();
         assert_eq!(stats.matrix_loads, 6, "one LOAD per line");
         assert_eq!(stats.matrix_shifts, (10 - 1) * 6);
     }
@@ -928,9 +924,7 @@ mod tests {
         let frame = test_frame(dims);
         let mut zbt = ZbtMemory::new(&cfg);
         load_input(&mut zbt, ZbtRegion::InputA, &frame);
-        let stats =
-            stepped_intra(&mut zbt, dims, &BoxBlur::con8(), &cfg, 30)
-                .unwrap();
+        let stats = stepped_intra(&mut zbt, dims, &BoxBlur::con8(), &cfg, 30).unwrap();
         assert_eq!(stats.trace.len(), 30);
         // The pipeline fills within a few cycles.
         assert!(stats.trace.iter().any(|s| s.occupancy() >= 2));
@@ -978,7 +972,10 @@ mod tests {
                 .iter()
                 .find(|e| e.name == "processing")
                 .unwrap_or_else(|| panic!("{path}: missing processing span"));
-            assert!(!recording.on_track(Track::Oim).is_empty(), "{path}: no occupancy samples");
+            assert!(
+                !recording.on_track(Track::Oim).is_empty(),
+                "{path}: no occupancy samples"
+            );
             // The processing span covers [t0, t0 + cycles × ns/cycle].
             assert_eq!(span.ts_ns, 5_000, "{path}");
             assert_eq!(
@@ -1012,7 +1009,10 @@ mod tests {
             let mut zbt = ZbtMemory::new(&cfg);
             load_input(&mut zbt, ZbtRegion::InputA, &frame);
             let probed = intra_path(fast, &mut zbt, dims, &op, &cfg, &probe).unwrap();
-            assert_eq!(plain, probed, "{path}: probing must not change the simulation");
+            assert_eq!(
+                plain, probed,
+                "{path}: probing must not change the simulation"
+            );
             assert_eq!(plain_out, read_result(&mut zbt, dims), "{path}");
         }
     }
@@ -1037,10 +1037,16 @@ mod tests {
             .unwrap();
             let recording = session.finish();
             assert!(
-                recording.on_track(Track::Pu).iter().any(|e| e.name == "processing"),
+                recording
+                    .on_track(Track::Pu)
+                    .iter()
+                    .any(|e| e.name == "processing"),
                 "{path}: missing processing span"
             );
-            assert!(recording.on_track(Track::Iim).is_empty(), "{path}: inter bypasses the IIM");
+            assert!(
+                recording.on_track(Track::Iim).is_empty(),
+                "{path}: inter bypasses the IIM"
+            );
         }
     }
 
@@ -1053,8 +1059,7 @@ mod tests {
         let frame = test_frame(dims);
         let mut zbt = ZbtMemory::new(&cfg);
         load_input(&mut zbt, ZbtRegion::InputA, &frame);
-        stepped_intra(&mut zbt, dims, &BoxBlur::con8(), &cfg, 0)
-            .unwrap();
+        stepped_intra(&mut zbt, dims, &BoxBlur::con8(), &cfg, 0).unwrap();
         let hw = read_result(&mut zbt, dims);
         let sw = vip_core::addressing::intra::run_intra(&frame, &BoxBlur::con8())
             .unwrap()
@@ -1072,7 +1077,9 @@ mod tests {
         let op = vip_core::ops::filter::BoxBlur::with_radius(3).unwrap();
         stepped_intra(&mut zbt, dims, &op, &cfg, 0).unwrap();
         let hw = read_result(&mut zbt, dims);
-        let sw = vip_core::addressing::intra::run_intra(&frame, &op).unwrap().output;
+        let sw = vip_core::addressing::intra::run_intra(&frame, &op)
+            .unwrap()
+            .output;
         assert_eq!(hw, sw);
     }
 }

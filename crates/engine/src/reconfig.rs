@@ -361,7 +361,11 @@ mod tests {
         e.run_intra(&f, &BoxBlur::con8()).unwrap();
         let huge = Frame::new(Dims::new(1024, 1024));
         assert!(e.run_intra(&huge, &SobelGradient::new()).is_err());
-        assert_eq!(e.loaded_kernel(), Some("box_blur"), "slot unchanged on error");
+        assert_eq!(
+            e.loaded_kernel(),
+            Some("box_blur"),
+            "slot unchanged on error"
+        );
         assert_eq!(e.stats().reconfigurations, 1);
         assert_eq!(e.stats().calls, 1);
     }

@@ -119,7 +119,10 @@ pub fn record_into(registry: &mut Registry, report: &EngineReport) {
         keys::ATTRIB_HOST_OVERHEAD_SECONDS,
         report.timeline.interrupt_overhead,
     );
-    registry.add_gauge(keys::ATTRIB_ENGINE_NONPCI_SECONDS, report.timeline.non_pci());
+    registry.add_gauge(
+        keys::ATTRIB_ENGINE_NONPCI_SECONDS,
+        report.timeline.non_pci(),
+    );
     if let Some(p) = &report.processing {
         registry.inc(keys::PU_CYCLES, p.cycles);
         registry.inc(keys::PU_PIXELS, p.pixels);

@@ -190,7 +190,11 @@ impl fmt::Display for ResourceEstimate {
             )
         };
         writeln!(f, "{}", row("Slices", self.slices, self.device.slices))?;
-        writeln!(f, "{}", row("Slice Flip Flops", self.flip_flops, self.device.flip_flops))?;
+        writeln!(
+            f,
+            "{}",
+            row("Slice Flip Flops", self.flip_flops, self.device.flip_flops)
+        )?;
         writeln!(f, "{}", row("4 input LUTs", self.lut4, self.device.lut4))?;
         writeln!(f, "{}", row("bonded IOBs", self.iobs, self.device.iobs))?;
         writeln!(f, "{}", row("BRAMs", self.brams, self.device.brams))?;
@@ -247,7 +251,10 @@ mod tests {
         cfg.oim_lines = 32;
         let bigger = ResourceEstimate::for_config(&cfg);
         assert_eq!(bigger.brams, 58, "double the line blocks → double BRAMs");
-        assert!(bigger.fits_device(), "§4.1: enough free memory for extensions");
+        assert!(
+            bigger.fits_device(),
+            "§4.1: enough free memory for extensions"
+        );
     }
 
     #[test]

@@ -299,7 +299,12 @@ mod tests {
         // §4.1: the PCI bus is the bottleneck — payload accounts for the
         // vast majority of every call.
         for t in [intra_timeline(CIF, 1, &cfg()), inter_timeline(CIF, &cfg())] {
-            assert!(t.pci_utilisation() > 0.85, "{} {}", t.mode, t.pci_utilisation());
+            assert!(
+                t.pci_utilisation() > 0.85,
+                "{} {}",
+                t.mode,
+                t.pci_utilisation()
+            );
         }
     }
 
@@ -349,7 +354,10 @@ mod tests {
         let r1 = intra_timeline(CIF, 1, &cfg());
         let r4 = intra_timeline(CIF, 4, &cfg());
         assert!(r4.total >= r1.total);
-        assert!((r4.total - r1.total) / r1.total < 0.01, "lead is lines, not frames");
+        assert!(
+            (r4.total - r1.total) / r1.total < 0.01,
+            "lead is lines, not frames"
+        );
     }
 
     #[test]

@@ -150,7 +150,9 @@ impl ZbtMemory {
     /// are written or read become resident.
     fn banks(&mut self) -> &mut [Vec<u32>] {
         if self.banks.is_empty() {
-            self.banks = (0..self.bank_count).map(|_| vec![0u32; self.bank_words]).collect();
+            self.banks = (0..self.bank_count)
+                .map(|_| vec![0u32; self.bank_words])
+                .collect();
         }
         &mut self.banks
     }
@@ -403,7 +405,10 @@ impl ZbtMemory {
         if count == 0 {
             return Ok(());
         }
-        let (a, b) = (self.region_banks(ZbtRegion::InputA), self.region_banks(ZbtRegion::InputB));
+        let (a, b) = (
+            self.region_banks(ZbtRegion::InputA),
+            self.region_banks(ZbtRegion::InputB),
+        );
         for bank in [a.0, a.1, b.0, b.1] {
             self.check(bank, start + count - 1)?;
         }
@@ -437,7 +442,9 @@ impl ZbtMemory {
         for (region, dst) in [(ZbtRegion::InputA, a), (ZbtRegion::InputB, b)] {
             let (lo_bank, hi_bank) = self.region_banks(region);
             let banks = self.banks();
-            let words = banks[lo_bank][range.clone()].iter().zip(&banks[hi_bank][range.clone()]);
+            let words = banks[lo_bank][range.clone()]
+                .iter()
+                .zip(&banks[hi_bank][range.clone()]);
             for (px, (&lo, &hi)) in dst.iter_mut().zip(words) {
                 *px = Pixel::from_words(lo, hi);
             }
@@ -565,12 +572,14 @@ impl ZbtMemory {
                     (px.div_ceil(2) * 2, strip_px * 2),
                     ((px - px.div_ceil(2)) * 2, strip_px * 2),
                 ])
-                .map(|(&(name, banks), (words_per_bank, strip_words))| MapRegion {
-                    name,
-                    banks,
-                    words_per_bank,
-                    strip_words,
-                })
+                .map(
+                    |(&(name, banks), (words_per_bank, strip_words))| MapRegion {
+                        name,
+                        banks,
+                        words_per_bank,
+                        strip_words,
+                    },
+                )
                 .collect(),
         }
     }
@@ -646,9 +655,16 @@ mod tests {
         assert_eq!(z.memory_map(ImageFormat::Cif.dims(), 16).regions.len(), 4);
         assert!(matches!(
             z.read_word(0, 262_144),
-            Err(EngineError::ZbtOutOfRange { bank: 0, addr: 262_144, bank_words: 262_144 })
+            Err(EngineError::ZbtOutOfRange {
+                bank: 0,
+                addr: 262_144,
+                bank_words: 262_144
+            })
         ));
-        assert!(matches!(z.write_word(6, 0, 1), Err(EngineError::ZbtOutOfRange { .. })));
+        assert!(matches!(
+            z.write_word(6, 0, 1),
+            Err(EngineError::ZbtOutOfRange { .. })
+        ));
         assert!(z.read_input_run(ZbtRegion::InputA, 262_143, 2).is_err());
         assert!(z.write_result_run(0, 8, &[]).is_ok(), "empty run");
         assert!(!z.is_materialised());
@@ -662,7 +678,10 @@ mod tests {
         assert_eq!(z.read_word(5, 262_143).unwrap(), 0);
         assert!(z.is_materialised());
         let zero = Pixel::from_words(0, 0);
-        assert_eq!(z.read_input_run(ZbtRegion::InputB, 1000, 3).unwrap(), vec![zero; 3]);
+        assert_eq!(
+            z.read_input_run(ZbtRegion::InputB, 1000, 3).unwrap(),
+            vec![zero; 3]
+        );
         assert_eq!(z.read_result_pixel(7, 100).unwrap(), zero);
         // Every access kind materialises, reads included.
         let mut w = zbt();
@@ -679,7 +698,9 @@ mod tests {
         let pixels: Vec<Pixel> = (0..total)
             .map(|i| Pixel::new(i as u8, 2, 3, i as u16, 900 + i as u16))
             .collect();
-        let other: Vec<Pixel> = (0..total).map(|i| Pixel::from_luma(200 - i as u8)).collect();
+        let other: Vec<Pixel> = (0..total)
+            .map(|i| Pixel::from_luma(200 - i as u8))
+            .collect();
 
         let mut a = zbt();
         for (i, px) in pixels.iter().enumerate() {
@@ -691,9 +712,13 @@ mod tests {
         b.write_input_run(ZbtRegion::InputB, 0, &other).unwrap();
         assert_eq!(a.stats(), b.stats());
 
-        let singles: Vec<Pixel> =
-            (0..total).map(|i| a.read_input_pixel(ZbtRegion::InputA, i).unwrap()).collect();
-        assert_eq!(b.read_input_run(ZbtRegion::InputA, 0, total).unwrap(), singles);
+        let singles: Vec<Pixel> = (0..total)
+            .map(|i| a.read_input_pixel(ZbtRegion::InputA, i).unwrap())
+            .collect();
+        assert_eq!(
+            b.read_input_run(ZbtRegion::InputA, 0, total).unwrap(),
+            singles
+        );
         let pairs: Vec<(Pixel, Pixel)> =
             (0..total).map(|i| a.read_input_pair(i).unwrap()).collect();
         // Chunks of 16 leave a partial last chunk of 3.
@@ -714,8 +739,9 @@ mod tests {
         b.write_result_run(0, total, &pixels).unwrap();
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.pixel_access_cycles(), b.pixel_access_cycles());
-        let singles: Vec<Pixel> =
-            (0..total).map(|i| a.read_result_pixel(i, total).unwrap()).collect();
+        let singles: Vec<Pixel> = (0..total)
+            .map(|i| a.read_result_pixel(i, total).unwrap())
+            .collect();
         assert_eq!(singles, pixels, "result contents round-trip");
         assert_eq!(b.read_result_run(0, total, total).unwrap(), pixels);
         assert_eq!(a.stats(), b.stats());
@@ -767,8 +793,10 @@ mod tests {
     #[test]
     fn input_pair_single_cycle() {
         let mut z = zbt();
-        z.write_input_pixel(ZbtRegion::InputA, 3, Pixel::from_luma(10)).unwrap();
-        z.write_input_pixel(ZbtRegion::InputB, 3, Pixel::from_luma(20)).unwrap();
+        z.write_input_pixel(ZbtRegion::InputA, 3, Pixel::from_luma(10))
+            .unwrap();
+        z.write_input_pixel(ZbtRegion::InputB, 3, Pixel::from_luma(20))
+            .unwrap();
         z.reset_stats();
         let (a, b) = z.read_input_pair(3).unwrap();
         assert_eq!((a.y, b.y), (10, 20));
@@ -791,8 +819,10 @@ mod tests {
     fn result_bank_switch_at_half() {
         let mut z = zbt();
         let total = 100;
-        z.write_result_pixel(49, total, Pixel::from_luma(1)).unwrap();
-        z.write_result_pixel(50, total, Pixel::from_luma(2)).unwrap();
+        z.write_result_pixel(49, total, Pixel::from_luma(1))
+            .unwrap();
+        z.write_result_pixel(50, total, Pixel::from_luma(2))
+            .unwrap();
         assert_eq!(z.stats()[4].word_writes, 2, "pixel 49 in Res_block_A");
         assert_eq!(z.stats()[5].word_writes, 2, "pixel 50 in Res_block_B");
         assert_eq!(z.read_result_pixel(49, total).unwrap().y, 1);
@@ -819,13 +849,17 @@ mod tests {
             Err(EngineError::ZbtOutOfRange { .. })
         ));
         assert!(z.read_word(0, 262_144).is_err());
-        assert!(z.write_input_pixel(ZbtRegion::InputA, usize::MAX, Pixel::BLACK).is_err());
+        assert!(z
+            .write_input_pixel(ZbtRegion::InputA, usize::MAX, Pixel::BLACK)
+            .is_err());
     }
 
     #[test]
     fn result_region_guards() {
         let mut z = zbt();
-        assert!(z.write_input_pixel(ZbtRegion::Result, 0, Pixel::BLACK).is_err());
+        assert!(z
+            .write_input_pixel(ZbtRegion::Result, 0, Pixel::BLACK)
+            .is_err());
         assert!(z.read_input_pixel(ZbtRegion::Result, 0).is_err());
     }
 
@@ -834,7 +868,8 @@ mod tests {
         let mut z = zbt();
         let n = 10;
         for i in 0..n {
-            z.write_input_pixel(ZbtRegion::InputA, i, Pixel::from_luma(i as u8)).unwrap();
+            z.write_input_pixel(ZbtRegion::InputA, i, Pixel::from_luma(i as u8))
+                .unwrap();
         }
         z.reset_stats();
         // One intra pass: read each pixel once, write each result once.
@@ -860,7 +895,8 @@ mod tests {
     #[test]
     fn reset_stats_clears() {
         let mut z = zbt();
-        z.write_input_pixel(ZbtRegion::InputA, 0, Pixel::BLACK).unwrap();
+        z.write_input_pixel(ZbtRegion::InputA, 0, Pixel::BLACK)
+            .unwrap();
         z.reset_stats();
         assert_eq!(z.stats()[0].total(), 0);
         assert_eq!(z.pixel_access_cycles(), 0);

@@ -68,9 +68,15 @@ fn detailed_inter_cycles_track_analytic_rate() {
         let mut zbt = ZbtMemory::new(&cfg);
         load(&mut zbt, ZbtRegion::InputA, &a);
         load(&mut zbt, ZbtRegion::InputB, &b);
-        let stats =
-            run_inter_detailed(&mut zbt, dims, &AbsDiff::luma(), &cfg, 0, &PuProbe::disabled())
-                .unwrap();
+        let stats = run_inter_detailed(
+            &mut zbt,
+            dims,
+            &AbsDiff::luma(),
+            &cfg,
+            0,
+            &PuProbe::disabled(),
+        )
+        .unwrap();
         let n = dims.pixel_count() as u64;
         let analytic = cfg.oim_drain_cycles_per_pixel * n;
         assert!(stats.cycles >= analytic);
@@ -183,7 +189,8 @@ fn hardware_accesses_equal_model_across_kernels() {
         let mut engine = AddressEngine::new(EngineConfig::prototype_detailed()).unwrap();
         let run = engine.run_intra(&frame, &op.as_ref()).unwrap();
         assert_eq!(
-            run.report.hardware_accesses, run.report.access_model.hardware_accesses,
+            run.report.hardware_accesses,
+            run.report.access_model.hardware_accesses,
             "kernel {}",
             op.name()
         );

@@ -23,7 +23,13 @@ use vip_engine::timing::{inter_timeline, intra_timeline};
 use vip_engine::zbt::{ZbtMemory, ZbtRegion};
 
 fn arb_pixel() -> impl Strategy<Value = Pixel> {
-    (any::<u8>(), any::<u8>(), any::<u8>(), any::<u16>(), any::<u16>())
+    (
+        any::<u8>(),
+        any::<u8>(),
+        any::<u8>(),
+        any::<u16>(),
+        any::<u16>(),
+    )
         .prop_map(|(y, u, v, a, x)| Pixel::new(y, u, v, a, x))
 }
 

@@ -340,8 +340,10 @@ mod tests {
 
     #[test]
     fn backend_as_trait_object() {
-        let mut backends: Vec<Box<dyn GmeBackend>> =
-            vec![Box::new(SoftwareBackend::new()), Box::new(EngineBackend::prototype())];
+        let mut backends: Vec<Box<dyn GmeBackend>> = vec![
+            Box::new(SoftwareBackend::new()),
+            Box::new(EngineBackend::prototype()),
+        ];
         let f = frame();
         for b in &mut backends {
             b.intra(&f, &BoxBlur::con8()).unwrap();

@@ -269,17 +269,15 @@ impl Estimator {
                 // (majority vote removes speckle outliers).
                 let mask = backend.intra(&residual_img, &AlphaMajority::new())?;
 
-                let step = match self.config.model {
-                    MotionModel::Translational => {
-                        self.accumulate::<2>(ref_level, &grad, &mask, &warped, &samples, &motion)
-                    }
-                    MotionModel::Affine => {
-                        self.accumulate::<6>(ref_level, &grad, &mask, &warped, &samples, &motion)
-                    }
-                    MotionModel::Perspective => {
-                        self.accumulate::<8>(ref_level, &grad, &mask, &warped, &samples, &motion)
-                    }
-                };
+                let step =
+                    match self.config.model {
+                        MotionModel::Translational => self
+                            .accumulate::<2>(ref_level, &grad, &mask, &warped, &samples, &motion),
+                        MotionModel::Affine => self
+                            .accumulate::<6>(ref_level, &grad, &mask, &warped, &samples, &motion),
+                        MotionModel::Perspective => self
+                            .accumulate::<8>(ref_level, &grad, &mask, &warped, &samples, &motion),
+                    };
                 let Some((delta, stats)) = step else { break };
                 last_residual = stats.mean_residual;
                 last_inliers = stats.inlier_fraction;
@@ -296,7 +294,10 @@ impl Estimator {
                 modelled_ns(backend),
                 &[
                     ("level", (li as u64).into()),
-                    ("iterations", ((total_iters - level_iters_before) as u64).into()),
+                    (
+                        "iterations",
+                        ((total_iters - level_iters_before) as u64).into(),
+                    ),
                 ],
             );
             if li > 0 {
@@ -306,7 +307,11 @@ impl Estimator {
 
         Ok(GmeResult {
             motion,
-            residual: if last_residual.is_finite() { last_residual } else { 0.0 },
+            residual: if last_residual.is_finite() {
+                last_residual
+            } else {
+                0.0
+            },
             iterations: total_iters,
             inlier_fraction: last_inliers,
         })
@@ -417,8 +422,10 @@ impl StepStats {
     fn mean_displacement(&self, delta: &[f64]) -> f64 {
         match delta.len() {
             2 => (delta[0].powi(2) + delta[1].powi(2)).sqrt(),
-            6 => (delta[2].powi(2) + delta[5].powi(2)).sqrt()
-                + 30.0 * (delta[0].abs() + delta[1].abs() + delta[3].abs() + delta[4].abs()),
+            6 => {
+                (delta[2].powi(2) + delta[5].powi(2)).sqrt()
+                    + 30.0 * (delta[0].abs() + delta[1].abs() + delta[3].abs() + delta[4].abs())
+            }
             8 => {
                 (delta[2].powi(2) + delta[5].powi(2)).sqrt()
                     + 30.0 * (delta[0].abs() + delta[1].abs() + delta[3].abs() + delta[4].abs())
@@ -601,9 +608,7 @@ mod tests {
             .estimate(&reference, &current, Motion::identity(), &mut b1)
             .unwrap();
         let mut b2 = SoftwareBackend::new();
-        let warm = est
-            .estimate(&reference, &current, truth, &mut b2)
-            .unwrap();
+        let warm = est.estimate(&reference, &current, truth, &mut b2).unwrap();
         assert!(warm.iterations <= cold.iterations);
     }
 
@@ -660,15 +665,42 @@ mod tests {
     #[test]
     fn invalid_configs_rejected() {
         for cfg in [
-            GmeConfig { levels: 0, ..GmeConfig::default() },
-            GmeConfig { max_iterations: 0, ..GmeConfig::default() },
-            GmeConfig { subsample: 0, ..GmeConfig::default() },
-            GmeConfig { outlier_threshold: 0.0, ..GmeConfig::default() },
-            GmeConfig { outlier_threshold: -1.0, ..GmeConfig::default() },
-            GmeConfig { outlier_threshold: f64::NAN, ..GmeConfig::default() },
-            GmeConfig { outlier_threshold: f64::INFINITY, ..GmeConfig::default() },
-            GmeConfig { epsilon: -0.01, ..GmeConfig::default() },
-            GmeConfig { epsilon: f64::NAN, ..GmeConfig::default() },
+            GmeConfig {
+                levels: 0,
+                ..GmeConfig::default()
+            },
+            GmeConfig {
+                max_iterations: 0,
+                ..GmeConfig::default()
+            },
+            GmeConfig {
+                subsample: 0,
+                ..GmeConfig::default()
+            },
+            GmeConfig {
+                outlier_threshold: 0.0,
+                ..GmeConfig::default()
+            },
+            GmeConfig {
+                outlier_threshold: -1.0,
+                ..GmeConfig::default()
+            },
+            GmeConfig {
+                outlier_threshold: f64::NAN,
+                ..GmeConfig::default()
+            },
+            GmeConfig {
+                outlier_threshold: f64::INFINITY,
+                ..GmeConfig::default()
+            },
+            GmeConfig {
+                epsilon: -0.01,
+                ..GmeConfig::default()
+            },
+            GmeConfig {
+                epsilon: f64::NAN,
+                ..GmeConfig::default()
+            },
         ] {
             let f = textured(Dims::new(32, 32));
             let mut backend = SoftwareBackend::new();
@@ -681,7 +713,12 @@ mod tests {
             );
         }
         // Zero epsilon (always run every iteration) stays valid.
-        assert!(GmeConfig { epsilon: 0.0, ..GmeConfig::default() }.validate().is_ok());
+        assert!(GmeConfig {
+            epsilon: 0.0,
+            ..GmeConfig::default()
+        }
+        .validate()
+        .is_ok());
     }
 
     /// A seeded texture built from basic arithmetic only (no libm), so
@@ -729,9 +766,12 @@ mod tests {
     fn golden_run(occluded: bool, model: MotionModel) -> GmeResult {
         let (reference, current) = golden_pair(occluded);
         let mut backend = SoftwareBackend::new();
-        Estimator::new(GmeConfig { model, ..GmeConfig::default() })
-            .estimate(&reference, &current, Motion::identity(), &mut backend)
-            .unwrap()
+        Estimator::new(GmeConfig {
+            model,
+            ..GmeConfig::default()
+        })
+        .estimate(&reference, &current, Motion::identity(), &mut backend)
+        .unwrap()
     }
 
     /// Bit patterns of `(occluded, model, motion.h, residual,
@@ -755,7 +795,11 @@ mod tests {
             let case = format!("occluded={occluded} model={model:?}");
             assert_eq!(r.motion.h.map(f64::to_bits), h, "{case}: motion");
             assert_eq!(r.residual.to_bits(), residual, "{case}: residual");
-            assert_eq!(r.inlier_fraction.to_bits(), inliers, "{case}: inlier fraction");
+            assert_eq!(
+                r.inlier_fraction.to_bits(),
+                inliers,
+                "{case}: inlier fraction"
+            );
             assert_eq!(r.iterations, iterations, "{case}: iterations");
         }
     }

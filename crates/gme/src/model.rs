@@ -116,10 +116,7 @@ impl Motion {
     #[must_use]
     pub fn is_identity(&self) -> bool {
         let id = Motion::identity();
-        self.h
-            .iter()
-            .zip(&id.h)
-            .all(|(a, b)| (a - b).abs() < 1e-12)
+        self.h.iter().zip(&id.h).all(|(a, b)| (a - b).abs() < 1e-12)
     }
 
     /// Applies the motion to a point.
@@ -233,11 +230,7 @@ impl Motion {
 
     fn to_matrix(self) -> [[f64; 3]; 3] {
         let h = &self.h;
-        [
-            [h[0], h[1], h[2]],
-            [h[3], h[4], h[5]],
-            [h[6], h[7], 1.0],
-        ]
+        [[h[0], h[1], h[2]], [h[3], h[4], h[5]], [h[6], h[7], 1.0]]
     }
 
     fn from_matrix(m: [[f64; 3]; 3]) -> Motion {
@@ -468,7 +461,13 @@ mod tests {
         let mut b: Vec<f64> = (0..n)
             .map(|i| {
                 (0..n)
-                    .map(|j| if i == j { 2.0 * expect[j] } else { 0.1 * expect[j] })
+                    .map(|j| {
+                        if i == j {
+                            2.0 * expect[j]
+                        } else {
+                            0.1 * expect[j]
+                        }
+                    })
                     .sum()
             })
             .collect();

@@ -316,8 +316,12 @@ mod tests {
             let off = step * 12;
             // Camera at +off: canvas(frame-0) coords map to frame coords
             // by subtracting the pan.
-            m.add_frame(&frame_at(off), &Motion::translation(-(off as f64), 0.0), &mut b)
-                .unwrap();
+            m.add_frame(
+                &frame_at(off),
+                &Motion::translation(-(off as f64), 0.0),
+                &mut b,
+            )
+            .unwrap();
         }
         // Coverage spans well beyond one frame: 5 pans × 12 px ≈ 80 px of
         // the 120-px canvas width.

@@ -92,7 +92,9 @@ impl Pyramid {
     /// Iterates coarse → fine: `(level index, frame)` starting at the
     /// coarsest level.
     pub fn coarse_to_fine(&self) -> impl Iterator<Item = (usize, &Frame)> {
-        (0..self.levels.len()).rev().map(move |i| (i, &self.levels[i]))
+        (0..self.levels.len())
+            .rev()
+            .map(move |i| (i, &self.levels[i]))
     }
 }
 
@@ -197,8 +199,12 @@ mod tests {
         let mut b = SoftwareBackend::new();
         let p = Pyramid::build(&f, 2, &mut b).unwrap();
         let naive = decimate(&f);
-        let smooth_var = vip_core::ops::reduce::LumaStats::of(p.level(1)).unwrap().variance;
-        let naive_var = vip_core::ops::reduce::LumaStats::of(&naive).unwrap().variance;
+        let smooth_var = vip_core::ops::reduce::LumaStats::of(p.level(1))
+            .unwrap()
+            .variance;
+        let naive_var = vip_core::ops::reduce::LumaStats::of(&naive)
+            .unwrap()
+            .variance;
         assert!(smooth_var < naive_var);
     }
 }

@@ -64,7 +64,10 @@ impl SequenceReport {
         if self.records.is_empty() {
             return 0.0;
         }
-        self.records.iter().map(|r| r.gme.iterations as f64).sum::<f64>()
+        self.records
+            .iter()
+            .map(|r| r.gme.iterations as f64)
+            .sum::<f64>()
             / self.records.len() as f64
     }
 }
@@ -152,9 +155,9 @@ impl SequenceRunner {
             }
             let frame_t0 = modelled_ns(backend);
             let cur_pyr = Pyramid::build(&frame, levels, backend)?;
-            let gme =
-                self.estimator
-                    .estimate_with_pyramids(&ref_pyr, &cur_pyr, prediction, backend)?;
+            let gme = self
+                .estimator
+                .estimate_with_pyramids(&ref_pyr, &cur_pyr, prediction, backend)?;
             if self.recorder.is_enabled() {
                 let now = modelled_ns(backend);
                 self.recorder.span(
@@ -167,8 +170,12 @@ impl SequenceRunner {
                         ("iterations", (gme.iterations as u64).into()),
                     ],
                 );
-                self.recorder
-                    .counter(Track::Gme, "calls_total", now, backend.tally().total() as f64);
+                self.recorder.counter(
+                    Track::Gme,
+                    "calls_total",
+                    now,
+                    backend.tally().total() as f64,
+                );
             }
             let relative = gme.motion;
             // Warm-start the next pair with this pair's motion.
@@ -228,14 +235,15 @@ impl SequenceRunner {
 mod tests {
     use super::*;
     use crate::backend::{EngineBackend, SoftwareBackend};
-    
+
     use vip_core::pixel::Pixel;
 
     fn textured(dims: Dims) -> Frame {
         Frame::from_fn(dims, |p| {
             let x = p.x as f64;
             let y = p.y as f64;
-            let v = 120.0 + 55.0 * ((x / 6.0).sin() * (y / 8.0).cos())
+            let v = 120.0
+                + 55.0 * ((x / 6.0).sin() * (y / 8.0).cos())
                 + 35.0 * ((x / 19.0 + y / 23.0).sin());
             Pixel::from_luma(v.clamp(0.0, 255.0) as u8)
         })

@@ -240,13 +240,25 @@ mod tests {
             }
         }
         assert!(n > 100);
-        assert!(err / n <= 1, "mean roundtrip error {}", err as f64 / n as f64);
+        assert!(
+            err / n <= 1,
+            "mean roundtrip error {}",
+            err as f64 / n as f64
+        );
     }
 
     #[test]
     fn floor_index_matches_floor_on_the_sampled_range() {
         let sampled = [
-            0.0, -0.0, 0.49999999999999994, 0.5, 1.0 - f64::EPSILON / 2.0, 7.999, 254.5, 255.0, 1e6,
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            7.999,
+            254.5,
+            255.0,
+            1e6,
         ];
         for v in sampled {
             assert_eq!(floor_index(v), v.floor() as usize, "v = {v}");
@@ -257,9 +269,30 @@ mod tests {
     #[test]
     fn round_clamped_matches_round_then_clamp() {
         let edge = [
-            0.0, -0.0, 0.5, 1.5, 2.5, 0.49999999999999994, 0.5000000000000001,
-            254.49999999999997, 254.5, 254.9, 255.0, 255.4, 255.5, 256.0, 1e9, 1e300,
-            -0.4, -0.5, -0.6, -1.5, -1e300, f64::INFINITY, f64::NEG_INFINITY, f64::NAN,
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            0.5000000000000001,
+            254.49999999999997,
+            254.5,
+            254.9,
+            255.0,
+            255.4,
+            255.5,
+            256.0,
+            1e9,
+            1e300,
+            -0.4,
+            -0.5,
+            -0.6,
+            -1.5,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
         ];
         let sweep = (-40..=2600).map(|i| f64::from(i) * 0.1);
         for v in edge.into_iter().chain(sweep) {

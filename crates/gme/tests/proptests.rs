@@ -14,12 +14,7 @@ use vip_gme::warp::{sample_bilinear, warp_frame};
 
 /// Well-conditioned similarity-ish motions (invertible by construction).
 fn arb_motion() -> impl Strategy<Value = Motion> {
-    (
-        0.8f64..1.25,
-        -0.3f64..0.3,
-        -8.0f64..8.0,
-        -8.0f64..8.0,
-    )
+    (0.8f64..1.25, -0.3f64..0.3, -8.0f64..8.0, -8.0f64..8.0)
         .prop_map(|(zoom, rot, dx, dy)| Motion::similarity(zoom, rot, dx, dy))
 }
 

@@ -74,9 +74,7 @@ impl Attribution {
                         Phase::Complete { .. } => intervals.push((e.ts_ns, e.end_ns())),
                         Phase::Begin => open.push((e.name, e.ts_ns)),
                         Phase::End => {
-                            if let Some(i) =
-                                open.iter().rposition(|(name, _)| *name == e.name)
-                            {
+                            if let Some(i) = open.iter().rposition(|(name, _)| *name == e.name) {
                                 let (_, begin) = open.remove(i);
                                 intervals.push((begin, e.ts_ns));
                             }

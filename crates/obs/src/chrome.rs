@@ -151,7 +151,13 @@ mod tests {
         rec.span(Track::Dma, "strip", 1_000, 2_000, &[("strip", 0u64.into())]);
         rec.span(Track::Dma, "strip", 2_000, 3_000, &[("strip", 1u64.into())]);
         rec.counter(Track::Oim, "occupancy", 2_200, 5.0);
-        rec.span(Track::ZbtBank(4), "bank_active", 0, 4_000, &[("writes", 64u64.into())]);
+        rec.span(
+            Track::ZbtBank(4),
+            "bank_active",
+            0,
+            4_000,
+            &[("writes", 64u64.into())],
+        );
         session
     }
 
@@ -210,7 +216,9 @@ mod tests {
     #[test]
     fn sub_microsecond_timestamps_keep_precision() {
         let session = Session::new();
-        session.recorder().span(Track::Pci, "word", 1_500, 1_750, &[]);
+        session
+            .recorder()
+            .span(Track::Pci, "word", 1_500, 1_750, &[]);
         let json = session.finish().to_chrome_json();
         assert!(json.contains("\"ts\":1.500"), "{json}");
         assert!(json.contains("\"dur\":0.250"), "{json}");

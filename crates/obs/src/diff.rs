@@ -123,7 +123,11 @@ impl TraceDiff {
             "{} track(s) beyond ±{:.0}%{}",
             over,
             threshold * 100.0,
-            if self.is_zero() { " (traces identical)" } else { "" }
+            if self.is_zero() {
+                " (traces identical)"
+            } else {
+                ""
+            }
         );
         out
     }
@@ -180,7 +184,9 @@ fn accumulate(text: &str) -> Result<BTreeMap<String, TrackSide>, String> {
         {
             let (Some(tid), Some(name)) = (
                 e.get("tid").and_then(JsonValue::as_f64),
-                e.get("args").and_then(|a| a.get("name")).and_then(JsonValue::as_str),
+                e.get("args")
+                    .and_then(|a| a.get("name"))
+                    .and_then(JsonValue::as_str),
             ) else {
                 continue;
             };
@@ -206,8 +212,7 @@ fn accumulate(text: &str) -> Result<BTreeMap<String, TrackSide>, String> {
         side.events += 1;
         match ph {
             "X" => {
-                side.busy_ns +=
-                    us_to_ns(e.get("dur").and_then(JsonValue::as_f64).unwrap_or(0.0));
+                side.busy_ns += us_to_ns(e.get("dur").and_then(JsonValue::as_f64).unwrap_or(0.0));
             }
             "B" => {
                 let name = e.get("name").and_then(JsonValue::as_str).unwrap_or("");
@@ -215,9 +220,7 @@ fn accumulate(text: &str) -> Result<BTreeMap<String, TrackSide>, String> {
             }
             "E" => {
                 let name = e.get("name").and_then(JsonValue::as_str).unwrap_or("");
-                if let Some(begin) =
-                    open.get_mut(&(tid, name.to_string())).and_then(Vec::pop)
-                {
+                if let Some(begin) = open.get_mut(&(tid, name.to_string())).and_then(Vec::pop) {
                     side.busy_ns += ts_ns.saturating_sub(begin);
                 }
             }

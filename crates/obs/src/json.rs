@@ -298,19 +298,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
                 *pos += 1;
                 return Ok(());
             }
-            b'\\' => {
-                match bytes.get(*pos + 1) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 2,
-                    Some(b'u') => {
-                        let hex = bytes.get(*pos + 2..*pos + 6);
-                        match hex {
-                            Some(h) if h.iter().all(u8::is_ascii_hexdigit) => *pos += 6,
-                            _ => return Err(format!("bad \\u escape at byte {pos}")),
-                        }
+            b'\\' => match bytes.get(*pos + 1) {
+                Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 2,
+                Some(b'u') => {
+                    let hex = bytes.get(*pos + 2..*pos + 6);
+                    match hex {
+                        Some(h) if h.iter().all(u8::is_ascii_hexdigit) => *pos += 6,
+                        _ => return Err(format!("bad \\u escape at byte {pos}")),
                     }
-                    _ => return Err(format!("bad escape at byte {pos}")),
                 }
-            }
+                _ => return Err(format!("bad escape at byte {pos}")),
+            },
             c if c < 0x20 => return Err(format!("raw control byte in string at {pos}")),
             _ => *pos += 1,
         }
@@ -415,9 +413,7 @@ impl JsonValue {
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
-            JsonValue::Object(members) => {
-                members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
+            JsonValue::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -556,8 +552,7 @@ fn build_string(bytes: &[u8], pos: &mut usize) -> String {
             _ => {
                 // Multi-byte UTF-8 sequences pass through unchanged.
                 let len = utf8_len(bytes[*pos]);
-                let text =
-                    core::str::from_utf8(&bytes[*pos..*pos + len]).expect("input was &str");
+                let text = core::str::from_utf8(&bytes[*pos..*pos + len]).expect("input was &str");
                 out.push_str(text);
                 *pos += len;
             }

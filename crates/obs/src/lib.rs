@@ -53,6 +53,6 @@ pub mod recorder;
 
 pub use attrib::{Attribution, TrackUtilization};
 pub use diff::{diff_chrome_traces, TraceDiff, TrackDelta};
-pub use event::{AttrValue, Phase, Track, TraceRecord};
+pub use event::{AttrValue, Phase, TraceRecord, Track};
 pub use metrics::{Histogram, HistogramSummary, Registry};
 pub use recorder::{Recorder, Recording, Session};

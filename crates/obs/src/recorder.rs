@@ -9,7 +9,7 @@
 use std::sync::{Arc, Mutex};
 
 use crate::chrome;
-use crate::event::{Attr, Phase, Track, TraceRecord};
+use crate::event::{Attr, Phase, TraceRecord, Track};
 
 /// Cheap cloneable handle for publishing events onto a session's bus.
 ///
@@ -55,7 +55,14 @@ impl Recorder {
 
     /// Publishes a self-contained span `[start_ns, end_ns]`.
     /// Spans with `end_ns < start_ns` are clamped to zero duration.
-    pub fn span(&self, track: Track, name: &'static str, start_ns: u64, end_ns: u64, args: &[Attr]) {
+    pub fn span(
+        &self,
+        track: Track,
+        name: &'static str,
+        start_ns: u64,
+        end_ns: u64,
+        args: &[Attr],
+    ) {
         self.push(
             start_ns,
             track,

@@ -37,7 +37,9 @@ pub fn default_threads() -> usize {
             }
         }
     }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Applies `f` to every index in `0..n` using up to `threads` scoped
@@ -125,8 +127,9 @@ mod tests {
     fn map_indexed_is_deterministic_across_thread_counts() {
         let serial = map_indexed(97, 1, |i| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         for threads in [2, 3, 8, 64] {
-            let parallel =
-                map_indexed(97, threads, |i| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let parallel = map_indexed(97, threads, |i| {
+                (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            });
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }

@@ -289,7 +289,9 @@ mod tests {
         // ≈ 9 arithmetic + 2 loop ops ≈ 560 cycles ⇒ ≈ 35 ms per CIF call
         // at 1.6 GHz — the Table 3 anchor.
         let m = CostModel::pentium_m_xm();
-        let per_pixel = m.address_calc * 4.0 + m.memory_access * 4.0 + m.pixel_arith * 9.0
+        let per_pixel = m.address_calc * 4.0
+            + m.memory_access * 4.0
+            + m.pixel_arith * 9.0
             + m.loop_control * 2.0;
         assert!((per_pixel - 618.0).abs() < 1.0, "{per_pixel}");
         let per_call = per_pixel * 101_376.0 / m.cpu_hz;

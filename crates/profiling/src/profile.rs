@@ -25,7 +25,11 @@ use crate::instr::{CostModel, InstrMix};
 pub fn call_mix_per_pixel(call: &CallDescriptor) -> InstrMix {
     let accesses = call.software_accesses_per_pixel() as f64;
     let window = call.shape.offset_count() as f64;
-    let frames = if call.mode == AddressingMode::Inter { 2.0 } else { 1.0 };
+    let frames = if call.mode == AddressingMode::Inter {
+        2.0
+    } else {
+        1.0
+    };
     InstrMix {
         address_calc: accesses,
         memory_access: accesses,
@@ -155,7 +159,11 @@ mod tests {
         let call = CallDescriptor::intra(Connectivity::Con8, ChannelSet::YUV, ChannelSet::YUV);
         let mix = call_mix_per_pixel(&call);
         let m = CostModel::pentium_m_xm();
-        assert!(mix.address_fraction(&m) > 0.5, "{}", mix.address_fraction(&m));
+        assert!(
+            mix.address_fraction(&m) > 0.5,
+            "{}",
+            mix.address_fraction(&m)
+        );
     }
 
     #[test]

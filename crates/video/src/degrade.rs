@@ -21,9 +21,9 @@
 //! ```
 
 use crate::rng::XorShift64;
+use crate::sequences::TestSequence;
 use vip_core::frame::Frame;
 use vip_core::geometry::Point;
-use crate::sequences::TestSequence;
 
 /// An independently moving foreground object (a bright rounded blob).
 #[derive(Debug, Clone, Copy, PartialEq)]

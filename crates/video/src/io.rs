@@ -252,8 +252,7 @@ fn parse_y4m(bytes: &[u8]) -> io::Result<Vec<Frame>> {
             pixels.push(Pixel::from_yuv(ys[i], us[i], vs[i]));
         }
         frames.push(
-            Frame::from_pixels(dims, pixels)
-                .map_err(|_| bad("inconsistent y4m dimensions"))?,
+            Frame::from_pixels(dims, pixels).map_err(|_| bad("inconsistent y4m dimensions"))?,
         );
         pos += 3 * plane;
     }
@@ -315,7 +314,10 @@ mod tests {
     fn pgm_rejects_malformed() {
         assert!(parse_pgm(b"P6\n2 2\n255\n....").is_err());
         assert!(parse_pgm(b"P5\n2 2\n65535\n").is_err());
-        assert!(parse_pgm(b"P5\n2 2\n255\n\x01\x02").is_err(), "truncated payload");
+        assert!(
+            parse_pgm(b"P5\n2 2\n255\n\x01\x02").is_err(),
+            "truncated payload"
+        );
         assert!(parse_pgm(b"P5\nx 2\n255\n").is_err());
         assert!(parse_pgm(b"").is_err());
     }
@@ -378,8 +380,10 @@ mod tests {
         for (a, b) in frames.iter().zip(&back) {
             // Side channels are not carried by Y4M; compare video planes.
             assert_eq!(a.luma_plane(), b.luma_plane());
-            assert_eq!(a.channel_plane(vip_core::pixel::Channel::U),
-                       b.channel_plane(vip_core::pixel::Channel::U));
+            assert_eq!(
+                a.channel_plane(vip_core::pixel::Channel::U),
+                b.channel_plane(vip_core::pixel::Channel::U)
+            );
         }
         std::fs::remove_file(path).ok();
     }
@@ -389,7 +393,10 @@ mod tests {
         assert!(parse_y4m(b"not a stream\n").is_err());
         assert!(parse_y4m(b"YUV4MPEG2 W0 H2 C444\n").is_err());
         assert!(parse_y4m(b"YUV4MPEG2 W2 H2 C420\n").is_err());
-        assert!(parse_y4m(b"YUV4MPEG2 W2 H2 C444\nFRAME\nxx").is_err(), "truncated");
+        assert!(
+            parse_y4m(b"YUV4MPEG2 W2 H2 C444\nFRAME\nxx").is_err(),
+            "truncated"
+        );
         assert!(parse_y4m(b"YUV4MPEG2 W2 H2 C444\nBOGUS\n").is_err());
         assert!(parse_y4m(b"YUV4MPEG2").is_err(), "no newline");
     }

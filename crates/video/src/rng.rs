@@ -29,7 +29,11 @@ impl XorShift64 {
     #[must_use]
     pub fn new(seed: u64) -> Self {
         let mut rng = XorShift64 {
-            state: if seed == 0 { 0x9e37_79b9_7f4a_7c15 } else { seed },
+            state: if seed == 0 {
+                0x9e37_79b9_7f4a_7c15
+            } else {
+                seed
+            },
         };
         // Discard the first output: low-entropy seeds (small integers)
         // otherwise leak directly into the first sample.

@@ -277,7 +277,11 @@ mod tests {
             }
         }
         assert!(n >= 2, "need interior correspondences");
-        assert!(total_err / n as f64 <= 32.0, "mean warp error {}", total_err / n as f64);
+        assert!(
+            total_err / n as f64 <= 32.0,
+            "mean warp error {}",
+            total_err / n as f64
+        );
     }
 
     #[test]

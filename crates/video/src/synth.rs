@@ -172,9 +172,17 @@ impl Scene {
         let noise = fractal_noise(self.seed, x, y, 12.0, 4);
         if in_tower {
             let bands = ((y / 14.0).sin() * 0.5 + 0.5) * 70.0;
-            ((170.0 + bands * 0.6 + noise * 30.0).clamp(0.0, 255.0), 120.0, 134.0)
+            (
+                (170.0 + bands * 0.6 + noise * 30.0).clamp(0.0, 255.0),
+                120.0,
+                134.0,
+            )
         } else {
-            ((60.0 + diag * 90.0 + noise * 50.0).clamp(0.0, 255.0), 130.0, 126.0)
+            (
+                (60.0 + diag * 90.0 + noise * 50.0).clamp(0.0, 255.0),
+                130.0,
+                126.0,
+            )
         }
     }
 

@@ -28,12 +28,12 @@ use std::process::ExitCode;
 use vip::core::accounting::CallDescriptor;
 use vip::core::addressing::labeling::label_all_segments;
 use vip::core::addressing::segment::SegmentOptions;
+use vip::core::frame::Frame;
 use vip::core::geometry::Dims;
 use vip::core::neighborhood::Connectivity;
-use vip::core::ops::segment_ops::HomogeneityCriterion;
-use vip::core::frame::Frame;
 use vip::core::ops::arith::AbsDiff;
 use vip::core::ops::filter::SobelGradient;
+use vip::core::ops::segment_ops::HomogeneityCriterion;
 use vip::core::pixel::{ChannelSet, Pixel};
 use vip::engine::report::keys;
 use vip::engine::{AddressEngine, EngineConfig, Recording, Registry, ResourceEstimate, Session};
@@ -112,7 +112,9 @@ fn sequence_by_name(name: Option<&String>) -> Result<TestSequence, Box<dyn Error
         Some("dome") => Ok(TestSequence::dome()),
         Some("pisa") => Ok(TestSequence::pisa()),
         Some("movie") => Ok(TestSequence::movie()),
-        Some(other) if !other.starts_with("--") => Err(format!("unknown sequence `{other}`").into()),
+        Some(other) if !other.starts_with("--") => {
+            Err(format!("unknown sequence `{other}`").into())
+        }
         _ => Err("missing sequence name".into()),
     }
 }
@@ -133,7 +135,10 @@ fn parse_size(flags: &HashMap<String, String>, default: Dims) -> Result<Dims, Bo
     }
 }
 
-fn scaled(seq: &TestSequence, flags: &HashMap<String, String>) -> Result<TestSequence, Box<dyn Error>> {
+fn scaled(
+    seq: &TestSequence,
+    flags: &HashMap<String, String>,
+) -> Result<TestSequence, Box<dyn Error>> {
     let dims = parse_size(flags, Dims::new(176, 144))?;
     let frames: usize = flags
         .get("frames")
@@ -149,14 +154,31 @@ fn scaled(seq: &TestSequence, flags: &HashMap<String, String>) -> Result<TestSeq
 fn info() -> Result<(), Box<dyn Error>> {
     let cfg = EngineConfig::prototype();
     println!("AddressEngine prototype configuration (DATE 2005):");
-    println!("  PCI          : {} × {} B = {:.0} MB/s", cfg.pci_clock, cfg.pci_bytes_per_cycle, cfg.pci_bandwidth() / 1e6);
+    println!(
+        "  PCI          : {} × {} B = {:.0} MB/s",
+        cfg.pci_clock,
+        cfg.pci_bytes_per_cycle,
+        cfg.pci_bandwidth() / 1e6
+    );
     println!("  engine clock : {}", cfg.engine_clock);
-    println!("  ZBT          : {} banks × {} words = {} MB", cfg.zbt_banks, cfg.zbt_bank_words, cfg.zbt_bytes() / (1024 * 1024));
-    println!("  strips       : {} lines   IIM/OIM: {}/{} lines", cfg.strip_lines, cfg.iim_lines, cfg.oim_lines);
+    println!(
+        "  ZBT          : {} banks × {} words = {} MB",
+        cfg.zbt_banks,
+        cfg.zbt_bank_words,
+        cfg.zbt_bytes() / (1024 * 1024)
+    );
+    println!(
+        "  strips       : {} lines   IIM/OIM: {}/{} lines",
+        cfg.strip_lines, cfg.iim_lines, cfg.oim_lines
+    );
     println!("  pipeline     : {} stages", cfg.pipeline_stages);
     println!(
         "  segment mode : {}",
-        if cfg.segment_capable { "enabled" } else { "v2 outlook only" }
+        if cfg.segment_capable {
+            "enabled"
+        } else {
+            "v2 outlook only"
+        }
     );
     println!();
     println!("{}", ResourceEstimate::for_config(&cfg));
@@ -177,7 +199,11 @@ fn render(name: Option<&String>, flags: &HashMap<String, String>) -> Result<(), 
         }
         let n = w.frames_written();
         w.into_inner()?;
-        println!("wrote {n} frames of {} ({}) to {out}", seq.name(), seq.dims());
+        println!(
+            "wrote {n} frames of {} ({}) to {out}",
+            seq.name(),
+            seq.dims()
+        );
     }
     Ok(())
 }
@@ -210,7 +236,11 @@ fn gme(name: Option<&String>, flags: &HashMap<String, String>) -> Result<(), Box
     );
     println!("  PM model     : {:.3} s", report.pm_seconds);
     if !use_software {
-        println!("  engine model : {:.3} s  (speedup {:.2}x)", report.backend_seconds, report.pm_seconds / report.backend_seconds);
+        println!(
+            "  engine model : {:.3} s  (speedup {:.2}x)",
+            report.backend_seconds,
+            report.pm_seconds / report.backend_seconds
+        );
     }
     let mut err = 0.0;
     for rec in &report.records {
@@ -335,9 +365,7 @@ fn check(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
             let mut dir = std::env::current_dir()?;
             loop {
                 let manifest = dir.join("Cargo.toml");
-                if std::fs::read_to_string(&manifest)
-                    .is_ok_and(|t| t.contains("[workspace]"))
-                {
+                if std::fs::read_to_string(&manifest).is_ok_and(|t| t.contains("[workspace]")) {
                     break dir;
                 }
                 if !dir.pop() {
@@ -360,7 +388,10 @@ fn check(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
 
 fn trace(name: Option<&String>, flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     let (recording, _, _) = run_scenario(name, flags)?;
-    let out = flags.get("out").cloned().unwrap_or_else(|| "trace.json".to_string());
+    let out = flags
+        .get("out")
+        .cloned()
+        .unwrap_or_else(|| "trace.json".to_string());
     std::fs::write(&out, recording.to_chrome_json())?;
     let tracks: Vec<&str> = recording.tracks().iter().map(|t| t.name()).collect();
     println!(
@@ -456,9 +487,18 @@ fn report(name: Option<&String>, flags: &HashMap<String, String>) -> Result<(), 
     let total_s = registry.gauge(keys::BUSY_SECONDS);
     let split = [
         ("pci_input", registry.gauge(keys::ATTRIB_PCI_INPUT_SECONDS)),
-        ("pci_output", registry.gauge(keys::ATTRIB_PCI_OUTPUT_SECONDS)),
-        ("host_overhead", registry.gauge(keys::ATTRIB_HOST_OVERHEAD_SECONDS)),
-        ("engine_nonpci", registry.gauge(keys::ATTRIB_ENGINE_NONPCI_SECONDS)),
+        (
+            "pci_output",
+            registry.gauge(keys::ATTRIB_PCI_OUTPUT_SECONDS),
+        ),
+        (
+            "host_overhead",
+            registry.gauge(keys::ATTRIB_HOST_OVERHEAD_SECONDS),
+        ),
+        (
+            "engine_nonpci",
+            registry.gauge(keys::ATTRIB_ENGINE_NONPCI_SECONDS),
+        ),
     ];
 
     // Amdahl decomposition: the workload-level offloadable fraction
@@ -468,7 +508,11 @@ fn report(name: Option<&String>, flags: &HashMap<String, String>) -> Result<(), 
     let prof = vip::profiling::profile::profile(&mix, &model);
     let ideal = vip::profiling::amdahl::ideal_speedup(prof.offloadable_fraction);
     let software_s = modelled_software_seconds(&registry, dims);
-    let coproc = if total_s > 0.0 { software_s / total_s } else { 0.0 };
+    let coproc = if total_s > 0.0 {
+        software_s / total_s
+    } else {
+        0.0
+    };
     let overall = vip::profiling::amdahl::amdahl(prof.offloadable_fraction, coproc);
 
     if json_format(flags)? {
@@ -570,7 +614,10 @@ fn report(name: Option<&String>, flags: &HashMap<String, String>) -> Result<(), 
     println!();
 
     println!("Amdahl decomposition (segmentation workload profile, CIF, Pentium-M model)");
-    println!("offloadable fraction          : {:.4}", prof.offloadable_fraction);
+    println!(
+        "offloadable fraction          : {:.4}",
+        prof.offloadable_fraction
+    );
     println!("ideal coprocessor bound (§1)  : {ideal:.1}x");
     println!("measured coprocessor speedup  : {coproc:.2}x  (modelled software {software_s:.4} s / engine {total_s:.4} s)");
     println!("overall Amdahl speedup (§5)   : {overall:.2}x");
@@ -621,8 +668,14 @@ mod tests {
     fn parse_size_accepts_wxh_and_rejects_zero_dimensions() {
         let default = Dims::new(176, 144);
         assert_eq!(parse_size(&flags(""), default).unwrap(), default);
-        assert_eq!(parse_size(&flags("--size 88x72"), default).unwrap(), Dims::new(88, 72));
-        assert_eq!(parse_size(&flags("--size 1X1"), default).unwrap(), Dims::new(1, 1));
+        assert_eq!(
+            parse_size(&flags("--size 88x72"), default).unwrap(),
+            Dims::new(88, 72)
+        );
+        assert_eq!(
+            parse_size(&flags("--size 1X1"), default).unwrap(),
+            Dims::new(1, 1)
+        );
         for size in ["0x0", "0x72", "88x0"] {
             let err = parse_size(&flags(&format!("--size {size}")), default).unwrap_err();
             assert!(err.to_string().contains("--size"), "{size}: {err}");

@@ -82,7 +82,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "bounding box: ({}, {})..({}, {}), {} pixels",
         intruder.min.0, intruder.min.1, intruder.max.0, intruder.max.1, intruder.area
     );
-    assert!(intruder.area as usize >= person.area() * 8 / 10, "most of the intruder found");
+    assert!(
+        intruder.area as usize >= person.area() * 8 / 10,
+        "most of the intruder found"
+    );
     assert!(person.contains(Point::new(intruder.min.0, intruder.min.1)));
 
     println!(

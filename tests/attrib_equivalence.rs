@@ -37,7 +37,9 @@ fn random_case(seed: u64) -> (EngineConfig, Dims, usize) {
 }
 
 fn test_frame(dims: Dims) -> Frame {
-    Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 7 + p.y * 13) % 256) as u8))
+    Frame::from_fn(dims, |p| {
+        Pixel::from_luma(((p.x * 7 + p.y * 13) % 256) as u8)
+    })
 }
 
 fn with_mode(base: &EngineConfig, mode: StepMode) -> EngineConfig {
@@ -103,7 +105,9 @@ fn inter_attribution_is_mode_independent() {
     for seed in 0..20 {
         let (config, dims, _) = random_case(seed);
         let a = test_frame(dims);
-        let b = Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 5 + p.y * 3 + 17) % 256) as u8));
+        let b = Frame::from_fn(dims, |p| {
+            Pixel::from_luma(((p.x * 5 + p.y * 3 + 17) % 256) as u8)
+        });
         let mut registries = Vec::new();
         for mode in [StepMode::CycleStepped, StepMode::FastForward] {
             let mut engine = AddressEngine::new(with_mode(&config, mode)).expect("valid config");
@@ -166,7 +170,11 @@ fn segment_indexed_records_attribution_without_a_call_tally() {
     record_into(&mut a, &report);
     record_into(&mut b, &report);
     assert_eq!(a, b);
-    assert_eq!(a.counter(keys::SEGMENT_CALLS), 0, "indexed pass is not a new call");
+    assert_eq!(
+        a.counter(keys::SEGMENT_CALLS),
+        0,
+        "indexed pass is not a new call"
+    );
     assert!(a.gauge(keys::BUSY_SECONDS) > 0.0);
     assert!(a.gauge(keys::ATTRIB_PCI_INPUT_SECONDS) > 0.0);
 }

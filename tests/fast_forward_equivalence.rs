@@ -16,10 +16,10 @@
 //! recordings.
 
 use vip::check::schedule::instants;
-use vip::core::frame::Frame;
-use vip::core::geometry::{Dims, Point};
 use vip::core::addressing::inter::run_inter;
+use vip::core::frame::Frame;
 use vip::core::geometry::ImageFormat;
+use vip::core::geometry::{Dims, Point};
 use vip::core::ops::arith::{AbsDiff, ChangeMask};
 use vip::core::ops::filter::{BoxBlur, SobelGradient};
 use vip::core::ops::segment_ops::HomogeneityCriterion;
@@ -49,7 +49,9 @@ fn random_case(seed: u64) -> (EngineConfig, Dims, usize) {
 }
 
 fn test_frame(dims: Dims) -> Frame {
-    Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 7 + p.y * 13) % 256) as u8))
+    Frame::from_fn(dims, |p| {
+        Pixel::from_luma(((p.x * 7 + p.y * 13) % 256) as u8)
+    })
 }
 
 fn with_mode(base: &EngineConfig, mode: StepMode) -> EngineConfig {
@@ -81,8 +83,14 @@ fn assert_identical(
     fast: &(EngineRun, vip::engine::EngineStats),
     context: &str,
 ) {
-    assert_eq!(stepped.0.output, fast.0.output, "{context}: output pixels diverge");
-    assert_eq!(stepped.0.report, fast.0.report, "{context}: reports diverge");
+    assert_eq!(
+        stepped.0.output, fast.0.output,
+        "{context}: output pixels diverge"
+    );
+    assert_eq!(
+        stepped.0.report, fast.0.report,
+        "{context}: reports diverge"
+    );
     assert_eq!(stepped.1, fast.1, "{context}: engine stats diverge");
     let si = instants(&stepped.0.report.timeline);
     let fi = instants(&fast.0.report.timeline);
@@ -100,7 +108,11 @@ fn intra_verdict(seed: u64) -> String {
             let p = s.0.report.processing.as_ref().expect("detailed stats");
             format!(
                 "ok cycles={} iim={} oim={} occ={} trace={}",
-                p.cycles, p.iim_stalls, p.oim_stalls, p.oim_max_occupancy, p.trace.len()
+                p.cycles,
+                p.iim_stalls,
+                p.oim_stalls,
+                p.oim_max_occupancy,
+                p.trace.len()
             )
         }
         (Err(EngineError::PipelineHazard { .. }), Err(EngineError::PipelineHazard { .. })) => {
@@ -121,8 +133,14 @@ fn intra_fast_forward_is_bit_identical_across_seeded_configs() {
     let clean = verdicts.iter().filter(|v| v.starts_with("ok")).count();
     let deadlocked = verdicts.iter().filter(|v| *v == "deadlock").count();
     // The sweep must exercise both verdicts to mean anything.
-    assert!(clean >= 20, "only {clean} clean configurations out of {CONFIGS}");
-    assert!(deadlocked >= 10, "only {deadlocked} deadlocks out of {CONFIGS}");
+    assert!(
+        clean >= 20,
+        "only {clean} clean configurations out of {CONFIGS}"
+    );
+    assert!(
+        deadlocked >= 10,
+        "only {deadlocked} deadlocks out of {CONFIGS}"
+    );
 
     // vip-par determinism: the same sweep serially, byte-identical.
     let serial = vip::par::map_indexed(CONFIGS as usize, 1, |i| intra_verdict(i as u64));
@@ -134,7 +152,9 @@ fn inter_fast_forward_is_bit_identical() {
     for seed in 0..24 {
         let (config, dims, _) = random_case(seed);
         let a = test_frame(dims);
-        let b = Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 5 + p.y * 3 + 17) % 256) as u8));
+        let b = Frame::from_fn(dims, |p| {
+            Pixel::from_luma(((p.x * 5 + p.y * 3 + 17) % 256) as u8)
+        });
         let mut runs = Vec::new();
         for mode in [StepMode::CycleStepped, StepMode::FastForward] {
             let mut engine = AddressEngine::new(with_mode(&config, mode)).expect("valid config");
@@ -155,19 +175,31 @@ fn prototype_sobel_and_absdiff_are_bit_identical() {
     // seeded sweep never reaches.
     let dims = Dims::new(96, 72);
     let a = test_frame(dims);
-    let b = Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 7 + p.y * 13 + 31) % 256) as u8));
+    let b = Frame::from_fn(dims, |p| {
+        Pixel::from_luma(((p.x * 7 + p.y * 13 + 31) % 256) as u8)
+    });
     let config = EngineConfig::prototype_detailed();
     let mut runs = Vec::new();
     for mode in [StepMode::CycleStepped, StepMode::FastForward] {
         let mut engine = AddressEngine::new(with_mode(&config, mode)).expect("valid config");
-        let intra = engine.run_intra(&a, &SobelGradient::new()).expect("intra call succeeds");
-        let inter = engine.run_inter(&a, &b, &AbsDiff::luma()).expect("inter call succeeds");
+        let intra = engine
+            .run_intra(&a, &SobelGradient::new())
+            .expect("intra call succeeds");
+        let inter = engine
+            .run_inter(&a, &b, &AbsDiff::luma())
+            .expect("inter call succeeds");
         runs.push((intra, inter, engine.stats()));
     }
     let (stepped, fast) = (&runs[0], &runs[1]);
-    assert_eq!(stepped.0.output, fast.0.output, "sobel output pixels diverge");
+    assert_eq!(
+        stepped.0.output, fast.0.output,
+        "sobel output pixels diverge"
+    );
     assert_eq!(stepped.0.report, fast.0.report, "sobel reports diverge");
-    assert_eq!(stepped.1.output, fast.1.output, "absdiff output pixels diverge");
+    assert_eq!(
+        stepped.1.output, fast.1.output,
+        "absdiff output pixels diverge"
+    );
     assert_eq!(stepped.1.report, fast.1.report, "absdiff reports diverge");
     assert_eq!(stepped.2, fast.2, "engine stats diverge");
 }
@@ -220,7 +252,9 @@ fn recorded_fast_forward_matches_unrecorded_and_stepped_recording() {
     let two_calls = |engine: &mut AddressEngine| -> Vec<(EngineRun, vip::engine::EngineStats)> {
         (0..2)
             .map(|_| {
-                let run = engine.run_intra(&frame, &op).expect("seed 3 is a clean configuration");
+                let run = engine
+                    .run_intra(&frame, &op)
+                    .expect("seed 3 is a clean configuration");
                 (run, engine.stats())
             })
             .collect()
@@ -239,7 +273,9 @@ fn recorded_fast_forward_matches_unrecorded_and_stepped_recording() {
         let mut engine = AddressEngine::new(with_mode(&config, mode)).expect("valid config");
         engine.set_trace_limit(TRACE);
         if warm {
-            engine.run_intra(&frame, &op).expect("warm-up call succeeds");
+            engine
+                .run_intra(&frame, &op)
+                .expect("warm-up call succeeds");
             // Rewinds the virtual clock, so this recording starts where
             // the others do; the skeleton results stay.
             engine.reset_stats();
@@ -248,15 +284,34 @@ fn recorded_fast_forward_matches_unrecorded_and_stepped_recording() {
         engine.set_recorder(session.recorder());
         for (call, (want, got)) in unrecorded.iter().zip(two_calls(&mut engine)).enumerate() {
             let context = format!("recorded {mode:?} warm={warm} call {call}");
-            let snapshots = &got.0.report.processing.as_ref().expect("detailed stats").trace;
-            assert_eq!(snapshots.len(), TRACE, "{context}: fig. 5 snapshots missing");
+            let snapshots = &got
+                .0
+                .report
+                .processing
+                .as_ref()
+                .expect("detailed stats")
+                .trace;
+            assert_eq!(
+                snapshots.len(),
+                TRACE,
+                "{context}: fig. 5 snapshots missing"
+            );
             assert_identical(want, &got, &context);
         }
         traces.push(session.finish().to_chrome_json());
     }
-    assert!(traces[1].contains("\"line_sweep\""), "recorded run must emit probe spans");
-    assert!(traces[0] == traces[1], "fast-forward recording diverges from the stepped one");
-    assert!(traces[0] == traces[2], "replayed recording diverges from the stepped one");
+    assert!(
+        traces[1].contains("\"line_sweep\""),
+        "recorded run must emit probe spans"
+    );
+    assert!(
+        traces[0] == traces[1],
+        "fast-forward recording diverges from the stepped one"
+    );
+    assert!(
+        traces[0] == traces[2],
+        "replayed recording diverges from the stepped one"
+    );
 }
 
 /// Runs one call on both datapaths with an enabled probe and asserts
@@ -272,7 +327,8 @@ fn assert_datapaths_record_alike(
     for mode in [StepMode::CycleStepped, StepMode::FastForward] {
         let mut zbt = ZbtMemory::new(config);
         for (region, frame) in inputs {
-            zbt.write_input_run(*region, 0, frame.pixels()).expect("input fits");
+            zbt.write_input_run(*region, 0, frame.pixels())
+                .expect("input fits");
         }
         let session = vip::engine::Session::new();
         let probe = PuProbe::new(session.recorder(), 1_000, 1e9 / config.engine_clock.hz);
@@ -294,7 +350,10 @@ fn assert_datapaths_record_alike(
             &fast_json[from..(at + 80).min(fast_json.len())],
         );
     }
-    assert!(stepped_json.contains("\"occupancy\""), "{context}: empty recording");
+    assert!(
+        stepped_json.contains("\"occupancy\""),
+        "{context}: empty recording"
+    );
     stepped.is_ok()
 }
 
@@ -355,13 +414,22 @@ fn datapaths_publish_byte_identical_probe_recordings() {
             |mode, zbt, probe| intra_on(mode, zbt, dims, &op, &config, 32, probe),
         ));
     }
-    assert!(clean >= 20, "only {clean} clean configurations out of {CONFIGS}");
-    assert!(CONFIGS as usize - clean >= 10, "only {} deadlocks", CONFIGS as usize - clean);
+    assert!(
+        clean >= 20,
+        "only {clean} clean configurations out of {CONFIGS}"
+    );
+    assert!(
+        CONFIGS as usize - clean >= 10,
+        "only {} deadlocks",
+        CONFIGS as usize - clean
+    );
 
     for seed in 0..24 {
         let (config, dims, _) = random_case(seed);
         let a = test_frame(dims);
-        let b = Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 5 + p.y * 3 + 17) % 256) as u8));
+        let b = Frame::from_fn(dims, |p| {
+            Pixel::from_luma(((p.x * 5 + p.y * 3 + 17) % 256) as u8)
+        });
         assert!(assert_datapaths_record_alike(
             &config,
             &[(ZbtRegion::InputA, &a), (ZbtRegion::InputB, &b)],
@@ -373,7 +441,9 @@ fn datapaths_publish_byte_identical_probe_recordings() {
     let config = EngineConfig::prototype_detailed();
     let dims = Dims::new(96, 72);
     let a = test_frame(dims);
-    let b = Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 7 + p.y * 13 + 31) % 256) as u8));
+    let b = Frame::from_fn(dims, |p| {
+        Pixel::from_luma(((p.x * 7 + p.y * 13 + 31) % 256) as u8)
+    });
     assert!(assert_datapaths_record_alike(
         &config,
         &[(ZbtRegion::InputA, &a)],
@@ -405,7 +475,11 @@ fn inter_chunks_are_unobservable() {
         ImageFormat::Qcif.dims(),
     ];
     assert!(split_inside(cases[2].pixel_count()) && split_inside(cases[5].pixel_count()));
-    assert_eq!(cases[4].pixel_count(), 2 * INTER_CHUNK, "split on a chunk edge");
+    assert_eq!(
+        cases[4].pixel_count(),
+        2 * INTER_CHUNK,
+        "split on a chunk edge"
+    );
     let config = EngineConfig::prototype_detailed();
     let op = ChangeMask::new(20);
     for dims in cases {
@@ -413,12 +487,17 @@ fn inter_chunks_are_unobservable() {
             let mut rng = vip::video::rng::XorShift64::new(seed);
             Frame::from_fn(dims, |_| Pixel::from_bits(rng.next_u64()))
         };
-        let (a, b) = (seeded(dims.pixel_count() as u64), seeded(!dims.pixel_count() as u64));
+        let (a, b) = (
+            seeded(dims.pixel_count() as u64),
+            seeded(!dims.pixel_count() as u64),
+        );
         let mut runs = Vec::new();
         for mode in [StepMode::CycleStepped, StepMode::FastForward] {
             let mut zbt = ZbtMemory::new(&config);
-            zbt.write_input_run(ZbtRegion::InputA, 0, a.pixels()).expect("input fits");
-            zbt.write_input_run(ZbtRegion::InputB, 0, b.pixels()).expect("input fits");
+            zbt.write_input_run(ZbtRegion::InputA, 0, a.pixels())
+                .expect("input fits");
+            zbt.write_input_run(ZbtRegion::InputB, 0, b.pixels())
+                .expect("input fits");
             zbt.reset_stats();
             let session = vip::engine::Session::new();
             let probe = PuProbe::new(session.recorder(), 1_000, 1e9 / config.engine_clock.hz);
@@ -427,7 +506,13 @@ fn inter_chunks_are_unobservable() {
             let (banks, cycles) = (zbt.stats().to_vec(), zbt.pixel_access_cycles());
             let total = dims.pixel_count();
             let output = zbt.read_result_run(0, total, total).expect("result fits");
-            runs.push((stats, banks, cycles, output, session.finish().to_chrome_json()));
+            runs.push((
+                stats,
+                banks,
+                cycles,
+                output,
+                session.finish().to_chrome_json(),
+            ));
         }
         let (stepped, fast) = (&runs[0], &runs[1]);
         assert_eq!(stepped.0, fast.0, "{dims:?}: ProcessingStats diverge");
@@ -435,7 +520,13 @@ fn inter_chunks_are_unobservable() {
         assert_eq!(stepped.2, fast.2, "{dims:?}: pixel access cycles diverge");
         assert_eq!(stepped.3, fast.3, "{dims:?}: result pixels diverge");
         assert!(stepped.4 == fast.4, "{dims:?}: recordings diverge");
-        let software = run_inter(&a, &b, &op).expect("software call succeeds").output;
-        assert_eq!(fast.3, software.pixels(), "{dims:?}: fast-forward differs from software");
+        let software = run_inter(&a, &b, &op)
+            .expect("software call succeeds")
+            .output;
+        assert_eq!(
+            fast.3,
+            software.pixels(),
+            "{dims:?}: fast-forward differs from software"
+        );
     }
 }

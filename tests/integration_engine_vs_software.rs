@@ -182,12 +182,17 @@ fn chained_calls_bit_exact() {
     let hw = {
         let s = engine.run_intra(&f0, &Binomial3::new()).unwrap().output;
         let g = engine.run_intra(&s, &MorphGradient::con8()).unwrap().output;
-        engine.run_inter(&g, &f1, &ChangeMask::new(30)).unwrap().output
+        engine
+            .run_inter(&g, &f1, &ChangeMask::new(30))
+            .unwrap()
+            .output
     };
     let sw = {
         let s = intra::run_intra(&f0, &Binomial3::new()).unwrap().output;
         let g = intra::run_intra(&s, &MorphGradient::con8()).unwrap().output;
-        inter::run_inter(&g, &f1, &ChangeMask::new(30)).unwrap().output
+        inter::run_inter(&g, &f1, &ChangeMask::new(30))
+            .unwrap()
+            .output
     };
     assert_eq!(hw, sw);
     assert_eq!(engine.stats().intra_calls, 2);

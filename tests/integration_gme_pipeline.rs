@@ -100,8 +100,7 @@ fn mosaic_panorama_grows() {
     let report = runner.run(seq.frames(), &mut backend).unwrap();
     let mosaic = report.mosaic.unwrap();
     assert_eq!(mosaic.frames_added(), 6);
-    let single_frame_share =
-        (64.0 * 48.0) / (mosaic.canvas().pixel_count() as f64);
+    let single_frame_share = (64.0 * 48.0) / (mosaic.canvas().pixel_count() as f64);
     assert!(
         mosaic.coverage() > single_frame_share,
         "panorama must exceed one frame: {} vs {}",
@@ -134,7 +133,11 @@ fn gme_robust_to_noise_and_foreground_motion() {
     let mean_err = err_sum / report.records.len() as f64;
     assert!(mean_err < 1.6, "degraded-sequence error {mean_err}");
     // Outlier rejection must have kicked in: inlier fraction below 1.
-    let inliers: f64 = report.records.iter().map(|r| r.gme.inlier_fraction).sum::<f64>()
+    let inliers: f64 = report
+        .records
+        .iter()
+        .map(|r| r.gme.inlier_fraction)
+        .sum::<f64>()
         / report.records.len() as f64;
     assert!(inliers > 0.35 && inliers < 1.0, "inlier fraction {inliers}");
 }

@@ -14,7 +14,9 @@ use vip::video::TestSequence;
 const CIF: Dims = Dims::new(352, 288);
 
 fn cif_frame() -> Frame {
-    Frame::from_fn(CIF, |p| Pixel::from_luma(((p.x * 7 + p.y * 13) % 256) as u8))
+    Frame::from_fn(CIF, |p| {
+        Pixel::from_luma(((p.x * 7 + p.y * 13) % 256) as u8)
+    })
 }
 
 /// A CIF intra Sobel call on the detailed engine emits spans on every
@@ -22,8 +24,7 @@ fn cif_frame() -> Frame {
 #[test]
 fn cif_intra_sobel_trace_covers_all_subsystems() {
     let session = Session::new();
-    let mut engine =
-        AddressEngine::new(EngineConfig::prototype_detailed()).expect("valid config");
+    let mut engine = AddressEngine::new(EngineConfig::prototype_detailed()).expect("valid config");
     engine.set_recorder(session.recorder());
     engine
         .run_intra(&cif_frame(), &SobelGradient::new())

@@ -139,9 +139,17 @@ fn x2_pci_overhead() {
     let mut cfg = EngineConfig::prototype();
     cfg.interrupt_overhead_cycles = 0;
     let inter = inter_timeline(CIF, &cfg);
-    assert!((inter.non_pci_of_input() - 0.125).abs() < 0.02, "{}", inter.non_pci_of_input());
+    assert!(
+        (inter.non_pci_of_input() - 0.125).abs() < 0.02,
+        "{}",
+        inter.non_pci_of_input()
+    );
     let intra = intra_timeline(CIF, 1, &cfg);
-    assert!(intra.non_pci_of_input() < 0.05, "{}", intra.non_pci_of_input());
+    assert!(
+        intra.non_pci_of_input() < 0.05,
+        "{}",
+        intra.non_pci_of_input()
+    );
 }
 
 /// §3.1: the ZBT stores two input and one output image of either format.

@@ -274,7 +274,10 @@ fn processing_stats_do_not_depend_on_the_operation_of_a_shape() {
             for drain in [1, 2, 5] {
                 let cfg = || config(16, 2, drain, mode);
                 let context = format!("{dims:?} drain {drain} ({mode:?})");
-                let sobel = ok(intra(cfg(), dims, &SobelGradient::new(), seed, 64), &context);
+                let sobel = ok(
+                    intra(cfg(), dims, &SobelGradient::new(), seed, 64),
+                    &context,
+                );
                 let blur = ok(intra(cfg(), dims, &BoxBlur::con8(), seed, 64), &context);
                 assert_eq!(sobel, blur, "intra {context}");
                 let luma = ok(inter(cfg(), dims, &AbsDiff::luma(), seed, 64), &context);
@@ -335,13 +338,20 @@ fn a_reused_engine_answers_every_call_like_a_fresh_one() {
             let mut fresh = AddressEngine::new(cfg.clone()).expect("valid config");
             let want = call(&mut fresh, c, i as u64).unwrap_or_else(|e| panic!("{context}: {e}"));
             assert_eq!(got.output, want.output, "{context}: output");
-            assert_eq!(got.report.processing, want.report.processing, "{context}: stats");
+            assert_eq!(
+                got.report.processing, want.report.processing,
+                "{context}: stats"
+            );
             assert_eq!(got.report, want.report, "{context}: report");
             assert!(
                 fresh.metrics().counter(zbt_bank_key(0)) > 0,
                 "{context}: no ZBT bank traffic recorded"
             );
-            assert_eq!(reused.metrics(), fresh.metrics(), "{context}: metrics and ZBT banks");
+            assert_eq!(
+                reused.metrics(),
+                fresh.metrics(),
+                "{context}: metrics and ZBT banks"
+            );
         }
     }
 }

@@ -53,7 +53,9 @@ fn random_case(seed: u64) -> (EngineConfig, Dims, usize) {
 }
 
 fn test_frame(dims: Dims) -> Frame {
-    Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 7 + p.y * 13) % 256) as u8))
+    Frame::from_fn(dims, |p| {
+        Pixel::from_luma(((p.x * 7 + p.y * 13) % 256) as u8)
+    })
 }
 
 fn run_detailed_intra(
@@ -88,10 +90,10 @@ fn iim_verdicts_match_detailed_simulation() {
     let verdicts = vip::par::map_indexed(CONFIGS as usize, vip::par::default_threads(), |i| {
         let seed = i as u64;
         let (config, dims, radius) = random_case(seed);
-        let scenario =
-            Scenario::new("seeded", config.clone(), dims, CallKind::Intra { radius });
-        let static_deadlock =
-            check_iim(&scenario).iter().any(|v| v.check == "occupancy.iim_deadlock");
+        let scenario = Scenario::new("seeded", config.clone(), dims, CallKind::Intra { radius });
+        let static_deadlock = check_iim(&scenario)
+            .iter()
+            .any(|v| v.check == "occupancy.iim_deadlock");
         let outcome = run_detailed_intra(&config, dims, radius);
         match (static_deadlock, outcome) {
             (false, Ok(run)) => {
@@ -113,8 +115,14 @@ fn iim_verdicts_match_detailed_simulation() {
     let clean = verdicts.iter().filter(|ok| **ok).count();
     let deadlocked = verdicts.len() - clean;
     // The sweep must actually exercise both verdicts.
-    assert!(clean >= 20, "only {clean} clean configurations out of {CONFIGS}");
-    assert!(deadlocked >= 10, "only {deadlocked} deadlocking configurations out of {CONFIGS}");
+    assert!(
+        clean >= 20,
+        "only {clean} clean configurations out of {CONFIGS}"
+    );
+    assert!(
+        deadlocked >= 10,
+        "only {deadlocked} deadlocking configurations out of {CONFIGS}"
+    );
 }
 
 #[test]
@@ -122,8 +130,7 @@ fn detailed_oim_occupancy_stays_within_static_bound() {
     let checks = vip::par::map_indexed(CONFIGS as usize, vip::par::default_threads(), |i| {
         let seed = i as u64;
         let (config, dims, radius) = random_case(seed);
-        let scenario =
-            Scenario::new("seeded", config.clone(), dims, CallKind::Intra { radius });
+        let scenario = Scenario::new("seeded", config.clone(), dims, CallKind::Intra { radius });
         if !check_iim(&scenario).is_empty() {
             return false; // deadlock cases covered by the verdict test
         }
@@ -139,7 +146,10 @@ fn detailed_oim_occupancy_stays_within_static_bound() {
         true
     });
     let checked = checks.iter().filter(|ok| **ok).count();
-    assert!(checked >= 20, "only {checked} successful runs to bound-check");
+    assert!(
+        checked >= 20,
+        "only {checked} successful runs to bound-check"
+    );
 }
 
 #[test]
@@ -174,8 +184,7 @@ fn static_timeline_is_the_engine_timeline() {
         let seed = i as u64;
         let (mut config, dims, radius) = random_case(seed);
         config.fidelity = vip::engine::SimulationFidelity::Analytic;
-        let scenario =
-            Scenario::new("seeded", config.clone(), dims, CallKind::Intra { radius });
+        let scenario = Scenario::new("seeded", config.clone(), dims, CallKind::Intra { radius });
         if !check_iim(&scenario).is_empty() {
             return;
         }
