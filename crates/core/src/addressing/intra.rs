@@ -2,6 +2,18 @@
 //! of the pixel's original value and the values of its neighbors within
 //! the same image"* (§2.1).
 //!
+//! The sweep works as the Process Unit's matrix register does (§3,
+//! figs. 4 and 5): each row is one [`IntraOp::apply_row`] call over the
+//! row's `2r+1` lines, clamped at the top and bottom edges. It LOADs a
+//! fixed-size [`Window`] once at the row start and then SHIFTs one column
+//! in per pixel, clamping column indices at the left and right edges, so
+//! border pixels take the same path as interior ones. Results go straight
+//! into the output buffer, and the access counts are closed-form. Only the
+//! software-only border policies ([`BorderPolicy::Mirror`],
+//! [`BorderPolicy::Wrap`], [`BorderPolicy::Constant`],
+//! [`BorderPolicy::Skip`]) gather each window separately with
+//! [`Window::regather`].
+//!
 //! # Examples
 //!
 //! ```
@@ -23,8 +35,9 @@ use crate::border::BorderPolicy;
 use crate::error::{CoreError, CoreResult};
 use crate::frame::Frame;
 use crate::geometry::Point;
-use crate::neighborhood::Window;
+use crate::neighborhood::{Window, MAX_LINES, MAX_RADIUS};
 use crate::ops::IntraOp;
+use crate::pixel::Pixel;
 
 /// Result of an intra call: the output frame plus the execution report.
 #[derive(Debug, Clone)]
@@ -41,7 +54,7 @@ pub struct IntraResult {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::EmptyFrame`] when the frame has zero area.
+/// As [`run_intra_with`].
 pub fn run_intra(frame: &Frame, op: &impl IntraOp) -> CoreResult<IntraResult> {
     run_intra_with(frame, op, BorderPolicy::Clamp)
 }
@@ -50,43 +63,71 @@ pub fn run_intra(frame: &Frame, op: &impl IntraOp) -> CoreResult<IntraResult> {
 /// window samples outside the frame. The sweep is row-major; the kernel
 /// reads only the input frame, so the order cannot change the result.
 ///
+/// Under [`BorderPolicy::Clamp`] each row is one [`IntraOp::apply_row`]
+/// over its `2r+1` clamped lines, so border pixels go through the same
+/// column-shift sweep as interior ones. The other policies gather each
+/// window with [`Window::regather`]. Either way every pixel is read
+/// through a full window and written once, so the access counts are
+/// closed-form: `n·(a−1)` reads and `n` writes for `n` pixels and `a`
+/// software accesses per pixel.
+///
 /// # Errors
 ///
-/// Returns [`CoreError::EmptyFrame`] when the frame has zero area.
+/// Returns [`CoreError::EmptyFrame`] when the frame has zero area and
+/// [`CoreError::InvalidParameter`] when the kernel's shape spans more
+/// than [`MAX_LINES`] lines.
 pub fn run_intra_with(
     frame: &Frame,
     op: &impl IntraOp,
     border: BorderPolicy,
 ) -> CoreResult<IntraResult> {
-    if frame.dims().is_empty() {
+    let dims = frame.dims();
+    if dims.is_empty() {
         return Err(CoreError::EmptyFrame);
     }
-
-    let descriptor = CallDescriptor::intra(op.shape(), op.input_channels(), op.output_channels());
-    let per_pixel_reads = descriptor.software_accesses_per_pixel() - 1;
-    let mut counter = AccessCounter::new();
-    let mut output = frame.clone();
-
-    let mut applied = 0u64;
-    // One window reused across the sweep: `regather` refills the sample
-    // buffer in place instead of allocating per pixel.
-    let mut window = Window::from_samples(Point::ORIGIN, op.shape(), std::iter::empty());
-    for p in frame.dims().bounds().points() {
-        window.regather(frame, p, border);
-        counter.read(per_pixel_reads);
-        let result = op.apply(&window);
-        let mut out = frame.get(p);
-        out.merge_channels(result, op.output_channels());
-        output.set(p, out);
-        counter.write(1);
-        applied += 1;
+    let shape = op.shape();
+    if shape.radius() > MAX_RADIUS {
+        return Err(CoreError::InvalidParameter {
+            name: "shape",
+            reason: "neighbourhood may span at most nine lines (radius 4)",
+        });
     }
+
+    let descriptor = CallDescriptor::intra(shape, op.input_channels(), op.output_channels());
+    let mut pixels = Vec::with_capacity(frame.pixel_count());
+    if border == BorderPolicy::Clamp {
+        let r = shape.radius() as i32;
+        let last = dims.height as i32 - 1;
+        let mut lines: [&[Pixel]; MAX_LINES] = [&[]; MAX_LINES];
+        let lines = &mut lines[..shape.lines()];
+        for y in 0..dims.height as i32 {
+            for (dy, line) in (-r..=r).zip(lines.iter_mut()) {
+                *line = frame.line((y + dy).clamp(0, last) as usize);
+            }
+            op.apply_row(lines, y, &mut pixels);
+        }
+    } else {
+        let set = op.output_channels();
+        let mut window = Window::empty(Point::ORIGIN, shape);
+        for p in dims.bounds().points() {
+            window.regather(frame, p, border);
+            let mut out = frame.get(p);
+            out.merge_channels(op.apply(&window), set);
+            pixels.push(out);
+        }
+    }
+    let output = Frame::from_pixels(dims, pixels)?;
+
+    let applied = frame.pixel_count() as u64;
+    let mut counter = AccessCounter::new();
+    counter.read(applied * (descriptor.software_accesses_per_pixel() - 1));
+    counter.write(applied);
 
     Ok(IntraResult {
         output,
         report: CallReport {
             descriptor,
-            dims: frame.dims(),
+            dims,
             pixels_processed: applied,
             op_applies: applied,
             counter,
@@ -97,7 +138,8 @@ pub fn run_intra_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::{Dims, Point};
+    use crate::accounting::AccessModel;
+    use crate::geometry::Dims;
     use crate::neighborhood::Connectivity;
     use crate::ops::filter::{BoxBlur, Identity, SobelGradient};
     use crate::ops::morph::{Dilate, Erode, MorphGradient};
@@ -136,6 +178,18 @@ mod tests {
     }
 
     #[test]
+    fn shape_wider_than_nine_lines_rejected() {
+        let f = spot();
+        let wide = Dilate::with_shape(Connectivity::Square(5));
+        for policy in [BorderPolicy::Clamp, BorderPolicy::Skip] {
+            assert!(matches!(
+                run_intra_with(&f, &wide, policy),
+                Err(CoreError::InvalidParameter { name: "shape", .. })
+            ));
+        }
+    }
+
+    #[test]
     fn report_matches_analytic_model_con8() {
         let f = spot();
         let r = run_intra(&f, &BoxBlur::con8()).unwrap();
@@ -150,6 +204,48 @@ mod tests {
         let r = run_intra(&f, &Identity::luma()).unwrap();
         assert_eq!(r.report.counter.total(), 36 * 2);
         assert_eq!(r.report.descriptor.shape, Connectivity::Con0);
+    }
+
+    #[test]
+    fn report_matches_analytic_model_on_every_shape_and_edge_dims() {
+        // Closed-form counts: `n·(a−1)` reads and `n` writes for every
+        // shape, on frames the widest window overhangs, under every
+        // border policy.
+        let shapes = [
+            Connectivity::Con0,
+            Connectivity::Con4,
+            Connectivity::Con8,
+            Connectivity::Square(1),
+            Connectivity::Square(2),
+            Connectivity::Square(3),
+            Connectivity::Square(4),
+        ];
+        let policies = [
+            BorderPolicy::Clamp,
+            BorderPolicy::Mirror,
+            BorderPolicy::Wrap,
+            BorderPolicy::Constant(Pixel::from_luma(9)),
+            BorderPolicy::Skip,
+        ];
+        for (w, h) in [(1, 1), (1, 9), (9, 1), (2, 2), (5, 3), (17, 11)] {
+            let f = Frame::from_fn(Dims::new(w, h), |p| Pixel::from_luma((p.x * 7 + p.y) as u8));
+            for shape in shapes {
+                let op = Dilate::with_shape(shape);
+                for policy in policies {
+                    let r = run_intra_with(&f, &op, policy).unwrap();
+                    let n = f.pixel_count() as u64;
+                    let model = AccessModel::for_call(&r.report.descriptor, f.dims());
+                    assert_eq!(
+                        r.report.counter.total(),
+                        model.software_accesses,
+                        "{shape} {policy} on {w}x{h}"
+                    );
+                    assert_eq!(r.report.counter.writes(), n, "{shape} {policy} on {w}x{h}");
+                    assert_eq!(r.report.pixels_processed, n);
+                    assert_eq!(r.report.op_applies, n);
+                }
+            }
+        }
     }
 
     #[test]

@@ -214,21 +214,118 @@ impl fmt::Display for Connectivity {
     }
 }
 
+/// Slots in a [`Window`] buffer: the full `MAX_LINES × MAX_LINES` square
+/// of the widest shape.
+const WINDOW_SLOTS: usize = MAX_LINES * MAX_LINES;
+
+/// The slot of offset `(0, 0)`; offset `(dx, dy)` lives in slot
+/// `CENTRE_SLOT + dy·MAX_LINES + dx` whatever the window's radius, so a
+/// constant offset is a constant slot.
+const CENTRE_SLOT: usize = WINDOW_SLOTS / 2;
+
+/// The buffer slot of an offset within [`MAX_RADIUS`] of the centre.
+const fn slot(dx: i32, dy: i32) -> usize {
+    (CENTRE_SLOT as i32 + dy * MAX_LINES as i32 + dx) as usize
+}
+
+/// The offset held by each buffer slot (the inverse of [`slot`]).
+static SLOT_OFFSETS: [Point; WINDOW_SLOTS] = slot_offsets();
+
+const fn slot_offsets() -> [Point; WINDOW_SLOTS] {
+    let mut offsets = [Point::ORIGIN; WINDOW_SLOTS];
+    let mut i = 0;
+    while i < WINDOW_SLOTS {
+        offsets[i] = Point::new(
+            (i % MAX_LINES) as i32 - MAX_RADIUS as i32,
+            (i / MAX_LINES) as i32 - MAX_RADIUS as i32,
+        );
+        i += 1;
+    }
+    offsets
+}
+
+/// Slot masks (bit `i` ⇔ slot `i`) of the full squares, by radius.
+const SQUARE_MASKS: [u128; MAX_RADIUS + 1] = square_masks();
+
+const fn square_masks() -> [u128; MAX_RADIUS + 1] {
+    let mut masks = [0; MAX_RADIUS + 1];
+    let mut r = 0;
+    while r <= MAX_RADIUS {
+        let ri = r as i32;
+        let mut dy = -ri;
+        while dy <= ri {
+            let mut dx = -ri;
+            while dx <= ri {
+                masks[r] |= 1 << slot(dx, dy);
+                dx += 1;
+            }
+            dy += 1;
+        }
+        r += 1;
+    }
+    masks
+}
+
+/// Slot mask of the `CON_4` cross.
+const CON4_MASK: u128 = {
+    let mut mask = 0;
+    let mut i = 0;
+    while i < CON4_OFFSETS.len() {
+        mask |= 1 << slot(CON4_OFFSETS[i].x, CON4_OFFSETS[i].y);
+        i += 1;
+    }
+    mask
+};
+
+/// The slots `shape` occupies, as a bit mask.
+const fn shape_mask(shape: Connectivity) -> u128 {
+    match shape {
+        Connectivity::Con4 => CON4_MASK,
+        _ => SQUARE_MASKS[shape.radius()],
+    }
+}
+
 /// A materialised neighbourhood: the window of pixels around one centre
 /// position, as delivered to a pixel operation.
 ///
 /// In the coprocessor this is the content of the *matrix register* filled
-/// by stage 2 of the Process Unit.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// by stage 2 of the Process Unit, and it is held the same way: a fixed
+/// `MAX_LINES × MAX_LINES` buffer (no heap allocation) with one slot per
+/// offset, plus a mask of the slots that hold a sample. The mask leaves
+/// out the slots outside the shape and, under [`BorderPolicy::Skip`],
+/// the out-of-frame accesses. Row sweeps refill the buffer as the
+/// hardware does: a LOAD of the whole window at the line start, then one
+/// SHIFT per pixel that drops the leftmost column and loads one new one
+/// (see [`crate::ops::IntraOp::apply_row`]).
+///
+/// # Panics
+///
+/// Every constructor panics for a shape wider than [`MAX_LINES`] lines.
+#[derive(Clone)]
 pub struct Window {
     centre: Point,
     shape: Connectivity,
-    /// `(offset, pixel)` pairs; offsets as in [`Connectivity::offsets`],
-    /// minus any skipped border accesses.
-    samples: Vec<(Point, Pixel)>,
+    /// Row-major buffer; offset `(dx, dy)` lives in slot [`slot`]`(dx, dy)`.
+    pixels: [Pixel; WINDOW_SLOTS],
+    /// Bit `i` set ⇔ slot `i` holds a delivered sample.
+    present: u128,
 }
 
 impl Window {
+    /// An empty window (no sample present) of `shape` around `centre`.
+    pub(crate) fn empty(centre: Point, shape: Connectivity) -> Window {
+        assert!(
+            shape.radius() <= MAX_RADIUS,
+            "a window spans at most {MAX_LINES} lines, {shape} is wider"
+        );
+        Window {
+            centre,
+            shape,
+            pixels: [Pixel::default(); WINDOW_SLOTS],
+            present: 0,
+        }
+    }
+
     /// Gathers the window around `centre` from `frame` under `policy`.
     ///
     /// With [`BorderPolicy::Skip`], out-of-frame samples are omitted; all
@@ -240,56 +337,90 @@ impl Window {
         shape: Connectivity,
         policy: BorderPolicy,
     ) -> Window {
-        let mut window = Window {
-            centre,
-            shape,
-            samples: Vec::with_capacity(shape.offset_count()),
-        };
+        let mut window = Window::empty(centre, shape);
         window.regather(frame, centre, policy);
         window
     }
 
-    /// Re-gathers the window in place around a new `centre`, reusing the
-    /// sample buffer — the allocation-free path sweep loops drive.
-    /// Produces exactly the samples of
+    /// Re-gathers the window in place around a new `centre` — the
+    /// per-pixel path for the border policies other than
+    /// [`BorderPolicy::Clamp`]. Produces exactly the samples of
     /// [`Window::gather`]`(frame, centre, self.shape(), policy)`.
     pub fn regather(&mut self, frame: &Frame, centre: Point, policy: BorderPolicy) {
         self.centre = centre;
-        self.samples.clear();
         let dims = frame.dims();
         let r = self.shape.radius() as i32;
-        let side = 2 * r + 1;
+        let mask = shape_mask(self.shape);
         let interior = centre.x >= r
             && centre.y >= r
             && centre.x + r < dims.width as i32
             && centre.y + r < dims.height as i32;
-        if interior && self.shape.offset_count() == (side * side) as usize {
-            // Full-square interior window: take row slices directly — no
-            // border resolution, no per-sample index arithmetic. Offsets
-            // come out in the same row-major order as `offsets_iter`.
+        if interior {
+            // The whole square is in the frame: copy it row slice by row
+            // slice; the shape mask hides the slots a sparse shape lacks.
+            let side = self.shape.lines();
+            let x0 = (centre.x - r) as usize;
             for dy in -r..=r {
                 let line = frame.line((centre.y + dy) as usize);
-                let x0 = (centre.x - r) as usize;
-                self.samples.extend(
-                    line[x0..=(centre.x + r) as usize]
-                        .iter()
-                        .enumerate()
-                        .map(|(i, px)| (Point::new(i as i32 - r, dy), *px)),
-                );
+                let first = slot(-r, dy);
+                self.pixels[first..first + side].copy_from_slice(&line[x0..x0 + side]);
             }
-        } else if interior {
-            // Sparse shape, still fully in bounds: skip border resolution.
-            self.samples.extend(
-                self.shape
-                    .offsets_iter()
-                    .map(|off| (off, frame.get(centre + off))),
-            );
+            self.present = mask;
         } else {
-            self.samples.extend(
-                self.shape
-                    .offsets_iter()
-                    .filter_map(|off| policy.resolve(frame, centre + off).map(|px| (off, px))),
-            );
+            self.present = 0;
+            for off in self.shape.offsets_iter() {
+                if let Some(px) = policy.resolve(frame, centre + off) {
+                    let i = slot(off.x, off.y);
+                    self.pixels[i] = px;
+                    self.present |= 1 << i;
+                }
+            }
+        }
+    }
+
+    /// LOAD: fills the whole window around `centre` from `lines`, the
+    /// `shape.lines()` frame lines centred on `centre.y` (line `radius`
+    /// is the centre line). Columns beyond either end of the lines clamp
+    /// to the edge column, as [`BorderPolicy::Clamp`] does.
+    pub(crate) fn load(centre: Point, shape: Connectivity, lines: &[&[Pixel]]) -> Window {
+        let mut window = Window::empty(centre, shape);
+        let r = shape.radius() as i32;
+        let last = lines[0].len() as i32 - 1;
+        for (dy, line) in (-r..=r).zip(lines) {
+            for dx in -r..=r {
+                window.pixels[slot(dx, dy)] = line[(centre.x + dx).clamp(0, last) as usize];
+            }
+        }
+        window.present = shape_mask(shape);
+        window
+    }
+
+    /// SHIFT: moves the window one pixel right along `lines` (the same
+    /// lines it was [`Window::load`]ed from): the leftmost column drops
+    /// out and the column entering on the right is loaded, clamped to the
+    /// edge column beyond the end of the lines.
+    #[inline]
+    pub(crate) fn shift(&mut self, lines: &[&[Pixel]]) {
+        self.centre.x += 1;
+        let entering = self.centre.x as usize + self.shape.radius();
+        let col = entering.min(lines[0].len() - 1);
+        match self.shape.radius() {
+            0 => self.shift_in::<0>(lines, col),
+            1 => self.shift_in::<1>(lines, col),
+            2 => self.shift_in::<2>(lines, col),
+            3 => self.shift_in::<3>(lines, col),
+            _ => self.shift_in::<MAX_RADIUS>(lines, col),
+        }
+    }
+
+    /// [`Window::shift`] for radius `R`, so every move has a constant size.
+    #[inline]
+    fn shift_in<const R: usize>(&mut self, lines: &[&[Pixel]], col: usize) {
+        let r = R as i32;
+        for (dy, line) in (-r..=r).zip(&lines[..2 * R + 1]) {
+            let first = slot(-r, dy);
+            self.pixels.copy_within(first + 1..=first + 2 * R, first);
+            self.pixels[first + 2 * R] = line[col];
         }
     }
 
@@ -299,23 +430,23 @@ impl Window {
     ///
     /// Samples whose offsets are not part of `shape` are discarded, so a
     /// full-square fetch can back any sub-shape (the matrix register holds
-    /// the full square; the operation reads its subset).
+    /// the full square; the operation reads its subset). A repeated offset
+    /// keeps its last sample.
     #[must_use]
     pub fn from_samples(
         centre: Point,
         shape: Connectivity,
         samples: impl IntoIterator<Item = (Point, Pixel)>,
     ) -> Window {
-        let mut collected: Vec<(Point, Pixel)> = samples
-            .into_iter()
-            .filter(|(off, _)| shape.contains_offset(*off))
-            .collect();
-        collected.sort_by_key(|(off, _)| (off.y, off.x));
-        Window {
-            centre,
-            shape,
-            samples: collected,
+        let mut window = Window::empty(centre, shape);
+        for (off, px) in samples {
+            if shape.contains_offset(off) {
+                let i = slot(off.x, off.y);
+                window.pixels[i] = px;
+                window.present |= 1 << i;
+            }
         }
+        window
     }
 
     /// The centre position in the source frame.
@@ -337,41 +468,52 @@ impl Window {
     /// Panics if the centre sample was skipped, which cannot happen for
     /// windows gathered at in-bounds centres.
     #[must_use]
+    #[inline]
     pub fn centre_pixel(&self) -> Pixel {
         self.sample(Point::ORIGIN)
             .expect("window gathered at an in-bounds centre always contains its centre")
     }
 
-    /// The pixel at relative offset `off`, if present.
+    /// The pixel at relative offset `off`, if present — O(1).
     #[must_use]
+    #[inline]
     pub fn sample(&self, off: Point) -> Option<Pixel> {
-        self.samples
-            .iter()
-            .find(|(o, _)| *o == off)
-            .map(|(_, p)| *p)
+        let r = MAX_RADIUS as i32;
+        if off.x.abs() > r || off.y.abs() > r {
+            return None;
+        }
+        let i = slot(off.x, off.y);
+        (self.present >> i & 1 == 1).then(|| self.pixels[i])
     }
 
     /// Number of delivered samples.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.present.count_ones() as usize
     }
 
     /// Whether no samples were delivered (only possible under
     /// [`BorderPolicy::Skip`] with an out-of-bounds centre).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.present == 0
     }
 
     /// Iterates over `(offset, pixel)` samples in row-major offset order.
-    pub fn iter(&self) -> impl Iterator<Item = (Point, Pixel)> + '_ {
-        self.samples.iter().copied()
+    #[must_use]
+    #[inline]
+    pub fn iter(&self) -> Samples<'_> {
+        Samples {
+            pixels: &self.pixels,
+            present: self.present,
+        }
     }
 
     /// Iterates over the sample pixels only.
+    #[inline]
     pub fn pixels(&self) -> impl Iterator<Item = Pixel> + '_ {
-        self.samples.iter().map(|(_, p)| *p)
+        self.iter().map(|(_, p)| p)
     }
 
     /// Minimum and maximum luminance over the window, or `None` if empty.
@@ -388,12 +530,70 @@ impl Window {
     }
 }
 
+/// Windows are equal when they have the same centre and shape and
+/// deliver the same samples; slots without a sample are not compared.
+impl PartialEq for Window {
+    fn eq(&self, other: &Self) -> bool {
+        self.centre == other.centre
+            && self.shape == other.shape
+            && self.present == other.present
+            && self.pixels().eq(other.pixels())
+    }
+}
+
+impl Eq for Window {}
+
+impl fmt::Debug for Window {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Window")
+            .field("centre", &self.centre)
+            .field("shape", &self.shape)
+            .field("samples", &self.iter())
+            .finish()
+    }
+}
+
+/// Iterator over a window's `(offset, pixel)` samples in row-major offset
+/// order (see [`Window::iter`]).
+#[derive(Clone)]
+pub struct Samples<'a> {
+    pixels: &'a [Pixel; WINDOW_SLOTS],
+    /// Slots still to visit.
+    present: u128,
+}
+
+impl Iterator for Samples<'_> {
+    type Item = (Point, Pixel);
+
+    #[inline]
+    fn next(&mut self) -> Option<(Point, Pixel)> {
+        // An empty mask has 128 trailing zeros, past the last slot.
+        let i = self.present.trailing_zeros() as usize;
+        let px = *self.pixels.get(i)?;
+        self.present &= self.present - 1;
+        Some((SLOT_OFFSETS[i], px))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let rem = self.present.count_ones() as usize;
+        (rem, Some(rem))
+    }
+}
+
+impl ExactSizeIterator for Samples<'_> {}
+
+impl fmt::Debug for Samples<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
+    }
+}
+
 impl<'a> IntoIterator for &'a Window {
     type Item = (Point, Pixel);
-    type IntoIter = core::iter::Copied<core::slice::Iter<'a, (Point, Pixel)>>;
+    type IntoIter = Samples<'a>;
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.samples.iter().copied()
+    fn into_iter(self) -> Samples<'a> {
+        self.iter()
     }
 }
 
@@ -446,6 +646,7 @@ mod tests {
             Connectivity::Con4,
             Connectivity::Con8,
             Connectivity::Square(2),
+            Connectivity::Square(4),
         ] {
             for policy in policies {
                 let mut reused = Window::from_samples(Point::ORIGIN, shape, std::iter::empty());
@@ -558,11 +759,7 @@ mod tests {
             BorderPolicy::Clamp,
         );
         assert_eq!(w.luma_min_max(), Some((6, 18)));
-        let empty = Window {
-            centre: Point::ORIGIN,
-            shape: Connectivity::Con0,
-            samples: vec![],
-        };
+        let empty = Window::empty(Point::ORIGIN, Connectivity::Con0);
         assert_eq!(empty.luma_min_max(), None);
         assert!(empty.is_empty());
     }

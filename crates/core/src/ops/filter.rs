@@ -24,6 +24,7 @@
 //! ```
 
 use crate::error::{CoreError, CoreResult};
+use crate::geometry::Point;
 use crate::neighborhood::{Connectivity, Window, MAX_RADIUS};
 use crate::ops::IntraOp;
 use crate::pixel::{ChannelSet, Pixel};
@@ -209,12 +210,18 @@ impl IntraOp for Binomial3 {
     }
     fn apply(&self, window: &Window) -> Pixel {
         const TAPS: [[u32; 3]; 3] = [[1, 2, 1], [2, 4, 2], [1, 2, 1]];
+        // Nine O(1) reads at the constant CON_8 offsets; the weight counts
+        // only the samples the window holds.
         let mut acc = 0u32;
         let mut weight = 0u32;
-        for (off, px) in window.iter() {
-            let t = TAPS[(off.y + 1) as usize][(off.x + 1) as usize];
-            acc += t * u32::from(px.y);
-            weight += t;
+        for dy in -1..=1 {
+            for dx in -1..=1 {
+                if let Some(px) = window.sample(Point::new(dx, dy)) {
+                    let t = TAPS[(dy + 1) as usize][(dx + 1) as usize];
+                    acc += t * u32::from(px.y);
+                    weight += t;
+                }
+            }
         }
         let mut out = window.centre_pixel();
         out.y = ((acc + weight / 2) / weight.max(1)) as u8;
@@ -235,18 +242,21 @@ impl SobelGradient {
         SobelGradient
     }
 
-    /// Raw signed Sobel responses `(gx, gy)` for a window.
+    /// Raw signed Sobel responses `(gx, gy)` for a window; a sample the
+    /// window does not hold counts as 0.
     #[must_use]
     pub fn responses(window: &Window) -> (i32, i32) {
-        const GX: [[i32; 3]; 3] = [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]];
-        const GY: [[i32; 3]; 3] = [[-1, -2, -1], [0, 0, 0], [1, 2, 1]];
-        let mut gx = 0i32;
-        let mut gy = 0i32;
-        for (off, px) in window.iter() {
-            let (ix, iy) = ((off.x + 1) as usize, (off.y + 1) as usize);
-            gx += GX[iy][ix] * i32::from(px.y);
-            gy += GY[iy][ix] * i32::from(px.y);
-        }
+        // Eight O(1) reads at constant offsets; the centre has no weight.
+        let y = |dx, dy| {
+            window
+                .sample(Point::new(dx, dy))
+                .map_or(0, |px| i32::from(px.y))
+        };
+        let (nw, n, ne) = (y(-1, -1), y(0, -1), y(1, -1));
+        let (w, e) = (y(-1, 0), y(1, 0));
+        let (sw, s, se) = (y(-1, 1), y(0, 1), y(1, 1));
+        let gx = (ne + 2 * e + se) - (nw + 2 * w + sw);
+        let gy = (sw + 2 * s + se) - (nw + 2 * n + ne);
         (gx, gy)
     }
 }

@@ -26,6 +26,7 @@ pub mod rank;
 pub mod reduce;
 pub mod segment_ops;
 
+use crate::geometry::Point;
 use crate::neighborhood::{Connectivity, Window};
 use crate::pixel::{ChannelSet, Pixel};
 
@@ -72,6 +73,11 @@ pub trait InterOp {
 
 /// A kernel for intra addressing: one output pixel from the neighbourhood
 /// window around the corresponding input position.
+///
+/// Implementors define [`IntraOp::apply`] for one window; the executors
+/// drive it through the provided [`IntraOp::apply_row`], one call per row
+/// of pixels, so a `&dyn IntraOp` costs one virtual call per row and the
+/// per-pixel loop is monomorphised for the concrete kernel.
 pub trait IntraOp {
     /// Short stable kernel name (used in reports and traces).
     fn name(&self) -> &'static str;
@@ -88,6 +94,51 @@ pub trait IntraOp {
 
     /// Maps a gathered window to the output pixel.
     fn apply(&self, window: &Window) -> Pixel;
+
+    /// Appends to `out` the output pixel of each column of row `y`: the
+    /// channels of [`IntraOp::apply`]'s result that
+    /// [`IntraOp::output_channels`] names, merged into the centre pixel.
+    ///
+    /// `lines` are the `shape().lines()` frame lines centred on row `y`
+    /// (`lines[radius]` is row `y` itself), all of one width; lines past
+    /// the frame's top or bottom edge are the edge line repeated. Columns
+    /// past either end clamp to the edge column, so the row sees the
+    /// windows of [`BorderPolicy::Clamp`](crate::border::BorderPolicy::Clamp).
+    /// The window is LOADed once at the row start and SHIFTed one column
+    /// per pixel, as the Process Unit's matrix register is.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lines` does not hold `shape().lines()` lines of equal
+    /// width, or the shape is wider than
+    /// [`MAX_LINES`](crate::neighborhood::MAX_LINES).
+    fn apply_row(&self, lines: &[&[Pixel]], y: i32, out: &mut Vec<Pixel>) {
+        let shape = self.shape();
+        assert_eq!(
+            lines.len(),
+            shape.lines(),
+            "intra row needs one line per window row"
+        );
+        let centre_line = lines[shape.radius()];
+        assert!(
+            lines.iter().all(|line| line.len() == centre_line.len()),
+            "intra row lines differ in width"
+        );
+        if centre_line.is_empty() {
+            return;
+        }
+        let set = self.output_channels();
+        let mut window = Window::load(Point::new(0, y), shape, lines);
+        out.reserve(centre_line.len());
+        for (x, &centre) in centre_line.iter().enumerate() {
+            if x > 0 {
+                window.shift(lines);
+            }
+            let mut merged = centre;
+            merged.merge_channels(self.apply(&window), set);
+            out.push(merged);
+        }
+    }
 }
 
 impl<T: InterOp + ?Sized> InterOp for &T {
@@ -123,6 +174,9 @@ impl<T: IntraOp + ?Sized> IntraOp for &T {
     }
     fn apply(&self, window: &Window) -> Pixel {
         (**self).apply(window)
+    }
+    fn apply_row(&self, lines: &[&[Pixel]], y: i32, out: &mut Vec<Pixel>) {
+        (**self).apply_row(lines, y, out);
     }
 }
 

@@ -405,6 +405,7 @@ impl ChannelSet {
 
     /// The bits of the set's channels in the packed [`Pixel::to_bits`]
     /// form.
+    #[inline]
     fn bit_mask(self) -> u64 {
         self.iter().fold(0, |mask, c| mask | c.bit_mask())
     }

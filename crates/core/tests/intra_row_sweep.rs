@@ -1,0 +1,183 @@
+//! Differential test of the intra row sweep.
+//!
+//! `run_intra` drives each kernel through `IntraOp::apply_row`: one
+//! column-shift window per row over clamped line slices. The reference
+//! here is the per-pixel definition of an intra call — gather the clamped
+//! window around each pixel with `Window::gather`, `apply` the kernel,
+//! merge its output channels into the centre pixel — and the two must
+//! agree pixel for pixel, for every intra kernel the AddressLib ships, on
+//! frames narrower and shorter than the widest window.
+
+use vip_core::addressing::intra::run_intra;
+use vip_core::border::BorderPolicy;
+use vip_core::frame::Frame;
+use vip_core::geometry::Dims;
+use vip_core::neighborhood::{Connectivity, Window, MAX_RADIUS};
+use vip_core::ops::arith::{AbsDiff, Sub};
+use vip_core::ops::compose::{Then, ZipWith};
+use vip_core::ops::filter::{
+    Binomial3, BoxBlur, CentralGradient, Convolution, Identity, SobelGradient,
+};
+use vip_core::ops::lut::{LumaLut, ScaleOffset, Threshold};
+use vip_core::ops::morph::{AlphaMajority, Dilate, Erode, MorphGradient};
+use vip_core::ops::rank::{Median, RankFilter};
+use vip_core::ops::IntraOp;
+use vip_core::pixel::Pixel;
+
+/// Frame sizes (width × height) at and below the widest window: single
+/// pixels, single columns and rows, and frames a radius-4 window overhangs
+/// on every side.
+const DIMS: [(usize, usize); 6] = [(1, 1), (1, 9), (9, 1), (2, 2), (5, 3), (17, 11)];
+
+/// xorshift64: a seeded stream of pixel bits.
+fn seeded_frame(dims: Dims, seed: u64) -> Frame {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    Frame::from_fn(dims, |_| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        Pixel::from_bits(state)
+    })
+}
+
+fn frames() -> Vec<Frame> {
+    DIMS.iter()
+        .enumerate()
+        .map(|(i, &(w, h))| seeded_frame(Dims::new(w, h), 11 + i as u64))
+        .collect()
+}
+
+/// The per-pixel definition of a clamped intra call.
+fn reference(frame: &Frame, op: &impl IntraOp) -> Frame {
+    Frame::from_fn(frame.dims(), |p| {
+        let window = Window::gather(frame, p, op.shape(), BorderPolicy::Clamp);
+        let mut out = frame.get(p);
+        out.merge_channels(op.apply(&window), op.output_channels());
+        out
+    })
+}
+
+/// Checks `op`, called directly and through `&dyn IntraOp`, on every frame.
+fn check(op: &impl IntraOp, frames: &[Frame]) {
+    let dynamic: &dyn IntraOp = op;
+    for frame in frames {
+        let expect = reference(frame, op);
+        let direct = run_intra(frame, op).expect("non-empty frame");
+        assert_eq!(
+            direct.output,
+            expect,
+            "{} ({}) on {}",
+            op.name(),
+            op.shape(),
+            frame.dims()
+        );
+        let through_dyn = run_intra(frame, &dynamic).expect("non-empty frame");
+        assert_eq!(
+            through_dyn.output,
+            expect,
+            "&dyn {} ({}) on {}",
+            op.name(),
+            op.shape(),
+            frame.dims()
+        );
+    }
+}
+
+/// Every square shape up to the nine-line limit, and the two sparse ones.
+fn shapes() -> Vec<Connectivity> {
+    let mut shapes = vec![Connectivity::Con0, Connectivity::Con4, Connectivity::Con8];
+    shapes.extend((0..=MAX_RADIUS).map(|r| Connectivity::Square(r as u8)));
+    shapes
+}
+
+#[test]
+fn filter_kernels_match_per_pixel_reference() {
+    let frames = frames();
+    check(&Identity::luma(), &frames);
+    check(&Identity::yuv(), &frames);
+    check(&BoxBlur::con8(), &frames);
+    check(&Binomial3::new(), &frames);
+    check(&SobelGradient::new(), &frames);
+    check(&CentralGradient::new(), &frames);
+    for radius in 0..=MAX_RADIUS {
+        check(&BoxBlur::with_radius(radius).unwrap(), &frames);
+        let side = 2 * radius + 1;
+        let taps = (0..side * side).map(|i| (i as i32 % 7) - 3).collect();
+        check(
+            &Convolution::new("taps", radius, taps, 5, 128).unwrap(),
+            &frames,
+        );
+    }
+}
+
+#[test]
+fn morph_kernels_match_per_pixel_reference() {
+    let frames = frames();
+    check(&Erode::con8(), &frames);
+    check(&Erode::con4(), &frames);
+    check(&Dilate::con8(), &frames);
+    check(&Dilate::con4(), &frames);
+    check(&MorphGradient::con8(), &frames);
+    check(&AlphaMajority::new(), &frames);
+    for shape in shapes() {
+        check(&Erode::with_shape(shape), &frames);
+        check(&Dilate::with_shape(shape), &frames);
+        check(&MorphGradient::with_shape(shape), &frames);
+    }
+}
+
+#[test]
+fn rank_kernels_match_per_pixel_reference() {
+    let frames = frames();
+    check(&Median::con8(), &frames);
+    for shape in shapes() {
+        check(&Median::with_shape(shape), &frames);
+        for permille in [0, 250, 1000] {
+            check(&RankFilter::new(shape, permille).unwrap(), &frames);
+        }
+    }
+}
+
+#[test]
+fn lut_kernels_match_per_pixel_reference() {
+    let frames = frames();
+    check(&LumaLut::identity(), &frames);
+    check(&LumaLut::invert(), &frames);
+    check(&LumaLut::gamma(0.5), &frames);
+    check(&LumaLut::stretch(20, 200), &frames);
+    check(&LumaLut::from_fn("halve", |v| v / 2), &frames);
+    check(&Threshold::binary(100), &frames);
+    check(&Threshold::with_levels(60, 10, 240), &frames);
+    check(&ScaleOffset::new(3, 2, -10), &frames);
+    check(&ScaleOffset::brightness(20), &frames);
+}
+
+#[test]
+fn composed_kernels_match_per_pixel_reference() {
+    let frames = frames();
+    check(
+        &ZipWith::new("gradient", Dilate::con8(), Erode::con8(), Sub::luma()),
+        &frames,
+    );
+    check(
+        &ZipWith::new(
+            "mixed",
+            Dilate::con4(),
+            Median::with_shape(Connectivity::Square(4)),
+            AbsDiff::yuv(),
+        ),
+        &frames,
+    );
+    check(
+        &Then::new("edges", SobelGradient::new(), Threshold::binary(100)),
+        &frames,
+    );
+    check(
+        &Then::new(
+            "smooth",
+            BoxBlur::with_radius(3).unwrap(),
+            LumaLut::invert(),
+        ),
+        &frames,
+    );
+}

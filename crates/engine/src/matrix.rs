@@ -106,12 +106,6 @@ impl MatrixRegister {
         self.shifts += 1;
     }
 
-    /// Invalidates the register (line turn: the next pixel needs a LOAD).
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-        self.columns.clear();
-    }
-
     /// Reads the window as `(offset, pixel)` samples restricted to the
     /// register's shape.
     ///
@@ -235,14 +229,6 @@ mod tests {
         let mut loaded = MatrixRegister::new(Connectivity::Con8);
         load(&mut loaded, &[c1, c2, c3]);
         assert_eq!(shifted.samples(), loaded.samples());
-    }
-
-    #[test]
-    fn invalidate_clears() {
-        let mut m = MatrixRegister::new(Connectivity::Con8);
-        load(&mut m, &nine());
-        m.invalidate();
-        assert!(!m.is_valid());
     }
 
     #[test]

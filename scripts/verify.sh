@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full offline verification: release build, tests, static verifier, the
+# Full offline verification: rustfmt check, release build, tests, static verifier, the
 # fig. 5/fig. 4 harnesses, the four examples, the intra/inter/GME
 # utilization reports and Chrome traces, a perfbench smoke run, and
 # clippy (perfbench and workspace) and rustdoc with warnings denied. This is exactly what CI
@@ -7,6 +7,9 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+echo "==> cargo fmt --check (the workspace stays rustfmt-clean)"
+cargo fmt --all --check
 
 echo "==> cargo build --release"
 cargo build --release --workspace
