@@ -4,15 +4,13 @@
 //!
 //! The sweep works as the Process Unit's matrix register does (§3,
 //! figs. 4 and 5): each row is one [`IntraOp::apply_row`] call over the
-//! row's `2r+1` lines, clamped at the top and bottom edges. It LOADs a
-//! fixed-size [`Window`] once at the row start and then SHIFTs one column
-//! in per pixel, clamping column indices at the left and right edges, so
-//! border pixels take the same path as interior ones. Results go straight
-//! into the output buffer, and the access counts are closed-form. Only the
-//! software-only border policies ([`BorderPolicy::Mirror`],
-//! [`BorderPolicy::Wrap`], [`BorderPolicy::Constant`],
-//! [`BorderPolicy::Skip`]) gather each window separately with
-//! [`Window::regather`].
+//! row's `2r+1` lines, clamped at the top and bottom edges as the IIM
+//! re-delivers edge lines. It LOADs a fixed-size
+//! [`Window`](crate::neighborhood::Window) once at the
+//! row start and then SHIFTs one column in per pixel, clamping column
+//! indices at the left and right edges, so border pixels take the same
+//! path as interior ones. Results go straight into the output buffer, and
+//! the access counts are closed-form.
 //!
 //! # Examples
 //!
@@ -31,13 +29,10 @@
 
 use crate::accounting::{AccessCounter, CallDescriptor};
 use crate::addressing::CallReport;
-use crate::border::BorderPolicy;
 use crate::error::{CoreError, CoreResult};
 use crate::frame::Frame;
-use crate::geometry::Point;
-use crate::neighborhood::{Window, MAX_LINES, MAX_RADIUS};
+use crate::neighborhood::clamped_lines;
 use crate::ops::IntraOp;
-use crate::pixel::Pixel;
 
 /// Result of an intra call: the output frame plus the execution report.
 #[derive(Debug, Clone)]
@@ -49,72 +44,33 @@ pub struct IntraResult {
     pub report: CallReport,
 }
 
-/// Runs an intra-addressing call with clamped borders, matching the IIM's
-/// edge-line replication.
+/// Runs an intra-addressing call. Window samples outside the frame clamp
+/// to the nearest edge pixel, matching the IIM's edge-line replication.
 ///
-/// # Errors
-///
-/// As [`run_intra_with`].
-pub fn run_intra(frame: &Frame, op: &impl IntraOp) -> CoreResult<IntraResult> {
-    run_intra_with(frame, op, BorderPolicy::Clamp)
-}
-
-/// Runs an intra-addressing call with an explicit border policy for
-/// window samples outside the frame. The sweep is row-major; the kernel
-/// reads only the input frame, so the order cannot change the result.
-///
-/// Under [`BorderPolicy::Clamp`] each row is one [`IntraOp::apply_row`]
-/// over its `2r+1` clamped lines, so border pixels go through the same
-/// column-shift sweep as interior ones. The other policies gather each
-/// window with [`Window::regather`]. Either way every pixel is read
-/// through a full window and written once, so the access counts are
-/// closed-form: `n·(a−1)` reads and `n` writes for `n` pixels and `a`
-/// software accesses per pixel.
+/// Each row is one [`IntraOp::apply_row`] over its `2r+1` clamped lines,
+/// so border pixels go through the same column-shift sweep as interior
+/// ones. Every pixel is read through a full window and written once, so
+/// the access counts are closed-form: `n·(a−1)` reads and `n` writes for
+/// `n` pixels and `a` software accesses per pixel.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::EmptyFrame`] when the frame has zero area and
 /// [`CoreError::InvalidParameter`] when the kernel's shape spans more
-/// than [`MAX_LINES`] lines.
-pub fn run_intra_with(
-    frame: &Frame,
-    op: &impl IntraOp,
-    border: BorderPolicy,
-) -> CoreResult<IntraResult> {
+/// than [`MAX_LINES`](crate::neighborhood::MAX_LINES) lines.
+pub fn run_intra(frame: &Frame, op: &impl IntraOp) -> CoreResult<IntraResult> {
     let dims = frame.dims();
     if dims.is_empty() {
         return Err(CoreError::EmptyFrame);
     }
     let shape = op.shape();
-    if shape.radius() > MAX_RADIUS {
-        return Err(CoreError::InvalidParameter {
-            name: "shape",
-            reason: "neighbourhood may span at most nine lines (radius 4)",
-        });
-    }
+    shape.check_span()?;
 
     let descriptor = CallDescriptor::intra(shape, op.input_channels(), op.output_channels());
     let mut pixels = Vec::with_capacity(frame.pixel_count());
-    if border == BorderPolicy::Clamp {
-        let r = shape.radius() as i32;
-        let last = dims.height as i32 - 1;
-        let mut lines: [&[Pixel]; MAX_LINES] = [&[]; MAX_LINES];
-        let lines = &mut lines[..shape.lines()];
-        for y in 0..dims.height as i32 {
-            for (dy, line) in (-r..=r).zip(lines.iter_mut()) {
-                *line = frame.line((y + dy).clamp(0, last) as usize);
-            }
-            op.apply_row(lines, y, &mut pixels);
-        }
-    } else {
-        let set = op.output_channels();
-        let mut window = Window::empty(Point::ORIGIN, shape);
-        for p in dims.bounds().points() {
-            window.regather(frame, p, border);
-            let mut out = frame.get(p);
-            out.merge_channels(op.apply(&window), set);
-            pixels.push(out);
-        }
+    for y in 0..dims.height as i32 {
+        let lines = clamped_lines(frame, y, shape);
+        op.apply_row(&lines[..shape.lines()], y, &mut pixels);
     }
     let output = Frame::from_pixels(dims, pixels)?;
 
@@ -139,7 +95,7 @@ pub fn run_intra_with(
 mod tests {
     use super::*;
     use crate::accounting::AccessModel;
-    use crate::geometry::Dims;
+    use crate::geometry::{Dims, Point};
     use crate::neighborhood::Connectivity;
     use crate::ops::filter::{BoxBlur, Identity, SobelGradient};
     use crate::ops::morph::{Dilate, Erode, MorphGradient};
@@ -181,12 +137,10 @@ mod tests {
     fn shape_wider_than_nine_lines_rejected() {
         let f = spot();
         let wide = Dilate::with_shape(Connectivity::Square(5));
-        for policy in [BorderPolicy::Clamp, BorderPolicy::Skip] {
-            assert!(matches!(
-                run_intra_with(&f, &wide, policy),
-                Err(CoreError::InvalidParameter { name: "shape", .. })
-            ));
-        }
+        assert!(matches!(
+            run_intra(&f, &wide),
+            Err(CoreError::InvalidParameter { name: "shape", .. })
+        ));
     }
 
     #[test]
@@ -209,8 +163,7 @@ mod tests {
     #[test]
     fn report_matches_analytic_model_on_every_shape_and_edge_dims() {
         // Closed-form counts: `n·(a−1)` reads and `n` writes for every
-        // shape, on frames the widest window overhangs, under every
-        // border policy.
+        // shape, on frames the widest window overhangs.
         let shapes = [
             Connectivity::Con0,
             Connectivity::Con4,
@@ -220,56 +173,22 @@ mod tests {
             Connectivity::Square(3),
             Connectivity::Square(4),
         ];
-        let policies = [
-            BorderPolicy::Clamp,
-            BorderPolicy::Mirror,
-            BorderPolicy::Wrap,
-            BorderPolicy::Constant(Pixel::from_luma(9)),
-            BorderPolicy::Skip,
-        ];
         for (w, h) in [(1, 1), (1, 9), (9, 1), (2, 2), (5, 3), (17, 11)] {
             let f = Frame::from_fn(Dims::new(w, h), |p| Pixel::from_luma((p.x * 7 + p.y) as u8));
             for shape in shapes {
-                let op = Dilate::with_shape(shape);
-                for policy in policies {
-                    let r = run_intra_with(&f, &op, policy).unwrap();
-                    let n = f.pixel_count() as u64;
-                    let model = AccessModel::for_call(&r.report.descriptor, f.dims());
-                    assert_eq!(
-                        r.report.counter.total(),
-                        model.software_accesses,
-                        "{shape} {policy} on {w}x{h}"
-                    );
-                    assert_eq!(r.report.counter.writes(), n, "{shape} {policy} on {w}x{h}");
-                    assert_eq!(r.report.pixels_processed, n);
-                    assert_eq!(r.report.op_applies, n);
-                }
+                let r = run_intra(&f, &Dilate::with_shape(shape)).unwrap();
+                let n = f.pixel_count() as u64;
+                let model = AccessModel::for_call(&r.report.descriptor, f.dims());
+                assert_eq!(
+                    r.report.counter.total(),
+                    model.software_accesses,
+                    "{shape} on {w}x{h}"
+                );
+                assert_eq!(r.report.counter.writes(), n, "{shape} on {w}x{h}");
+                assert_eq!(r.report.pixels_processed, n);
+                assert_eq!(r.report.op_applies, n);
             }
         }
-    }
-
-    #[test]
-    fn border_policy_changes_edges_only() {
-        let f = spot();
-        let clamp = run_intra_with(&f, &BoxBlur::con8(), BorderPolicy::Clamp)
-            .unwrap()
-            .output;
-        let constant = run_intra_with(
-            &f,
-            &BoxBlur::con8(),
-            BorderPolicy::Constant(Pixel::from_luma(255)),
-        )
-        .unwrap()
-        .output;
-        // Interior identical.
-        for y in 1..5 {
-            for x in 1..5 {
-                let p = Point::new(x, y);
-                assert_eq!(clamp.get(p), constant.get(p), "interior at {p}");
-            }
-        }
-        // Border differs.
-        assert_ne!(clamp.get(Point::new(0, 0)), constant.get(Point::new(0, 0)));
     }
 
     #[test]

@@ -77,13 +77,13 @@ impl Labelling {
 /// expansion become single-pixel segments of their own.
 ///
 /// The `options.label` field is ignored (labels are assigned
-/// sequentially); `connectivity` and `border` are honoured.
+/// sequentially); `connectivity` is honoured.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::EmptyFrame`] for zero-area frames and
 /// [`CoreError::InvalidParameter`] when the frame needs more than
-/// `u16::MAX` labels.
+/// `u16::MAX` labels or the connectivity spans more than nine lines.
 pub fn label_all_segments(
     frame: &Frame,
     criterion: &impl NeighborCriterion,
@@ -289,5 +289,17 @@ mod tests {
         assert_eq!(table.as_ref()[1].area, 16);
         assert_eq!(table.as_ref()[2].area, 16);
         assert!((table.as_ref()[2].mean_luma() - 200.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn connectivity_wider_than_nine_lines_rejected() {
+        let options = SegmentOptions {
+            connectivity: crate::neighborhood::Connectivity::Square(5),
+            ..SegmentOptions::default()
+        };
+        assert!(matches!(
+            label_all_segments(&two_band_frame(), &HomogeneityCriterion::luma(10), options),
+            Err(CoreError::InvalidParameter { name: "shape", .. })
+        ));
     }
 }

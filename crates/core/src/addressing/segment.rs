@@ -39,7 +39,6 @@ use std::collections::VecDeque;
 
 use crate::accounting::{AccessCounter, CallDescriptor};
 use crate::addressing::CallReport;
-use crate::border::BorderPolicy;
 use crate::error::{CoreError, CoreResult};
 use crate::frame::Frame;
 use crate::geometry::Point;
@@ -54,8 +53,6 @@ pub struct SegmentOptions {
     /// Connectivity used for the expansion test (default `CON_4`: the
     /// geodesic city-block expansion).
     pub connectivity: Connectivity,
-    /// Border policy for windows gathered at segment pixels.
-    pub border: BorderPolicy,
     /// Upper bound on the number of processed pixels (safety valve for
     /// run-away criteria); `None` means the whole frame.
     pub max_pixels: Option<usize>,
@@ -68,7 +65,6 @@ impl Default for SegmentOptions {
     fn default() -> Self {
         SegmentOptions {
             connectivity: Connectivity::Con4,
-            border: BorderPolicy::Clamp,
             max_pixels: None,
             label: 1,
         }
@@ -112,6 +108,8 @@ impl SegmentResult {
 /// * [`CoreError::EmptyFrame`] for zero-area frames.
 /// * [`CoreError::NoSeeds`] when `seeds` is empty.
 /// * [`CoreError::OutOfBounds`] when a seed lies outside the frame.
+/// * [`CoreError::InvalidParameter`] when the connectivity spans more
+///   than [`MAX_LINES`](crate::neighborhood::MAX_LINES) lines.
 pub fn run_segment(
     frame: &Frame,
     seeds: &[Point],
@@ -136,7 +134,9 @@ pub fn run_segment(
 ///
 /// # Errors
 ///
-/// Same conditions as [`run_segment`].
+/// Same conditions as [`run_segment`], and
+/// [`CoreError::InvalidParameter`] when the kernel's shape spans more than
+/// [`MAX_LINES`](crate::neighborhood::MAX_LINES) lines.
 pub fn run_segment_op(
     frame: &Frame,
     seeds: &[Point],
@@ -176,6 +176,8 @@ fn run_segment_visit(
     if seeds.is_empty() {
         return Err(CoreError::NoSeeds);
     }
+    options.connectivity.check_span()?;
+    gather_shape.check_span()?;
     for &seed in seeds {
         if !frame.dims().contains(seed) {
             return Err(CoreError::OutOfBounds {
@@ -217,7 +219,7 @@ fn run_segment_visit(
             break;
         }
         // Process like an intra pixel: gather the window, apply the visit.
-        let window = Window::gather(frame, current.point, gather_shape, options.border);
+        let window = Window::gather(frame, current.point, gather_shape);
         counter.read(per_pixel_reads);
         let out = visit(frame.get(current.point), current.distance, &window);
         output.set(current.point, out);
@@ -413,6 +415,41 @@ mod tests {
             ),
             Err(CoreError::EmptyFrame)
         ));
+    }
+
+    #[test]
+    fn shapes_wider_than_nine_lines_rejected() {
+        let f = block_frame();
+        let seeds = [Point::new(3, 3)];
+        let criterion = HomogeneityCriterion::luma(20);
+        let wide = Connectivity::Square(5);
+        let is_shape_error = |r: CoreResult<SegmentResult>| {
+            matches!(r, Err(CoreError::InvalidParameter { name: "shape", .. }))
+        };
+        let wide_options = SegmentOptions {
+            connectivity: wide,
+            ..SegmentOptions::default()
+        };
+        assert!(is_shape_error(run_segment(
+            &f,
+            &seeds,
+            &criterion,
+            wide_options
+        )));
+        assert!(is_shape_error(run_segment_op(
+            &f,
+            &seeds,
+            &criterion,
+            &SobelGradient::new(),
+            wide_options
+        )));
+        assert!(is_shape_error(run_segment_op(
+            &f,
+            &seeds,
+            &criterion,
+            &crate::ops::morph::Dilate::with_shape(wide),
+            SegmentOptions::default()
+        )));
     }
 
     #[test]

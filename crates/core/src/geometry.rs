@@ -112,7 +112,7 @@ impl From<(usize, usize)> for Dims {
 }
 
 /// A pixel position. Signed so that neighbourhood offsets can step outside
-/// the frame before a border policy resolves them.
+/// the frame before they are clamped to its edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {

@@ -57,7 +57,6 @@
 
 pub mod accounting;
 pub mod addressing;
-pub mod border;
 pub mod error;
 pub mod frame;
 pub mod geometry;
@@ -67,7 +66,6 @@ pub mod pixel;
 pub mod scan;
 
 pub use accounting::{AccessModel, AddressingMode, CallDescriptor};
-pub use border::BorderPolicy;
 pub use error::{CoreError, CoreResult};
 pub use frame::Frame;
 pub use geometry::{Dims, ImageFormat, Point, Rect};
@@ -81,6 +79,5 @@ mod tests {
         let _ = crate::Pixel::from_luma(1);
         let _ = crate::Dims::new(1, 1);
         let _ = crate::Connectivity::Con8;
-        let _ = crate::BorderPolicy::Clamp;
     }
 }

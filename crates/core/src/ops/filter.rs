@@ -10,7 +10,6 @@
 //! ```
 //! use vip_core::ops::filter::SobelGradient;
 //! use vip_core::ops::IntraOp;
-//! use vip_core::border::BorderPolicy;
 //! use vip_core::frame::Frame;
 //! use vip_core::geometry::{Dims, Point};
 //! use vip_core::neighborhood::Window;
@@ -18,7 +17,7 @@
 //!
 //! // Vertical edge: columns 0..2 dark, columns 3..4 bright.
 //! let f = Frame::from_fn(Dims::new(5, 5), |p| Pixel::from_luma(if p.x < 3 { 0 } else { 200 }));
-//! let w = Window::gather(&f, Point::new(2, 2), SobelGradient::new().shape(), BorderPolicy::Clamp);
+//! let w = Window::gather(&f, Point::new(2, 2), SobelGradient::new().shape());
 //! let g = SobelGradient::new().apply(&w);
 //! assert!(g.y > 0, "edge must produce gradient response");
 //! ```
@@ -389,12 +388,11 @@ impl IntraOp for Identity {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::border::BorderPolicy;
     use crate::frame::Frame;
     use crate::geometry::{Dims, Point};
 
     fn window_at(f: &Frame, p: Point, shape: Connectivity) -> Window {
-        Window::gather(f, p, shape, BorderPolicy::Clamp)
+        Window::gather(f, p, shape)
     }
 
     fn flat(value: u8) -> Frame {

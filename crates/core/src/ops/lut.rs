@@ -10,7 +10,6 @@
 //! ```
 //! use vip_core::ops::lut::Threshold;
 //! use vip_core::ops::IntraOp;
-//! use vip_core::border::BorderPolicy;
 //! use vip_core::frame::Frame;
 //! use vip_core::geometry::{Dims, Point};
 //! use vip_core::neighborhood::Window;
@@ -18,7 +17,7 @@
 //!
 //! let f = Frame::filled(Dims::new(4, 4), Pixel::from_luma(200));
 //! let op = Threshold::binary(128);
-//! let w = Window::gather(&f, Point::new(1, 1), op.shape(), BorderPolicy::Clamp);
+//! let w = Window::gather(&f, Point::new(1, 1), op.shape());
 //! assert_eq!(op.apply(&w).y, 255);
 //! ```
 
@@ -212,13 +211,12 @@ impl IntraOp for ScaleOffset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::border::BorderPolicy;
     use crate::frame::Frame;
     use crate::geometry::{Dims, Point};
 
     fn apply_at(op: &impl IntraOp, luma: u8) -> Pixel {
         let f = Frame::filled(Dims::new(3, 3), Pixel::from_luma(luma).with_aux(7));
-        let w = Window::gather(&f, Point::new(1, 1), op.shape(), BorderPolicy::Clamp);
+        let w = Window::gather(&f, Point::new(1, 1), op.shape());
         op.apply(&w)
     }
 

@@ -103,9 +103,9 @@ pub trait IntraOp {
     /// (`lines[radius]` is row `y` itself), all of one width; lines past
     /// the frame's top or bottom edge are the edge line repeated. Columns
     /// past either end clamp to the edge column, so the row sees the
-    /// windows of [`BorderPolicy::Clamp`](crate::border::BorderPolicy::Clamp).
-    /// The window is LOADed once at the row start and SHIFTed one column
-    /// per pixel, as the Process Unit's matrix register is.
+    /// windows of [`Window::gather`]. The window is LOADed once at the row
+    /// start ([`Window::load`]) and SHIFTed one column per pixel
+    /// ([`Window::shift`]), as the Process Unit's matrix register is.
     ///
     /// # Panics
     ///

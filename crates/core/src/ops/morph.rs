@@ -8,7 +8,6 @@
 //! # Examples
 //!
 //! ```
-//! use vip_core::border::BorderPolicy;
 //! use vip_core::frame::Frame;
 //! use vip_core::geometry::{Dims, Point};
 //! use vip_core::neighborhood::Window;
@@ -19,7 +18,7 @@
 //! let mut f = Frame::new(Dims::new(5, 5));
 //! f.set(Point::new(2, 2), Pixel::from_luma(200));
 //! let d = Dilate::con8();
-//! let w = Window::gather(&f, Point::new(1, 2), d.shape(), BorderPolicy::Clamp);
+//! let w = Window::gather(&f, Point::new(1, 2), d.shape());
 //! assert_eq!(d.apply(&w).y, 200); // bright pixel expands
 //! ```
 
@@ -224,7 +223,6 @@ impl IntraOp for AlphaMajority {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::border::BorderPolicy;
     use crate::frame::Frame;
     use crate::geometry::{Dims, Point};
 
@@ -236,7 +234,7 @@ mod tests {
     }
 
     fn win(f: &Frame, p: Point, op: &impl IntraOp) -> Window {
-        Window::gather(f, p, op.shape(), BorderPolicy::Clamp)
+        Window::gather(f, p, op.shape())
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! # Examples
 //!
 //! ```
-//! use vip_core::border::BorderPolicy;
 //! use vip_core::frame::Frame;
 //! use vip_core::geometry::{Dims, Point};
 //! use vip_core::neighborhood::Window;
@@ -18,7 +17,7 @@
 //! let mut f = Frame::filled(Dims::new(5, 5), Pixel::from_luma(50));
 //! f.set(Point::new(2, 2), Pixel::from_luma(255));
 //! let m = Median::con8();
-//! let w = Window::gather(&f, Point::new(2, 2), m.shape(), BorderPolicy::Clamp);
+//! let w = Window::gather(&f, Point::new(2, 2), m.shape());
 //! assert_eq!(m.apply(&w).y, 50);
 //! ```
 
@@ -149,7 +148,6 @@ impl IntraOp for Median {
 mod tests {
     use super::*;
     use crate::addressing::intra::run_intra;
-    use crate::border::BorderPolicy;
     use crate::frame::Frame;
     use crate::geometry::{Dims, Point};
     use crate::ops::morph::{Dilate, Erode};
@@ -162,7 +160,7 @@ mod tests {
     }
 
     fn win(f: &Frame, p: Point, op: &impl IntraOp) -> Window {
-        Window::gather(f, p, op.shape(), BorderPolicy::Clamp)
+        Window::gather(f, p, op.shape())
     }
 
     #[test]

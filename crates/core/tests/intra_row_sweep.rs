@@ -2,14 +2,14 @@
 //!
 //! `run_intra` drives each kernel through `IntraOp::apply_row`: one
 //! column-shift window per row over clamped line slices. The reference
-//! here is the per-pixel definition of an intra call — gather the clamped
-//! window around each pixel with `Window::gather`, `apply` the kernel,
-//! merge its output channels into the centre pixel — and the two must
-//! agree pixel for pixel, for every intra kernel the AddressLib ships, on
-//! frames narrower and shorter than the widest window.
+//! here is the per-pixel definition of an intra call — build the clamped
+//! window around each pixel sample by sample with `Window::from_samples`,
+//! `apply` the kernel, merge its output channels into the centre pixel —
+//! and the two must agree pixel for pixel, for every intra kernel the
+//! AddressLib ships, on frames narrower and shorter than the widest
+//! window.
 
 use vip_core::addressing::intra::run_intra;
-use vip_core::border::BorderPolicy;
 use vip_core::frame::Frame;
 use vip_core::geometry::Dims;
 use vip_core::neighborhood::{Connectivity, Window, MAX_RADIUS};
@@ -47,10 +47,19 @@ fn frames() -> Vec<Frame> {
         .collect()
 }
 
-/// The per-pixel definition of a clamped intra call.
+/// The per-pixel definition of a clamped intra call. Each window is
+/// built sample by sample from the clamped offset points, sharing no code
+/// with the LOAD/SHIFT sweep under test.
 fn reference(frame: &Frame, op: &impl IntraOp) -> Frame {
-    Frame::from_fn(frame.dims(), |p| {
-        let window = Window::gather(frame, p, op.shape(), BorderPolicy::Clamp);
+    let dims = frame.dims();
+    Frame::from_fn(dims, |p| {
+        let samples = op.shape().offsets_iter().map(|off| {
+            (
+                off,
+                frame.get(dims.clamp(p + off).expect("non-empty frame")),
+            )
+        });
+        let window = Window::from_samples(p, op.shape(), samples);
         let mut out = frame.get(p);
         out.merge_channels(op.apply(&window), op.output_channels());
         out

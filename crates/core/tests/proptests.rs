@@ -10,7 +10,6 @@ use vip_core::accounting::CallDescriptor;
 use vip_core::addressing::inter::run_inter;
 use vip_core::addressing::intra::run_intra;
 use vip_core::addressing::segment::{run_segment, SegmentOptions};
-use vip_core::border::BorderPolicy;
 use vip_core::frame::Frame;
 use vip_core::geometry::{Dims, Point};
 use vip_core::neighborhood::Connectivity;
@@ -81,18 +80,6 @@ proptest! {
         for s in &ss {
             prop_assert_eq!(s.start, expected_start);
             expected_start += s.len;
-        }
-    }
-
-    #[test]
-    fn border_policies_map_in_bounds(
-        dims in arb_dims(),
-        x in -50i32..50,
-        y in -50i32..50,
-    ) {
-        for pol in [BorderPolicy::Clamp, BorderPolicy::Mirror, BorderPolicy::Wrap] {
-            let q = pol.map_point(dims, Point::new(x, y)).expect("non-empty frame");
-            prop_assert!(dims.contains(q), "{} mapped to {}", pol, q);
         }
     }
 

@@ -268,9 +268,12 @@ impl AddressEngine {
     /// # Errors
     ///
     /// Returns [`EngineError::FrameTooLarge`] when the frame exceeds the
-    /// ZBT capacity, and propagates AddressLib errors.
+    /// ZBT capacity, and propagates AddressLib errors, among them the
+    /// `InvalidParameter` of a shape wider than nine lines, which every
+    /// fidelity returns before it does any work.
     pub fn run_intra<O: IntraOp>(&mut self, frame: &Frame, op: &O) -> EngineResult<EngineRun> {
         self.check_fits(frame)?;
+        op.shape().check_span()?;
         let descriptor =
             CallDescriptor::intra(op.shape(), op.input_channels(), op.output_channels());
         let timeline = intra_timeline(frame.dims(), op.shape().radius(), &self.config);
@@ -569,6 +572,28 @@ mod tests {
         )
         .unwrap();
         assert_eq!(run.result.output, sw.output);
+    }
+
+    #[test]
+    fn outlook_engine_rejects_segment_shapes_wider_than_nine_lines() {
+        let mut e = AddressEngine::new(EngineConfig::outlook_v2()).unwrap();
+        let f = frame(Dims::new(8, 8));
+        let err = e.run_segment(
+            &f,
+            &[Point::new(4, 4)],
+            &HomogeneityCriterion::luma(255),
+            SegmentOptions {
+                connectivity: vip_core::neighborhood::Connectivity::Square(5),
+                ..SegmentOptions::default()
+            },
+        );
+        assert!(matches!(
+            err,
+            Err(EngineError::Core(
+                vip_core::error::CoreError::InvalidParameter { name: "shape", .. }
+            ))
+        ));
+        assert_eq!(e.stats().segment_calls, 0);
     }
 
     #[test]

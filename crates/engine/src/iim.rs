@@ -8,6 +8,13 @@
 //! (fig. 4). It holds sixteen image lines in sixteen line blocks of two
 //! FPGA-BRAM banks each (lo/hi pixel words) — 32 embedded memory blocks.
 //!
+//! A window fetch hands over the `2r+1` resident lines the window reads
+//! ([`Iim::fetch_lines`]), re-delivering the edge line past the frame's
+//! top or bottom. Stage 2 of the Process Unit LOADs or SHIFTs its matrix
+//! register — the AddressLib's own [`Window`] — from those lines, so the
+//! engine and the software sweep share one LOAD/SHIFT and one clamped
+//! border.
+//!
 //! For inter addressing *"the IIM will take the form of two FIFOs, one for
 //! every input image, with 8 lines each"* (§3.3); the engine models that
 //! by instantiating two half-sized IIMs.
@@ -27,7 +34,7 @@
 use std::collections::VecDeque;
 
 use vip_core::geometry::{Dims, Point};
-use vip_core::neighborhood::Connectivity;
+use vip_core::neighborhood::{Connectivity, Window, MAX_LINES};
 use vip_core::pixel::Pixel;
 
 /// One resident image line.
@@ -148,42 +155,56 @@ impl Iim {
         })
     }
 
-    /// Fetches the full neighbourhood window around `centre` in a single
-    /// memory cycle — every line block delivers its column in parallel.
-    /// Samples come in row-major offset order. Accesses outside the frame
-    /// clamp to the nearest edge pixel, like the hardware re-delivering
-    /// edge lines and edge pixels.
+    /// Hands over the lines a `shape`-window at `centre` reads, in a
+    /// single memory cycle: every line block delivers in parallel (§3.1,
+    /// fig. 4). The first `shape.lines()` entries are the resident lines
+    /// centred on `centre.y`, cut to `dims.width`; lines past the frame's
+    /// top or bottom edge are the edge line re-delivered. Stage 2 LOADs or
+    /// SHIFTs its matrix register ([`Window::load`], [`Window::shift`])
+    /// from them.
     ///
     /// # Panics
     ///
     /// Panics unless the window is [ready](Iim::window_ready): the
     /// pipeline holds a pixel in stage 1 until it is.
     #[must_use]
-    pub fn fetch_window(
+    pub fn fetch_lines(
         &mut self,
         centre: Point,
         shape: Connectivity,
         dims: Dims,
-    ) -> Vec<(Point, Pixel)> {
+    ) -> [&[Pixel]; MAX_LINES] {
         assert!(
             self.window_ready(centre, shape, dims),
             "window fetched before its lines are resident"
         );
         self.window_fetches += 1;
-        shape
-            .offsets_iter()
-            .map(|off| {
-                let line = (centre.y + off.y).clamp(0, dims.height as i32 - 1) as usize;
-                let x = (centre.x + off.x).clamp(0, dims.width as i32 - 1) as usize;
-                let row = &self
-                    .lines
-                    .iter()
-                    .find(|l| l.line_no == line)
-                    .expect("window_ready checked residency")
-                    .pixels;
-                (off, row[x])
-            })
-            .collect()
+        let r = shape.radius() as i32;
+        let mut lines: [&[Pixel]; MAX_LINES] = [&[]; MAX_LINES];
+        for (dy, slot) in (-r..=r).zip(&mut lines) {
+            let line = (centre.y + dy).clamp(0, dims.height as i32 - 1) as usize;
+            let block = self
+                .lines
+                .iter()
+                .find(|l| l.line_no == line)
+                .expect("window_ready checked residency");
+            *slot = &block.pixels[..dims.width];
+        }
+        lines
+    }
+
+    /// Fetches the full `shape`-window around `centre` in a single memory
+    /// cycle: a [`Window::load`] from [`Iim::fetch_lines`]. Accesses
+    /// outside the frame clamp to the nearest edge pixel, like the
+    /// hardware re-delivering edge lines and edge pixels.
+    ///
+    /// # Panics
+    ///
+    /// As [`Iim::fetch_lines`].
+    #[must_use]
+    pub fn fetch_window(&mut self, centre: Point, shape: Connectivity, dims: Dims) -> Window {
+        let lines = self.fetch_lines(centre, shape, dims);
+        Window::load(centre, shape, &lines[..shape.lines()])
     }
 
     /// Single-cycle window fetches served so far.
@@ -247,8 +268,7 @@ mod tests {
         assert_eq!(w.len(), 9);
         assert_eq!(iim.window_fetches(), 1);
         // Sample correctness: offset (1,-1) → line 0, x 2 → 0·10 + 2.
-        let s = w.iter().find(|(o, _)| *o == Point::new(1, -1)).unwrap().1;
-        assert_eq!(s.y, 2);
+        assert_eq!(w.sample(Point::new(1, -1)).unwrap().y, 2);
     }
 
     #[test]
@@ -282,7 +302,7 @@ mod tests {
         iim.load_line(1, &line(10, 4));
         // Centre on line 0: offsets dy=-1 clamp to line 0 (resident) — ready.
         let w = iim.fetch_window(Point::new(1, 0), Connectivity::Con8, dims);
-        let nw = w.iter().find(|(o, _)| *o == Point::new(-1, -1)).unwrap().1;
+        let nw = w.sample(Point::new(-1, -1)).unwrap();
         assert_eq!(nw.y, 0, "clamped to line 0, x 0");
     }
 
@@ -293,32 +313,51 @@ mod tests {
         iim.load_line(0, &line(0, 4));
         iim.load_line(1, &line(10, 4));
         let w = iim.fetch_window(Point::new(0, 1), Connectivity::Con8, dims);
-        let west = w.iter().find(|(o, _)| *o == Point::new(-1, 0)).unwrap().1;
+        let west = w.sample(Point::new(-1, 0)).unwrap();
         assert_eq!(west.y, 10, "clamped to x 0 of line 1");
     }
 
     #[test]
     fn window_matches_core_gather_in_interior() {
-        // The IIM fetch must agree with the software Window gather.
-        use vip_core::border::BorderPolicy;
+        // The IIM fetch must agree with the clamped window by definition:
+        // each sample is the frame pixel at the clamped offset point.
         use vip_core::frame::Frame;
-        use vip_core::neighborhood::Window;
         let dims = Dims::new(6, 6);
         let f = Frame::from_fn(dims, |p| Pixel::from_luma((p.y * 6 + p.x) as u8));
         let mut iim = Iim::new(16, 6);
         for l in 0..6 {
             iim.load_line(l, f.line(l));
         }
-        for y in 0..6 {
-            for x in 0..6 {
-                let c = Point::new(x, y);
-                let hw = iim.fetch_window(c, Connectivity::Con8, dims);
-                let sw = Window::gather(&f, c, Connectivity::Con8, BorderPolicy::Clamp);
-                for (off, px) in hw {
-                    assert_eq!(Some(px), sw.sample(off), "at {c} offset {off}");
+        for shape in [
+            Connectivity::Con4,
+            Connectivity::Con8,
+            Connectivity::Square(4),
+        ] {
+            for y in 0..6 {
+                for x in 0..6 {
+                    let c = Point::new(x, y);
+                    let samples = shape
+                        .offsets_iter()
+                        .map(|off| (off, f.get(dims.clamp(c + off).unwrap())));
+                    let expect = Window::from_samples(c, shape, samples);
+                    assert_eq!(iim.fetch_window(c, shape, dims), expect, "{shape} at {c}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn fetch_lines_hands_over_clamped_lines_cut_to_the_frame() {
+        let dims = Dims::new(3, 2);
+        let mut iim = Iim::new(4, 5);
+        iim.load_line(0, &line(0, 5));
+        iim.load_line(1, &line(10, 5));
+        let lines = iim.fetch_lines(Point::new(1, 0), Connectivity::Con8, dims);
+        assert_eq!(lines[0], &line(0, 3)[..], "top line re-delivered");
+        assert_eq!(lines[1], &line(0, 3)[..]);
+        assert_eq!(lines[2], &line(10, 3)[..]);
+        assert!(lines[3..].iter().all(|l| l.is_empty()));
+        assert_eq!(iim.window_fetches(), 1, "one hand-over, one cycle");
     }
 
     #[test]
@@ -333,6 +372,10 @@ mod tests {
         iim.load_line(0, &line(1, 2)); // shorter than width
         let dims = Dims::new(4, 1);
         let w = iim.fetch_window(Point::new(3, 0), Connectivity::Con0, dims);
-        assert_eq!(w[0].1, Pixel::default(), "padded region is default pixels");
+        assert_eq!(
+            w.centre_pixel(),
+            Pixel::default(),
+            "padded region is default pixels"
+        );
     }
 }

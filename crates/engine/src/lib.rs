@@ -10,8 +10,9 @@
 //! * [`pci`] — the 66 MHz × 32-bit PCI/DMA model (264 MB/s, the system
 //!   bottleneck),
 //! * [`iim`] / [`oim`] — the input/output intermediate memories
-//!   (16 line blocks × 2 BRAM banks, single-cycle neighbourhood fetch),
-//! * [`matrix`] — the matrix register with LOAD/SHIFT instructions,
+//!   (16 line blocks × 2 BRAM banks, single-cycle neighbourhood fetch);
+//!   the matrix register the IIM fills is the AddressLib's own
+//!   [`vip_core::neighborhood::Window`] with its LOAD/SHIFT instructions,
 //! * [`plc`] — the pixel-level controller (control FSM, instructions,
 //!   and the start-pipeline both detailed datapaths step),
 //! * [`process_unit`] — the cycle-stepped 4-stage datapath (fig. 6),
@@ -57,7 +58,6 @@ pub mod engine;
 pub mod error;
 pub mod fast;
 pub mod iim;
-pub mod matrix;
 pub mod oim;
 pub mod pci;
 pub mod plc;

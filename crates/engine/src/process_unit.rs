@@ -13,7 +13,7 @@
 //! also publishes their trace through [`PuProbe`].
 
 use vip_core::geometry::{Dims, Point};
-use vip_core::neighborhood::{Connectivity, Window};
+use vip_core::neighborhood::Window;
 use vip_core::ops::{InterOp, IntraOp};
 use vip_core::pixel::Pixel;
 use vip_obs::{Recorder, Track};
@@ -21,7 +21,6 @@ use vip_obs::{Recorder, Track};
 use crate::config::EngineConfig;
 use crate::error::{EngineError, EngineResult};
 use crate::iim::Iim;
-use crate::matrix::MatrixRegister;
 use crate::oim::Oim;
 use crate::plc::{ControlFsm, Cycle, FetchKind, Pipeline, StageSnapshot, Stages, Stall};
 use crate::zbt::{ZbtMemory, ZbtRegion};
@@ -604,6 +603,12 @@ fn phase<D: Datapath, const HOOKS: bool>(
 ///
 /// Propagates ZBT addressing errors; none occur for frames that passed
 /// [`ZbtMemory::fits`].
+///
+/// # Panics
+///
+/// Panics for a shape wider than nine lines, which
+/// [`AddressEngine::run_intra`](crate::engine::AddressEngine::run_intra)
+/// rejects before it gets here.
 pub fn run_intra_detailed<O: IntraOp>(
     zbt: &mut ZbtMemory,
     dims: Dims,
@@ -612,26 +617,26 @@ pub fn run_intra_detailed<O: IntraOp>(
     trace_limit: usize,
     probe: &PuProbe,
 ) -> EngineResult<ProcessingStats> {
-    let square = square_shape(op.shape());
     let mut dp = IntraDatapath {
         zbt,
         op,
         dims,
-        square,
         iim: Iim::new(config.iim_lines, dims.width),
-        matrix: MatrixRegister::new(square),
+        matrix: Window::from_samples(Point::ORIGIN, op.shape(), []),
+        matrix_loads: 0,
+        matrix_shifts: 0,
         txu_line: 0,
         txu_buf: Vec::with_capacity(dims.width),
     };
     let mut stats = probe.record(|log| run_phase(&mut dp, dims, config, trace_limit, log))?;
-    stats.matrix_loads = dp.matrix.loads();
-    stats.matrix_shifts = dp.matrix.shifts();
+    stats.matrix_loads = dp.matrix_loads;
+    stats.matrix_shifts = dp.matrix_shifts;
     Ok(stats)
 }
 
 /// The cycle-stepped intra datapath: the TxU fills IIM lines from the
-/// ZBT, stage 2 moves windows from the IIM into the matrix register,
-/// stage 3 applies the operation to the matrix register.
+/// ZBT, stage 2 LOADs or SHIFTs the matrix register from the lines the
+/// IIM hands over, stage 3 applies the operation to the matrix register.
 ///
 /// Stage 3 needs no window of its own: a [`Pipeline`] cycle executes
 /// before it fetches, and an OIM stall holds stages 2–4 together, so
@@ -641,9 +646,12 @@ struct IntraDatapath<'a, O> {
     zbt: &'a mut ZbtMemory,
     op: &'a O,
     dims: Dims,
-    square: Connectivity,
     iim: Iim,
-    matrix: MatrixRegister,
+    /// The matrix register, of the operation's shape.
+    matrix: Window,
+    /// LOAD and SHIFT instructions stage 2 executed.
+    matrix_loads: u64,
+    matrix_shifts: u64,
     /// The TxU's next line and the part of it read so far.
     txu_line: usize,
     txu_buf: Vec<Pixel>,
@@ -655,24 +663,39 @@ impl<O: IntraOp> Datapath for IntraDatapath<'_, O> {
     type Result = Pixel;
 
     fn window_ready(&self, point: Point) -> bool {
-        self.iim.window_ready(point, self.square, self.dims)
+        self.iim.window_ready(point, self.op.shape(), self.dims)
     }
 
     fn fetch(&mut self, _: usize, (point, fetch): (Point, FetchKind)) -> EngineResult<Point> {
-        let samples = self.iim.fetch_window(point, self.square, self.dims);
-        // The IIM delivers the square in row-major offset order.
-        let side = self.matrix.side();
+        let shape = self.op.shape();
+        let lines = self.iim.fetch_lines(point, shape, self.dims);
+        let lines = &lines[..shape.lines()];
         match fetch {
-            FetchKind::Load => self.matrix.load(|col, row| samples[row * side + col].1),
-            FetchKind::Shift => self.matrix.shift(|row| samples[row * side + side - 1].1),
+            FetchKind::Load => {
+                self.matrix = Window::load(point, shape, lines);
+                self.matrix_loads += 1;
+            }
+            FetchKind::Shift => {
+                self.matrix.shift(lines);
+                self.matrix_shifts += 1;
+                assert_eq!(
+                    self.matrix.centre(),
+                    point,
+                    "SHIFT must move the matrix register onto the fetched pixel"
+                );
+            }
         }
         Ok(point)
     }
 
     fn execute(&mut self, _: usize, point: Point) -> Pixel {
-        let window = Window::from_samples(point, self.op.shape(), self.matrix.samples());
-        let mut out = self.matrix.centre();
-        out.merge_channels(self.op.apply(&window), self.op.output_channels());
+        debug_assert_eq!(
+            self.matrix.centre(),
+            point,
+            "stage 3 reads stage 2's window"
+        );
+        let mut out = self.matrix.centre_pixel();
+        out.merge_channels(self.op.apply(&self.matrix), self.op.output_channels());
         out
     }
 
@@ -690,7 +713,7 @@ impl<O: IntraOp> Datapath for IntraDatapath<'_, O> {
     ) -> EngineResult<()> {
         // One pixel per cycle into the current line buffer.
         let width = self.dims.width;
-        let needed_oldest = (inflight_pixel / width).saturating_sub(self.square.radius());
+        let needed_oldest = (inflight_pixel / width).saturating_sub(self.op.shape().radius());
         if self.txu_line < self.dims.height && self.iim.can_accept(needed_oldest) {
             let x = self.txu_buf.len();
             let px = self
@@ -760,15 +783,6 @@ impl<O: InterOp> Datapath for InterDatapath<'_, O> {
         self.zbt
             .write_result_pixel(pixel, self.total, result)
             .map(drop)
-    }
-}
-
-/// The full-square shape backing the matrix register for any sub-shape.
-pub(crate) fn square_shape(shape: Connectivity) -> Connectivity {
-    match shape.radius() {
-        0 => Connectivity::Con0,
-        1 => Connectivity::Con8,
-        r => Connectivity::Square(r as u8),
     }
 }
 
@@ -1081,5 +1095,51 @@ mod tests {
             .unwrap()
             .output;
         assert_eq!(hw, sw);
+    }
+
+    /// The clamped intra call by its per-pixel definition: each window is
+    /// built sample by sample from the clamped offset points, sharing no
+    /// code with the LOAD/SHIFT of the matrix register.
+    fn per_pixel_reference(frame: &Frame, op: &impl IntraOp) -> Frame {
+        let dims = frame.dims();
+        Frame::from_fn(dims, |p| {
+            let samples = op
+                .shape()
+                .offsets_iter()
+                .map(|off| (off, frame.get(dims.clamp(p + off).unwrap())));
+            let mut out = frame.get(p);
+            out.merge_channels(
+                op.apply(&Window::from_samples(p, op.shape(), samples)),
+                op.output_channels(),
+            );
+            out
+        })
+    }
+
+    #[test]
+    fn stepped_matches_per_pixel_reference() {
+        use vip_core::neighborhood::Connectivity;
+        use vip_core::ops::morph::Dilate;
+        use vip_core::ops::rank::Median;
+        let cfg = EngineConfig::prototype_detailed();
+        for dims in [Dims::new(9, 7), Dims::new(3, 11), Dims::new(17, 2)] {
+            let frame = test_frame(dims);
+            let check = |op: &dyn IntraOp| {
+                let mut zbt = ZbtMemory::new(&cfg);
+                load_input(&mut zbt, ZbtRegion::InputA, &frame);
+                stepped_intra(&mut zbt, dims, &op, &cfg, 0).unwrap();
+                assert_eq!(
+                    read_result(&mut zbt, dims),
+                    per_pixel_reference(&frame, &op),
+                    "{} {} on {dims}",
+                    op.name(),
+                    op.shape()
+                );
+            };
+            check(&Dilate::con4());
+            check(&SobelGradient::new());
+            check(&Median::with_shape(Connectivity::Square(2)));
+            check(&BoxBlur::with_radius(4).unwrap());
+        }
     }
 }

@@ -6,17 +6,15 @@
 
 use proptest::prelude::*;
 
-use vip_core::border::BorderPolicy;
 use vip_core::frame::Frame;
 use vip_core::geometry::{Dims, Point};
-use vip_core::neighborhood::Connectivity;
+use vip_core::neighborhood::{Connectivity, Window};
 use vip_core::ops::filter::BoxBlur;
 use vip_core::pixel::Pixel;
 use vip_engine::clock::Cycles;
 use vip_engine::config::EngineConfig;
 use vip_engine::engine::AddressEngine;
 use vip_engine::iim::Iim;
-use vip_engine::matrix::MatrixRegister;
 use vip_engine::oim::Oim;
 use vip_engine::pci::{Direction, PciBus};
 use vip_engine::timing::{inter_timeline, intra_timeline};
@@ -79,11 +77,11 @@ proptest! {
             iim.load_line(l, frame.line(l));
         }
         let hw = iim.fetch_window(centre, Connectivity::Con8, dims);
-        let sw = vip_core::neighborhood::Window::gather(
-            &frame, centre, Connectivity::Con8, BorderPolicy::Clamp);
-        for (off, px) in hw {
-            prop_assert_eq!(Some(px), sw.sample(off), "offset {}", off);
-        }
+        // The clamped window by definition, independent of LOAD.
+        let samples = Connectivity::Con8
+            .offsets_iter()
+            .map(|off| (off, frame.get(dims.clamp(centre + off).unwrap())));
+        prop_assert_eq!(hw, Window::from_samples(centre, Connectivity::Con8, samples));
     }
 
     #[test]
@@ -91,15 +89,16 @@ proptest! {
         cols in proptest::collection::vec(
             proptest::collection::vec(arb_pixel(), 3), 4..10)
     ) {
-        // Slide a 3-wide matrix along arbitrary columns; every SHIFT
-        // must equal a fresh LOAD of the same three columns.
-        let mut m = MatrixRegister::new(Connectivity::Con8);
-        m.load(|c, r| cols[c][r]);
-        for i in 3..cols.len() {
-            m.shift(|r| cols[i][r]);
-            let mut fresh = MatrixRegister::new(Connectivity::Con8);
-            fresh.load(|c, r| cols[i - 2 + c][r]);
-            prop_assert_eq!(m.samples(), fresh.samples());
+        // Slide a 3-wide window along arbitrary columns; every SHIFT
+        // must equal a fresh LOAD at the same centre.
+        let lines: Vec<Vec<Pixel>> =
+            (0..3).map(|row| cols.iter().map(|col| col[row]).collect()).collect();
+        let lines: Vec<&[Pixel]> = lines.iter().map(Vec::as_slice).collect();
+        let mut m = Window::load(Point::new(1, 1), Connectivity::Con8, &lines);
+        for x in 2..cols.len() as i32 - 1 {
+            m.shift(&lines);
+            let fresh = Window::load(Point::new(x, 1), Connectivity::Con8, &lines);
+            prop_assert_eq!(&m, &fresh);
         }
     }
 

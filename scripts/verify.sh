@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Full offline verification: rustfmt check, release build, tests, static verifier, the
-# fig. 5/fig. 4 harnesses, the four examples, the intra/inter/GME
-# utilization reports and Chrome traces, a perfbench smoke run, and
-# clippy (perfbench and workspace) and rustdoc with warnings denied. This is exactly what CI
+# Full offline verification: rustfmt check, release build, tests, static
+# verifier, the fig. 5/fig. 4 harnesses, the four examples, the
+# intra/inter/GME utilization reports and Chrome traces (kept in
+# target/observability), a perfbench smoke run, and clippy (perfbench and
+# workspace) and rustdoc with warnings denied. This is exactly what CI
 # runs; run it before pushing.
 set -euo pipefail
 
@@ -31,9 +32,10 @@ for example in quickstart surveillance_diff segmentation_grow motion_mosaic; do
     cargo run --release -q -p vip --example "$example" > /dev/null
 done
 
-echo "==> vipctl report/trace intra, inter and gme (gme: a recorder on a reused detailed engine, so replayed skeleton spans)"
-obs_out=$(mktemp -d)
-trap 'rm -rf "$obs_out"' EXIT
+echo "==> vipctl report/trace intra, inter and gme into target/observability (gme: a recorder on a reused detailed engine, so replayed skeleton spans)"
+obs_out=target/observability
+rm -rf "$obs_out"
+mkdir -p "$obs_out"
 for scenario in intra inter; do
     cargo run --release -q -p vip --bin vipctl -- report "$scenario" > "$obs_out/report_$scenario.txt"
 done

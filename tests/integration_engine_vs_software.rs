@@ -3,8 +3,10 @@
 //! content, and its memory traffic must match the Table 2 model.
 
 use vip::core::addressing::{inter, intra};
+use vip::core::error::CoreError;
 use vip::core::frame::Frame;
 use vip::core::geometry::Dims;
+use vip::core::neighborhood::Connectivity;
 use vip::core::ops::arith::{AbsDiff, ChangeMask};
 use vip::core::ops::filter::{Binomial3, BoxBlur, Identity, SobelGradient};
 use vip::core::ops::morph::{Dilate, MorphGradient};
@@ -139,7 +141,8 @@ fn inter_alike<O: InterOp>(a: &Frame, b: &Frame, op: &O) {
 /// AddressLib and reports the same schedule and traffic. Radius-4 windows
 /// on 1-wide and 1-high frames are all border: every sample the stepped
 /// datapath's matrix register holds off the centre line is a clamped
-/// edge pixel.
+/// edge pixel. A shape wider than nine lines gets the software's typed
+/// error from every fidelity.
 #[test]
 fn edge_dims_run_alike_on_every_fidelity() {
     let blur = |r| BoxBlur::with_radius(r).expect("radius at most 4");
@@ -167,6 +170,27 @@ fn edge_dims_run_alike_on_every_fidelity() {
         inter_alike(&a, &b, &AbsDiff::luma());
         inter_alike(&a, &b, &AbsDiff::yuv());
         inter_alike(&a, &b, &ChangeMask::new(30));
+        intra_rejected_alike(&a, &Dilate::with_shape(Connectivity::Square(5)));
+    }
+}
+
+/// Runs `op`, which the AddressLib rejects, on a fresh engine of every
+/// fidelity: each returns the software's error and none panics.
+fn intra_rejected_alike<O: IntraOp>(frame: &Frame, op: &O) {
+    let software = intra::run_intra(frame, op).expect_err("software rejects the op");
+    assert!(
+        matches!(software, CoreError::InvalidParameter { name: "shape", .. }),
+        "{software}"
+    );
+    for (name, config) in every_fidelity() {
+        let mut engine = AddressEngine::new(config).unwrap();
+        assert_eq!(
+            engine.run_intra(frame, op).err(),
+            Some(EngineError::Core(software.clone())),
+            "{} {} on {name}",
+            frame.dims(),
+            op.shape()
+        );
     }
 }
 
