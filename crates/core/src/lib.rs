@@ -72,6 +72,30 @@ pub use geometry::{Dims, ImageFormat, Point, Rect};
 pub use neighborhood::{Connectivity, Window};
 pub use pixel::{Channel, ChannelSet, Pixel};
 
+/// Tests of the frame-border rule. Clamp is the only one: a sample
+/// outside the frame reads the nearest edge pixel, as the IIM re-delivers
+/// the edge lines (§3.1, fig. 4).
+#[cfg(test)]
+mod border {
+    mod tests {
+        use crate::{Connectivity, Dims, Frame, Pixel, Point, Window};
+
+        #[test]
+        fn clamp_replicates_edges() {
+            // 4x1 luminance ramp 0,10,20,30
+            let f = Frame::from_fn(Dims::new(4, 1), |p| Pixel::from_luma(p.x as u8 * 10));
+            let at = |x, y| {
+                Window::gather(&f, Point::new(x, y), Connectivity::Con0)
+                    .centre_pixel()
+                    .y
+            };
+            assert_eq!(at(-3, 0), 0);
+            assert_eq!(at(9, 0), 30);
+            assert_eq!(at(1, 5), 10);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     #[test]
