@@ -1,8 +1,9 @@
 //! Static verification of the §4.1 call schedule.
 //!
 //! The image-level controller's schedule is summarised by seven instants
-//! per call: issue, inbound-DMA start, inbound-DMA end, outbound-DMA
-//! start, drain end, outbound-DMA end, and call completion. The paper's
+//! per call ([`CallTimeline::instants`]): issue, inbound-DMA start,
+//! inbound-DMA end, outbound-DMA start, drain end, outbound-DMA end, and
+//! call completion. The paper's
 //! timeline (fig. of §4.1) requires every gap between consecutive
 //! instants to be non-negative for *every* configuration — processing
 //! can never finish before its inputs arrived, the outbound DMA can
@@ -22,17 +23,6 @@ use vip_engine::timing::{inter_timeline, intra_timeline, segment_timeline, CallT
 use crate::witness::{CallKind, Scenario};
 use crate::Violation;
 
-/// Labels of the seven §4.1 schedule instants, in causal order.
-pub const INSTANT_LABELS: [&str; 7] = [
-    "issue",
-    "input_dma_start",
-    "input_dma_end",
-    "output_dma_start",
-    "drain_end",
-    "output_dma_end",
-    "complete",
-];
-
 /// Computes the analytic timeline of a scenario.
 #[must_use]
 pub fn timeline_of(s: &Scenario) -> CallTimeline {
@@ -44,22 +34,6 @@ pub fn timeline_of(s: &Scenario) -> CallTimeline {
         // engine schedules them like a segment call over the table.
         CallKind::SegmentIndexed { entries } => segment_timeline(s.dims, entries, &s.config),
     }
-}
-
-/// Extracts the seven §4.1 instants (seconds from call issue) from a
-/// timeline, in the order of [`INSTANT_LABELS`].
-#[must_use]
-pub fn instants(t: &CallTimeline) -> [f64; 7] {
-    let half_irq = t.interrupt_overhead / 2.0;
-    [
-        0.0,
-        half_irq,
-        t.input_end,
-        t.output_start,
-        t.drain_end,
-        t.total - half_irq,
-        t.total,
-    ]
 }
 
 /// The drain-completion schedule `D(k)` — the time at which the `k`-th
@@ -148,18 +122,13 @@ pub fn check_timeline(s: &Scenario) -> Vec<Violation> {
     let mut out = Vec::new();
     let t = timeline_of(s);
     let eps = eps_for(&t);
-    let ts = instants(&t);
-
-    for i in 1..ts.len() {
-        if ts[i] + eps < ts[i - 1] {
+    for pair in t.instants().windows(2) {
+        let [(before, t_before), (after, t_after)] = [pair[0], pair[1]];
+        if t_after + eps < t_before {
             out.push(Violation {
                 check: "timeline.order",
                 message: format!(
-                    "instant `{}` ({:.9e} s) precedes `{}` ({:.9e} s)",
-                    INSTANT_LABELS[i],
-                    ts[i],
-                    INSTANT_LABELS[i - 1],
-                    ts[i - 1]
+                    "instant `{after}` ({t_after:.9e} s) precedes `{before}` ({t_before:.9e} s)"
                 ),
                 witness: s.witness(),
             });
@@ -248,13 +217,13 @@ mod tests {
     #[test]
     fn instants_are_seven_and_monotone() {
         let t = timeline_of(&proto(Dims::new(64, 48), CallKind::Inter));
-        let ts = instants(&t);
-        assert_eq!(ts.len(), INSTANT_LABELS.len());
+        let ts = t.instants();
+        assert_eq!(ts.len(), 7);
         for w in ts.windows(2) {
-            assert!(w[1] >= w[0] - 1e-12, "{ts:?}");
+            assert!(w[1].1 >= w[0].1 - 1e-12, "{ts:?}");
         }
-        assert_eq!(ts[0], 0.0);
-        assert_eq!(ts[6], t.total);
+        assert_eq!(ts[0], ("call_issued", 0.0));
+        assert_eq!(ts[6], ("call_completed", t.total));
     }
 
     #[test]

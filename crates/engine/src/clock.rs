@@ -132,12 +132,6 @@ impl ClockDomain {
         Duration::from_secs_f64(cycles.0 as f64 / self.hz)
     }
 
-    /// Number of whole cycles elapsed in `duration`.
-    #[must_use]
-    pub fn cycles_in(&self, duration: Duration) -> Cycles {
-        Cycles((duration.as_secs_f64() * self.hz).round() as u64)
-    }
-
     /// Clock period.
     #[must_use]
     pub fn period(&self) -> Duration {
@@ -193,7 +187,6 @@ mod tests {
     fn duration_roundtrip() {
         let d = ClockDomain::new("test", 100e6);
         let t = d.duration_of(Cycles(250));
-        assert_eq!(d.cycles_in(t), Cycles(250));
         assert!((t.as_secs_f64() - 2.5e-6).abs() < 1e-15);
     }
 

@@ -31,20 +31,20 @@
 use vip_core::accounting::{AccessModel, CallDescriptor};
 use vip_core::addressing::segment::{SegmentOptions, SegmentResult};
 use vip_core::frame::Frame;
-use vip_core::geometry::Point;
+use vip_core::geometry::{Dims, Point};
 use vip_core::ops::segment_ops::NeighborCriterion;
 use vip_core::ops::{InterOp, IntraOp};
 use vip_core::pixel::ChannelSet;
 use vip_obs::{Recorder, Registry, Track};
 
-use crate::config::{EngineConfig, InterOverlap, SimulationFidelity, StepMode};
-use crate::dma::{schedule_inter_call, schedule_intra_call, DmaSchedule};
+use crate::config::{EngineConfig, SimulationFidelity, StepMode};
 use crate::error::{EngineError, EngineResult};
 use crate::fast::{run_inter_fast, run_intra_fast, Skeletons};
 use crate::process_unit::{run_inter_detailed, run_intra_detailed, PuProbe};
 use crate::report::{record_into, stats_from_registry, EngineReport, EngineStats};
-use crate::timing::{inter_timeline, intra_timeline, segment_timeline};
-use crate::trace::{emit_trace, seconds_to_ns, trace_of};
+use crate::timing::{
+    inter_timeline, intra_timeline, seconds_to_ns, segment_timeline, CallTimeline,
+};
 use crate::zbt::{ZbtMemory, ZbtRegion};
 
 /// One completed engine call: the produced frame plus its report.
@@ -156,30 +156,25 @@ impl AddressEngine {
         self.trace_limit = cycles;
     }
 
-    /// A Process Unit probe whose cycle 0 sits at `processing_start_s`
-    /// seconds into the current call.
-    fn pu_probe(&self, processing_start_s: f64) -> PuProbe {
+    /// A Process Unit probe whose cycle 0 sits at the call's
+    /// [`CallTimeline::processing_origin`]; only a live recorder reads it.
+    fn pu_probe(&self, timeline: &CallTimeline, dims: Dims) -> PuProbe {
+        let origin = if self.recorder.is_enabled() {
+            timeline.processing_origin(dims, &self.config)
+        } else {
+            0.0
+        };
         PuProbe::new(
             self.recorder.clone(),
-            self.clock_ns + seconds_to_ns(processing_start_s),
+            self.clock_ns + seconds_to_ns(origin),
             1e9 / self.config.engine_clock.hz,
         )
     }
 
-    /// Seconds from call issue until the given PCI cycle count.
-    fn pci_seconds(&self, cycles: crate::clock::Cycles) -> f64 {
-        cycles.count() as f64 / self.config.pci_clock.hz
-    }
-
     /// Folds the report into the metrics registry, publishes the
-    /// call-level trace (schedule instants, PCI/DMA spans, ZBT bank
-    /// activity), and advances the virtual clock past the call.
-    fn finish_call(
-        &mut self,
-        name: &'static str,
-        report: &EngineReport,
-        schedule: Option<&DmaSchedule>,
-    ) {
+    /// call-level trace (the timeline's instants and PCI/DMA spans, ZBT
+    /// bank activity), and advances the virtual clock past the call.
+    fn finish_call(&mut self, name: &'static str, report: &EngineReport, dims: Dims) {
         record_into(&mut self.metrics, report);
         if report.processing.is_some() {
             // Detailed runs reset the bank counters first, so they hold
@@ -203,10 +198,7 @@ impl AddressEngine {
                     ("hardware_accesses", report.hardware_accesses.into()),
                 ],
             );
-            emit_trace(&self.recorder, t0, &trace_of(&report.timeline));
-            if let Some(s) = schedule {
-                s.emit(&self.recorder, t0, self.config.pci_clock.hz);
-            }
+            report.timeline.emit(&self.recorder, t0, dims, &self.config);
             if report.processing.is_some() {
                 self.emit_zbt_spans(t0, report);
             }
@@ -256,7 +248,7 @@ impl AddressEngine {
         Ok(())
     }
 
-    fn unload_result(&mut self, dims: vip_core::geometry::Dims) -> EngineResult<Frame> {
+    fn unload_result(&mut self, dims: Dims) -> EngineResult<Frame> {
         let total = dims.pixel_count();
         let pixels = self.zbt.read_result_run(0, total, total)?;
         Ok(Frame::from_pixels(dims, pixels)?)
@@ -279,22 +271,11 @@ impl AddressEngine {
         let timeline = intra_timeline(frame.dims(), op.shape().radius(), &self.config);
         let access_model = AccessModel::for_call(&descriptor, frame.dims());
 
-        // The strip schedule doubles as the trace's PCI/DMA span source
-        // and the processing-phase time origin; only built when recording.
-        let schedule = self
-            .recorder
-            .is_enabled()
-            .then(|| schedule_intra_call(frame.dims(), &self.config));
         let (output, hardware_accesses, processing) = match self.config.fidelity {
             SimulationFidelity::Detailed => {
                 self.load_region(ZbtRegion::InputA, frame)?;
                 self.zbt.reset_stats();
-                // Processing starts once the first strip has landed.
-                let probe = self.pu_probe(
-                    schedule
-                        .as_ref()
-                        .map_or(0.0, |s| self.pci_seconds(s.input_strips[0].transfer.end())),
-                );
+                let probe = self.pu_probe(&timeline, frame.dims());
                 let (zbt, dims, trace_limit) = (&mut self.zbt, frame.dims(), self.trace_limit);
                 let stats = match self.config.step_mode {
                     StepMode::FastForward => {
@@ -320,7 +301,7 @@ impl AddressEngine {
             hardware_accesses,
             processing,
         };
-        self.finish_call("intra_call", &report, schedule.as_ref());
+        self.finish_call("intra_call", &report, frame.dims());
         Ok(EngineRun { output, report })
     }
 
@@ -349,43 +330,29 @@ impl AddressEngine {
         let timeline = inter_timeline(a.dims(), &self.config);
         let access_model = AccessModel::for_call(&descriptor, a.dims());
 
-        let schedule = self
-            .recorder
-            .is_enabled()
-            .then(|| schedule_inter_call(a.dims(), &self.config));
-        let (output, hardware_accesses, processing) =
-            match self.config.fidelity {
-                SimulationFidelity::Detailed => {
-                    self.load_region(ZbtRegion::InputA, a)?;
-                    self.load_region(ZbtRegion::InputB, b)?;
-                    self.zbt.reset_stats();
-                    // Sequential inter processing waits for both images;
-                    // interleaved tracks the input strips (see dma.rs).
-                    let probe = self.pu_probe(schedule.as_ref().map_or(0.0, |s| {
-                        match self.config.inter_overlap {
-                            InterOverlap::Sequential => self.pci_seconds(s.input_end),
-                            InterOverlap::Interleaved => {
-                                self.pci_seconds(s.input_strips[1].transfer.end())
-                            }
-                        }
-                    }));
-                    let (zbt, dims, trace_limit) = (&mut self.zbt, a.dims(), self.trace_limit);
-                    let stats = match self.config.step_mode {
-                        StepMode::FastForward => {
-                            run_inter_fast(zbt, &mut self.skeletons, dims, op, trace_limit, &probe)
-                        }
-                        StepMode::CycleStepped => {
-                            run_inter_detailed(zbt, dims, op, &self.config, trace_limit, &probe)
-                        }
-                    }?;
-                    let hw = self.zbt.pixel_access_cycles();
-                    (self.unload_result(a.dims())?, hw, Some(stats))
-                }
-                SimulationFidelity::Analytic => {
-                    let result = vip_core::addressing::inter::run_inter(a, b, op)?;
-                    (result.output, access_model.hardware_accesses, None)
-                }
-            };
+        let (output, hardware_accesses, processing) = match self.config.fidelity {
+            SimulationFidelity::Detailed => {
+                self.load_region(ZbtRegion::InputA, a)?;
+                self.load_region(ZbtRegion::InputB, b)?;
+                self.zbt.reset_stats();
+                let probe = self.pu_probe(&timeline, a.dims());
+                let (zbt, dims, trace_limit) = (&mut self.zbt, a.dims(), self.trace_limit);
+                let stats = match self.config.step_mode {
+                    StepMode::FastForward => {
+                        run_inter_fast(zbt, &mut self.skeletons, dims, op, trace_limit, &probe)
+                    }
+                    StepMode::CycleStepped => {
+                        run_inter_detailed(zbt, dims, op, &self.config, trace_limit, &probe)
+                    }
+                }?;
+                let hw = self.zbt.pixel_access_cycles();
+                (self.unload_result(a.dims())?, hw, Some(stats))
+            }
+            SimulationFidelity::Analytic => {
+                let result = vip_core::addressing::inter::run_inter(a, b, op)?;
+                (result.output, access_model.hardware_accesses, None)
+            }
+        };
 
         let report = EngineReport {
             descriptor,
@@ -394,7 +361,7 @@ impl AddressEngine {
             hardware_accesses,
             processing,
         };
-        self.finish_call("inter_call", &report, schedule.as_ref());
+        self.finish_call("inter_call", &report, a.dims());
         Ok(EngineRun { output, report })
     }
 
@@ -439,14 +406,13 @@ impl AddressEngine {
             hardware_accesses: 2 * result.report.pixels_processed,
             processing: None,
         };
-        // Segment calls have no strip schedule (full-frame transfer).
-        self.finish_call("segment_call", &report, None);
+        self.finish_call("segment_call", &report, frame.dims());
         Ok(EngineSegmentRun { result, report })
     }
 
     /// The fig. 3 memory map of the engine's ZBT for a given frame size.
     #[must_use]
-    pub fn memory_map(&self, dims: vip_core::geometry::Dims) -> crate::zbt::MemoryMap {
+    pub fn memory_map(&self, dims: Dims) -> crate::zbt::MemoryMap {
         self.zbt.memory_map(dims, self.config.strip_lines)
     }
 }

@@ -20,12 +20,20 @@
 //!
 //! The model is validated against the cycle-stepped Process Unit in
 //! `tests/analytic_vs_detailed.rs`.
+//!
+//! It is the only call schedule: [`CallTimeline::emit`] draws a traced
+//! call's seven schedule instants, its inbound strips and result halves
+//! on the PCI track and its DMA phases from the same fields the report
+//! reads, and [`CallTimeline::processing_origin`] places the Process
+//! Unit's cycle 0 on that schedule.
 
 use core::fmt;
 use std::time::Duration;
 
 use vip_core::accounting::AddressingMode;
 use vip_core::geometry::Dims;
+use vip_core::scan::strips;
+use vip_obs::{Recorder, Track};
 
 use crate::config::{EngineConfig, InterOverlap};
 
@@ -86,6 +94,219 @@ impl CallTimeline {
     pub fn total_duration(&self) -> Duration {
         Duration::from_secs_f64(self.total)
     }
+
+    /// The seven §4.1 schedule instants, named as on the engine track, in
+    /// seconds from call issue and in causal order: issue, inbound DMA
+    /// start and end, outbound DMA start, drain end, outbound DMA end and
+    /// completion. The outbound DMA starts once
+    /// [`EngineConfig::output_latency_fraction`] of the result is
+    /// drained, so it comes before the drain end.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vip_core::geometry::Dims;
+    /// use vip_engine::timing::intra_timeline;
+    /// use vip_engine::EngineConfig;
+    ///
+    /// let timeline = intra_timeline(Dims::new(64, 48), 1, &EngineConfig::prototype());
+    /// let instants = timeline.instants();
+    /// assert_eq!(instants[0], ("call_issued", 0.0));
+    /// assert_eq!(instants[6], ("call_completed", timeline.total));
+    /// assert!(instants.windows(2).all(|w| w[0].1 <= w[1].1));
+    /// ```
+    #[must_use]
+    pub fn instants(&self) -> [(&'static str, f64); 7] {
+        let irq = self.interrupt_overhead / 2.0;
+        [
+            ("call_issued", 0.0),
+            ("input_dma_started", irq),
+            ("input_dma_completed", self.input_end),
+            ("output_dma_started", self.output_start),
+            ("processing_completed", self.drain_end),
+            ("output_dma_completed", self.total - irq),
+            ("call_completed", self.total),
+        ]
+    }
+
+    /// The inbound strips of an intra or inter call over `dims` frames,
+    /// in bus order: §3.1's strips of [`EngineConfig::strip_lines`]
+    /// lines, back to back from the inbound DMA start to
+    /// [`CallTimeline::input_end`]. Inter calls send both images one after
+    /// the other, or strip pair by strip pair under
+    /// [`InterOverlap::Interleaved`].
+    fn strips_in(&self, dims: Dims, config: &EngineConfig) -> Vec<StripIn> {
+        let layout = strips(dims, config.strip_lines);
+        let images = if self.mode == AddressingMode::Inter {
+            2
+        } else {
+            1
+        };
+        // (image, strip) in bus order: image by image, or pair by pair.
+        let order: Vec<(usize, usize)> = match config.inter_overlap {
+            InterOverlap::Interleaved => (0..layout.len())
+                .flat_map(|s| (0..images).map(move |image| (image, s)))
+                .collect(),
+            InterOverlap::Sequential => (0..images)
+                .flat_map(|image| (0..layout.len()).map(move |s| (image, s)))
+                .collect(),
+        };
+        let inbound_pixels = (images * dims.pixel_count()) as f64;
+        let irq = self.interrupt_overhead / 2.0;
+        // The fraction is exactly 0 and 1 at the ends, so the first strip
+        // starts at the inbound DMA start and the last ends at `input_end`.
+        let landed_at = |pixels: usize| irq + self.input_pci * (pixels as f64 / inbound_pixels);
+        let mut landed = 0;
+        order
+            .into_iter()
+            .map(|(image, s)| {
+                let strip = &layout[s];
+                let start = landed_at(landed);
+                landed += strip.pixel_count(dims);
+                StripIn {
+                    strip: strip.index,
+                    image,
+                    bytes: strip.bytes(dims),
+                    start,
+                    end: landed_at(landed),
+                }
+            })
+            .collect()
+    }
+
+    /// Seconds from call issue at which the Process Unit starts on an
+    /// intra or inter call over `dims` frames: once the first strip has
+    /// landed (intra), once both images are resident (sequential inter),
+    /// or once the first strip pair has landed (interleaved inter).
+    #[must_use]
+    pub fn processing_origin(&self, dims: Dims, config: &EngineConfig) -> f64 {
+        match (self.mode, config.inter_overlap) {
+            (AddressingMode::Inter, InterOverlap::Sequential) => self.input_end,
+            (AddressingMode::Inter, InterOverlap::Interleaved) => {
+                self.strips_in(dims, config)[1].end
+            }
+            _ => self.strips_in(dims, config)[0].end,
+        }
+    }
+
+    /// Publishes the call onto the observability bus, `t0_ns` being the
+    /// call-issue time on the session's virtual clock: the seven
+    /// [`CallTimeline::instants`] on the engine track and, for intra and
+    /// inter calls over `dims` frames, one `strip_in` span per inbound
+    /// strip and one `result_out` span per result half on the PCI track,
+    /// plus the enclosing `input_dma`/`output_dma` phases on the DMA
+    /// track. The two result halves are Res_block_A then Res_block_B, one
+    /// bank switch (§3.1); when the outbound DMA chases the drain, the
+    /// second half ends with the drain. Segment calls move whole frames
+    /// and draw no strips.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vip_core::geometry::Dims;
+    /// use vip_engine::timing::intra_timeline;
+    /// use vip_engine::{EngineConfig, Session, Track};
+    ///
+    /// let (cif, config) = (Dims::new(352, 288), EngineConfig::prototype());
+    /// let session = Session::new();
+    /// intra_timeline(cif, 1, &config).emit(&session.recorder(), 0, cif, &config);
+    /// let recording = session.finish();
+    /// // 18 strips of 16 lines, then the two result halves.
+    /// assert_eq!(recording.on_track(Track::Pci).len(), 18 + 2);
+    /// assert_eq!(recording.on_track(Track::Engine).len(), 7);
+    /// ```
+    pub fn emit(&self, recorder: &Recorder, t0_ns: u64, dims: Dims, config: &EngineConfig) {
+        if !recorder.is_enabled() {
+            return;
+        }
+        let ns = |seconds: f64| t0_ns + seconds_to_ns(seconds);
+        let instants = self.instants();
+        for (name, at) in instants {
+            recorder.instant(Track::Engine, name, ns(at), &[]);
+        }
+        if self.mode == AddressingMode::Segment {
+            return;
+        }
+
+        let strips = self.strips_in(dims, config);
+        for s in &strips {
+            recorder.span(
+                Track::Pci,
+                "strip_in",
+                ns(s.start),
+                ns(s.end),
+                &[
+                    ("strip", (s.strip as u64).into()),
+                    ("image", (s.image as u64).into()),
+                    (
+                        "block",
+                        if s.strip.is_multiple_of(2) { "A" } else { "B" }.into(),
+                    ),
+                    ("bytes", (s.bytes as u64).into()),
+                ],
+            );
+        }
+        recorder.span(
+            Track::Dma,
+            "input_dma",
+            ns(instants[1].1),
+            ns(self.input_end),
+            &[("strips", (strips.len() as u64).into())],
+        );
+
+        let pixels = dims.pixel_count();
+        let first_half = pixels.div_ceil(2);
+        let output_end = instants[5].1;
+        let switch = (self.output_start + self.output_pci * (first_half as f64 / pixels as f64))
+            .min(output_end);
+        for (half, (start, end, half_pixels)) in [
+            (self.output_start, switch, first_half),
+            (switch, output_end, pixels - first_half),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            recorder.span(
+                Track::Pci,
+                "result_out",
+                ns(start),
+                ns(end),
+                &[
+                    ("half", (half as u64).into()),
+                    ("bytes", (half_pixels as u64 * 8).into()),
+                ],
+            );
+        }
+        recorder.span(
+            Track::Dma,
+            "output_dma",
+            ns(self.output_start),
+            ns(output_end),
+            &[],
+        );
+    }
+}
+
+/// One inbound strip on the PCI bus, in seconds from call issue.
+#[derive(Debug, Clone, Copy)]
+struct StripIn {
+    /// Strip index within its image; even strips land in block_A, odd
+    /// ones in block_B (§3.1).
+    strip: usize,
+    /// Which input image the strip belongs to (0 or 1).
+    image: usize,
+    /// Payload bytes.
+    bytes: usize,
+    /// Seconds from call issue at which the strip starts to move.
+    start: f64,
+    /// Seconds from call issue at which the strip has landed.
+    end: f64,
+}
+
+/// Converts schedule seconds to virtual-clock nanoseconds (rounded).
+#[must_use]
+pub fn seconds_to_ns(seconds: f64) -> u64 {
+    (seconds * 1e9).round().max(0.0) as u64
 }
 
 impl fmt::Display for CallTimeline {
@@ -374,6 +595,23 @@ mod tests {
         let t = intra_timeline(CIF, 1, &cfg());
         let json = serde_json::to_string(&t).expect("timeline serialises");
         assert!(json.contains("\"input_pci\""));
+    }
+
+    #[test]
+    fn processing_origin_follows_the_inbound_strips() {
+        let mut c = EngineConfig::prototype();
+        let irq = c.interrupt_overhead_cycles as f64 / c.pci_clock.hz;
+        // One CIF strip is 1/18 of the image; under interleaving the first
+        // strip pair is 2/36 of both images.
+        let intra = intra_timeline(CIF, 1, &c);
+        let first = irq + intra.input_pci * (1.0 / 18.0);
+        assert_eq!(intra.processing_origin(CIF, &c), first);
+        let sequential = inter_timeline(CIF, &c);
+        assert_eq!(sequential.processing_origin(CIF, &c), sequential.input_end);
+        c.inter_overlap = InterOverlap::Interleaved;
+        let interleaved = inter_timeline(CIF, &c);
+        let pair = irq + interleaved.input_pci * (2.0 / 36.0);
+        assert_eq!(interleaved.processing_origin(CIF, &c), pair);
     }
 
     #[test]

@@ -11,12 +11,10 @@ use vip_core::geometry::{Dims, Point};
 use vip_core::neighborhood::{Connectivity, Window};
 use vip_core::ops::filter::BoxBlur;
 use vip_core::pixel::Pixel;
-use vip_engine::clock::Cycles;
 use vip_engine::config::EngineConfig;
 use vip_engine::engine::AddressEngine;
 use vip_engine::iim::Iim;
 use vip_engine::oim::Oim;
-use vip_engine::pci::{Direction, PciBus};
 use vip_engine::timing::{inter_timeline, intra_timeline};
 use vip_engine::zbt::{ZbtMemory, ZbtRegion};
 
@@ -100,21 +98,6 @@ proptest! {
             let fresh = Window::load(Point::new(x, 1), Connectivity::Con8, &lines);
             prop_assert_eq!(&m, &fresh);
         }
-    }
-
-    #[test]
-    fn pci_transfers_never_overlap(sizes in proptest::collection::vec(1usize..10_000, 1..20)) {
-        let mut pci = PciBus::new(&EngineConfig::prototype());
-        for (i, bytes) in sizes.iter().enumerate() {
-            let dir = if i % 2 == 0 { Direction::HostToBoard } else { Direction::BoardToHost };
-            pci.schedule(dir, *bytes, Cycles(i as u64 * 7));
-        }
-        let ts = pci.transfers();
-        for w in ts.windows(2) {
-            prop_assert!(w[1].start >= w[0].end(), "overlap: {:?}", w);
-        }
-        let payload: u64 = ts.iter().map(|t| t.cycles.count()).sum();
-        prop_assert!(pci.busy_until().count() >= payload);
     }
 
     #[test]

@@ -40,6 +40,7 @@ for scenario in intra inter; do
     cargo run --release -q -p vip --bin vipctl -- report "$scenario" > "$obs_out/report_$scenario.txt"
 done
 cargo run --release -q -p vip --bin vipctl -- trace intra --out "$obs_out/trace_intra.json" > /dev/null
+cargo run --release -q -p vip --bin vipctl -- trace inter --out "$obs_out/trace_inter.json" > /dev/null
 cargo run --release -q -p vip --bin vipctl -- report gme > "$obs_out/report_gme.txt"
 cargo run --release -q -p vip --bin vipctl -- report gme --format json > "$obs_out/report_gme.json"
 cargo run --release -q -p vip --bin vipctl -- trace gme --out "$obs_out/trace_gme.json"

@@ -15,7 +15,6 @@
 //! what it publishes: both datapaths emit byte-identical probe
 //! recordings.
 
-use vip::check::schedule::instants;
 use vip::core::addressing::inter::run_inter;
 use vip::core::frame::Frame;
 use vip::core::geometry::ImageFormat;
@@ -92,8 +91,8 @@ fn assert_identical(
         "{context}: reports diverge"
     );
     assert_eq!(stepped.1, fast.1, "{context}: engine stats diverge");
-    let si = instants(&stepped.0.report.timeline);
-    let fi = instants(&fast.0.report.timeline);
+    let si = stepped.0.report.timeline.instants();
+    let fi = fast.0.report.timeline.instants();
     assert_eq!(si, fi, "{context}: §4.1 schedule instants diverge");
 }
 
@@ -231,8 +230,8 @@ fn segment_calls_are_mode_independent() {
     assert_eq!(reports[0].0.report, reports[1].0.report);
     assert_eq!(reports[0].1, reports[1].1);
     assert_eq!(
-        instants(&reports[0].0.report.timeline),
-        instants(&reports[1].0.report.timeline)
+        reports[0].0.report.timeline.instants(),
+        reports[1].0.report.timeline.instants()
     );
 }
 

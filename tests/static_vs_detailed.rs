@@ -23,7 +23,7 @@
 //! still fails the test (scoped-thread panics propagate on join).
 
 use vip::check::occupancy::{check_iim, oim_occupancy_bound};
-use vip::check::schedule::{instants, timeline_of, INSTANT_LABELS};
+use vip::check::schedule::timeline_of;
 use vip::check::{CallKind, Scenario};
 use vip::core::frame::Frame;
 use vip::core::geometry::Dims;
@@ -72,15 +72,11 @@ fn run_detailed_intra(
 /// the static schedule model proves.
 fn assert_ordered(run: &EngineRun, context: &str) {
     let t = &run.report.timeline;
-    let inst = instants(t);
-    for (i, pair) in inst.windows(2).enumerate() {
+    for pair in t.instants().windows(2) {
+        let [(before, t_before), (after, t_after)] = [pair[0], pair[1]];
         assert!(
-            pair[1] >= pair[0] - 1e-12 - t.total.abs() * 1e-9,
-            "{context}: instant `{}` ({:.9e}) precedes `{}` ({:.9e})",
-            INSTANT_LABELS[i + 1],
-            pair[1],
-            INSTANT_LABELS[i],
-            pair[0],
+            t_after >= t_before - 1e-12 - t.total.abs() * 1e-9,
+            "{context}: instant `{after}` ({t_after:.9e}) precedes `{before}` ({t_before:.9e})",
         );
     }
 }
@@ -190,9 +186,9 @@ fn static_timeline_is_the_engine_timeline() {
         }
         let run = run_detailed_intra(&config, dims, radius)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        let statics = instants(&timeline_of(&scenario));
-        let reported = instants(&run.report.timeline);
-        for (s, r) in statics.iter().zip(reported.iter()) {
+        let statics = timeline_of(&scenario).instants();
+        let reported = run.report.timeline.instants();
+        for ((_, s), (_, r)) in statics.iter().zip(reported.iter()) {
             assert!(
                 (s - r).abs() <= 1e-12 + r.abs() * 1e-9,
                 "seed {seed}: static instant {s:.12e} ≠ reported {r:.12e} ({scenario})"
