@@ -28,7 +28,7 @@
 //! # }
 //! ```
 
-use vip_core::accounting::{AccessModel, CallDescriptor};
+use vip_core::accounting::{AccessModel, AddressingMode, CallDescriptor};
 use vip_core::addressing::segment::{SegmentOptions, SegmentResult};
 use vip_core::frame::Frame;
 use vip_core::geometry::{Dims, Point};
@@ -177,9 +177,10 @@ impl AddressEngine {
     fn finish_call(&mut self, name: &'static str, report: &EngineReport, dims: Dims) {
         record_into(&mut self.metrics, report);
         if report.processing.is_some() {
-            // Detailed runs reset the bank counters first, so they hold
-            // exactly this call's traffic (input load through result
-            // unload) — the per-bank duty behind `vipctl report`.
+            // Detailed runs reset the bank counters after the inbound
+            // load, so they hold this call's PU input reads, result writes
+            // and outbound unload reads, and nothing else: the per-bank
+            // duty behind `vipctl report`.
             for (bank, s) in self.zbt.stats().iter().enumerate() {
                 self.metrics
                     .inc(crate::report::zbt_bank_key(bank), s.total());
@@ -207,8 +208,10 @@ impl AddressEngine {
     }
 
     /// One `bank_active` span per ZBT bank that saw traffic during the
-    /// call, covering input arrival through result drain. Bank counters
-    /// are valid here because every detailed run resets them first.
+    /// call, covering input arrival through result drain. Its word counts
+    /// are the call's PU input reads, result writes and outbound unload
+    /// reads: every detailed run resets the counters after the inbound
+    /// load.
     fn emit_zbt_spans(&self, t0: u64, report: &EngineReport) {
         let start = t0 + seconds_to_ns(report.timeline.interrupt_overhead / 2.0);
         let end = t0 + seconds_to_ns(report.timeline.drain_end);
@@ -254,6 +257,17 @@ impl AddressEngine {
         Ok(Frame::from_pixels(dims, pixels)?)
     }
 
+    /// Leaves the closed-form bank traffic of a fast-forward `mode` call
+    /// over `dims` frames in the bank counters, as the cycle-stepped call
+    /// leaves its own, and returns its pixel access cycles. No pixel moves
+    /// through the banks.
+    fn charge_call(&mut self, mode: AddressingMode, dims: Dims) -> u64 {
+        let traffic = self.zbt.call_traffic(mode, dims);
+        self.zbt.reset_stats();
+        self.zbt.charge(&traffic);
+        traffic.pixel_access_cycles
+    }
+
     /// Runs an intra call. Window samples outside the frame clamp to the
     /// nearest edge pixel, as the IIM re-delivers edge lines (§3.1).
     ///
@@ -271,28 +285,43 @@ impl AddressEngine {
         let timeline = intra_timeline(frame.dims(), op.shape().radius(), &self.config);
         let access_model = AccessModel::for_call(&descriptor, frame.dims());
 
-        let (output, hardware_accesses, processing) = match self.config.fidelity {
-            SimulationFidelity::Detailed => {
-                self.load_region(ZbtRegion::InputA, frame)?;
-                self.zbt.reset_stats();
-                let probe = self.pu_probe(&timeline, frame.dims());
-                let (zbt, dims, trace_limit) = (&mut self.zbt, frame.dims(), self.trace_limit);
-                let stats = match self.config.step_mode {
-                    StepMode::FastForward => {
-                        run_intra_fast(zbt, &mut self.skeletons, dims, op, trace_limit, &probe)
-                    }
-                    StepMode::CycleStepped => {
-                        run_intra_detailed(zbt, dims, op, &self.config, trace_limit, &probe)
-                    }
-                }?;
-                let hw = self.zbt.pixel_access_cycles();
-                (self.unload_result(frame.dims())?, hw, Some(stats))
-            }
-            SimulationFidelity::Analytic => {
-                let result = vip_core::addressing::intra::run_intra(frame, op)?;
-                (result.output, access_model.hardware_accesses, None)
-            }
-        };
+        let dims = frame.dims();
+        let software = || vip_core::addressing::intra::run_intra(frame, op);
+        let (output, hardware_accesses, processing) =
+            match (self.config.fidelity, self.config.step_mode) {
+                (SimulationFidelity::Detailed, StepMode::CycleStepped) => {
+                    self.load_region(ZbtRegion::InputA, frame)?;
+                    self.zbt.reset_stats();
+                    let probe = self.pu_probe(&timeline, dims);
+                    let stats = run_intra_detailed(
+                        &mut self.zbt,
+                        dims,
+                        op,
+                        &self.config,
+                        self.trace_limit,
+                        &probe,
+                    )?;
+                    let hw = self.zbt.pixel_access_cycles();
+                    (self.unload_result(dims)?, hw, Some(stats))
+                }
+                (SimulationFidelity::Detailed, StepMode::FastForward) => {
+                    let output = software()?.output;
+                    let probe = self.pu_probe(&timeline, dims);
+                    let radius = op.shape().radius();
+                    let stats = run_intra_fast(
+                        &mut self.skeletons,
+                        dims,
+                        radius,
+                        self.trace_limit,
+                        &probe,
+                    )?;
+                    let hw = self.charge_call(AddressingMode::Intra, dims);
+                    (output, hw, Some(stats))
+                }
+                (SimulationFidelity::Analytic, _) => {
+                    (software()?.output, access_model.hardware_accesses, None)
+                }
+            };
 
         let report = EngineReport {
             descriptor,
@@ -330,29 +359,38 @@ impl AddressEngine {
         let timeline = inter_timeline(a.dims(), &self.config);
         let access_model = AccessModel::for_call(&descriptor, a.dims());
 
-        let (output, hardware_accesses, processing) = match self.config.fidelity {
-            SimulationFidelity::Detailed => {
-                self.load_region(ZbtRegion::InputA, a)?;
-                self.load_region(ZbtRegion::InputB, b)?;
-                self.zbt.reset_stats();
-                let probe = self.pu_probe(&timeline, a.dims());
-                let (zbt, dims, trace_limit) = (&mut self.zbt, a.dims(), self.trace_limit);
-                let stats = match self.config.step_mode {
-                    StepMode::FastForward => {
-                        run_inter_fast(zbt, &mut self.skeletons, dims, op, trace_limit, &probe)
-                    }
-                    StepMode::CycleStepped => {
-                        run_inter_detailed(zbt, dims, op, &self.config, trace_limit, &probe)
-                    }
-                }?;
-                let hw = self.zbt.pixel_access_cycles();
-                (self.unload_result(a.dims())?, hw, Some(stats))
-            }
-            SimulationFidelity::Analytic => {
-                let result = vip_core::addressing::inter::run_inter(a, b, op)?;
-                (result.output, access_model.hardware_accesses, None)
-            }
-        };
+        let dims = a.dims();
+        let software = || vip_core::addressing::inter::run_inter(a, b, op);
+        let (output, hardware_accesses, processing) =
+            match (self.config.fidelity, self.config.step_mode) {
+                (SimulationFidelity::Detailed, StepMode::CycleStepped) => {
+                    self.load_region(ZbtRegion::InputA, a)?;
+                    self.load_region(ZbtRegion::InputB, b)?;
+                    self.zbt.reset_stats();
+                    let probe = self.pu_probe(&timeline, dims);
+                    let stats = run_inter_detailed(
+                        &mut self.zbt,
+                        dims,
+                        op,
+                        &self.config,
+                        self.trace_limit,
+                        &probe,
+                    )?;
+                    let hw = self.zbt.pixel_access_cycles();
+                    (self.unload_result(dims)?, hw, Some(stats))
+                }
+                (SimulationFidelity::Detailed, StepMode::FastForward) => {
+                    let output = software()?.output;
+                    let probe = self.pu_probe(&timeline, dims);
+                    let stats =
+                        run_inter_fast(&mut self.skeletons, dims, self.trace_limit, &probe)?;
+                    let hw = self.charge_call(AddressingMode::Inter, dims);
+                    (output, hw, Some(stats))
+                }
+                (SimulationFidelity::Analytic, _) => {
+                    (software()?.output, access_model.hardware_accesses, None)
+                }
+            };
 
         let report = EngineReport {
             descriptor,
@@ -420,6 +458,7 @@ impl AddressEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::InterOverlap;
     use vip_core::geometry::{Dims, ImageFormat};
     use vip_core::ops::arith::AbsDiff;
     use vip_core::ops::filter::{BoxBlur, SobelGradient};
@@ -618,31 +657,101 @@ mod tests {
             .run_inter(&f, &frame(Dims::new(16, 17)), &AbsDiff::luma())
             .is_err());
         assert!(!d.zbt.is_materialised(), "rejected calls allocate nothing");
-        d.run_intra(&f, &BoxBlur::con8()).unwrap();
+        // A reused fast-forward engine moves no pixel through the banks.
+        let cif = frame(ImageFormat::Cif.dims());
+        for _ in 0..2 {
+            d.run_intra(&cif, &SobelGradient::new()).unwrap();
+            d.run_inter(&cif, &cif, &AbsDiff::luma()).unwrap();
+        }
         assert!(
-            d.zbt.is_materialised(),
-            "the first detailed call allocates the banks"
+            !d.zbt.is_materialised(),
+            "fast-forward calls allocate nothing"
+        );
+
+        let mut stepped = EngineConfig::prototype_detailed();
+        stepped.step_mode = StepMode::CycleStepped;
+        let mut s = AddressEngine::new(stepped).unwrap();
+        s.run_intra(&f, &BoxBlur::con8()).unwrap();
+        assert!(
+            s.zbt.is_materialised(),
+            "the first cycle-stepped call allocates the banks"
         );
     }
 
     #[test]
     fn reused_detailed_engine_never_leaks_a_larger_frame_into_a_smaller_one() {
-        let mut e = AddressEngine::new(EngineConfig::prototype_detailed()).unwrap();
-        let cif = ImageFormat::Cif.dims();
-        let qcif = ImageFormat::Qcif.dims();
-        for (i, dims) in (0i32..).zip([cif, qcif, cif]) {
-            let a = Frame::from_fn(dims, |p| {
-                Pixel::from_luma(((p.x * 7 + p.y + i) % 256) as u8)
-            });
-            let b = Frame::from_fn(dims, |p| {
-                Pixel::from_luma(((p.x + p.y * 9 + i) % 256) as u8)
-            });
-            let intra = e.run_intra(&a, &SobelGradient::new()).unwrap();
-            let sw = vip_core::addressing::intra::run_intra(&a, &SobelGradient::new()).unwrap();
-            assert_eq!(intra.output, sw.output, "intra call {i} at {dims}");
-            let inter = e.run_inter(&a, &b, &AbsDiff::luma()).unwrap();
-            let sw = vip_core::addressing::inter::run_inter(&a, &b, &AbsDiff::luma()).unwrap();
-            assert_eq!(inter.output, sw.output, "inter call {i} at {dims}");
+        // The cycle-stepped engine moves every frame through the banks; the
+        // fast-forward one must answer alike.
+        for step_mode in [StepMode::CycleStepped, StepMode::FastForward] {
+            let mut config = EngineConfig::prototype_detailed();
+            config.step_mode = step_mode;
+            let mut e = AddressEngine::new(config).unwrap();
+            let cif = ImageFormat::Cif.dims();
+            let qcif = ImageFormat::Qcif.dims();
+            for (i, dims) in (0i32..).zip([cif, qcif, cif]) {
+                let a = Frame::from_fn(dims, |p| {
+                    Pixel::from_luma(((p.x * 7 + p.y + i) % 256) as u8)
+                });
+                let b = Frame::from_fn(dims, |p| {
+                    Pixel::from_luma(((p.x + p.y * 9 + i) % 256) as u8)
+                });
+                let context = format!("{step_mode:?} call {i} at {dims}");
+                let intra = e.run_intra(&a, &SobelGradient::new()).unwrap();
+                let sw = vip_core::addressing::intra::run_intra(&a, &SobelGradient::new()).unwrap();
+                assert_eq!(intra.output, sw.output, "intra {context}");
+                let inter = e.run_inter(&a, &b, &AbsDiff::luma()).unwrap();
+                let sw = vip_core::addressing::inter::run_inter(&a, &b, &AbsDiff::luma()).unwrap();
+                assert_eq!(inter.output, sw.output, "inter {context}");
+            }
+        }
+    }
+
+    #[test]
+    fn zbt_traffic_closed_form_matches_the_stepped_banks() {
+        // The gate for the fast-forward charge: what the cycle-stepped
+        // datapath leaves in the bank counters, call by call, on a reused
+        // engine, at odd and even pixel counts, 1×N and N×1 frames, QCIF,
+        // CIF and a frame at ZBT capacity.
+        let calls: [(&str, InterOverlap); 4] = [
+            ("sobel", InterOverlap::Sequential),
+            ("box4", InterOverlap::Sequential),
+            ("absdiff", InterOverlap::Sequential),
+            ("absdiff", InterOverlap::Interleaved),
+        ];
+        for (call, overlap) in calls {
+            let mut config = EngineConfig::prototype_detailed();
+            config.step_mode = StepMode::CycleStepped;
+            config.inter_overlap = overlap;
+            let mut e = AddressEngine::new(config).unwrap();
+            for dims in [
+                Dims::new(1, 1),
+                Dims::new(1, 9),
+                Dims::new(9, 1),
+                Dims::new(7, 5),
+                Dims::new(33, 17),
+                Dims::new(1, 2051),
+                Dims::new(1029, 1),
+                ImageFormat::Qcif.dims(),
+                ImageFormat::Cif.dims(),
+                Dims::new(512, 512),
+            ] {
+                let f = frame(dims);
+                let (mode, run) = match call {
+                    "sobel" => (
+                        AddressingMode::Intra,
+                        e.run_intra(&f, &SobelGradient::new()),
+                    ),
+                    "box4" => (
+                        AddressingMode::Intra,
+                        e.run_intra(&f, &BoxBlur::with_radius(4).unwrap()),
+                    ),
+                    _ => (AddressingMode::Inter, e.run_inter(&f, &f, &AbsDiff::luma())),
+                };
+                let run = run.unwrap();
+                let closed = e.zbt.call_traffic(mode, dims);
+                assert_eq!(e.zbt.traffic(), closed, "{call} {overlap:?} {dims}");
+                assert_eq!(run.report.hardware_accesses, closed.pixel_access_cycles);
+            }
         }
     }
 

@@ -9,15 +9,15 @@
 //! identical to the software AddressLib result. This module exploits
 //! both facts:
 //!
-//! 1. **Batched datapath** — an intra call reads the input image out of
-//!    the ZBT in one pass (the exact access sequence the transmission
-//!    unit would issue, so bank statistics match) and computes the
-//!    result pixels through the software addressing path once, up front.
-//!    An inter call streams fixed-size chunks of pixel pairs from the
-//!    four input banks through the kernel's row method
-//!    ([`InterOp::apply_row`]) into the result banks, through buffers
-//!    reused across chunks; the accounting is per pixel, so it matches
-//!    the stepped datapath's pair reads and result writes.
+//! 1. **Closed-form traffic, software result** — a fast-forward call
+//!    moves no pixel through the ZBT. Its result is the software
+//!    AddressLib's, the same call the analytic fidelity makes, and its
+//!    bank statistics follow from fig. 3's bank map and the geometry
+//!    alone ([`ZbtMemory::call_traffic`], charged to the engine's
+//!    counters). The engine's banks are never allocated. The
+//!    cycle-stepped datapath keeps the real round trip (inbound load, PU
+//!    reads, result writes, outbound unload) and is the reference the
+//!    closed form is checked against.
 //! 2. **Integer timing skeleton** — both skeletons run through the same
 //!    cycle loop as the stepped simulator, with the same control FSM,
 //!    [`Pipeline`] and [`Oim`] (OIM port, TxU, stages 4→1), but the
@@ -53,7 +53,8 @@
 //!    — beside the hooks' log, which is stamped in engine cycles. Every
 //!    call, hit or miss, publishes that log through its own [`PuProbe`],
 //!    so the spans land at that call's start time and engine clock, and
-//!    a repeat geometry pays only for its datapath.
+//!    a repeat geometry pays only for the software kernel and the log
+//!    replay.
 //!
 //! Equivalence — bit-identical [`ProcessingStats`] (including the fig. 5
 //! stage trace), ZBT bank statistics, result pixels, error verdicts and
@@ -63,21 +64,18 @@
 //! ones.
 //!
 //! [`StepMode::FastForward`]: crate::config::StepMode::FastForward
+//! [`ZbtMemory::call_traffic`]: crate::zbt::ZbtMemory::call_traffic
 //! [`Pipeline`]: crate::plc::Pipeline
 //! [`Pipeline::at_rest`]: crate::plc::Pipeline::at_rest
 //! [`EngineError::PipelineHazard`]: crate::error::EngineError::PipelineHazard
 
-use vip_core::frame::Frame;
 use vip_core::geometry::{Dims, Point};
-use vip_core::ops::{InterOp, IntraOp};
-use vip_core::pixel::Pixel;
 
 use crate::config::EngineConfig;
 use crate::error::EngineResult;
 use crate::oim::Oim;
 use crate::plc::FetchKind;
 use crate::process_unit::{run_phase, Datapath, ProcessingStats, PuLog, PuProbe, PuTrace};
-use crate::zbt::{ZbtMemory, ZbtRegion};
 
 /// The timing-skeleton results of one engine configuration, one entry
 /// per call geometry (see the module doc). An engine sees only a few
@@ -140,42 +138,30 @@ impl Skeletons {
 }
 
 /// Fast-forward equivalent of
-/// [`crate::process_unit::run_intra_detailed`]: identical statistics,
-/// ZBT traffic, result pixels and probe output, a fraction of the
+/// [`crate::process_unit::run_intra_detailed`] for a window of `radius`:
+/// identical statistics, verdict and probe output, a fraction of the
 /// simulated work. The timing skeleton runs once per geometry on
 /// `skeletons`.
 ///
 /// # Errors
 ///
-/// Exactly the errors of the cycle-stepped reference: ZBT addressing
-/// failures and
-/// [`EngineError::PipelineHazard`](crate::error::EngineError::PipelineHazard)
-/// for configurations whose eviction gate deadlocks the sweep.
-pub fn run_intra_fast<O: IntraOp>(
-    zbt: &mut ZbtMemory,
+/// The [`EngineError::PipelineHazard`](crate::error::EngineError::PipelineHazard)
+/// of the cycle-stepped reference for configurations whose eviction gate
+/// deadlocks the sweep.
+pub fn run_intra_fast(
     skeletons: &mut Skeletons,
     dims: Dims,
-    op: &O,
+    radius: usize,
     trace_limit: usize,
     probe: &PuProbe,
 ) -> EngineResult<ProcessingStats> {
-    let total = dims.pixel_count();
-
-    // Batched datapath: the TxU reads every input pixel exactly once, in
-    // index order, before the last window can be served — so a single
-    // up-front pass leaves the per-bank counters exactly as the stepped
-    // interleaving would.
-    let input = Frame::from_pixels(dims, zbt.read_input_run(ZbtRegion::InputA, 0, total)?)?;
-    let outs = vip_core::addressing::intra::run_intra(&input, op)?.output;
-
-    let radius = op.shape().radius();
     let key = SkeletonKey {
         intra: true,
         dims,
         radius,
         trace_limit,
     };
-    let stats = skeletons.replay(key, probe, |config, log| {
+    skeletons.replay(key, probe, |config, log| {
         assert!(config.iim_lines > 0, "IIM needs at least one line block");
         let mut dp = IntraSkeleton {
             dims,
@@ -191,11 +177,7 @@ pub fn run_intra_fast<O: IntraOp>(
         stats.matrix_loads = dp.matrix_loads;
         stats.matrix_shifts = dp.matrix_shifts;
         Ok(stats)
-    })?;
-    // The OIM drain's ZBT writes land in one bulk pass: the interleaving
-    // is unobservable and the accounting identical.
-    zbt.write_result_run(0, total, outs.pixels())?;
-    Ok(stats)
+    })
 }
 
 /// The intra timing skeleton: indices only, with an O(1) mirror of the
@@ -206,8 +188,7 @@ struct IntraSkeleton {
     dims: Dims,
     radius: usize,
     iim_lines: usize,
-    /// Transmission-unit position (the line data itself lives in the
-    /// batched input frame).
+    /// Transmission-unit position (the skeleton moves no line data).
     txu_line: usize,
     txu_x: usize,
     matrix_valid: bool,
@@ -230,8 +211,8 @@ impl IntraSkeleton {
 
 impl Datapath for IntraSkeleton {
     const INTRA: bool = true;
-    // Stage 3's result is implied by the index: the pixels were computed
-    // up front.
+    // Stage 3's result is implied by the index: the pixels come from the
+    // software library.
     type Fetched = ();
     type Result = ();
 
@@ -279,60 +260,30 @@ impl Datapath for IntraSkeleton {
     }
 }
 
-/// Pixel pairs the fast-forward inter datapath streams per chunk from the
-/// input banks into the result banks.
-pub const INTER_CHUNK: usize = 1024;
-
 /// Fast-forward equivalent of
-/// [`crate::process_unit::run_inter_detailed`], probe output included.
-/// The timing skeleton runs once per geometry on `skeletons`; the pixel
-/// pairs stream through [`InterOp::apply_row`] in chunks of
-/// [`INTER_CHUNK`].
+/// [`crate::process_unit::run_inter_detailed`]: identical statistics and
+/// probe output. The timing skeleton runs once per geometry on
+/// `skeletons`.
 ///
 /// # Errors
 ///
-/// Exactly the errors of the cycle-stepped reference (ZBT addressing
-/// failures; inter calls cannot deadlock).
-pub fn run_inter_fast<O: InterOp>(
-    zbt: &mut ZbtMemory,
+/// Exactly those of the cycle-stepped reference's Process Unit, which
+/// an inter call, unable to deadlock, never reaches.
+pub fn run_inter_fast(
     skeletons: &mut Skeletons,
     dims: Dims,
-    op: &O,
     trace_limit: usize,
     probe: &PuProbe,
 ) -> EngineResult<ProcessingStats> {
-    let total = dims.pixel_count();
-    // Bounds-check the whole run before the skeleton publishes anything,
-    // so a frame that does not fit the input banks fails with the same
-    // error, before any probe output, however the run is chunked.
-    zbt.check_input_pair_run(0, total)?;
-
     let key = SkeletonKey {
         intra: false,
         dims,
         radius: 0,
         trace_limit,
     };
-    let stats = skeletons.replay(key, probe, |config, log| {
+    skeletons.replay(key, probe, |config, log| {
         run_phase(&mut InterSkeleton, dims, config, trace_limit, Some(log))
-    })?;
-
-    // Streamed datapath: each chunk of pairs goes through the kernel's
-    // row method (the stepped loop's own `apply` + merge) straight into
-    // the result banks. Per-bank accounting is per pixel, so the chunking
-    // is unobservable.
-    let mut a = [Pixel::default(); INTER_CHUNK];
-    let mut b = [Pixel::default(); INTER_CHUNK];
-    let mut out = Vec::with_capacity(INTER_CHUNK);
-    for start in (0..total).step_by(INTER_CHUNK) {
-        let len = INTER_CHUNK.min(total - start);
-        let (a, b) = (&mut a[..len], &mut b[..len]);
-        zbt.read_input_pair_chunk(start, a, b)?;
-        out.clear();
-        op.apply_row(a, b, &mut out);
-        zbt.write_result_run(start, total, &out)?;
-    }
-    Ok(stats)
+    })
 }
 
 /// The inter timing skeleton: every pixel pair is ready the cycle it is
@@ -360,8 +311,13 @@ mod tests {
     use super::*;
     use crate::error::EngineError;
     use crate::process_unit::{run_inter_detailed, run_intra_detailed};
+    use crate::zbt::{ZbtMemory, ZbtRegion};
+    use vip_core::accounting::AddressingMode;
+    use vip_core::frame::Frame;
     use vip_core::ops::arith::AbsDiff;
     use vip_core::ops::filter::{BoxBlur, Identity, SobelGradient};
+    use vip_core::ops::IntraOp;
+    use vip_core::pixel::Pixel;
 
     fn load_input(zbt: &mut ZbtMemory, region: ZbtRegion, frame: &Frame) {
         for (i, px) in frame.pixels().iter().enumerate() {
@@ -369,6 +325,7 @@ mod tests {
         }
     }
 
+    /// The outbound unload: reads the result back out of the banks.
     fn read_result(zbt: &mut ZbtMemory, dims: Dims) -> Frame {
         let total = dims.pixel_count();
         let pixels: Vec<Pixel> = (0..total)
@@ -383,6 +340,9 @@ mod tests {
         })
     }
 
+    /// The stepped call with its unload, checked against the software
+    /// result and the closed-form bank traffic, beside the fast-forward
+    /// call.
     fn intra_both<O: IntraOp>(
         cfg: &EngineConfig,
         dims: Dims,
@@ -390,24 +350,22 @@ mod tests {
         trace: usize,
     ) -> (EngineResult<ProcessingStats>, EngineResult<ProcessingStats>) {
         let frame = test_frame(dims);
-        let mut zbt_a = ZbtMemory::new(cfg);
-        load_input(&mut zbt_a, ZbtRegion::InputA, &frame);
-        zbt_a.reset_stats();
+        let mut zbt = ZbtMemory::new(cfg);
+        load_input(&mut zbt, ZbtRegion::InputA, &frame);
+        zbt.reset_stats();
         let off = PuProbe::disabled();
-        let stepped = run_intra_detailed(&mut zbt_a, dims, op, cfg, trace, &off);
-        let mut zbt_b = ZbtMemory::new(cfg);
-        load_input(&mut zbt_b, ZbtRegion::InputA, &frame);
-        zbt_b.reset_stats();
-        let mut skeletons = Skeletons::new(cfg.clone());
-        let fast = run_intra_fast(&mut zbt_b, &mut skeletons, dims, op, trace, &off);
+        let stepped = run_intra_detailed(&mut zbt, dims, op, cfg, trace, &off);
         if stepped.is_ok() {
+            let sw = vip_core::addressing::intra::run_intra(&frame, op).unwrap();
+            assert_eq!(read_result(&mut zbt, dims), sw.output);
             assert_eq!(
-                zbt_a.pixel_access_cycles(),
-                zbt_b.pixel_access_cycles(),
+                zbt.traffic(),
+                zbt.call_traffic(AddressingMode::Intra, dims),
                 "ZBT traffic diverged"
             );
-            assert_eq!(read_result(&mut zbt_a, dims), read_result(&mut zbt_b, dims));
         }
+        let mut skeletons = Skeletons::new(cfg.clone());
+        let fast = run_intra_fast(&mut skeletons, dims, op.shape().radius(), trace, &off);
         (stepped, fast)
     }
 
@@ -453,22 +411,18 @@ mod tests {
             let dims = Dims::new(16, 8);
             let a = test_frame(dims);
             let b = Frame::from_fn(dims, |p| Pixel::from_luma((p.x * 3) as u8));
-            let mut zbt_a = ZbtMemory::new(&cfg);
-            load_input(&mut zbt_a, ZbtRegion::InputA, &a);
-            load_input(&mut zbt_a, ZbtRegion::InputB, &b);
-            zbt_a.reset_stats();
+            let mut zbt = ZbtMemory::new(&cfg);
+            load_input(&mut zbt, ZbtRegion::InputA, &a);
+            load_input(&mut zbt, ZbtRegion::InputB, &b);
+            zbt.reset_stats();
             let stepped =
-                run_inter_detailed(&mut zbt_a, dims, &AbsDiff::luma(), &cfg, 16, &off).unwrap();
-            let mut zbt_b = ZbtMemory::new(&cfg);
-            load_input(&mut zbt_b, ZbtRegion::InputA, &a);
-            load_input(&mut zbt_b, ZbtRegion::InputB, &b);
-            zbt_b.reset_stats();
+                run_inter_detailed(&mut zbt, dims, &AbsDiff::luma(), &cfg, 16, &off).unwrap();
+            let sw = vip_core::addressing::inter::run_inter(&a, &b, &AbsDiff::luma()).unwrap();
+            assert_eq!(read_result(&mut zbt, dims), sw.output);
+            assert_eq!(zbt.traffic(), zbt.call_traffic(AddressingMode::Inter, dims));
             let mut skeletons = Skeletons::new(cfg.clone());
-            let fast = run_inter_fast(&mut zbt_b, &mut skeletons, dims, &AbsDiff::luma(), 16, &off)
-                .unwrap();
+            let fast = run_inter_fast(&mut skeletons, dims, 16, &off).unwrap();
             assert_eq!(stepped, fast, "drain = {drain}");
-            assert_eq!(zbt_a.pixel_access_cycles(), zbt_b.pixel_access_cycles());
-            assert_eq!(read_result(&mut zbt_a, dims), read_result(&mut zbt_b, dims));
         }
     }
 }

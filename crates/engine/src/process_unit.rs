@@ -948,7 +948,7 @@ mod tests {
     const PATHS: [(&str, bool); 2] = [("stepped", false), ("fast", true)];
 
     /// One intra call with no stage trace on the stepped or
-    /// the fast-forward datapath.
+    /// the fast-forward datapath (which leaves `zbt` untouched).
     fn intra_path<O: IntraOp>(
         fast: bool,
         zbt: &mut ZbtMemory,
@@ -959,7 +959,7 @@ mod tests {
     ) -> EngineResult<ProcessingStats> {
         if fast {
             let skeletons = &mut crate::fast::Skeletons::new(cfg.clone());
-            crate::fast::run_intra_fast(zbt, skeletons, dims, op, 0, probe)
+            crate::fast::run_intra_fast(skeletons, dims, op.shape().radius(), 0, probe)
         } else {
             run_intra_detailed(zbt, dims, op, cfg, 0, probe)
         }
@@ -1027,7 +1027,10 @@ mod tests {
                 plain, probed,
                 "{path}: probing must not change the simulation"
             );
-            assert_eq!(plain_out, read_result(&mut zbt, dims), "{path}");
+            // Only the stepped datapath moves pixels through the banks.
+            if !fast {
+                assert_eq!(plain_out, read_result(&mut zbt, dims), "{path}");
+            }
         }
     }
 
@@ -1044,7 +1047,7 @@ mod tests {
             let probe = PuProbe::new(session.recorder(), 0, 2.0);
             if fast {
                 let skeletons = &mut crate::fast::Skeletons::new(cfg.clone());
-                crate::fast::run_inter_fast(&mut zbt, skeletons, dims, &AbsDiff::luma(), 0, &probe)
+                crate::fast::run_inter_fast(skeletons, dims, 0, &probe)
             } else {
                 run_inter_detailed(&mut zbt, dims, &AbsDiff::luma(), &cfg, 0, &probe)
             }

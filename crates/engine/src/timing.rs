@@ -23,8 +23,8 @@
 //!
 //! It is the only call schedule: [`CallTimeline::emit`] draws a traced
 //! call's seven schedule instants, its inbound strips and result halves
-//! on the PCI track and its DMA phases from the same fields the report
-//! reads, and [`CallTimeline::processing_origin`] places the Process
+//! (a segment call's whole frames) on the PCI track and its DMA phases
+//! from the same fields the report reads, and [`CallTimeline::processing_origin`] places the Process
 //! Unit's cycle 0 on that schedule.
 
 use core::fmt;
@@ -197,8 +197,11 @@ impl CallTimeline {
     /// plus the enclosing `input_dma`/`output_dma` phases on the DMA
     /// track. The two result halves are Res_block_A then Res_block_B, one
     /// bank switch (§3.1); when the outbound DMA chases the drain, the
-    /// second half ends with the drain. Segment calls move whole frames
-    /// and draw no strips.
+    /// second half ends with the drain. A segment call's expansion is data
+    /// dependent, so its frame moves whole: one `frame_in` span of
+    /// [`CallTimeline::input_pci`] from the inbound DMA start and one
+    /// `frame_out` span of [`CallTimeline::output_pci`] from
+    /// [`CallTimeline::output_start`], each inside its DMA phase.
     ///
     /// # Examples
     ///
@@ -224,7 +227,22 @@ impl CallTimeline {
         for (name, at) in instants {
             recorder.instant(Track::Engine, name, ns(at), &[]);
         }
+        let (input_start, output_end) = (instants[1].1, instants[5].1);
         if self.mode == AddressingMode::Segment {
+            let bytes = dims.pixel_count() as u64 * 8;
+            for (pci, dma, start, end) in [
+                ("frame_in", "input_dma", input_start, self.input_end),
+                ("frame_out", "output_dma", self.output_start, output_end),
+            ] {
+                recorder.span(
+                    Track::Pci,
+                    pci,
+                    ns(start),
+                    ns(end),
+                    &[("bytes", bytes.into())],
+                );
+                recorder.span(Track::Dma, dma, ns(start), ns(end), &[]);
+            }
             return;
         }
 
@@ -249,14 +267,13 @@ impl CallTimeline {
         recorder.span(
             Track::Dma,
             "input_dma",
-            ns(instants[1].1),
+            ns(input_start),
             ns(self.input_end),
             &[("strips", (strips.len() as u64).into())],
         );
 
         let pixels = dims.pixel_count();
         let first_half = pixels.div_ceil(2);
-        let output_end = instants[5].1;
         let switch = (self.output_start + self.output_pci * (first_half as f64 / pixels as f64))
             .min(output_end);
         for (half, (start, end, half_pixels)) in [

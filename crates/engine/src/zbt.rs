@@ -11,9 +11,11 @@
 //!
 //! A fresh [`ZbtMemory`] holds only its geometry. The banks are allocated
 //! on the first data access, each as its own zeroed allocation, so an
-//! engine that never drives the hardware datapath holds no bank storage
-//! and a detailed one has resident only the pages its frames touch.
-//! Untouched words read as 0 either way.
+//! engine that never drives the cycle-stepped datapath holds no bank
+//! storage and a cycle-stepped one has resident only the pages its frames
+//! touch. Untouched words read as 0 either way. The fast-forward datapath
+//! moves no pixels: [`ZbtMemory::call_traffic`] gives a call's bank
+//! traffic from the geometry alone and [`ZbtMemory::charge`] counts it.
 //!
 //! # Examples
 //!
@@ -31,6 +33,7 @@
 
 use core::fmt;
 
+use vip_core::accounting::AddressingMode;
 use vip_core::geometry::Dims;
 use vip_core::pixel::Pixel;
 
@@ -67,8 +70,8 @@ impl fmt::Display for ZbtRegion {
 }
 
 /// The fig. 3 bank map in bank order: each region's label and its
-/// `(first, last)` bank. The pixel accessors and
-/// [`ZbtMemory::memory_map`] both read it.
+/// `(first, last)` bank. The pixel accessors,
+/// [`ZbtMemory::call_traffic`] and [`ZbtMemory::memory_map`] read it.
 const BANK_MAP: [(&str, (usize, usize)); 4] = [
     ("input_A (block_A/block_B alternating strips)", (0, 1)),
     ("input_B (block_A/block_B alternating strips)", (2, 3)),
@@ -92,6 +95,16 @@ impl BankStats {
     pub const fn total(&self) -> u64 {
         self.word_reads + self.word_writes
     }
+}
+
+/// Per-bank word operations and pixel access cycles: the access
+/// counters of a [`ZbtMemory`], or the traffic of one call.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ZbtTraffic {
+    /// Word operations per bank, in bank order.
+    pub banks: Vec<BankStats>,
+    /// Pixel-granularity access cycles (Table 2 "hardware accesses").
+    pub pixel_access_cycles: u64,
 }
 
 /// The six-bank ZBT memory with fig. 3 layout and access accounting.
@@ -359,145 +372,6 @@ impl ZbtMemory {
         Ok(Cycles(n as u64)) // both banks in parallel, one cycle per pixel
     }
 
-    /// Reads a run of `count` input pixels starting at `start` — the bulk
-    /// form of [`ZbtMemory::read_input_pixel`] with identical accounting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::ZbtOutOfRange`] when the run exceeds the
-    /// bank, and rejects the result region.
-    pub fn read_input_run(
-        &mut self,
-        region: ZbtRegion,
-        start: usize,
-        count: usize,
-    ) -> EngineResult<Vec<Pixel>> {
-        if region == ZbtRegion::Result {
-            return Err(EngineError::PipelineHazard {
-                detail: "result region is read via read_result_pixel",
-            });
-        }
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        let (lo_bank, hi_bank) = self.region_banks(region);
-        self.check(lo_bank, start + count - 1)?;
-        self.check(hi_bank, start + count - 1)?;
-        let banks = self.banks();
-        let out = banks[lo_bank][start..start + count]
-            .iter()
-            .zip(&banks[hi_bank][start..start + count])
-            .map(|(&lo, &hi)| Pixel::from_words(lo, hi))
-            .collect();
-        self.stats[lo_bank].word_reads += count as u64;
-        self.stats[hi_bank].word_reads += count as u64;
-        self.pixel_access_cycles += count as u64;
-        Ok(out)
-    }
-
-    /// Checks that pixel pairs `start..start + count` lie inside all four
-    /// input banks, with the error a bulk read of that run reports.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::ZbtOutOfRange`] when the run exceeds a bank.
-    pub(crate) fn check_input_pair_run(&self, start: usize, count: usize) -> EngineResult<()> {
-        if count == 0 {
-            return Ok(());
-        }
-        let (a, b) = (
-            self.region_banks(ZbtRegion::InputA),
-            self.region_banks(ZbtRegion::InputB),
-        );
-        for bank in [a.0, a.1, b.0, b.1] {
-            self.check(bank, start + count - 1)?;
-        }
-        Ok(())
-    }
-
-    /// Reads the pixel pairs at `start..start + a.len()` of both input
-    /// regions into `a` and `b` — the bulk form of
-    /// [`ZbtMemory::read_input_pair`] with identical accounting (all four
-    /// banks fire together, one cycle per pair), into caller-owned
-    /// buffers so a run can stream through in fixed-size chunks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::ZbtOutOfRange`] when the chunk exceeds a
-    /// bank; nothing is read or counted then.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `a` and `b` differ in length.
-    pub fn read_input_pair_chunk(
-        &mut self,
-        start: usize,
-        a: &mut [Pixel],
-        b: &mut [Pixel],
-    ) -> EngineResult<()> {
-        assert_eq!(a.len(), b.len(), "pair chunk halves differ in length");
-        let count = a.len();
-        self.check_input_pair_run(start, count)?;
-        let range = start..start + count;
-        for (region, dst) in [(ZbtRegion::InputA, a), (ZbtRegion::InputB, b)] {
-            let (lo_bank, hi_bank) = self.region_banks(region);
-            let banks = self.banks();
-            let words = banks[lo_bank][range.clone()]
-                .iter()
-                .zip(&banks[hi_bank][range.clone()]);
-            for (px, (&lo, &hi)) in dst.iter_mut().zip(words) {
-                *px = Pixel::from_words(lo, hi);
-            }
-            self.stats[lo_bank].word_reads += count as u64;
-            self.stats[hi_bank].word_reads += count as u64;
-        }
-        self.pixel_access_cycles += count as u64;
-        Ok(())
-    }
-
-    /// Writes a run of result pixels starting at `start` — the bulk form
-    /// of [`ZbtMemory::write_result_pixel`] with identical data layout
-    /// (Res_block_A/B split at the image midpoint) and accounting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::ZbtOutOfRange`] when a run segment exceeds
-    /// its result bank.
-    pub fn write_result_run(
-        &mut self,
-        start: usize,
-        total_pixels: usize,
-        pixels: &[Pixel],
-    ) -> EngineResult<Cycles> {
-        let n = pixels.len();
-        if n == 0 {
-            return Ok(Cycles(0));
-        }
-        let (bank_a, bank_b) = self.region_banks(ZbtRegion::Result);
-        let half = total_pixels.div_ceil(2);
-        let first_len = n.min(half.saturating_sub(start));
-        let second_local = (start + first_len).saturating_sub(half);
-        let segments = [
-            (bank_a, start, &pixels[..first_len]),
-            (bank_b, second_local, &pixels[first_len..]),
-        ];
-        for (bank, local, seg) in segments {
-            if seg.is_empty() {
-                continue;
-            }
-            self.check(bank, 2 * (local + seg.len() - 1) + 1)?;
-            let dst = &mut self.banks()[bank][2 * local..2 * (local + seg.len())];
-            for (pair, px) in dst.chunks_exact_mut(2).zip(seg) {
-                let (lo, hi) = px.to_words();
-                pair[0] = lo;
-                pair[1] = hi;
-            }
-            self.stats[bank].word_writes += 2 * seg.len() as u64;
-        }
-        self.pixel_access_cycles += n as u64;
-        Ok(Cycles(2 * n as u64)) // sequential words within each bank
-    }
-
     /// Reads back a run of `count` result pixels — the bulk form of
     /// [`ZbtMemory::read_result_pixel`] (outbound DMA path; word-level
     /// accounting only, like the per-pixel call).
@@ -555,6 +429,67 @@ impl ZbtMemory {
     pub fn reset_stats(&mut self) {
         self.stats.fill(BankStats::default());
         self.pixel_access_cycles = 0;
+    }
+
+    /// Adds `traffic` to the access counters, as if its accesses had been
+    /// made. Touches no bank storage.
+    pub fn charge(&mut self, traffic: &ZbtTraffic) {
+        for (s, t) in self.stats.iter_mut().zip(&traffic.banks) {
+            s.word_reads += t.word_reads;
+            s.word_writes += t.word_writes;
+        }
+        self.pixel_access_cycles += traffic.pixel_access_cycles;
+    }
+
+    /// The access counters as they stand.
+    #[must_use]
+    pub fn traffic(&self) -> ZbtTraffic {
+        ZbtTraffic {
+            banks: self.stats.clone(),
+            pixel_access_cycles: self.pixel_access_cycles,
+        }
+    }
+
+    /// The bank traffic of one detailed intra or inter call over `dims`
+    /// frames, in closed form from the fig. 3 bank map: what the counters hold
+    /// after the call when [`ZbtMemory::reset_stats`] ran between the
+    /// inbound load and the Process Unit. That is the PU's input reads
+    /// (each pixel once, lo and hi word from its region's bank pair in one
+    /// cycle; inter reads both input regions in that cycle), the result
+    /// writes (two sequential words per pixel, the first ⌈px/2⌉ pixels in
+    /// Res_block_A and the rest in Res_block_B) and the outbound unload
+    /// reading those words back. One pixel access cycle per input read
+    /// and per result write. The inbound load is not part of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics for the segment modes, which have no detailed datapath.
+    #[must_use]
+    pub fn call_traffic(&self, mode: AddressingMode, dims: Dims) -> ZbtTraffic {
+        let inputs = match mode {
+            AddressingMode::Intra => 1,
+            AddressingMode::Inter => 2,
+            AddressingMode::Segment | AddressingMode::SegmentIndexed => {
+                panic!("{mode} calls have no detailed datapath")
+            }
+        };
+        let px = dims.pixel_count() as u64;
+        let res_block_a = px.div_ceil(2);
+        let mut banks = vec![BankStats::default(); self.bank_count];
+        for &(_, (lo, hi)) in &BANK_MAP[..inputs] {
+            banks[lo].word_reads = px;
+            banks[hi].word_reads = px;
+        }
+        for (&(_, (bank, _)), pixels) in BANK_MAP[2..].iter().zip([res_block_a, px - res_block_a]) {
+            banks[bank] = BankStats {
+                word_reads: 2 * pixels,
+                word_writes: 2 * pixels,
+            };
+        }
+        ZbtTraffic {
+            banks,
+            pixel_access_cycles: 2 * px,
+        }
     }
 
     /// The fig. 3 memory map for a frame of `dims`, as region descriptors.
@@ -665,8 +600,14 @@ mod tests {
             z.write_word(6, 0, 1),
             Err(EngineError::ZbtOutOfRange { .. })
         ));
-        assert!(z.read_input_run(ZbtRegion::InputA, 262_143, 2).is_err());
-        assert!(z.write_result_run(0, 8, &[]).is_ok(), "empty run");
+        assert!(z
+            .write_input_run(ZbtRegion::InputA, 262_143, &[Pixel::BLACK; 2])
+            .is_err());
+        assert!(z.read_result_run(0, 8, 0).is_ok(), "empty run");
+        let traffic = z.call_traffic(AddressingMode::Inter, ImageFormat::Cif.dims());
+        z.charge(&traffic);
+        assert_eq!(z.traffic(), traffic);
+        z.reset_stats();
         assert!(!z.is_materialised());
         assert_eq!(z.stats(), &[BankStats::default(); 6]);
     }
@@ -678,11 +619,8 @@ mod tests {
         assert_eq!(z.read_word(5, 262_143).unwrap(), 0);
         assert!(z.is_materialised());
         let zero = Pixel::from_words(0, 0);
-        assert_eq!(
-            z.read_input_run(ZbtRegion::InputB, 1000, 3).unwrap(),
-            vec![zero; 3]
-        );
-        assert_eq!(z.read_result_pixel(7, 100).unwrap(), zero);
+        assert_eq!(z.read_input_pixel(ZbtRegion::InputB, 1000).unwrap(), zero);
+        assert_eq!(z.read_result_run(7, 100, 3).unwrap(), vec![zero; 3]);
         // Every access kind materialises, reads included.
         let mut w = zbt();
         w.read_input_pair(0).unwrap();
@@ -691,60 +629,33 @@ mod tests {
 
     #[test]
     fn bulk_runs_match_per_pixel_calls() {
-        // Every bulk helper must leave the exact memory contents, bank
-        // statistics and pixel-access accounting of its per-pixel
-        // equivalent — including the odd-sized result-bank split.
+        // Each bulk helper must leave the exact memory contents and bank
+        // statistics of its per-pixel equivalent, including the odd-sized
+        // result-bank split.
         let total = 51;
         let pixels: Vec<Pixel> = (0..total)
             .map(|i| Pixel::new(i as u8, 2, 3, i as u16, 900 + i as u16))
             .collect();
-        let other: Vec<Pixel> = (0..total)
-            .map(|i| Pixel::from_luma(200 - i as u8))
-            .collect();
 
         let mut a = zbt();
         for (i, px) in pixels.iter().enumerate() {
-            a.write_input_pixel(ZbtRegion::InputA, i, *px).unwrap();
-            a.write_input_pixel(ZbtRegion::InputB, i, other[i]).unwrap();
+            a.write_input_pixel(ZbtRegion::InputB, i, *px).unwrap();
         }
         let mut b = zbt();
-        b.write_input_run(ZbtRegion::InputA, 0, &pixels).unwrap();
-        b.write_input_run(ZbtRegion::InputB, 0, &other).unwrap();
-        assert_eq!(a.stats(), b.stats());
-
-        let singles: Vec<Pixel> = (0..total)
-            .map(|i| a.read_input_pixel(ZbtRegion::InputA, i).unwrap())
-            .collect();
-        assert_eq!(
-            b.read_input_run(ZbtRegion::InputA, 0, total).unwrap(),
-            singles
-        );
-        let pairs: Vec<(Pixel, Pixel)> =
-            (0..total).map(|i| a.read_input_pair(i).unwrap()).collect();
-        // Chunks of 16 leave a partial last chunk of 3.
-        let mut chunked = Vec::new();
-        for start in (0..total).step_by(16) {
-            let len = 16.min(total - start);
-            let (mut ca, mut cb) = (vec![Pixel::BLACK; len], vec![Pixel::BLACK; len]);
-            b.read_input_pair_chunk(start, &mut ca, &mut cb).unwrap();
-            chunked.extend(ca.into_iter().zip(cb));
+        b.write_input_run(ZbtRegion::InputB, 0, &pixels).unwrap();
+        assert_eq!(a.traffic(), b.traffic());
+        for z in [&mut a, &mut b] {
+            for (i, px) in pixels.iter().enumerate() {
+                assert_eq!(z.read_input_pixel(ZbtRegion::InputB, i).unwrap(), *px);
+                z.write_result_pixel(i, total, *px).unwrap();
+            }
         }
-        assert_eq!(chunked, pairs);
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.pixel_access_cycles(), b.pixel_access_cycles());
-
-        for (i, px) in pixels.iter().enumerate() {
-            a.write_result_pixel(i, total, *px).unwrap();
-        }
-        b.write_result_run(0, total, &pixels).unwrap();
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.pixel_access_cycles(), b.pixel_access_cycles());
         let singles: Vec<Pixel> = (0..total)
             .map(|i| a.read_result_pixel(i, total).unwrap())
             .collect();
         assert_eq!(singles, pixels, "result contents round-trip");
         assert_eq!(b.read_result_run(0, total, total).unwrap(), pixels);
-        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.traffic(), b.traffic());
     }
 
     #[test]
@@ -752,18 +663,45 @@ mod tests {
         let mut z = zbt();
         let px = vec![Pixel::BLACK; 4];
         assert!(z.write_input_run(ZbtRegion::Result, 0, &px).is_err());
-        assert!(z.read_input_run(ZbtRegion::Result, 0, 4).is_err());
         let far = z.bank_words() - 2;
         assert!(z.write_input_run(ZbtRegion::InputA, far, &px).is_err());
-        assert!(z.read_input_run(ZbtRegion::InputA, far, 4).is_err());
-        let (mut ca, mut cb) = (px.clone(), px.clone());
-        assert!(z.read_input_pair_chunk(far, &mut ca, &mut cb).is_err());
-        assert!(z.write_result_run(far, 2 * z.bank_words(), &px).is_err());
         assert!(z.read_result_run(far, 2 * z.bank_words(), 4).is_err());
         // Empty runs are free no-ops.
         assert!(z.write_input_run(ZbtRegion::InputA, 0, &[]).is_ok());
-        assert_eq!(z.read_input_run(ZbtRegion::InputA, 0, 0).unwrap(), vec![]);
-        assert_eq!(z.pixel_access_cycles(), 0);
+        assert_eq!(z.read_result_run(0, 8, 0).unwrap(), vec![]);
+        assert_eq!(z.traffic(), zbt().traffic());
+    }
+
+    #[test]
+    fn call_traffic_is_the_per_pixel_access_sequence() {
+        // The closed form against the per-pixel accessors a stepped call
+        // and its unload issue, on odd and even pixel counts (the
+        // Res_block_A/B split is ceil(px/2)), for both input counts.
+        for (mode, total) in [
+            (AddressingMode::Intra, 1),
+            (AddressingMode::Intra, 35),
+            (AddressingMode::Inter, 2),
+            (AddressingMode::Inter, 51),
+        ] {
+            let mut z = zbt();
+            for i in 0..total {
+                if mode == AddressingMode::Intra {
+                    z.read_input_pixel(ZbtRegion::InputA, i).unwrap();
+                } else {
+                    z.read_input_pair(i).unwrap();
+                }
+                z.write_result_pixel(i, total, Pixel::BLACK).unwrap();
+            }
+            z.read_result_run(0, total, total).unwrap();
+            let dims = Dims::new(total, 1);
+            assert_eq!(z.traffic(), z.call_traffic(mode, dims), "{mode} {total}");
+        }
+        // CIF intra: the PU reads bank 0/1 once per pixel; each result
+        // bank takes half the image as two words, written and read back.
+        let cif = zbt().call_traffic(AddressingMode::Intra, ImageFormat::Cif.dims());
+        let totals: Vec<u64> = cif.banks.iter().map(BankStats::total).collect();
+        assert_eq!(totals, [101_376, 101_376, 0, 0, 202_752, 202_752]);
+        assert_eq!(cif.pixel_access_cycles, 2 * 101_376);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! what it publishes: both datapaths emit byte-identical probe
 //! recordings.
 
+use vip::core::accounting::AddressingMode;
 use vip::core::addressing::inter::run_inter;
+use vip::core::addressing::intra::run_intra;
 use vip::core::frame::Frame;
 use vip::core::geometry::ImageFormat;
 use vip::core::geometry::{Dims, Point};
@@ -24,9 +26,9 @@ use vip::core::ops::filter::{BoxBlur, SobelGradient};
 use vip::core::ops::segment_ops::HomogeneityCriterion;
 use vip::core::ops::{InterOp, IntraOp};
 use vip::core::pixel::Pixel;
-use vip::engine::fast::{run_inter_fast, run_intra_fast, Skeletons, INTER_CHUNK};
+use vip::engine::fast::{run_inter_fast, run_intra_fast, Skeletons};
 use vip::engine::process_unit::{run_inter_detailed, run_intra_detailed, ProcessingStats, PuProbe};
-use vip::engine::zbt::{ZbtMemory, ZbtRegion};
+use vip::engine::zbt::{ZbtMemory, ZbtRegion, ZbtTraffic};
 use vip::engine::{AddressEngine, EngineConfig, EngineError, EngineRun, StepMode};
 
 /// Number of seeded random configurations per differential sweep.
@@ -313,29 +315,33 @@ fn recorded_fast_forward_matches_unrecorded_and_stepped_recording() {
     );
 }
 
-/// Runs one call on both datapaths with an enabled probe and asserts
-/// equal verdicts, equal statistics and byte-identical Chrome JSON.
-/// Returns whether the call succeeded.
+/// What one datapath-level call hands back: its statistics, its result
+/// and the bank traffic it leaves.
+type CallOutcome = (ProcessingStats, Frame, ZbtTraffic);
+
+/// Runs one call on both datapaths, each on a fresh ZBT with an enabled
+/// probe, and asserts equal verdicts, equal statistics, results and bank
+/// traffic, and byte-identical Chrome JSON. Returns whether the call
+/// succeeded.
 fn assert_datapaths_record_alike(
     config: &EngineConfig,
-    inputs: &[(ZbtRegion, &Frame)],
     context: &str,
-    call: impl Fn(StepMode, &mut ZbtMemory, &PuProbe) -> Result<ProcessingStats, EngineError>,
+    call: impl Fn(StepMode, &mut ZbtMemory, &PuProbe) -> Result<(ProcessingStats, Frame), EngineError>,
 ) -> bool {
     let mut runs = Vec::new();
     for mode in [StepMode::CycleStepped, StepMode::FastForward] {
         let mut zbt = ZbtMemory::new(config);
-        for (region, frame) in inputs {
-            zbt.write_input_run(*region, 0, frame.pixels())
-                .expect("input fits");
-        }
         let session = vip::engine::Session::new();
         let probe = PuProbe::new(session.recorder(), 1_000, 1e9 / config.engine_clock.hz);
-        let verdict = call(mode, &mut zbt, &probe);
+        let verdict: Result<CallOutcome, EngineError> =
+            call(mode, &mut zbt, &probe).map(|(stats, output)| (stats, output, zbt.traffic()));
         runs.push((verdict, session.finish().to_chrome_json()));
     }
     let ((stepped, stepped_json), (fast, fast_json)) = (&runs[0], &runs[1]);
-    assert_eq!(stepped, fast, "{context}: verdicts or statistics diverge");
+    assert_eq!(
+        stepped, fast,
+        "{context}: verdicts, statistics, results or bank traffic diverge"
+    );
     if stepped_json != fast_json {
         let at = stepped_json
             .bytes()
@@ -356,42 +362,74 @@ fn assert_datapaths_record_alike(
     stepped.is_ok()
 }
 
-/// One intra call straight on the datapath `mode` selects
-/// (fast-forward with no skeleton results yet).
+/// The outbound unload of a stepped call: the result read back out of
+/// the banks.
+fn unload(zbt: &mut ZbtMemory, dims: Dims) -> Result<Frame, EngineError> {
+    let total = dims.pixel_count();
+    Ok(Frame::from_pixels(
+        dims,
+        zbt.read_result_run(0, total, total)?,
+    )?)
+}
+
+/// One intra call of `op` on `frame`, straight on the datapath `mode`
+/// selects, as the engine drives it: the stepped datapath loads the
+/// frame into `zbt`, clears the counters, runs and unloads the result;
+/// the fast-forward one (with no skeleton results yet) replays the
+/// skeleton, charges `zbt` the closed-form traffic and takes the
+/// software result.
 fn intra_on<O: IntraOp>(
     mode: StepMode,
     zbt: &mut ZbtMemory,
-    dims: Dims,
+    frame: &Frame,
     op: &O,
     config: &EngineConfig,
     trace_limit: usize,
     probe: &PuProbe,
-) -> Result<ProcessingStats, EngineError> {
+) -> Result<(ProcessingStats, Frame), EngineError> {
+    let dims = frame.dims();
     match mode {
-        StepMode::CycleStepped => run_intra_detailed(zbt, dims, op, config, trace_limit, probe),
+        StepMode::CycleStepped => {
+            zbt.write_input_run(ZbtRegion::InputA, 0, frame.pixels())?;
+            zbt.reset_stats();
+            let stats = run_intra_detailed(zbt, dims, op, config, trace_limit, probe)?;
+            Ok((stats, unload(zbt, dims)?))
+        }
         StepMode::FastForward => {
             let skeletons = &mut Skeletons::new(config.clone());
-            run_intra_fast(zbt, skeletons, dims, op, trace_limit, probe)
+            let radius = op.shape().radius();
+            let stats = run_intra_fast(skeletons, dims, radius, trace_limit, probe)?;
+            zbt.charge(&zbt.call_traffic(AddressingMode::Intra, dims));
+            Ok((stats, run_intra(frame, op)?.output))
         }
     }
 }
 
-/// One inter call of `op` straight on the datapath `mode` selects
-/// (fast-forward with no skeleton results yet).
+/// One inter call of `op` on `a` and `b`, straight on the datapath
+/// `mode` selects, as [`intra_on`] drives an intra call.
 fn inter_on<O: InterOp>(
     mode: StepMode,
     zbt: &mut ZbtMemory,
-    dims: Dims,
+    (a, b): (&Frame, &Frame),
     op: &O,
     config: &EngineConfig,
     trace_limit: usize,
     probe: &PuProbe,
-) -> Result<ProcessingStats, EngineError> {
+) -> Result<(ProcessingStats, Frame), EngineError> {
+    let dims = a.dims();
     match mode {
-        StepMode::CycleStepped => run_inter_detailed(zbt, dims, op, config, trace_limit, probe),
+        StepMode::CycleStepped => {
+            zbt.write_input_run(ZbtRegion::InputA, 0, a.pixels())?;
+            zbt.write_input_run(ZbtRegion::InputB, 0, b.pixels())?;
+            zbt.reset_stats();
+            let stats = run_inter_detailed(zbt, dims, op, config, trace_limit, probe)?;
+            Ok((stats, unload(zbt, dims)?))
+        }
         StepMode::FastForward => {
             let skeletons = &mut Skeletons::new(config.clone());
-            run_inter_fast(zbt, skeletons, dims, op, trace_limit, probe)
+            let stats = run_inter_fast(skeletons, dims, trace_limit, probe)?;
+            zbt.charge(&zbt.call_traffic(AddressingMode::Inter, dims));
+            Ok((stats, run_inter(a, b, op)?.output))
         }
     }
 }
@@ -408,9 +446,8 @@ fn datapaths_publish_byte_identical_probe_recordings() {
         let op = BoxBlur::with_radius(radius).expect("radius ≤ 4");
         clean += usize::from(assert_datapaths_record_alike(
             &config,
-            &[(ZbtRegion::InputA, &frame)],
             &format!("intra seed {seed} {dims:?} r{radius}"),
-            |mode, zbt, probe| intra_on(mode, zbt, dims, &op, &config, 32, probe),
+            |mode, zbt, probe| intra_on(mode, zbt, &frame, &op, &config, 32, probe),
         ));
     }
     assert!(
@@ -431,9 +468,8 @@ fn datapaths_publish_byte_identical_probe_recordings() {
         });
         assert!(assert_datapaths_record_alike(
             &config,
-            &[(ZbtRegion::InputA, &a), (ZbtRegion::InputB, &b)],
             &format!("inter seed {seed} {dims:?}"),
-            |mode, zbt, probe| inter_on(mode, zbt, dims, &AbsDiff::luma(), &config, 24, probe),
+            |mode, zbt, probe| inter_on(mode, zbt, (&a, &b), &AbsDiff::luma(), &config, 24, probe),
         ));
     }
 
@@ -445,40 +481,31 @@ fn datapaths_publish_byte_identical_probe_recordings() {
     });
     assert!(assert_datapaths_record_alike(
         &config,
-        &[(ZbtRegion::InputA, &a)],
         "96x72 sobel",
-        |mode, zbt, probe| intra_on(mode, zbt, dims, &SobelGradient::new(), &config, 0, probe),
+        |mode, zbt, probe| intra_on(mode, zbt, &a, &SobelGradient::new(), &config, 0, probe),
     ));
     assert!(assert_datapaths_record_alike(
         &config,
-        &[(ZbtRegion::InputA, &a), (ZbtRegion::InputB, &b)],
         "96x72 absdiff",
-        |mode, zbt, probe| inter_on(mode, zbt, dims, &AbsDiff::luma(), &config, 0, probe),
+        |mode, zbt, probe| inter_on(mode, zbt, (&a, &b), &AbsDiff::luma(), &config, 0, probe),
     ));
 }
 
 #[test]
 fn inter_chunks_are_unobservable() {
-    // The fast-forward inter datapath streams INTER_CHUNK pixel pairs at a
-    // time. At pixel counts off the chunk grid, with the Res_block_A/B
-    // split (ceil(px/2)) inside a chunk, on a chunk edge and on 1×N / N×1
-    // frames, it must leave what the per-pixel stepped datapath leaves
-    // and compute what the software library computes.
-    let split_inside = |px: usize| !px.div_ceil(2).is_multiple_of(INTER_CHUNK);
+    // The fast-forward inter datapath moves no pixel pairs at all: its
+    // result is the software library's and its bank traffic the closed
+    // form. At pixel counts with the Res_block_A/B split (ceil(px/2))
+    // odd and even, on 1×N and N×1 frames, the stepped datapath must
+    // leave that traffic and compute that result.
     let cases = [
         Dims::new(1, 1),
         Dims::new(7, 5),
-        Dims::new(1, 2 * INTER_CHUNK + 3),
-        Dims::new(INTER_CHUNK + 5, 1),
-        Dims::new(INTER_CHUNK / 16, 32),
+        Dims::new(1, 2051),
+        Dims::new(1029, 1),
+        Dims::new(64, 32),
         ImageFormat::Qcif.dims(),
     ];
-    assert!(split_inside(cases[2].pixel_count()) && split_inside(cases[5].pixel_count()));
-    assert_eq!(
-        cases[4].pixel_count(),
-        2 * INTER_CHUNK,
-        "split on a chunk edge"
-    );
     let config = EngineConfig::prototype_detailed();
     let op = ChangeMask::new(20);
     for dims in cases {
@@ -493,39 +520,33 @@ fn inter_chunks_are_unobservable() {
         let mut runs = Vec::new();
         for mode in [StepMode::CycleStepped, StepMode::FastForward] {
             let mut zbt = ZbtMemory::new(&config);
-            zbt.write_input_run(ZbtRegion::InputA, 0, a.pixels())
-                .expect("input fits");
-            zbt.write_input_run(ZbtRegion::InputB, 0, b.pixels())
-                .expect("input fits");
-            zbt.reset_stats();
             let session = vip::engine::Session::new();
             let probe = PuProbe::new(session.recorder(), 1_000, 1e9 / config.engine_clock.hz);
-            let stats = inter_on(mode, &mut zbt, dims, &op, &config, 8, &probe)
+            let (stats, output) = inter_on(mode, &mut zbt, (&a, &b), &op, &config, 8, &probe)
                 .unwrap_or_else(|e| panic!("{dims:?} {mode:?}: {e}"));
-            let (banks, cycles) = (zbt.stats().to_vec(), zbt.pixel_access_cycles());
-            let total = dims.pixel_count();
-            let output = zbt.read_result_run(0, total, total).expect("result fits");
             runs.push((
                 stats,
-                banks,
-                cycles,
+                zbt.traffic(),
                 output,
                 session.finish().to_chrome_json(),
             ));
         }
         let (stepped, fast) = (&runs[0], &runs[1]);
         assert_eq!(stepped.0, fast.0, "{dims:?}: ProcessingStats diverge");
-        assert_eq!(stepped.1, fast.1, "{dims:?}: per-bank stats diverge");
-        assert_eq!(stepped.2, fast.2, "{dims:?}: pixel access cycles diverge");
-        assert_eq!(stepped.3, fast.3, "{dims:?}: result pixels diverge");
-        assert!(stepped.4 == fast.4, "{dims:?}: recordings diverge");
+        assert_eq!(
+            stepped.1,
+            ZbtMemory::new(&config).call_traffic(AddressingMode::Inter, dims),
+            "{dims:?}: stepped bank traffic is not the closed form"
+        );
+        assert_eq!(stepped.1, fast.1, "{dims:?}: bank traffic diverges");
+        assert_eq!(stepped.2, fast.2, "{dims:?}: result pixels diverge");
+        assert!(stepped.3 == fast.3, "{dims:?}: recordings diverge");
         let software = run_inter(&a, &b, &op)
             .expect("software call succeeds")
             .output;
         assert_eq!(
-            fast.3,
-            software.pixels(),
-            "{dims:?}: fast-forward differs from software"
+            stepped.2, software,
+            "{dims:?}: stepped result differs from software"
         );
     }
 }

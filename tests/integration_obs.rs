@@ -5,13 +5,15 @@
 //! instants on every fidelity, and a disabled recorder leaves results
 //! and Table 3 numbers untouched.
 
+use vip::core::addressing::segment::SegmentOptions;
 use vip::core::frame::Frame;
-use vip::core::geometry::Dims;
+use vip::core::geometry::{Dims, Point};
 use vip::core::ops::arith::AbsDiff;
 use vip::core::ops::filter::{BoxBlur, SobelGradient};
+use vip::core::ops::segment_ops::HomogeneityCriterion;
 use vip::core::pixel::Pixel;
 use vip::engine::{
-    AddressEngine, EngineConfig, EngineRun, InterOverlap, Phase, Recorder, Recording, Session,
+    AddressEngine, EngineConfig, EngineReport, InterOverlap, Phase, Recorder, Recording, Session,
     SimulationFidelity, StepMode, TraceRecord, Track,
 };
 use vip::gme::{EngineBackend, GmeConfig, SequenceRunner};
@@ -159,13 +161,15 @@ const SCHEDULE_DIMS: [(usize, usize); 8] = [
     (1, 1),
 ];
 
-/// One traced call shape: intra Sobel, intra radius-4 box blur, or inter
-/// absolute difference under the given overlap mode.
+/// One traced call shape: intra Sobel, intra radius-4 box blur, inter
+/// absolute difference under the given overlap mode, or a segment call
+/// (on the §5 outlook engine).
 #[derive(Debug, Clone, Copy)]
 enum Call {
     Sobel,
     BoxBlur4,
     AbsDiff(InterOverlap),
+    Segment,
 }
 
 const CALLS: [Call; 4] = [
@@ -176,7 +180,10 @@ const CALLS: [Call; 4] = [
 ];
 
 fn config(fidelity: SimulationFidelity, step_mode: StepMode, call: Call) -> EngineConfig {
-    let mut config = EngineConfig::prototype();
+    let mut config = match call {
+        Call::Segment => EngineConfig::outlook_v2(),
+        _ => EngineConfig::prototype(),
+    };
     config.fidelity = fidelity;
     config.step_mode = step_mode;
     if let Call::AbsDiff(overlap) = call {
@@ -186,7 +193,7 @@ fn config(fidelity: SimulationFidelity, step_mode: StepMode, call: Call) -> Engi
 }
 
 /// Runs one traced call on a fresh engine.
-fn traced(config: &EngineConfig, call: Call, dims: Dims) -> (EngineRun, Recording) {
+fn traced(config: &EngineConfig, call: Call, dims: Dims) -> (EngineReport, Recording) {
     let a = Frame::from_fn(dims, |p| {
         Pixel::from_luma(((p.x * 7 + p.y * 13) % 256) as u8)
     });
@@ -196,13 +203,25 @@ fn traced(config: &EngineConfig, call: Call, dims: Dims) -> (EngineRun, Recordin
     let session = Session::new();
     let mut engine = AddressEngine::new(config.clone()).expect("valid config");
     engine.set_recorder(session.recorder());
-    let run = match call {
-        Call::Sobel => engine.run_intra(&a, &SobelGradient::new()),
-        Call::BoxBlur4 => engine.run_intra(&a, &BoxBlur::with_radius(4).expect("radius 4")),
-        Call::AbsDiff(_) => engine.run_inter(&a, &b, &AbsDiff::luma()),
+    let report = match call {
+        Call::Sobel => engine
+            .run_intra(&a, &SobelGradient::new())
+            .map(|r| r.report),
+        Call::BoxBlur4 => engine
+            .run_intra(&a, &BoxBlur::with_radius(4).expect("radius 4"))
+            .map(|r| r.report),
+        Call::AbsDiff(_) => engine.run_inter(&a, &b, &AbsDiff::luma()).map(|r| r.report),
+        Call::Segment => engine
+            .run_segment(
+                &a,
+                &[Point::new(dims.width as i32 / 2, dims.height as i32 / 2)],
+                &HomogeneityCriterion::luma(40),
+                SegmentOptions::default(),
+            )
+            .map(|r| r.report),
     }
     .unwrap_or_else(|e| panic!("{call:?} on {dims:?}: {e}"));
-    (run, session.finish())
+    (report, session.finish())
 }
 
 /// The call's engine-track span, `[start, end]` in nanoseconds.
@@ -245,6 +264,8 @@ fn bytes(spans: &[&TraceRecord]) -> u64 {
 /// result half starts at `output_dma_started` and the last ends at
 /// `output_dma_completed`; strips and halves are contiguous, carry one
 /// frame per input image and one result frame, and stay inside the call.
+/// A segment call on the outlook engine moves each frame whole, as one
+/// `frame_in` and one `frame_out` span on the same instants.
 #[test]
 fn pci_and_dma_spans_agree_with_the_schedule_instants() {
     let modes = [
@@ -255,9 +276,12 @@ fn pci_and_dma_spans_agree_with_the_schedule_instants() {
     let cases: Vec<_> = SCHEDULE_DIMS
         .iter()
         .flat_map(|&(w, h)| {
-            modes
-                .iter()
-                .flat_map(move |&mode| CALLS.iter().map(move |&call| (Dims::new(w, h), mode, call)))
+            modes.iter().flat_map(move |&mode| {
+                CALLS
+                    .iter()
+                    .chain([&Call::Segment])
+                    .map(move |&call| (Dims::new(w, h), mode, call))
+            })
         })
         .collect();
     vip::par::map_indexed(cases.len(), vip::par::default_threads(), |i| {
@@ -265,11 +289,16 @@ fn pci_and_dma_spans_agree_with_the_schedule_instants() {
         let context = format!("{call:?} {dims:?} {fidelity:?} {step_mode:?}");
         let (_, r) = traced(&config(fidelity, step_mode, call), call, dims);
 
-        let strips = named(&r, Track::Pci, "strip_in");
-        let halves = named(&r, Track::Pci, "result_out");
+        let (strip_name, half_name, half_count) = match call {
+            Call::Segment => ("frame_in", "frame_out", 1),
+            _ => ("strip_in", "result_out", 2),
+        };
+        let strips = named(&r, Track::Pci, strip_name);
+        let halves = named(&r, Track::Pci, half_name);
         assert!(!strips.is_empty(), "{context}: no strips");
-        assert_eq!(halves.len(), 2, "{context}: result halves");
+        assert_eq!(halves.len(), half_count, "{context}: result halves");
         let (first, last) = (strips[0], strips[strips.len() - 1]);
+        let (out_first, out_last) = (halves[0], halves[halves.len() - 1]);
         assert_eq!(first.ts_ns, instant(&r, "input_dma_started"), "{context}");
         assert_eq!(
             last.end_ns(),
@@ -277,12 +306,12 @@ fn pci_and_dma_spans_agree_with_the_schedule_instants() {
             "{context}"
         );
         assert_eq!(
-            halves[0].ts_ns,
+            out_first.ts_ns,
             instant(&r, "output_dma_started"),
             "{context}"
         );
         assert_eq!(
-            halves[1].end_ns(),
+            out_last.end_ns(),
             instant(&r, "output_dma_completed"),
             "{context}"
         );
@@ -311,7 +340,7 @@ fn pci_and_dma_spans_agree_with_the_schedule_instants() {
         );
         assert_eq!(
             (output[0].ts_ns, output[0].end_ns()),
-            (halves[0].ts_ns, halves[1].end_ns())
+            (out_first.ts_ns, out_last.end_ns())
         );
 
         let (start, end) = call_span(&r);
@@ -346,9 +375,9 @@ fn pu_window_starts_at_the_processing_origin_inside_the_call() {
         let (dims, step_mode, call) = cases[i];
         let context = format!("{call:?} {dims:?} {step_mode:?}");
         let config = config(SimulationFidelity::Detailed, step_mode, call);
-        let (run, r) = traced(&config, call, dims);
+        let (report, r) = traced(&config, call, dims);
         let (start, end) = call_span(&r);
-        let origin = run.report.timeline.processing_origin(dims, &config);
+        let origin = report.timeline.processing_origin(dims, &config);
         let pu = named(&r, Track::Pu, "processing");
         assert_eq!(pu.len(), 1, "{context}: processing spans");
         assert_eq!(
