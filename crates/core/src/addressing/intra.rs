@@ -2,15 +2,18 @@
 //! of the pixel's original value and the values of its neighbors within
 //! the same image"* (§2.1).
 //!
-//! The sweep works as the Process Unit's matrix register does (§3,
-//! figs. 4 and 5): each row is one [`IntraOp::apply_row`] call over the
-//! row's `2r+1` lines, clamped at the top and bottom edges as the IIM
-//! re-delivers edge lines. It LOADs a fixed-size
-//! [`Window`](crate::neighborhood::Window) once at the
-//! row start and then SHIFTs one column in per pixel, clamping column
-//! indices at the left and right edges, so border pixels take the same
-//! path as interior ones. Results go straight into the output buffer, and
-//! the access counts are closed-form.
+//! Each row is one [`IntraOp::apply_row`] call over the row's `2r+1`
+//! lines, clamped at the top and bottom edges as the IIM re-delivers edge
+//! lines. The provided sweep works as the Process Unit's matrix register
+//! does (§3, figs. 4 and 5): it LOADs a fixed-size
+//! [`Window`](crate::neighborhood::Window) once at the row start and then
+//! SHIFTs one column in per pixel, clamping column indices at the left
+//! and right edges, so border pixels take the same path as interior ones.
+//! A kernel may override the row body with a faster one that gives the
+//! same pixels; the fixed 3×3 kernels (Sobel, central gradient, binomial
+//! smoothing, alpha majority) fold each column once and combine three
+//! column values per pixel. Results go straight into the output buffer,
+//! and the access counts are closed-form.
 //!
 //! # Examples
 //!
@@ -48,8 +51,8 @@ pub struct IntraResult {
 /// to the nearest edge pixel, matching the IIM's edge-line replication.
 ///
 /// Each row is one [`IntraOp::apply_row`] over its `2r+1` clamped lines,
-/// so border pixels go through the same column-shift sweep as interior
-/// ones. Every pixel is read through a full window and written once, so
+/// so border pixels go through the same row body as interior ones.
+/// Every pixel is read through a full window and written once, so
 /// the access counts are closed-form: `n·(a−1)` reads and `n` writes for
 /// `n` pixels and `a` software accesses per pixel.
 ///

@@ -25,7 +25,7 @@
 use crate::error::{CoreError, CoreResult};
 use crate::geometry::Point;
 use crate::neighborhood::{Connectivity, Window, MAX_RADIUS};
-use crate::ops::IntraOp;
+use crate::ops::{sweep_3x3, IntraOp};
 use crate::pixel::{ChannelSet, Pixel};
 
 /// A general odd-sized separable-or-not 2-D convolution on the luminance
@@ -226,6 +226,20 @@ impl IntraOp for Binomial3 {
         out.y = ((acc + weight / 2) / weight.max(1)) as u8;
         out
     }
+
+    fn apply_row(&self, lines: &[&[Pixel]], _y: i32, out: &mut Vec<Pixel>) {
+        // Columns 1-2-1, then 1-2-1 across them. A loaded window holds
+        // all nine samples, so the weight is always 16.
+        sweep_3x3(
+            lines,
+            out,
+            |a, b, c| u32::from(a.y) + 2 * u32::from(b.y) + u32::from(c.y),
+            |mut px, l, m, r| {
+                px.y = ((l + 2 * m + r + 8) / 16) as u8;
+                px
+            },
+        );
+    }
 }
 
 /// Sobel gradient magnitude (|Gx| + |Gy|, the cheap L1 norm the hardware
@@ -258,6 +272,15 @@ impl SobelGradient {
         let gy = (sw + 2 * s + se) - (nw + 2 * n + ne);
         (gx, gy)
     }
+
+    /// `centre` with the L1 magnitude of `(gx, gy)` written to luminance
+    /// (clamped to 255) and aux (clamped to `u16::MAX`).
+    fn encode(mut centre: Pixel, gx: i32, gy: i32) -> Pixel {
+        let mag = gx.unsigned_abs() + gy.unsigned_abs();
+        centre.y = mag.min(255) as u8;
+        centre.aux = mag.min(u32::from(u16::MAX)) as u16;
+        centre
+    }
 }
 
 impl IntraOp for SobelGradient {
@@ -275,11 +298,21 @@ impl IntraOp for SobelGradient {
     }
     fn apply(&self, window: &Window) -> Pixel {
         let (gx, gy) = SobelGradient::responses(window);
-        let mag = gx.unsigned_abs() + gy.unsigned_abs();
-        let mut out = window.centre_pixel();
-        out.y = mag.min(255) as u8;
-        out.aux = mag.min(u32::from(u16::MAX)) as u16;
-        out
+        SobelGradient::encode(window.centre_pixel(), gx, gy)
+    }
+
+    fn apply_row(&self, lines: &[&[Pixel]], _y: i32, out: &mut Vec<Pixel>) {
+        // Column `(n + 2c + s, s − n)`; then gx is the right column's sum
+        // minus the left one's and gy the 1-2-1 sum of the differences.
+        sweep_3x3(
+            lines,
+            out,
+            |a, b, c| {
+                let (a, b, c) = (i32::from(a.y), i32::from(b.y), i32::from(c.y));
+                (a + 2 * b + c, c - a)
+            },
+            |px, (s0, d0), (_, d1), (s2, d2)| SobelGradient::encode(px, s2 - s0, d0 + 2 * d1 + d2),
+        );
     }
 }
 
@@ -309,6 +342,14 @@ impl CentralGradient {
             i32::from(px.aux) - Self::Y_BIAS,
         )
     }
+
+    /// `centre` with the biased `(gx, gy)` pair written to luminance and
+    /// aux, the inverse of [`CentralGradient::decode`] within range.
+    fn encode(mut centre: Pixel, gx: i32, gy: i32) -> Pixel {
+        centre.y = (gx + Self::X_BIAS).clamp(0, 255) as u8;
+        centre.aux = (gy + Self::Y_BIAS).clamp(0, 65_535) as u16;
+        centre
+    }
 }
 
 impl IntraOp for CentralGradient {
@@ -333,10 +374,18 @@ impl IntraOp for CentralGradient {
         };
         let gx = (i32::from(sample(1, 0).y) - i32::from(sample(-1, 0).y)) / 2;
         let gy = (i32::from(sample(0, 1).y) - i32::from(sample(0, -1).y)) / 2;
-        let mut out = centre;
-        out.y = (gx + Self::X_BIAS).clamp(0, 255) as u8;
-        out.aux = (gy + Self::Y_BIAS).clamp(0, 65_535) as u16;
-        out
+        Self::encode(centre, gx, gy)
+    }
+
+    fn apply_row(&self, lines: &[&[Pixel]], _y: i32, out: &mut Vec<Pixel>) {
+        // Column `(c, s − n)`: gx differences the left and right columns'
+        // centres, gy is the centre column's difference.
+        sweep_3x3(
+            lines,
+            out,
+            |a, b, c| (i32::from(b.y), i32::from(c.y) - i32::from(a.y)),
+            |px, (l, _), (_, d), (r, _)| Self::encode(px, (r - l) / 2, d / 2),
+        );
     }
 }
 

@@ -75,9 +75,17 @@ pub trait InterOp {
 /// window around the corresponding input position.
 ///
 /// Implementors define [`IntraOp::apply`] for one window; the executors
-/// drive it through the provided [`IntraOp::apply_row`], one call per row
-/// of pixels, so a `&dyn IntraOp` costs one virtual call per row and the
-/// per-pixel loop is monomorphised for the concrete kernel.
+/// drive it through [`IntraOp::apply_row`], one call per row of pixels,
+/// so a `&dyn IntraOp` costs one virtual call per row and the per-pixel
+/// loop is monomorphised for the concrete kernel.
+///
+/// [`IntraOp::apply`] is the kernel's definition: the cycle-stepped
+/// Process Unit runs it on its matrix register, window by window. The
+/// provided [`IntraOp::apply_row`] runs it too, over a LOAD/SHIFT window.
+/// A kernel may override [`IntraOp::apply_row`] with a faster row body
+/// (the fixed 3×3 kernels fold each column once and combine three
+/// column values per pixel), but the override must produce exactly the
+/// pixels the per-window definition does.
 pub trait IntraOp {
     /// Short stable kernel name (used in reports and traces).
     fn name(&self) -> &'static str;
@@ -106,6 +114,9 @@ pub trait IntraOp {
     /// windows of [`Window::gather`]. The window is LOADed once at the row
     /// start ([`Window::load`]) and SHIFTed one column per pixel
     /// ([`Window::shift`]), as the Process Unit's matrix register is.
+    ///
+    /// An override must append the same pixels as this provided sweep
+    /// over [`IntraOp::apply`]; only the work per pixel may differ.
     ///
     /// # Panics
     ///
@@ -139,6 +150,57 @@ pub trait IntraOp {
             out.push(merged);
         }
     }
+}
+
+/// One row of a 3×3 kernel (`CON_8`, or `CON_4` inside it) in two
+/// passes, for [`IntraOp::apply_row`] overrides.
+///
+/// The column pass folds the three `lines` (above, centre, below) into
+/// one `column` value per column, into a buffer of `w + 2` values whose
+/// two ends repeat the edge column: the left and right clamp of
+/// [`Window::load`] and [`Window::shift`], in one place. The row pass
+/// hands `combine` each centre pixel with the column values left of it,
+/// under it and right of it; `combine` writes the kernel's output
+/// channels into the centre pixel and returns it. Six of a window's nine
+/// samples are shared with its left neighbour (§3.5), so each sample is
+/// read once per row instead of three times.
+///
+/// # Panics
+///
+/// Panics unless `lines` holds three lines of equal width.
+pub(crate) fn sweep_3x3<C: Copy>(
+    lines: &[&[Pixel]],
+    out: &mut Vec<Pixel>,
+    column: impl Fn(Pixel, Pixel, Pixel) -> C,
+    combine: impl Fn(Pixel, C, C, C) -> Pixel,
+) {
+    let &[above, centre, below] = lines else {
+        panic!("intra row needs one line per window row");
+    };
+    assert!(
+        above.len() == centre.len() && below.len() == centre.len(),
+        "intra row lines differ in width"
+    );
+    let Some(last) = centre.len().checked_sub(1) else {
+        return;
+    };
+    let at = |x: usize| column(above[x], centre[x], below[x]);
+    let mut columns = Vec::with_capacity(centre.len() + 2);
+    columns.push(at(0));
+    columns.extend(
+        above
+            .iter()
+            .zip(centre)
+            .zip(below)
+            .map(|((&a, &b), &c)| column(a, b, c)),
+    );
+    columns.push(at(last));
+    out.extend(
+        centre
+            .iter()
+            .zip(columns.iter().zip(&columns[1..]).zip(&columns[2..]))
+            .map(|(&px, ((&l, &m), &r))| combine(px, l, m, r)),
+    );
 }
 
 impl<T: InterOp + ?Sized> InterOp for &T {

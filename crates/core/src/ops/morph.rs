@@ -24,7 +24,7 @@
 
 use crate::geometry::Point;
 use crate::neighborhood::{Connectivity, Window};
-use crate::ops::IntraOp;
+use crate::ops::{sweep_3x3, IntraOp};
 use crate::pixel::{ChannelSet, Pixel};
 
 /// Grey-scale erosion: window minimum of the luminance channel.
@@ -217,6 +217,20 @@ impl IntraOp for AlphaMajority {
         let mut out = window.centre_pixel();
         out.alpha = u16::from(2 * set > total);
         out
+    }
+
+    fn apply_row(&self, lines: &[&[Pixel]], _y: i32, out: &mut Vec<Pixel>) {
+        // Each column counts its set alphas; a loaded window holds all
+        // nine samples, so the majority is more than half of nine.
+        sweep_3x3(
+            lines,
+            out,
+            |a, b, c| u8::from(a.alpha != 0) + u8::from(b.alpha != 0) + u8::from(c.alpha != 0),
+            |mut px, l, m, r| {
+                px.alpha = u16::from(2 * (l + m + r) > 9);
+                px
+            },
+        );
     }
 }
 

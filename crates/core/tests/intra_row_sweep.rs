@@ -7,7 +7,14 @@
 //! `apply` the kernel, merge its output channels into the centre pixel —
 //! and the two must agree pixel for pixel, for every intra kernel the
 //! AddressLib ships, on frames narrower and shorter than the widest
-//! window.
+//! window and on one wider frame. Every frame comes twice: with seeded
+//! alpha, and with alpha 0 on about half the pixels, so alpha votes go
+//! both ways.
+//!
+//! The kernels that override `apply_row` must also keep the channel
+//! contract through both entry points: channels outside
+//! `input_channels` do not reach the result, and the result differs from
+//! the centre pixel only in `output_channels`.
 
 use vip_core::addressing::intra::run_intra;
 use vip_core::frame::Frame;
@@ -22,12 +29,16 @@ use vip_core::ops::lut::{LumaLut, ScaleOffset, Threshold};
 use vip_core::ops::morph::{AlphaMajority, Dilate, Erode, MorphGradient};
 use vip_core::ops::rank::{Median, RankFilter};
 use vip_core::ops::IntraOp;
-use vip_core::pixel::Pixel;
+use vip_core::pixel::{Channel, ChannelSet, Pixel};
 
 /// Frame sizes (width × height) at and below the widest window: single
 /// pixels, single columns and rows, and frames a radius-4 window overhangs
 /// on every side.
 const DIMS: [(usize, usize); 6] = [(1, 1), (1, 9), (9, 1), (2, 2), (5, 3), (17, 11)];
+
+/// A frame wide enough that each row's interior outweighs its two
+/// clamped ends.
+const WIDE: (usize, usize) = (37, 5);
 
 /// xorshift64: a seeded stream of pixel bits.
 fn seeded_frame(dims: Dims, seed: u64) -> Frame {
@@ -40,10 +51,25 @@ fn seeded_frame(dims: Dims, seed: u64) -> Frame {
     })
 }
 
+/// [`seeded_frame`] with alpha cut to its lowest bit: 0 on about half
+/// the pixels, 1 on the rest.
+fn binary_alpha_frame(dims: Dims, seed: u64) -> Frame {
+    let mut frame = seeded_frame(dims, seed);
+    for px in frame.pixels_mut() {
+        px.alpha &= 1;
+    }
+    frame
+}
+
+/// Each of [`DIMS`] and [`WIDE`], with seeded and with binary alpha.
 fn frames() -> Vec<Frame> {
     DIMS.iter()
+        .chain([&WIDE])
         .enumerate()
-        .map(|(i, &(w, h))| seeded_frame(Dims::new(w, h), 11 + i as u64))
+        .flat_map(|(i, &(w, h))| {
+            let (dims, seed) = (Dims::new(w, h), 11 + i as u64);
+            [seeded_frame(dims, seed), binary_alpha_frame(dims, seed)]
+        })
         .collect()
 }
 
@@ -189,4 +215,76 @@ fn composed_kernels_match_per_pixel_reference() {
         ),
         &frames,
     );
+}
+
+/// `frame` with `channel` of every pixel flipped in its low bits.
+fn perturbed(frame: &Frame, channel: Channel) -> Frame {
+    let mut out = frame.clone();
+    for px in out.pixels_mut() {
+        px.set_channel(channel, px.channel(channel) ^ 0x5a);
+    }
+    out
+}
+
+/// `px` with every channel outside `set` taken from `base`.
+fn only(px: Pixel, set: ChannelSet, base: Pixel) -> Pixel {
+    let mut out = base;
+    out.merge_channels(px, set);
+    out
+}
+
+/// The two entry points, in the order [`results`] returns them.
+const ENTRY_POINTS: [&str; 2] = ["apply", "apply_row"];
+
+/// For each pixel of `frame`, `op`'s result through `apply` on the
+/// gathered window and through `apply_row` in `run_intra`.
+fn results(op: &impl IntraOp, frame: &Frame) -> Vec<[Pixel; 2]> {
+    let rows = run_intra(frame, op).expect("non-empty frame").output;
+    frame
+        .enumerate()
+        .map(|(p, _)| [op.apply(&Window::gather(frame, p, op.shape())), rows.get(p)])
+        .collect()
+}
+
+/// Checks the channel contract of `op` through both entry points.
+fn check_channel_contract(op: &impl IntraOp, frames: &[Frame]) {
+    let (input, output) = (op.input_channels(), op.output_channels());
+    let blank = Pixel::default();
+    for frame in frames {
+        let base = results(op, frame);
+        for ((p, centre), outs) in frame.enumerate().zip(&base) {
+            for (what, &out) in ENTRY_POINTS.iter().zip(outs) {
+                assert_eq!(
+                    only(out, output, centre),
+                    out,
+                    "{} {what} writes outside its output channels at {p} on {}",
+                    op.name(),
+                    frame.dims()
+                );
+            }
+        }
+        for channel in Channel::ALL.into_iter().filter(|&c| !input.contains(c)) {
+            let other = results(op, &perturbed(frame, channel));
+            for ((p, _), (want, got)) in frame.enumerate().zip(base.iter().zip(&other)) {
+                for (what, (&want, &got)) in ENTRY_POINTS.iter().zip(want.iter().zip(got)) {
+                    assert_eq!(
+                        only(want, output, blank),
+                        only(got, output, blank),
+                        "{} {what} reads {channel:?} at {p} on {}",
+                        op.name(),
+                        frame.dims()
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn row_overrides_keep_the_channel_contract() {
+    let frames = frames();
+    check_channel_contract(&SobelGradient::new(), &frames);
+    check_channel_contract(&CentralGradient::new(), &frames);
+    check_channel_contract(&Binomial3::new(), &frames);
+    check_channel_contract(&AlphaMajority::new(), &frames);
 }

@@ -2,8 +2,8 @@
 # Full offline verification: rustfmt check, release build, tests, static
 # verifier, the fig. 5/fig. 4 harnesses, the four examples, the
 # intra/inter/GME utilization reports and Chrome traces (kept in
-# target/observability; the intra/inter reports are diffed against
-# tests/golden), a perfbench smoke run, and clippy (perfbench and
+# target/observability; the intra/inter/GME text reports are diffed
+# against tests/golden), a perfbench smoke run, and clippy (perfbench and
 # workspace) and rustdoc with warnings denied. This is exactly what CI
 # runs; run it before pushing.
 set -euo pipefail
@@ -37,16 +37,15 @@ echo "==> vipctl report/trace intra, inter and gme into target/observability (gm
 obs_out=target/observability
 rm -rf "$obs_out"
 mkdir -p "$obs_out"
-for scenario in intra inter; do
+for scenario in intra inter gme; do
     cargo run --release -q -p vip --bin vipctl -- report "$scenario" > "$obs_out/report_$scenario.txt"
 done
-echo "==> report goldens (intra/inter reports, ZBT bank duty and zbt.bank* spans included, must match byte for byte)"
-for scenario in intra inter; do
+echo "==> report goldens (intra/inter/gme reports, ZBT bank duty and zbt.bank* spans included, must match byte for byte)"
+for scenario in intra inter gme; do
     diff -u "tests/golden/report_$scenario.txt" "$obs_out/report_$scenario.txt"
 done
 cargo run --release -q -p vip --bin vipctl -- trace intra --out "$obs_out/trace_intra.json" > /dev/null
 cargo run --release -q -p vip --bin vipctl -- trace inter --out "$obs_out/trace_inter.json" > /dev/null
-cargo run --release -q -p vip --bin vipctl -- report gme > "$obs_out/report_gme.txt"
 cargo run --release -q -p vip --bin vipctl -- report gme --format json > "$obs_out/report_gme.json"
 cargo run --release -q -p vip --bin vipctl -- trace gme --out "$obs_out/trace_gme.json"
 

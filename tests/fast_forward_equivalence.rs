@@ -6,7 +6,8 @@
 //! **bit-identical** results to `StepMode::CycleStepped` — the output
 //! frame, the full [`vip::engine::EngineReport`] (processing statistics
 //! including the fig. 5 stage trace, ZBT access counts, timeline), the
-//! accumulated [`vip::engine::EngineStats`], the §4.1 schedule instants,
+//! accumulated [`vip::engine::EngineStats`], the per-bank ZBT word
+//! counters of the engine's metrics, the §4.1 schedule instants,
 //! and the error verdict for configurations whose eviction gate
 //! deadlocks. This sweep asserts exactly that over ~100 xorshift-seeded
 //! configurations, run in parallel through `vip-par` — whose own
@@ -22,12 +23,14 @@ use vip::core::frame::Frame;
 use vip::core::geometry::ImageFormat;
 use vip::core::geometry::{Dims, Point};
 use vip::core::ops::arith::{AbsDiff, ChangeMask};
-use vip::core::ops::filter::{BoxBlur, SobelGradient};
+use vip::core::ops::filter::{Binomial3, BoxBlur, CentralGradient, SobelGradient};
+use vip::core::ops::morph::AlphaMajority;
 use vip::core::ops::segment_ops::HomogeneityCriterion;
 use vip::core::ops::{InterOp, IntraOp};
 use vip::core::pixel::Pixel;
 use vip::engine::fast::{run_inter_fast, run_intra_fast, Skeletons};
 use vip::engine::process_unit::{run_inter_detailed, run_intra_detailed, ProcessingStats, PuProbe};
+use vip::engine::report::zbt_bank_key;
 use vip::engine::zbt::{ZbtMemory, ZbtRegion, ZbtTraffic};
 use vip::engine::{AddressEngine, EngineConfig, EngineError, EngineRun, StepMode};
 
@@ -55,6 +58,18 @@ fn test_frame(dims: Dims) -> Frame {
     })
 }
 
+/// The words each of the six fig. 3 ZBT banks has moved in the engine's
+/// detailed calls, as its metrics registry holds them.
+fn bank_words(engine: &AddressEngine) -> Vec<u64> {
+    (0..6)
+        .map(|bank| engine.metrics().counter(zbt_bank_key(bank)))
+        .collect()
+}
+
+/// What an engine-level sweep compares after a call: the run, the
+/// engine's accumulated stats and its per-bank ZBT counters.
+type Observed = (EngineRun, vip::engine::EngineStats, Vec<u64>);
+
 fn with_mode(base: &EngineConfig, mode: StepMode) -> EngineConfig {
     let mut cfg = base.clone();
     cfg.step_mode = mode;
@@ -62,28 +77,24 @@ fn with_mode(base: &EngineConfig, mode: StepMode) -> EngineConfig {
 }
 
 /// Runs one intra call in the given step mode; returns the run plus the
-/// engine's accumulated stats.
+/// engine's accumulated stats and bank counters.
 fn intra_in_mode(
     base: &EngineConfig,
     dims: Dims,
     radius: usize,
     trace_limit: usize,
     mode: StepMode,
-) -> Result<(EngineRun, vip::engine::EngineStats), EngineError> {
+) -> Result<Observed, EngineError> {
     let mut engine = AddressEngine::new(with_mode(base, mode))?;
     engine.set_trace_limit(trace_limit);
     let op = BoxBlur::with_radius(radius).expect("radius ≤ 4");
     let run = engine.run_intra(&test_frame(dims), &op)?;
-    Ok((run, engine.stats()))
+    Ok((run, engine.stats(), bank_words(&engine)))
 }
 
 /// Asserts two same-seed runs are indistinguishable, down to the f64
 /// schedule instants (computed from identical inputs, so exactly equal).
-fn assert_identical(
-    stepped: &(EngineRun, vip::engine::EngineStats),
-    fast: &(EngineRun, vip::engine::EngineStats),
-    context: &str,
-) {
+fn assert_identical(stepped: &Observed, fast: &Observed, context: &str) {
     assert_eq!(
         stepped.0.output, fast.0.output,
         "{context}: output pixels diverge"
@@ -93,6 +104,7 @@ fn assert_identical(
         "{context}: reports diverge"
     );
     assert_eq!(stepped.1, fast.1, "{context}: engine stats diverge");
+    assert_eq!(stepped.2, fast.2, "{context}: ZBT bank counters diverge");
     let si = stepped.0.report.timeline.instants();
     let fi = fast.0.report.timeline.instants();
     assert_eq!(si, fi, "{context}: §4.1 schedule instants diverge");
@@ -163,7 +175,7 @@ fn inter_fast_forward_is_bit_identical() {
             let run = engine
                 .run_inter(&a, &b, &AbsDiff::luma())
                 .unwrap_or_else(|e| panic!("seed {seed} ({mode:?}): {e}"));
-            runs.push((run, engine.stats()));
+            runs.push((run, engine.stats(), bank_words(&engine)));
         }
         assert_identical(&runs[0], &runs[1], &format!("inter seed {seed} {dims:?}"));
     }
@@ -173,36 +185,50 @@ fn inter_fast_forward_is_bit_identical() {
 fn prototype_sobel_and_absdiff_are_bit_identical() {
     // The default detailed configuration on the engine-benchmark pair
     // (intra Sobel, then inter AbsDiff on the same engine) at a size the
-    // seeded sweep never reaches.
-    let dims = Dims::new(96, 72);
-    let a = test_frame(dims);
+    // seeded sweep never reaches, with the other three kernels the
+    // workloads run in between. The stepped engine runs each kernel's
+    // `apply` on its matrix register, the fast-forward engine its
+    // `apply_row`. Alpha is 0 on about half the pixels, so the
+    // `AlphaMajority` votes go both ways. The pixel count is odd, so the
+    // two result blocks of the ZBT map differ in size.
+    let dims = Dims::new(97, 71);
+    let mut rng = vip::video::rng::XorShift64::new(0xa1fa);
+    let a = Frame::from_fn(dims, |p| {
+        Pixel::from_luma(((p.x * 7 + p.y * 13) % 256) as u8).with_alpha((rng.next_u64() & 1) as u16)
+    });
     let b = Frame::from_fn(dims, |p| {
         Pixel::from_luma(((p.x * 7 + p.y * 13 + 31) % 256) as u8)
     });
+    let intra_ops: [&dyn IntraOp; 4] = [
+        &SobelGradient::new(),
+        &CentralGradient::new(),
+        &Binomial3::new(),
+        &AlphaMajority::new(),
+    ];
     let config = EngineConfig::prototype_detailed();
     let mut runs = Vec::new();
     for mode in [StepMode::CycleStepped, StepMode::FastForward] {
         let mut engine = AddressEngine::new(with_mode(&config, mode)).expect("valid config");
-        let intra = engine
-            .run_intra(&a, &SobelGradient::new())
-            .expect("intra call succeeds");
+        let mut calls = Vec::new();
+        for op in intra_ops {
+            let run = engine
+                .run_intra(&a, &op)
+                .unwrap_or_else(|e| panic!("{} call fails: {e}", op.name()));
+            calls.push((op.name(), run, bank_words(&engine)));
+        }
         let inter = engine
             .run_inter(&a, &b, &AbsDiff::luma())
             .expect("inter call succeeds");
-        runs.push((intra, inter, engine.stats()));
+        calls.push(("absdiff", inter, bank_words(&engine)));
+        runs.push((calls, engine.stats()));
     }
     let (stepped, fast) = (&runs[0], &runs[1]);
-    assert_eq!(
-        stepped.0.output, fast.0.output,
-        "sobel output pixels diverge"
-    );
-    assert_eq!(stepped.0.report, fast.0.report, "sobel reports diverge");
-    assert_eq!(
-        stepped.1.output, fast.1.output,
-        "absdiff output pixels diverge"
-    );
-    assert_eq!(stepped.1.report, fast.1.report, "absdiff reports diverge");
-    assert_eq!(stepped.2, fast.2, "engine stats diverge");
+    for ((name, s, s_banks), (_, f, f_banks)) in stepped.0.iter().zip(&fast.0) {
+        assert_eq!(s.output, f.output, "{name} output pixels diverge");
+        assert_eq!(s.report, f.report, "{name} reports diverge");
+        assert_eq!(s_banks, f_banks, "{name}: ZBT bank counters diverge");
+    }
+    assert_eq!(stepped.1, fast.1, "engine stats diverge");
 }
 
 #[test]
@@ -250,13 +276,13 @@ fn recorded_fast_forward_matches_unrecorded_and_stepped_recording() {
     let (config, dims, radius) = random_case(3);
     let frame = test_frame(dims);
     let op = BoxBlur::with_radius(radius).expect("radius ≤ 4");
-    let two_calls = |engine: &mut AddressEngine| -> Vec<(EngineRun, vip::engine::EngineStats)> {
+    let two_calls = |engine: &mut AddressEngine| -> Vec<Observed> {
         (0..2)
             .map(|_| {
                 let run = engine
                     .run_intra(&frame, &op)
                     .expect("seed 3 is a clean configuration");
-                (run, engine.stats())
+                (run, engine.stats(), bank_words(engine))
             })
             .collect()
     };
