@@ -98,6 +98,29 @@ impl Table3Row {
     }
 }
 
+/// The Table 3 golden text (`tests/golden/table3.txt`, checked by
+/// `table3 --check`): one line per row with the frames, the call counts
+/// and the bits of `pm_seconds`, `fpga_seconds` and `mean_truth_error`.
+/// The harness column is wall-clock time and is left out.
+#[must_use]
+pub fn table3_golden(rows: &[Table3Row]) -> String {
+    let mut text =
+        String::from("# video frames intra inter pm_seconds fpga_seconds gt_err_px (f64 bits)\n");
+    for row in rows {
+        text.push_str(&format!(
+            "{} {} {} {} {:#018x} {:#018x} {:#018x}\n",
+            row.name,
+            row.frames,
+            row.intra_calls,
+            row.inter_calls,
+            row.pm_seconds.to_bits(),
+            row.fpga_seconds.to_bits(),
+            row.mean_truth_error.to_bits(),
+        ));
+    }
+    text
+}
+
 /// Serialises Table 3 rows to a JSON array (machine-readable `--json`
 /// output), using the in-workspace writer instead of serde_json.
 #[must_use]
@@ -189,6 +212,33 @@ mod tests {
         let json = table3_rows_to_json(&rows);
         vip_obs::json::validate(&json).unwrap();
         assert!(json.contains("\"speedup\":3"), "{json}");
+    }
+
+    #[test]
+    fn table3_golden_pins_every_column_but_the_harness_time() {
+        let row = Table3Row {
+            name: "dome",
+            frames: 3,
+            pm_seconds: 0.5,
+            fpga_seconds: 0.125,
+            intra_calls: 40,
+            inter_calls: 27,
+            harness_seconds: 1.0,
+            mean_truth_error: 0.25,
+        };
+        let golden = table3_golden(std::slice::from_ref(&row));
+        assert!(golden
+            .ends_with("dome 3 40 27 0x3fe0000000000000 0x3fc0000000000000 0x3fd0000000000000\n"));
+        let slower = Table3Row {
+            harness_seconds: 9.0,
+            ..row.clone()
+        };
+        assert_eq!(table3_golden(&[slower]), golden);
+        let moved = Table3Row {
+            mean_truth_error: 0.25 + f64::EPSILON,
+            ..row
+        };
+        assert_ne!(table3_golden(&[moved]), golden);
     }
 
     /// The `table3 --quick` rows, pinned exactly: any change to the GME,

@@ -19,6 +19,14 @@
 //! again. The warped frame and the sample buffer are allocated once per
 //! pyramid level.
 //!
+//! Both host passes walk their rows through the same per-row coordinate
+//! map (`Motion::row`), count pixels in exact `f64`, and round through
+//! `i64` (`warp::round_clamped`). They keep [`Motion::apply`]'s products
+//! and summation order, so every estimate is bit-identical to the
+//! per-pixel reference (pinned by `golden_estimates_are_bit_identical`
+//! here, `qcif_dome_motion_is_bit_identical` in `runner.rs` and
+//! `table3 --check`).
+//!
 //! # Examples
 //!
 //! ```
@@ -336,17 +344,28 @@ impl Estimator {
         let mut jac = [0.0f64; NP];
         let (w, h) = (ref_level.width(), ref_level.height());
         let (cx, cy) = centre_of(ref_level.dims());
+        let (gw, gx_max, gy_max) = (grad.width(), grad.width() - 1, grad.height() - 1);
         let mut n = 0usize;
         let mut considered = 0usize;
         let mut resid_sum = 0.0f64;
         let step = self.config.subsample;
+        // Exact `f64` twins of `px` and `py`: no integer-to-float convert
+        // per pixel.
+        let fstep = step as f64;
+        let mut fy = 1.0;
 
         for py in (1..h.saturating_sub(1)).step_by(step) {
+            let y = fy - cy;
+            fy += fstep;
+            let map = motion.row(y);
             let ref_row = ref_level.line(py);
             let mask_row = mask.line(py);
             let warped_row = warped.line(py);
             let sample_row = &samples[py * w..(py + 1) * w];
+            let mut fx = 1.0;
             for px in (1..w.saturating_sub(1)).step_by(step) {
+                let x = fx - cx;
+                fx += fstep;
                 considered += 1;
                 // Pixels the warp could not sample have nothing to fit;
                 // the mask's majority vote alone does not rule them out.
@@ -357,14 +376,12 @@ impl Estimator {
                 if r.abs() > self.config.outlier_threshold {
                     continue;
                 }
-                let x = px as f64 - cx;
-                let y = py as f64 - cy;
-                let (wx, wy) = motion.apply(x, y);
+                let (wx, wy) = map.at(x);
                 // Gradient of the current level, sampled at the warped
                 // position (nearest sample of the backend gradient call).
-                let gxi = round_clamped(wx + cx, grad.width() - 1);
-                let gyi = round_clamped(wy + cy, grad.height() - 1);
-                let (gx, gy) = CentralGradient::decode(grad.line(gyi)[gxi]);
+                let gxi = round_clamped(wx + cx, gx_max);
+                let gyi = round_clamped(wy + cy, gy_max);
+                let (gx, gy) = CentralGradient::decode(grad.pixels()[gyi * gw + gxi]);
                 let (gx, gy) = (f64::from(gx), f64::from(gy));
 
                 fill_jacobian(&mut jac, self.config.model, x, y, wx, wy, gx, gy, motion);

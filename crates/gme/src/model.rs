@@ -131,6 +131,22 @@ impl Motion {
         )
     }
 
+    /// The motion restricted to row `y`, for the per-pixel passes:
+    /// [`RowMap::at`]`(x)` equals `self.apply(x, y)` bit for bit for
+    /// finite `x` and `y`, with `h1·y`, `h4·y` and `h7·y` computed once
+    /// per row. [`Motion::apply`] stays the reference.
+    #[must_use]
+    pub(crate) fn row(&self, y: f64) -> RowMap {
+        let h = self.h;
+        RowMap {
+            h,
+            h1y: h[1] * y,
+            h4y: h[4] * y,
+            h7y: h[7] * y,
+            projective: h[6] != 0.0 || h[7] != 0.0,
+        }
+    }
+
     /// The translation component `(h2, h5)`.
     #[must_use]
     pub const fn translation_part(&self) -> (f64, f64) {
@@ -251,6 +267,36 @@ impl Motion {
     }
 }
 
+/// One row of a [`Motion`] (see [`Motion::row`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowMap {
+    h: [f64; 8],
+    h1y: f64,
+    h4y: f64,
+    h7y: f64,
+    /// `h6` or `h7` is non-zero. Without either, `w` is exactly 1.0 for
+    /// finite coordinates and `v / 1.0 == v`, so the divide is skipped.
+    projective: bool,
+}
+
+impl RowMap {
+    /// The motion at `(x, y)`, as [`Motion::apply`] computes it: the same
+    /// products, summed in the same order.
+    #[must_use]
+    #[inline]
+    pub(crate) fn at(&self, x: f64) -> (f64, f64) {
+        let h = &self.h;
+        let u = h[0] * x + self.h1y + h[2];
+        let v = h[3] * x + self.h4y + h[5];
+        if !self.projective {
+            return (u, v);
+        }
+        let w = h[6] * x + self.h7y + 1.0;
+        let w = if w.abs() < 1e-12 { 1e-12 } else { w };
+        (u / w, v / w)
+    }
+}
+
 impl Default for Motion {
     fn default() -> Self {
         Motion::identity()
@@ -321,6 +367,53 @@ mod tests {
         assert_eq!(id.apply(3.0, -7.0), (3.0, -7.0));
         assert_eq!(id.model(), MotionModel::Translational);
         assert_eq!(Motion::default(), id);
+    }
+
+    #[test]
+    fn row_map_matches_apply_bit_for_bit() {
+        let mut rng = vip_video::rng::XorShift64::new(0x2403_1699);
+        let mut motions = vec![
+            Motion::identity(),
+            Motion::translation(-3.25, 7.5),
+            Motion::similarity(1.07, -0.2, 4.5, -2.0),
+            // w is exactly 0 at x = -16: the 1e-12 clamp applies.
+            Motion {
+                h: [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0625, 0.0],
+            },
+            Motion {
+                h: [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, -0.0, 0.0],
+            },
+        ];
+        for _ in 0..40 {
+            let mut h = [0.0; 8];
+            for (i, hi) in h.iter_mut().enumerate() {
+                *hi = match i {
+                    0 | 4 => rng.uniform(0.8, 1.25),
+                    2 | 5 => rng.uniform(-20.0, 20.0),
+                    6 | 7 => rng.uniform(-1e-3, 1e-3),
+                    _ => rng.uniform(-0.3, 0.3),
+                };
+            }
+            motions.push(Motion { h });
+            motions.push(Motion::affine([h[2], h[0], h[1], h[5], h[3], h[4]]));
+            motions.push(Motion::translation(h[2], h[5]));
+        }
+        for m in &motions {
+            for iy in -40..=40 {
+                let y = f64::from(iy) * 1.5 - 0.5;
+                let row = m.row(y);
+                for ix in -60..=60 {
+                    let x = f64::from(ix) * 0.5;
+                    let (a, b) = row.at(x);
+                    let (c, d) = m.apply(x, y);
+                    assert_eq!(
+                        (a.to_bits(), b.to_bits()),
+                        (c.to_bits(), d.to_bits()),
+                        "{m} at ({x}, {y})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -235,6 +235,8 @@ impl SequenceRunner {
 mod tests {
     use super::*;
     use crate::backend::{EngineBackend, SoftwareBackend};
+    use crate::model::MotionModel;
+    use vip_video::TestSequence;
 
     use vip_core::pixel::Pixel;
 
@@ -437,5 +439,52 @@ mod tests {
         }
         // Identical call pattern on both backends.
         assert_eq!(a.tally, b.tally);
+    }
+    /// Bits of every `relative.h` of `SequenceRunner::run` over a 6-frame
+    /// QCIF `dome` clip on the software backend, for the default Affine
+    /// configuration and for Perspective (whose non-zero `h6`/`h7` take
+    /// the projective divide), recorded before the per-row coordinate map
+    /// replaced the per-pixel `Motion::apply` in the warp and the normal
+    /// equations. Any change in rounding, summation order or pixel
+    /// visiting order at workload scale shows up here.
+    #[rustfmt::skip]
+    const QCIF_DOME: [(MotionModel, [[u64; 8]; 5]); 2] = [
+        (MotionModel::Affine, [
+            [0x3fefffec12ee4dc5, 0x3f573064fb6d70a2, 0xbfe21cb0e7cf8931, 0xbf5544a5857487a4, 0x3ff00013faea81a9, 0xbfdb60ed27fec516, 0x0000000000000000, 0x0000000000000000],
+            [0x3fefff85d65bc606, 0x3f57ce75231888f5, 0xbfe228377b5edd79, 0xbf54cba2f3f7d680, 0x3feffffd62a7eb80, 0xbfdb15f6ba13efdc, 0x0000000000000000, 0x0000000000000000],
+            [0x3feffffd8a3cd081, 0x3f58381eb4e94ef5, 0xbfe24bb25ae9a506, 0xbf54d73e89e0014c, 0x3ff0000fdbcb9a93, 0xbfdb158f7f8e749c, 0x0000000000000000, 0x0000000000000000],
+            [0x3fefffa83638f125, 0x3f5736b49c4fa491, 0xbfe22634a0567d5f, 0xbf550458db73b07e, 0x3ff0001bc209c496, 0xbfdb2396f8e5e92a, 0x0000000000000000, 0x0000000000000000],
+            [0x3ff0000050734bbc, 0x3f578d4ab4b247ba, 0xbfe24175b869d1d1, 0xbf54e60f04890de4, 0x3fefff93f26a18fa, 0xbfdb11435189d4bc, 0x0000000000000000, 0x0000000000000000],
+        ]),
+        (MotionModel::Perspective, [
+            [0x3fefffd165e0e47f, 0x3f56f3c4bcc1d332, 0xbfe202b51349e407, 0xbf555ad80a1f4eba, 0x3ff00027105fd24d, 0xbfdba25a986ff814, 0x3ec382858579f3d5, 0xbed0c778bac50be6],
+            [0x3fefff5113f9de8d, 0x3f57b6b21cd581cd, 0xbfe21594971f18d2, 0xbf54e1d9369351cb, 0x3ff000082fd44d67, 0xbfdb48c3e2433f31, 0x3ebaaec13f5655bd, 0xbeca3d30bcbc8594],
+            [0x3ff000002df5493a, 0x3f5837b309728840, 0xbfe23949ecc161e8, 0xbf54da620d312922, 0x3ff00020b97d471b, 0xbfdb4123c802304d, 0x3eb9a89e9c03c239, 0xbec87bf60f232e14],
+            [0x3fefffb2fb2d8b05, 0x3f572e03db4216d9, 0xbfe205e629e89f58, 0xbf55116404985ed6, 0x3ff00032753a8584, 0xbfdb4df1bf09efe3, 0x3ec6dab9edc17a38, 0xbec7d4e60230a10c],
+            [0x3ff00000cd3d70fa, 0x3f57bc6a836ff9ae, 0xbfe223cb7e25c645, 0xbf54f6bbd26b9fee, 0x3fefffc0e158702f, 0xbfdb38e50d13db6b, 0x3ec3608cd763bf70, 0xbec4cebd50e149e4],
+        ]),
+    ];
+
+    #[test]
+    fn qcif_dome_motion_is_bit_identical() {
+        let seq = TestSequence::dome().scaled(176, 144, 6);
+        for (model, golden) in QCIF_DOME {
+            let runner = SequenceRunner::new(GmeConfig {
+                model,
+                ..GmeConfig::default()
+            });
+            let mut backend = SoftwareBackend::new();
+            let report = runner.run(seq.frames(), &mut backend).unwrap();
+            assert_eq!(report.records.len(), golden.len(), "{model:?} pairs");
+            for (rec, h) in report.records.iter().zip(golden) {
+                assert_eq!(
+                    rec.relative.h.map(f64::to_bits),
+                    h,
+                    "{model:?} pair {}: {}",
+                    rec.index,
+                    rec.relative
+                );
+            }
+        }
     }
 }

@@ -6,6 +6,18 @@
 //! express); the subsequent pixel-wise comparison *is* an AddressLib
 //! inter call and goes through the backend.
 //!
+//! The warp pass behind [`warp_frame`] runs at kernel speed and gives,
+//! bit for bit, what the per-pixel reference [`Motion::apply`] +
+//! [`sample_bilinear`] + `warped_pixel` gives:
+//! - each row takes one coordinate map, `Motion::row`, which hoists the
+//!   `y` products and skips the projective divide for translational and
+//!   affine motions;
+//! - pixel coordinates are exact `f64` counters, and `floor_index` and
+//!   `round_clamped` truncate through `i64`, so no pixel pays for an
+//!   unsigned 64-bit convert;
+//! - an outside sample takes no early exit: it reads pixel (0, 0), and
+//!   NaN and the black alpha-0 pixel replace it.
+//!
 //! # Examples
 //!
 //! ```
@@ -50,41 +62,60 @@ impl Warped {
 /// interpolation. Returns `None` outside the frame.
 #[must_use]
 pub fn sample_bilinear(frame: &Frame, x: f64, y: f64) -> Option<f64> {
+    let (xmax, ymax) = (frame.width() as f64 - 1.0, frame.height() as f64 - 1.0);
+    in_source(x, y, xmax, ymax).then(|| interpolate(frame, x, y))
+}
+
+/// Whether `(x, y)` lies in a source whose last column and row are
+/// `xmax` and `ymax`. NaN coordinates count as inside, as they always
+/// have: [`interpolate`] reads pixel 0 for them and returns NaN.
+fn in_source(x: f64, y: f64, xmax: f64, ymax: f64) -> bool {
+    !(x < 0.0 || y < 0.0 || x > xmax || y > ymax)
+}
+
+/// The bilinear interpolation behind [`sample_bilinear`], for `(x, y)`
+/// that [`in_source`] accepts.
+fn interpolate(frame: &Frame, x: f64, y: f64) -> f64 {
     let (w, h) = (frame.width(), frame.height());
-    if x < 0.0 || y < 0.0 || x > w as f64 - 1.0 || y > h as f64 - 1.0 {
-        return None;
-    }
     let (xi, yi) = (floor_index(x), floor_index(y));
-    let tx = x - xi as f64;
-    let ty = y - yi as f64;
+    // Through `i64`: baseline x86-64 converts a signed integer in one
+    // instruction and an unsigned one in several. Indices are < 2^53.
+    let tx = x - xi as i64 as f64;
+    let ty = y - yi as i64 as f64;
     let (x1, row0, row1) = ((xi + 1).min(w - 1), yi * w, (yi + 1).min(h - 1) * w);
     let pixels = frame.pixels();
     let at = |row: usize, col: usize| f64::from(pixels[row + col].y);
     let a = at(row0, xi) + (at(row0, x1) - at(row0, xi)) * tx;
     let b = at(row1, xi) + (at(row1, x1) - at(row1, xi)) * tx;
-    Some(a + (b - a) * ty)
+    a + (b - a) * ty
 }
 
 /// `v.floor() as usize` for `v >= 0`, by truncation. Baseline x86-64 has
-/// no floor instruction, so `f64::floor` is a libm call. NaN maps to 0,
+/// no floor instruction, so `f64::floor` is a libm call, and no unsigned
+/// 64-bit convert, so the truncation goes through `i64`. NaN maps to 0,
 /// as the cast does; negative `v` also maps to 0, which is *not* its
-/// floor, so callers range-check first.
+/// floor, so callers range-check first. This equals `v as usize` for
+/// every `v` below 2^63; from 2^63 up (`+∞` included) it saturates at
+/// `i64::MAX`, a value no frame index and no in-source coordinate
+/// reaches.
 #[must_use]
 pub(crate) fn floor_index(v: f64) -> usize {
-    v as usize
+    (v as i64).max(0) as usize
 }
 
 /// `v.round().clamp(0.0, max as f64) as usize` (ties away from zero) for
-/// every `v`, NaN included (it maps to 0), without libm's `round`.
+/// every `v`, NaN included (it maps to 0), and every `max` up to
+/// `i64::MAX`, without libm's `round` and without an unsigned 64-bit
+/// convert.
 #[must_use]
 pub(crate) fn round_clamped(v: f64, max: usize) -> usize {
-    // Saturating truncation: negatives and NaN give 0. Below `max` the
-    // fraction `v - t` is exact (`t <= v < t + 1`).
-    let t = v as usize;
-    if t >= max {
+    // Saturating truncation toward zero (NaN gives 0), then negatives to
+    // 0. Below `max` the fraction `v - t` is exact (`t <= v < t + 1`).
+    let t = (v as i64).max(0);
+    if t as usize >= max {
         return max;
     }
-    t + usize::from(v - t as f64 >= 0.5)
+    t as usize + usize::from(v - t as f64 >= 0.5)
 }
 
 /// The warped pixel for one bilinear sample: its rounded luma with
@@ -92,10 +123,8 @@ pub(crate) fn round_clamped(v: f64, max: usize) -> usize {
 /// the source.
 #[must_use]
 pub(crate) fn warped_pixel(sample: Option<f64>) -> Pixel {
-    match sample {
-        Some(v) => Pixel::from_luma(round_clamped(v, 255) as u8).with_alpha(1),
-        None => Pixel::BLACK.with_alpha(0),
-    }
+    let luma = sample.map_or(0, |v| round_clamped(v, 255) as u8);
+    Pixel::from_luma(luma).with_alpha(u16::from(sample.is_some()))
 }
 
 /// Centre of a frame (the origin of the centred motion coordinates).
@@ -137,19 +166,33 @@ pub(crate) fn warp_into(
         return 0;
     }
     let (cx, cy) = centre_of(src.dims());
+    let (xmax, ymax) = (w as f64 - 1.0, src.height() as f64 - 1.0);
     let mut valid = 0usize;
     let rows = out
         .pixels_mut()
         .chunks_exact_mut(w)
         .zip(samples.chunks_exact_mut(w));
-    for (py, (row, row_samples)) in rows.enumerate() {
-        let y = py as f64 - cy;
-        for (px, (pixel, slot)) in row.iter_mut().zip(row_samples).enumerate() {
-            let (mx, my) = motion.apply(px as f64 - cx, y);
-            let sample = sample_bilinear(src, mx + cx, my + cy);
-            valid += usize::from(sample.is_some());
-            *slot = sample.unwrap_or(f64::NAN);
-            *pixel = warped_pixel(sample);
+    // Exact `f64` pixel counters: no integer-to-float convert per pixel.
+    let mut py = 0.0;
+    for (row, row_samples) in rows {
+        let map = motion.row(py - cy);
+        py += 1.0;
+        let mut px = 0.0;
+        for (pixel, slot) in row.iter_mut().zip(row_samples) {
+            let (mx, my) = map.at(px - cx);
+            px += 1.0;
+            let (sx, sy) = (mx + cx, my + cy);
+            // No early exit: a sample outside the source reads pixel
+            // (0, 0), and NaN and black replace it.
+            let inside = in_source(sx, sy, xmax, ymax);
+            let v = interpolate(
+                src,
+                if inside { sx } else { 0.0 },
+                if inside { sy } else { 0.0 },
+            );
+            valid += usize::from(inside);
+            *slot = if inside { v } else { f64::NAN };
+            *pixel = warped_pixel(inside.then_some(v));
         }
     }
     valid
@@ -159,6 +202,7 @@ pub(crate) fn warp_into(
 mod tests {
     use super::*;
     use vip_core::geometry::Point;
+    use vip_video::rng::XorShift64;
 
     fn ramp(dims: Dims) -> Frame {
         Frame::from_fn(dims, |p| Pixel::from_luma((p.x * 10) as u8))
@@ -247,58 +291,137 @@ mod tests {
         );
     }
 
-    #[test]
-    fn floor_index_matches_floor_on_the_sampled_range() {
-        let sampled = [
+    /// Values where truncation, rounding or saturation could go wrong,
+    /// plus a seeded sweep: random bit patterns (every magnitude, NaN and
+    /// infinities included) and uniform values over the pixel range.
+    fn cast_inputs() -> Vec<f64> {
+        let mut values = vec![
+            f64::NAN,
+            -f64::NAN,
             0.0,
             -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.5,
+            -0.4,
+            -0.6,
+            -1.5,
+            0.4999999999999999,
             0.49999999999999994,
             0.5,
+            0.5000000000000001,
             1.0 - f64::EPSILON / 2.0,
+            1.5,
+            2.5,
             7.999,
-            254.5,
-            255.0,
             1e6,
+            1e300,
+            -1e300,
+            4_503_599_627_370_495.5,
+            9_007_199_254_740_993.0,
+            9_223_372_036_854_774_784.0,
+            9_223_372_036_854_775_808.0,
+            18_446_744_073_709_551_616.0,
         ];
-        for v in sampled {
-            assert_eq!(floor_index(v), v.floor() as usize, "v = {v}");
+        for max in [1u32, 175, 255] {
+            let m = f64::from(max);
+            values.extend([m - 0.5, m - 0.5000000000000001, m, m + 0.4, m + 0.5]);
         }
-        assert_eq!(floor_index(f64::NAN), f64::NAN.floor() as usize);
+        let mut rng = XorShift64::new(0x0ca5_7e57);
+        values.extend((0..4000).map(|_| f64::from_bits(rng.next_u64())));
+        values.extend((0..4000).map(|_| rng.uniform(-3.0, 300.0)));
+        values.extend((-40..=2600).map(|i| f64::from(i) * 0.1));
+        values
+    }
+
+    #[test]
+    fn floor_index_matches_floor_on_the_sampled_range() {
+        for v in cast_inputs() {
+            if v >= 9_223_372_036_854_775_808.0 {
+                assert_eq!(floor_index(v), i64::MAX as usize, "v = {v:e}");
+                continue;
+            }
+            assert_eq!(floor_index(v), v as usize, "v = {v:e}");
+            if v >= 0.0 {
+                assert_eq!(floor_index(v), v.floor() as usize, "v = {v:e}");
+            }
+        }
     }
 
     #[test]
     fn round_clamped_matches_round_then_clamp() {
-        let edge = [
-            0.0,
-            -0.0,
-            0.5,
-            1.5,
-            2.5,
-            0.49999999999999994,
-            0.5000000000000001,
-            254.49999999999997,
-            254.5,
-            254.9,
-            255.0,
-            255.4,
-            255.5,
-            256.0,
-            1e9,
-            1e300,
-            -0.4,
-            -0.5,
-            -0.6,
-            -1.5,
-            -1e300,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-        ];
-        let sweep = (-40..=2600).map(|i| f64::from(i) * 0.1);
-        for v in edge.into_iter().chain(sweep) {
-            for max in [0usize, 1, 175, 255] {
+        for v in cast_inputs() {
+            for max in [0usize, 1, 175, 255, 1 << 40] {
                 let want = v.round().clamp(0.0, max as f64) as usize;
-                assert_eq!(round_clamped(v, max), want, "v = {v}, max = {max}");
+                assert_eq!(round_clamped(v, max), want, "v = {v:e}, max = {max}");
+            }
+        }
+    }
+
+    /// A seeded frame with no two neighbours alike, so every bilinear
+    /// weight shows in the sample.
+    fn seeded_frame(dims: Dims, seed: u64) -> Frame {
+        let mut rng = XorShift64::new(seed);
+        Frame::from_fn(dims, |_| Pixel::from_luma((rng.next_u64() % 256) as u8))
+    }
+
+    /// Seeded translational, affine and perspective motions, ones that
+    /// map partly or wholly outside the source, and a NaN motion (its
+    /// samples are NaN but count as inside, as `sample_bilinear` has it).
+    fn reference_motions(dims: Dims) -> Vec<Motion> {
+        let (w, h) = (dims.width as f64, dims.height as f64);
+        let mut rng = XorShift64::new(0x2403_1699 ^ (dims.width * 1000 + dims.height) as u64);
+        let mut motions = vec![
+            Motion::identity(),
+            Motion::translation(w / 2.0 + 0.25, -h / 3.0),
+            Motion::translation(w + 1.0, 0.0),
+            Motion::similarity(3.0, 0.4, 0.0, 0.0),
+            Motion {
+                h: [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.2, -0.3],
+            },
+            Motion { h: [f64::NAN; 8] },
+        ];
+        for _ in 0..4 {
+            let mut u = |lo: f64, hi: f64| rng.uniform(lo, hi);
+            motions.push(Motion::translation(u(-3.0, 3.0), u(-3.0, 3.0)));
+            motions.push(Motion::affine([
+                u(-4.0, 4.0),
+                u(0.9, 1.1),
+                u(-0.1, 0.1),
+                u(-4.0, 4.0),
+                u(-0.1, 0.1),
+                u(0.9, 1.1),
+            ]));
+            let mut h = Motion::similarity(u(0.9, 1.1), u(-0.1, 0.1), u(-4.0, 4.0), u(-4.0, 4.0)).h;
+            h[6] = u(-2e-3, 2e-3);
+            h[7] = u(-2e-3, 2e-3);
+            motions.push(Motion { h });
+        }
+        motions
+    }
+
+    #[test]
+    fn warp_into_matches_the_per_pixel_reference() {
+        for (w, h) in [(1, 1), (1, 9), (9, 1), (37, 5), (176, 144)] {
+            let dims = Dims::new(w, h);
+            let src = seeded_frame(dims, 0x5eed ^ (w * 1000 + h) as u64);
+            let (cx, cy) = centre_of(dims);
+            let mut out = Frame::new(dims);
+            let mut samples = vec![0.0; src.pixel_count()];
+            for motion in reference_motions(dims) {
+                let valid = warp_into(&src, &motion, &mut out, &mut samples);
+                let mut want_valid = 0;
+                for (i, (&got, px)) in samples.iter().zip(out.pixels()).enumerate() {
+                    let (px_x, px_y) = (i % w, i / w);
+                    let (mx, my) = motion.apply(px_x as f64 - cx, px_y as f64 - cy);
+                    let sample = sample_bilinear(&src, mx + cx, my + cy);
+                    want_valid += usize::from(sample.is_some());
+                    let case = format!("{w}x{h} {motion} at ({px_x}, {px_y})");
+                    let want = sample.unwrap_or(f64::NAN);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{case}: sample");
+                    assert_eq!(*px, warped_pixel(sample), "{case}: pixel");
+                }
+                assert_eq!(valid, want_valid, "{w}x{h} {motion}: valid count");
             }
         }
     }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full offline verification: rustfmt check, release build, tests, static
-# verifier, the fig. 5/fig. 4 harnesses, the four examples, the
+# verifier, the fig. 5/fig. 4 harnesses, the Table 3 golden check, the
+# four examples, the
 # intra/inter/GME utilization reports and Chrome traces (kept in
 # target/observability; the intra/inter/GME text reports are diffed
 # against tests/golden), a perfbench smoke run, and clippy (perfbench and
@@ -27,6 +28,9 @@ cargo run --release -q -p vip-bench --bin fig5
 
 echo "==> fig4 (sweeps radius-4 windows out of the IIM, one fetch per window)"
 cargo run --release -q -p vip-bench --bin fig4
+
+echo "==> table3 --check (the full CIF Table 3 rows must match tests/golden/table3.txt bit for bit)"
+cargo run --release -q -p vip-bench --bin table3 -- --check > /dev/null
 
 echo "==> examples (each asserts its own results; a non-zero exit fails)"
 for example in quickstart surveillance_diff segmentation_grow motion_mosaic; do
