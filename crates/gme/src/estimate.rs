@@ -19,13 +19,9 @@
 //! again. The warped frame and the sample buffer are allocated once per
 //! pyramid level.
 //!
-//! Both host passes walk their rows through the same per-row coordinate
-//! map (`Motion::row`), count pixels in exact `f64`, and round through
-//! `i64` (`warp::round_clamped`). They keep [`Motion::apply`]'s products
-//! and summation order, so every estimate is bit-identical to the
-//! per-pixel reference (pinned by `golden_estimates_are_bit_identical`
-//! here, `qcif_dome_motion_is_bit_identical` in `runner.rs` and
-//! `table3 --check`).
+//! Both host passes share the per-row coordinate map `Motion::row`, so
+//! every estimate is bit-identical to the per-pixel [`Motion::apply`]
+//! reference; DESIGN.md (GME) says how, and which goldens pin it.
 //!
 //! # Examples
 //!

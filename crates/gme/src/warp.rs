@@ -6,17 +6,9 @@
 //! express); the subsequent pixel-wise comparison *is* an AddressLib
 //! inter call and goes through the backend.
 //!
-//! The warp pass behind [`warp_frame`] runs at kernel speed and gives,
-//! bit for bit, what the per-pixel reference [`Motion::apply`] +
-//! [`sample_bilinear`] + `warped_pixel` gives:
-//! - each row takes one coordinate map, `Motion::row`, which hoists the
-//!   `y` products and skips the projective divide for translational and
-//!   affine motions;
-//! - pixel coordinates are exact `f64` counters, and `floor_index` and
-//!   `round_clamped` truncate through `i64`, so no pixel pays for an
-//!   unsigned 64-bit convert;
-//! - an outside sample takes no early exit: it reads pixel (0, 0), and
-//!   NaN and the black alpha-0 pixel replace it.
+//! The warp pass gives, bit for bit, what the per-pixel reference
+//! [`Motion::apply`] + [`sample_bilinear`] + `warped_pixel` gives; how it
+//! runs at kernel speed is in DESIGN.md (GME) and on `Motion::row`.
 //!
 //! # Examples
 //!
@@ -67,8 +59,8 @@ pub fn sample_bilinear(frame: &Frame, x: f64, y: f64) -> Option<f64> {
 }
 
 /// Whether `(x, y)` lies in a source whose last column and row are
-/// `xmax` and `ymax`. NaN coordinates count as inside, as they always
-/// have: [`interpolate`] reads pixel 0 for them and returns NaN.
+/// `xmax` and `ymax`. NaN coordinates count as inside: [`interpolate`]
+/// reads pixel 0 for them and returns NaN.
 fn in_source(x: f64, y: f64, xmax: f64, ymax: f64) -> bool {
     !(x < 0.0 || y < 0.0 || x > xmax || y > ymax)
 }
@@ -123,8 +115,10 @@ pub(crate) fn round_clamped(v: f64, max: usize) -> usize {
 /// the source.
 #[must_use]
 pub(crate) fn warped_pixel(sample: Option<f64>) -> Pixel {
-    let luma = sample.map_or(0, |v| round_clamped(v, 255) as u8);
-    Pixel::from_luma(luma).with_alpha(u16::from(sample.is_some()))
+    match sample {
+        Some(v) => Pixel::from_luma(round_clamped(v, 255) as u8).with_alpha(1),
+        None => Pixel::BLACK.with_alpha(0),
+    }
 }
 
 /// Centre of a frame (the origin of the centred motion coordinates).
@@ -325,8 +319,13 @@ mod tests {
         ];
         for max in [1u32, 175, 255] {
             let m = f64::from(max);
-            values.extend([m - 0.5, m - 0.5000000000000001, m, m + 0.4, m + 0.5]);
+            // The largest f64 below the tie `m - 0.5`, where the
+            // `v - t >= 0.5` test decides the result.
+            let below_tie = f64::from_bits((m - 0.5).to_bits() - 1);
+            values.extend([below_tie, m - 0.5, m - 0.1, m, m + 0.4, m + 0.5, m + 1.0]);
         }
+        assert!(values.contains(&254.49999999999997));
+        assert!(values.contains(&174.49999999999997));
         let mut rng = XorShift64::new(0x0ca5_7e57);
         values.extend((0..4000).map(|_| f64::from_bits(rng.next_u64())));
         values.extend((0..4000).map(|_| rng.uniform(-3.0, 300.0)));
