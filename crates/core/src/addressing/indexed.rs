@@ -141,9 +141,9 @@ pub struct SegmentRecord {
     pub area: u64,
     /// Sum of member luminance values.
     pub luma_sum: u64,
-    /// Bounding-box minimum (x, y), or the maximum point when empty.
+    /// Bounding-box minimum (x, y); (0, 0) when empty.
     pub min: (i32, i32),
-    /// Bounding-box maximum (x, y).
+    /// Bounding-box maximum (x, y); (0, 0) when empty.
     pub max: (i32, i32),
 }
 
@@ -159,6 +159,22 @@ impl SegmentRecord {
         }
         self.area += 1;
         self.luma_sum += u64::from(luma);
+    }
+
+    /// Folds a run of `len` member pixels, `x0..x0 + len` on row `y`
+    /// with luminance sum `luma_sum`, into the record: the same record as
+    /// [`SegmentRecord::add_pixel`] on each pixel of the run in turn.
+    fn add_run(&mut self, x0: i32, y: i32, len: usize, luma_sum: u64) {
+        let x1 = x0 + len as i32 - 1;
+        if self.area == 0 {
+            self.min = (x0, y);
+            self.max = (x1, y);
+        } else {
+            self.min = (self.min.0.min(x0), self.min.1.min(y));
+            self.max = (self.max.0.max(x1), self.max.1.max(y));
+        }
+        self.area += len as u64;
+        self.luma_sum += luma_sum;
     }
 
     /// Mean luminance of the segment (0 when empty).
@@ -179,19 +195,38 @@ impl SegmentRecord {
 /// The table is sized to the largest label + 1; entry 0 collects the
 /// unlabelled background.
 ///
+/// Every pixel performs one indexed write in parallel to the sweep, so
+/// the table charges `n` writes for `n` pixels in closed form. The host
+/// loop walks each row once and folds every run of equal labels into its
+/// record in one update; the records are those of
+/// [`SegmentRecord::add_pixel`] on every pixel in scan order.
+///
 /// # Errors
 ///
 /// Returns [`CoreError::EmptyFrame`] for zero-area frames.
 pub fn accumulate_segment_stats(frame: &Frame) -> CoreResult<SegmentTable<SegmentRecord>> {
-    if frame.dims().is_empty() {
+    let dims = frame.dims();
+    if dims.is_empty() {
         return Err(CoreError::EmptyFrame);
     }
-    let max_label = frame.pixels().iter().map(|p| p.alpha).max().unwrap_or(0);
-    let mut table: SegmentTable<SegmentRecord> = SegmentTable::with_len(max_label as usize + 1);
-    for (point, px) in frame.enumerate() {
-        // Every pixel performs one indexed write in parallel to the sweep.
-        table.entry_mut(px.alpha as usize)?.add_pixel(point, px.y);
+    let mut entries: Vec<SegmentRecord> = Vec::new();
+    for y in 0..dims.height {
+        let line = frame.line(y);
+        let mut x0 = 0;
+        while x0 < line.len() {
+            let label = line[x0].alpha;
+            let run = line[x0..].iter().take_while(|px| px.alpha == label);
+            let (len, luma_sum) = run.fold((0, 0), |(n, sum), px| (n + 1, sum + u64::from(px.y)));
+            let index = usize::from(label);
+            if index >= entries.len() {
+                entries.resize(index + 1, SegmentRecord::default());
+            }
+            entries[index].add_run(x0 as i32, y as i32, len, luma_sum);
+            x0 += len;
+        }
     }
+    let mut table = SegmentTable::from_entries(entries);
+    table.accesses.write(frame.pixel_count() as u64);
     Ok(table)
 }
 
@@ -279,6 +314,74 @@ mod tests {
         let f = Frame::new(Dims::new(3, 3));
         let table = accumulate_segment_stats(&f).unwrap();
         assert_eq!(table.accesses().writes(), 9);
+    }
+
+    /// The per-pixel reference: one [`SegmentRecord::add_pixel`] through
+    /// [`SegmentTable::entry_mut`] per pixel in scan order.
+    fn per_pixel_stats(frame: &Frame) -> SegmentTable<SegmentRecord> {
+        let max_label = frame.pixels().iter().map(|p| p.alpha).max().unwrap();
+        let mut table: SegmentTable<SegmentRecord> =
+            SegmentTable::with_len(usize::from(max_label) + 1);
+        for (point, px) in frame.enumerate() {
+            table
+                .entry_mut(usize::from(px.alpha))
+                .unwrap()
+                .add_pixel(point, px.y);
+        }
+        table
+    }
+
+    /// A labelling: the label at scan index `i`, column `x` and row `y`.
+    type LabelOf = fn(usize, usize, usize) -> u16;
+
+    #[test]
+    fn accumulate_matches_the_per_pixel_fold() {
+        let sizes = [
+            Dims::new(1, 1),
+            Dims::new(1, 9),
+            Dims::new(9, 1),
+            Dims::new(37, 5),
+            Dims::new(176, 144),
+        ];
+        let labellings: [(&str, LabelOf); 5] = [
+            ("all background", |_, _, _| 0),
+            ("one label per pixel", |i, _, _| (i + 1) as u16),
+            // Runs of seven along the scan order, so most cross a row end.
+            ("runs across row ends", |i, _, _| (i / 7 % 3) as u16),
+            ("labels reappearing after gaps", |_, x, y| {
+                [2, 0, 5, 2, 1, 0, 5][(x / 3 + y) % 7]
+            }),
+            ("the largest label", |i, x, _| {
+                if i % 11 < 4 {
+                    u16::MAX
+                } else {
+                    (x % 2) as u16
+                }
+            }),
+        ];
+        let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+        for dims in sizes {
+            for (name, label) in labellings {
+                let frame = Frame::from_fn(dims, |p| {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    let (x, y) = (p.x as usize, p.y as usize);
+                    Pixel::from_luma(rng as u8).with_alpha(label(y * dims.width + x, x, y))
+                });
+                let table = accumulate_segment_stats(&frame).unwrap();
+                let reference = per_pixel_stats(&frame);
+                assert_eq!(table.len(), reference.len(), "{dims} {name}: length");
+                for (i, (got, want)) in table.iter().zip(reference.iter()).enumerate() {
+                    assert_eq!(got, want, "{dims} {name}: record {i}");
+                }
+                assert_eq!(
+                    table.accesses(),
+                    reference.accesses(),
+                    "{dims} {name}: accesses"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //!
 //! §2.1: *"Beginning with a set of start pixels, all pixels of the segment
 //! are processed in order of geodesic distance."* Each processed pixel is
-//! handled like an intra pixel (a neighbourhood window is gathered and a
-//! kernel applied); afterwards its not-yet-visited neighbours are tested
-//! against a [`NeighborCriterion`] and, if admitted, scheduled for a later
-//! expansion step.
+//! written once (its label and distance) and then its not-yet-visited
+//! neighbours are tested against a [`NeighborCriterion`] and, if
+//! admitted, scheduled for a later expansion step. [`run_segment`] reads
+//! only the pixel itself; [`run_segment_op`] handles the pixel like an
+//! intra pixel and is the only path that gathers a neighbourhood window
+//! for its kernel. Both charge the software AddressLib's full window read
+//! per pixel, the Table 2 model, whatever the host loop reads.
 //!
 //! The expansion is a breadth-first traversal, so pixels are visited in
 //! non-decreasing geodesic distance from the seed set — exactly the
@@ -117,14 +120,9 @@ pub fn run_segment(
     options: SegmentOptions,
 ) -> CoreResult<SegmentResult> {
     let writer = LabelWriter::new(options.label);
-    run_segment_visit(
-        frame,
-        seeds,
-        criterion,
-        options,
-        options.connectivity,
-        |px, dist, _window| writer.apply(px, dist),
-    )
+    run_segment_visit(frame, seeds, criterion, options, |_, px, dist| {
+        writer.apply(px, dist)
+    })
 }
 
 /// Expands a segment and additionally applies an intra kernel to every
@@ -144,22 +142,17 @@ pub fn run_segment_op(
     op: &impl IntraOp,
     options: SegmentOptions,
 ) -> CoreResult<SegmentResult> {
-    let writer = LabelWriter::new(options.label);
-    let out_channels = op.output_channels();
     // The kernel needs its own window shape, which may differ from the
     // expansion connectivity (e.g. a CON_8 Sobel inside a CON_4 expansion).
-    run_segment_visit(
-        frame,
-        seeds,
-        criterion,
-        options,
-        op.shape(),
-        |px, dist, window| {
-            let mut out = writer.apply(px, dist);
-            out.merge_channels(op.apply(window), out_channels);
-            out
-        },
-    )
+    let shape = op.shape();
+    shape.check_span()?;
+    let writer = LabelWriter::new(options.label);
+    let out_channels = op.output_channels();
+    run_segment_visit(frame, seeds, criterion, options, |point, px, dist| {
+        let mut out = writer.apply(px, dist);
+        out.merge_channels(op.apply(&Window::gather(frame, point, shape)), out_channels);
+        out
+    })
 }
 
 fn run_segment_visit(
@@ -167,8 +160,7 @@ fn run_segment_visit(
     seeds: &[Point],
     criterion: &impl NeighborCriterion,
     options: SegmentOptions,
-    gather_shape: Connectivity,
-    mut visit: impl FnMut(Pixel, u32, &Window) -> Pixel,
+    mut visit: impl FnMut(Point, Pixel, u32) -> Pixel,
 ) -> CoreResult<SegmentResult> {
     if frame.dims().is_empty() {
         return Err(CoreError::EmptyFrame);
@@ -177,7 +169,6 @@ fn run_segment_visit(
         return Err(CoreError::NoSeeds);
     }
     options.connectivity.check_span()?;
-    gather_shape.check_span()?;
     for &seed in seeds {
         if !frame.dims().contains(seed) {
             return Err(CoreError::OutOfBounds {
@@ -218,16 +209,15 @@ fn run_segment_visit(
         if segment.len() >= budget {
             break;
         }
-        // Process like an intra pixel: gather the window, apply the visit.
-        let window = Window::gather(frame, current.point, gather_shape);
+        // Process like an intra pixel: the visit reads the window it
+        // needs; the count is the software AddressLib's full window.
+        let from = frame.get(current.point);
         counter.read(per_pixel_reads);
-        let out = visit(frame.get(current.point), current.distance, &window);
-        output.set(current.point, out);
+        output.set(current.point, visit(current.point, from, current.distance));
         counter.write(1);
         segment.push(current);
 
         // Expansion: test unprocessed neighbours against the criterion.
-        let from = frame.get(current.point);
         for off in &offsets {
             let np = current.point + *off;
             if !dims.contains(np) {

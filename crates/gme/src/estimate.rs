@@ -56,7 +56,7 @@ use vip_core::ops::morph::AlphaMajority;
 use vip_obs::{Recorder, Track};
 
 use crate::backend::GmeBackend;
-use crate::model::{solve_linear, Motion, MotionModel};
+use crate::model::{clamp_w, solve_linear, Motion, MotionModel};
 use crate::pyramid::{level_scale, Pyramid};
 use crate::warp::{centre_of, round_clamped, warp_into};
 
@@ -487,8 +487,7 @@ fn fill_jacobian(
         }
         MotionModel::Perspective => {
             let h = &motion.h;
-            let w = h[6] * x + h[7] * y + 1.0;
-            let w = if w.abs() < 1e-9 { 1e-9 } else { w };
+            let w = clamp_w(h[6] * x + h[7] * y + 1.0);
             jac[0] = gx * x / w;
             jac[1] = gx * y / w;
             jac[2] = gx / w;
@@ -826,5 +825,24 @@ mod tests {
         };
         let (m, _) = recover(Dims::new(96, 96), &truth, cfg);
         assert!(m.displacement_error(&truth, 96.0, 96.0) < 0.5, "{m}");
+    }
+
+    #[test]
+    fn perspective_jacobian_divides_by_the_warps_w() {
+        // w = h6·x + 1 falls in [1e-12, 1e-9) at x = 1: below the clamp
+        // the Jacobian once used, above the one the warp uses.
+        let motion = Motion {
+            h: [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, -(1.0 - 5e-10), 0.0],
+        };
+        let (x, y) = (1.0, 0.0);
+        let w = motion.h[6] * x + 1.0;
+        assert!((1e-12..1e-9).contains(&w), "{w}");
+        // The numerator h0·x + h1·y + h2 is 1, so the warp's u is 1/w.
+        let (u, _) = motion.apply(x, y);
+        assert_eq!(u.to_bits(), motion.row(y).at(x).0.to_bits());
+        let mut jac = [0.0; 8];
+        let model = MotionModel::Perspective;
+        fill_jacobian(&mut jac, model, x, y, 0.0, 0.0, 1.0, 0.0, &motion);
+        assert_eq!(jac[2].to_bits(), u.to_bits(), "gx / w against 1 / w");
     }
 }

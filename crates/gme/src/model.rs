@@ -18,6 +18,24 @@
 
 use core::fmt;
 
+/// The smallest magnitude of a projective denominator: a `w` (or matrix
+/// scale) closer to zero is replaced by this value before dividing, so a
+/// point on the horizon maps far away instead of to infinity.
+const MIN_W: f64 = 1e-12;
+
+/// `w`, or [`MIN_W`] when `|w| < MIN_W`: the one clamp every projective
+/// divide of the crate goes through, so the warp and the Jacobian divide
+/// by the same `w`.
+#[must_use]
+#[inline]
+pub(crate) fn clamp_w(w: f64) -> f64 {
+    if w.abs() < MIN_W {
+        MIN_W
+    } else {
+        w
+    }
+}
+
 /// The motion-model family (MPEG-7 GME supports a hierarchy of models).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MotionModel {
@@ -123,8 +141,7 @@ impl Motion {
     #[must_use]
     pub fn apply(&self, x: f64, y: f64) -> (f64, f64) {
         let h = &self.h;
-        let w = h[6] * x + h[7] * y + 1.0;
-        let w = if w.abs() < 1e-12 { 1e-12 } else { w };
+        let w = clamp_w(h[6] * x + h[7] * y + 1.0);
         (
             (h[0] * x + h[1] * y + h[2]) / w,
             (h[3] * x + h[4] * y + h[5]) / w,
@@ -250,8 +267,7 @@ impl Motion {
     }
 
     fn from_matrix(m: [[f64; 3]; 3]) -> Motion {
-        let s = m[2][2];
-        let s = if s.abs() < 1e-12 { 1e-12 } else { s };
+        let s = clamp_w(m[2][2]);
         Motion {
             h: [
                 m[0][0] / s,
@@ -291,8 +307,7 @@ impl RowMap {
         if !self.projective {
             return (u, v);
         }
-        let w = h[6] * x + self.h7y + 1.0;
-        let w = if w.abs() < 1e-12 { 1e-12 } else { w };
+        let w = clamp_w(h[6] * x + self.h7y + 1.0);
         (u / w, v / w)
     }
 }

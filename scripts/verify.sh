@@ -3,8 +3,9 @@
 # verifier, the fig. 5/fig. 4 harnesses, the Table 3 golden check, the
 # four examples, the
 # intra/inter/GME utilization reports and Chrome traces (kept in
-# target/observability; the intra/inter/GME text reports are diffed
-# against tests/golden), a perfbench smoke run, and clippy (perfbench and
+# target/observability; the intra/inter/GME text reports and the
+# vipctl segment summary are diffed against tests/golden), a perfbench
+# smoke run, and clippy (perfbench and
 # workspace) and rustdoc with warnings denied. This is exactly what CI
 # runs; run it before pushing.
 set -euo pipefail
@@ -48,6 +49,9 @@ echo "==> report goldens (intra/inter/gme reports, ZBT bank duty and zbt.bank* s
 for scenario in intra inter gme; do
     diff -u "tests/golden/report_$scenario.txt" "$obs_out/report_$scenario.txt"
 done
+echo "==> segment golden (vipctl segment labels every pixel through label_all_segments and run_segment; its summary must match tests/golden/segment.txt)"
+cargo run --release -q -p vip --bin vipctl -- segment --tolerance 2 > "$obs_out/segment.txt"
+diff -u tests/golden/segment.txt "$obs_out/segment.txt"
 cargo run --release -q -p vip --bin vipctl -- trace intra --out "$obs_out/trace_intra.json" > /dev/null
 cargo run --release -q -p vip --bin vipctl -- trace inter --out "$obs_out/trace_inter.json" > /dev/null
 cargo run --release -q -p vip --bin vipctl -- report gme --format json > "$obs_out/report_gme.json"
