@@ -19,8 +19,6 @@
 
 #![forbid(unsafe_code)]
 
-use std::time::Duration;
-
 use vip_gme::{EngineBackend, GmeConfig, SequenceRunner};
 use vip_obs::json::JsonWriter;
 use vip_video::TestSequence;
@@ -30,17 +28,6 @@ use vip_video::TestSequence;
 pub fn fmt_minutes(seconds: f64) -> String {
     let total = seconds.round() as u64;
     format!("{}'{:02}''", total / 60, total % 60)
-}
-
-/// Formats a [`Duration`] compactly.
-#[must_use]
-pub fn fmt_duration(d: Duration) -> String {
-    let s = d.as_secs_f64();
-    if s >= 1.0 {
-        format!("{s:.2} s")
-    } else {
-        format!("{:.2} ms", s * 1e3)
-    }
 }
 
 /// One Table 3 row as produced by a GME run.
@@ -189,12 +176,6 @@ mod tests {
         assert_eq!(fmt_minutes(64.0), "1'04''");
         assert_eq!(fmt_minutes(0.4), "0'00''");
         assert_eq!(fmt_minutes(745.0), "12'25''");
-    }
-
-    #[test]
-    fn fmt_duration_units() {
-        assert_eq!(fmt_duration(Duration::from_millis(1500)), "1.50 s");
-        assert_eq!(fmt_duration(Duration::from_micros(2500)), "2.50 ms");
     }
 
     #[test]

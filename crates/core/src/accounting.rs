@@ -53,7 +53,6 @@ use crate::pixel::ChannelSet;
 
 /// The addressing class of a call, as counted by Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AddressingMode {
     /// Two input frames, one output frame (§2.1 inter addressing).
     Inter,
@@ -81,7 +80,6 @@ impl fmt::Display for AddressingMode {
 /// timing and dispatch layers need to know, independent of the kernel
 /// closure itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CallDescriptor {
     /// Addressing class.
     pub mode: AddressingMode,
@@ -162,7 +160,6 @@ impl fmt::Display for CallDescriptor {
 /// Total access counts of one call over a whole frame, software vs.
 /// hardware, plus the paper's two "saving" figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccessModel {
     /// Pixels produced by the call.
     pub pixels: u64,

@@ -19,12 +19,11 @@
 use core::fmt;
 
 use crate::error::{CoreError, CoreResult};
-use crate::geometry::{Dims, ImageFormat, Point, Rect};
+use crate::geometry::{Dims, ImageFormat, Point};
 use crate::pixel::{Channel, Pixel};
 
 /// A row-major frame of [`Pixel`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Frame {
     dims: Dims,
     data: Vec<Pixel>,
@@ -45,12 +44,6 @@ impl Frame {
     #[must_use]
     pub fn new(dims: Dims) -> Self {
         Frame::filled(dims, Pixel::default())
-    }
-
-    /// Creates a frame in one of the standard formats.
-    #[must_use]
-    pub fn with_format(format: ImageFormat) -> Self {
-        Frame::new(format.dims())
     }
 
     /// Creates a frame with every pixel set to `fill`.
@@ -155,48 +148,20 @@ impl Frame {
     ///
     /// # Panics
     ///
-    /// Panics if `p` is out of bounds; use [`Frame::try_get`] for a checked
-    /// variant.
+    /// Panics if `p` is out of bounds.
     #[must_use]
     pub fn get(&self, p: Point) -> Pixel {
         self.data[self.dims.index_of(p)]
-    }
-
-    /// Reads the pixel at `p`, or `None` when out of bounds.
-    #[must_use]
-    pub fn try_get(&self, p: Point) -> Option<Pixel> {
-        if self.dims.contains(p) {
-            Some(self.data[self.dims.index_of(p)])
-        } else {
-            None
-        }
     }
 
     /// Writes the pixel at `p`.
     ///
     /// # Panics
     ///
-    /// Panics if `p` is out of bounds; use [`Frame::try_set`] for a checked
-    /// variant.
+    /// Panics if `p` is out of bounds.
     pub fn set(&mut self, p: Point, pixel: Pixel) {
         let idx = self.dims.index_of(p);
         self.data[idx] = pixel;
-    }
-
-    /// Writes the pixel at `p`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::OutOfBounds`] when `p` lies outside the frame.
-    pub fn try_set(&mut self, p: Point, pixel: Pixel) -> CoreResult<()> {
-        if !self.dims.contains(p) {
-            return Err(CoreError::OutOfBounds {
-                point: p,
-                dims: self.dims,
-            });
-        }
-        self.set(p, pixel);
-        Ok(())
     }
 
     /// Mutable access to the pixel at `p`.
@@ -221,17 +186,6 @@ impl Frame {
         &self.data[start..start + self.dims.width]
     }
 
-    /// Mutably borrows one line (row) of pixels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line >= height`.
-    pub fn line_mut(&mut self, line: usize) -> &mut [Pixel] {
-        assert!(line < self.dims.height, "line {line} out of bounds");
-        let start = line * self.dims.width;
-        &mut self.data[start..start + self.dims.width]
-    }
-
     /// The whole pixel buffer in row-major order.
     #[must_use]
     pub fn pixels(&self) -> &[Pixel] {
@@ -241,12 +195,6 @@ impl Frame {
     /// Mutable view of the whole pixel buffer in row-major order.
     pub fn pixels_mut(&mut self) -> &mut [Pixel] {
         &mut self.data
-    }
-
-    /// Consumes the frame and returns its pixel buffer.
-    #[must_use]
-    pub fn into_pixels(self) -> Vec<Pixel> {
-        self.data
     }
 
     /// Iterates over `(Point, Pixel)` pairs in row-major order.
@@ -268,34 +216,6 @@ impl Frame {
     #[must_use]
     pub fn luma_plane(&self) -> Vec<u8> {
         self.data.iter().map(|p| p.y).collect()
-    }
-
-    /// Copies the rectangle `src_rect` of `src` to position `dst_pos` of
-    /// `self`, clipping against both frames.
-    ///
-    /// Returns the number of pixels copied.
-    pub fn blit(&mut self, src: &Frame, src_rect: Rect, dst_pos: Point) -> usize {
-        let clipped = match src_rect.intersect(&src.dims.bounds()) {
-            Some(r) => r,
-            None => return 0,
-        };
-        // Keep source↔destination correspondence when the source
-        // rectangle was clipped at its top/left edge.
-        let shift = Point::new(clipped.x - src_rect.x, clipped.y - src_rect.y);
-        let src_rect = clipped;
-        let mut copied = 0;
-        for dy in 0..src_rect.height as i32 {
-            for dx in 0..src_rect.width as i32 {
-                let sp = Point::new(src_rect.x + dx, src_rect.y + dy);
-                let dp = dst_pos.offset(dx + shift.x, dy + shift.y);
-                if self.dims.contains(dp) {
-                    let px = src.get(sp);
-                    self.set(dp, px);
-                    copied += 1;
-                }
-            }
-        }
-        copied
     }
 
     /// Sum of absolute luminance differences against another frame.
@@ -353,15 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn with_format_sizes() {
-        assert_eq!(Frame::with_format(ImageFormat::Cif).pixel_count(), 101_376);
-        assert_eq!(
-            Frame::with_format(ImageFormat::Qcif).format(),
-            Some(ImageFormat::Qcif)
-        );
-    }
-
-    #[test]
     fn from_fn_row_major() {
         let f = ramp(Dims::new(4, 2));
         assert_eq!(f.get(Point::new(0, 0)).y, 0);
@@ -390,8 +301,6 @@ mod tests {
         let p = Pixel::new(1, 2, 3, 4, 5);
         f.set(Point::new(1, 1), p);
         assert_eq!(f.get(Point::new(1, 1)), p);
-        assert_eq!(f.try_get(Point::new(2, 0)), None);
-        assert!(f.try_set(Point::new(0, 2), p).is_err());
         f.get_mut(Point::new(0, 0)).y = 9;
         assert_eq!(f.get(Point::new(0, 0)).y, 9);
     }
@@ -400,9 +309,6 @@ mod tests {
     fn line_access() {
         let f = ramp(Dims::new(3, 2));
         assert_eq!(f.line(1).iter().map(|p| p.y).collect::<Vec<_>>(), [3, 4, 5]);
-        let mut g = f.clone();
-        g.line_mut(0)[2] = Pixel::from_luma(99);
-        assert_eq!(g.get(Point::new(2, 0)).y, 99);
     }
 
     #[test]
@@ -426,39 +332,6 @@ mod tests {
         let f = Frame::filled(Dims::new(2, 1), Pixel::new(1, 2, 3, 4, 5));
         assert_eq!(f.channel_plane(Channel::Aux), vec![5, 5]);
         assert_eq!(f.channel_plane(Channel::U), vec![2, 2]);
-    }
-
-    #[test]
-    fn blit_clips_on_both_sides() {
-        let src = Frame::filled(Dims::new(4, 4), Pixel::from_luma(7));
-        let mut dst = Frame::new(Dims::new(4, 4));
-        // Source rect partially outside src; destination partially outside dst.
-        let n = dst.blit(&src, Rect::new(2, 2, 4, 4), Point::new(3, 3));
-        assert_eq!(n, 1);
-        assert_eq!(dst.get(Point::new(3, 3)).y, 7);
-        assert_eq!(dst.get(Point::new(0, 0)).y, 0);
-    }
-
-    #[test]
-    fn blit_clipped_source_keeps_correspondence() {
-        // Regression: clipping the source rect at its top/left must shift
-        // the destination by the clipped amount, not translate the block.
-        let src = Frame::from_fn(Dims::new(4, 4), |p| Pixel::from_luma((p.y * 4 + p.x) as u8));
-        let mut dst = Frame::new(Dims::new(8, 8));
-        // src_rect starts at (-2, -2): only the src quadrant (0..2, 0..2)
-        // exists, and it corresponds to dst positions (2..4, 2..4).
-        let n = dst.blit(&src, Rect::new(-2, -2, 4, 4), Point::new(0, 0));
-        assert_eq!(n, 4);
-        assert_eq!(dst.get(Point::new(2, 2)).y, src.get(Point::new(0, 0)).y);
-        assert_eq!(dst.get(Point::new(3, 3)).y, src.get(Point::new(1, 1)).y);
-        assert_eq!(dst.get(Point::new(0, 0)).y, 0, "untouched");
-    }
-
-    #[test]
-    fn blit_disjoint_copies_nothing() {
-        let src = Frame::new(Dims::new(2, 2));
-        let mut dst = Frame::new(Dims::new(2, 2));
-        assert_eq!(dst.blit(&src, Rect::new(5, 5, 2, 2), Point::ORIGIN), 0);
     }
 
     #[test]

@@ -15,7 +15,6 @@ use core::fmt;
 
 /// Width × height of a frame, in pixels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dims {
     /// Frame width in pixels.
     pub width: usize,
@@ -114,7 +113,6 @@ impl From<(usize, usize)> for Dims {
 /// A pixel position. Signed so that neighbourhood offsets can step outside
 /// the frame before they are clamped to its edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Horizontal coordinate (column).
     pub x: i32,
@@ -131,26 +129,6 @@ impl Point {
 
     /// The origin `(0, 0)`.
     pub const ORIGIN: Point = Point { x: 0, y: 0 };
-
-    /// Component-wise translation.
-    #[must_use]
-    pub const fn offset(self, dx: i32, dy: i32) -> Point {
-        Point::new(self.x + dx, self.y + dy)
-    }
-
-    /// Manhattan (city-block) distance to `other`; the geodesic metric used
-    /// by 4-connected segment expansion.
-    #[must_use]
-    pub const fn manhattan_distance(self, other: Point) -> u32 {
-        self.x.abs_diff(other.x) + self.y.abs_diff(other.y)
-    }
-
-    /// Chessboard (Chebyshev) distance to `other`; the geodesic metric used
-    /// by 8-connected segment expansion.
-    #[must_use]
-    pub fn chessboard_distance(self, other: Point) -> u32 {
-        self.x.abs_diff(other.x).max(self.y.abs_diff(other.y))
-    }
 }
 
 impl fmt::Display for Point {
@@ -181,7 +159,6 @@ impl core::ops::Sub for Point {
 
 /// An axis-aligned rectangle of pixels, anchored at `(x, y)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rect {
     /// Left edge.
     pub x: i32,
@@ -220,20 +197,6 @@ impl Rect {
         self.width * self.height
     }
 
-    /// Intersection with another rectangle, or `None` if disjoint.
-    #[must_use]
-    pub fn intersect(&self, other: &Rect) -> Option<Rect> {
-        let x0 = self.x.max(other.x);
-        let y0 = self.y.max(other.y);
-        let x1 = (self.x + self.width as i32).min(other.x + other.width as i32);
-        let y1 = (self.y + self.height as i32).min(other.y + other.height as i32);
-        if x1 > x0 && y1 > y0 {
-            Some(Rect::new(x0, y0, (x1 - x0) as usize, (y1 - y0) as usize))
-        } else {
-            None
-        }
-    }
-
     /// Iterates over all points of the rectangle in row-major order.
     pub fn points(&self) -> impl Iterator<Item = Point> + '_ {
         let (x, y, w, h) = (self.x, self.y, self.width as i32, self.height as i32);
@@ -252,7 +215,6 @@ impl fmt::Display for Rect {
 /// The ZBT memory of the prototype board is sized to hold *two input and one
 /// output image* of either format (§3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ImageFormat {
     /// 176 × 144 pixels, ≈ 200 kB at 64 bit/pixel.
     Qcif,
@@ -348,9 +310,6 @@ mod tests {
         let b = Point::new(4, -2);
         assert_eq!(a + b, Point::new(5, 0));
         assert_eq!(b - a, Point::new(3, -4));
-        assert_eq!(a.manhattan_distance(b), 7);
-        assert_eq!(a.chessboard_distance(b), 4);
-        assert_eq!(a.offset(1, 1), Point::new(2, 3));
     }
 
     #[test]
@@ -359,9 +318,6 @@ mod tests {
         assert!(r.contains(Point::new(3, 2)));
         assert!(!r.contains(Point::new(4, 1)));
         assert_eq!(r.area(), 6);
-        let s = Rect::new(2, 0, 5, 5);
-        assert_eq!(r.intersect(&s), Some(Rect::new(2, 1, 2, 2)));
-        assert_eq!(r.intersect(&Rect::new(10, 10, 1, 1)), None);
     }
 
     #[test]

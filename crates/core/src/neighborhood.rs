@@ -32,7 +32,6 @@ pub const MAX_LINES: usize = 2 * MAX_RADIUS + 1;
 
 /// Named neighbourhood shapes of the AddressLib.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Connectivity {
     /// The pixel itself only (`CON_0` in Table 2).
     Con0,
@@ -43,28 +42,12 @@ pub enum Connectivity {
     #[default]
     Con8,
     /// A full square window of the given radius (1 ⇒ identical to
-    /// [`Connectivity::Con8`]). Radius is validated to [`MAX_RADIUS`] by
-    /// [`Connectivity::try_square`].
+    /// [`Connectivity::Con8`]). Calls refuse a radius above [`MAX_RADIUS`]
+    /// through [`Connectivity::check_span`].
     Square(u8),
 }
 
 impl Connectivity {
-    /// Creates a square window of radius `radius`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] when `radius > MAX_RADIUS`
-    /// (the strip scheme of §3.1 only guarantees nine lines).
-    pub fn try_square(radius: usize) -> CoreResult<Self> {
-        if radius > MAX_RADIUS {
-            return Err(CoreError::InvalidParameter {
-                name: "radius",
-                reason: "neighbourhood may span at most nine lines (radius 4)",
-            });
-        }
-        Ok(Connectivity::Square(radius as u8))
-    }
-
     /// Checks that the shape spans at most [`MAX_LINES`] lines, the
     /// widest window the IIM delivers (§3.1). Every call that builds
     /// windows checks its shapes with this before it does any work.
@@ -750,8 +733,8 @@ mod tests {
         assert_eq!(Connectivity::Con8.lines(), 3);
         assert_eq!(Connectivity::Square(4).lines(), MAX_LINES);
         assert_eq!(MAX_LINES, 9); // §3.1: nine lines max
-        assert!(Connectivity::try_square(4).is_ok());
-        assert!(Connectivity::try_square(5).is_err());
+        assert!(Connectivity::Square(4).check_span().is_ok());
+        assert!(Connectivity::Square(5).check_span().is_err());
     }
 
     #[test]

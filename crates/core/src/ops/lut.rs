@@ -74,6 +74,17 @@ impl LumaLut {
         })
     }
 
+    /// Scales and offsets the luminance: `y' = clamp(y·num/den + offset)`
+    /// in `i32` arithmetic with `den` clamped to at least 1 — the
+    /// fixed-point "mult/add" combination of §2.2.
+    #[must_use]
+    pub fn scale_offset(num: i32, den: i32, offset: i32) -> Self {
+        let den = den.max(1);
+        LumaLut::from_fn("lut_scale_offset", move |v| {
+            (i32::from(v) * num / den + offset).clamp(0, 255) as u8
+        })
+    }
+
     /// The mapped value for `input`.
     #[must_use]
     pub fn map(&self, input: u8) -> u8 {
@@ -160,54 +171,6 @@ impl IntraOp for Threshold {
     }
 }
 
-/// Scales and offsets the luminance: `y' = clamp(y·num/den + offset)` —
-/// the fixed-point "mult/add" combination of §2.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScaleOffset {
-    num: i32,
-    den: i32,
-    offset: i32,
-}
-
-impl ScaleOffset {
-    /// Creates a scale/offset op; `den` is clamped to at least 1.
-    #[must_use]
-    pub fn new(num: i32, den: i32, offset: i32) -> Self {
-        ScaleOffset {
-            num,
-            den: den.max(1),
-            offset,
-        }
-    }
-
-    /// Brightness adjustment only.
-    #[must_use]
-    pub fn brightness(offset: i32) -> Self {
-        ScaleOffset::new(1, 1, offset)
-    }
-}
-
-impl IntraOp for ScaleOffset {
-    fn name(&self) -> &'static str {
-        "scale_offset"
-    }
-    fn shape(&self) -> Connectivity {
-        Connectivity::Con0
-    }
-    fn input_channels(&self) -> ChannelSet {
-        ChannelSet::Y
-    }
-    fn output_channels(&self) -> ChannelSet {
-        ChannelSet::Y
-    }
-    fn apply(&self, window: &Window) -> Pixel {
-        let mut out = window.centre_pixel();
-        let v = i32::from(out.y) * self.num / self.den + self.offset;
-        out.y = v.clamp(0, 255) as u8;
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,19 +249,42 @@ mod tests {
 
     #[test]
     fn scale_offset_clamps() {
-        assert_eq!(apply_at(&ScaleOffset::new(2, 1, 0), 200).y, 255);
-        assert_eq!(apply_at(&ScaleOffset::new(1, 2, 0), 100).y, 50);
-        assert_eq!(apply_at(&ScaleOffset::brightness(-50), 30).y, 0);
-        assert_eq!(apply_at(&ScaleOffset::brightness(20), 30).y, 50);
+        assert_eq!(apply_at(&LumaLut::scale_offset(2, 1, 0), 200).y, 255);
+        assert_eq!(apply_at(&LumaLut::scale_offset(1, 2, 0), 100).y, 50);
+        assert_eq!(apply_at(&LumaLut::scale_offset(1, 1, -50), 30).y, 0);
+        assert_eq!(apply_at(&LumaLut::scale_offset(1, 1, 20), 30).y, 50);
         // Zero denominator clamps to 1.
-        assert_eq!(apply_at(&ScaleOffset::new(3, 0, 0), 10).y, 30);
+        assert_eq!(apply_at(&LumaLut::scale_offset(3, 0, 0), 10).y, 30);
+    }
+
+    #[test]
+    fn scale_offset_lut_matches_the_fixed_point_formula() {
+        let triples = [
+            (1, 1, 0),
+            (2, 1, 0),
+            (1, 2, 0),
+            (3, 2, -10),
+            (1, 1, 20),
+            (-1, 1, 255),
+            (7, 3, 300),
+            (3, 0, 0),
+            (5, -4, 7),
+            (-2, -1, 100),
+        ];
+        for (num, den, offset) in triples {
+            let lut = LumaLut::scale_offset(num, den, offset);
+            for y in 0..=255u8 {
+                let expected = (i32::from(y) * num / den.max(1) + offset).clamp(0, 255) as u8;
+                assert_eq!(lut.map(y), expected, "({num}, {den}, {offset}) at {y}");
+            }
+        }
     }
 
     #[test]
     fn point_ops_preserve_other_channels() {
         for op in [
             &Threshold::binary(1) as &dyn IntraOp,
-            &ScaleOffset::brightness(5),
+            &LumaLut::scale_offset(1, 1, 5),
         ] {
             let out = apply_at(&op, 100);
             assert_eq!(out.aux, 7, "{}", op.name());
@@ -310,7 +296,7 @@ mod tests {
     fn all_are_con0() {
         assert_eq!(LumaLut::identity().shape(), Connectivity::Con0);
         assert_eq!(Threshold::binary(0).shape(), Connectivity::Con0);
-        assert_eq!(ScaleOffset::brightness(0).shape(), Connectivity::Con0);
+        assert_eq!(LumaLut::scale_offset(1, 1, 0).shape(), Connectivity::Con0);
         assert_eq!(Threshold::binary(0).output_channels().len(), 2);
     }
 

@@ -21,7 +21,7 @@
 
 use crate::error::{CoreError, CoreResult};
 use crate::frame::Frame;
-use crate::pixel::{Channel, Pixel};
+use crate::pixel::Channel;
 
 fn check_dims(a: &Frame, b: &Frame) -> CoreResult<()> {
     if a.dims() != b.dims() {
@@ -62,26 +62,6 @@ pub fn ssd(a: &Frame, b: &Frame) -> CoreResult<u64> {
             (d * d) as u64
         })
         .sum())
-}
-
-/// Masked SAD: only positions whose `mask` alpha is non-zero contribute.
-/// Returns `(sad, counted_pixels)` so callers can normalise.
-///
-/// # Errors
-///
-/// Returns [`CoreError::DimsMismatch`] when any two frames differ in size.
-pub fn masked_sad(a: &Frame, b: &Frame, mask: &Frame) -> CoreResult<(u64, usize)> {
-    check_dims(a, b)?;
-    check_dims(a, mask)?;
-    let mut total = 0u64;
-    let mut n = 0usize;
-    for ((pa, pb), pm) in a.pixels().iter().zip(b.pixels()).zip(mask.pixels()) {
-        if pm.alpha != 0 {
-            total += u64::from(pa.y.abs_diff(pb.y));
-            n += 1;
-        }
-    }
-    Ok((total, n))
 }
 
 /// A 256-bin histogram of one 8-bit video channel.
@@ -215,17 +195,11 @@ impl LumaStats {
     }
 }
 
-/// Counts pixels whose predicate holds (e.g. changed pixels after a
-/// difference picture).
-#[must_use]
-pub fn count_pixels(frame: &Frame, pred: impl Fn(Pixel) -> bool) -> usize {
-    frame.pixels().iter().filter(|&&p| pred(p)).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::geometry::{Dims, Point};
+    use crate::pixel::Pixel;
 
     fn f(vals: &[u8], w: usize) -> Frame {
         Frame::from_luma(Dims::new(w, vals.len() / w), vals).unwrap()
@@ -246,19 +220,6 @@ mod tests {
         let b = Frame::new(Dims::new(3, 2));
         assert!(matches!(sad(&a, &b), Err(CoreError::DimsMismatch { .. })));
         assert!(ssd(&a, &b).is_err());
-    }
-
-    #[test]
-    fn masked_sad_counts_only_masked() {
-        let a = f(&[10, 10, 10, 10], 2);
-        let b = f(&[20, 20, 20, 20], 2);
-        let mut mask = Frame::new(Dims::new(2, 2));
-        mask.get_mut(Point::new(0, 0)).alpha = 1;
-        mask.get_mut(Point::new(1, 1)).alpha = 1;
-        let (total, n) = masked_sad(&a, &b, &mask).unwrap();
-        assert_eq!((total, n), (20, 2));
-        let bad_mask = Frame::new(Dims::new(1, 1));
-        assert!(masked_sad(&a, &b, &bad_mask).is_err());
     }
 
     #[test]
@@ -319,12 +280,5 @@ mod tests {
         let s = LumaStats::of(&frame).unwrap();
         assert_eq!(s.variance, 0.0);
         assert_eq!(s.mean, 42.0);
-    }
-
-    #[test]
-    fn count_pixels_predicate() {
-        let frame = f(&[0, 100, 200, 50], 2);
-        assert_eq!(count_pixels(&frame, |p| p.y >= 100), 2);
-        assert_eq!(count_pixels(&frame, |_| false), 0);
     }
 }

@@ -44,13 +44,11 @@ impl<T: NeighborCriterion + ?Sized> NeighborCriterion for &T {
     }
 }
 
-/// Luminance/chrominance homogeneity: the candidate joins when each
-/// selected channel differs from the source pixel by at most its
-/// tolerance.
+/// Luminance homogeneity: the candidate joins when its luminance differs
+/// from the source pixel by at most the tolerance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HomogeneityCriterion {
     luma_tolerance: u8,
-    chroma_tolerance: Option<u8>,
 }
 
 impl HomogeneityCriterion {
@@ -59,16 +57,6 @@ impl HomogeneityCriterion {
     pub const fn luma(tolerance: u8) -> Self {
         HomogeneityCriterion {
             luma_tolerance: tolerance,
-            chroma_tolerance: None,
-        }
-    }
-
-    /// Joint luminance + chrominance homogeneity.
-    #[must_use]
-    pub const fn luma_chroma(luma_tolerance: u8, chroma_tolerance: u8) -> Self {
-        HomogeneityCriterion {
-            luma_tolerance,
-            chroma_tolerance: Some(chroma_tolerance),
         }
     }
 
@@ -84,24 +72,13 @@ impl NeighborCriterion for HomogeneityCriterion {
         "homogeneity"
     }
     fn admits(&self, from: Pixel, candidate: Pixel) -> bool {
-        if from.y.abs_diff(candidate.y) > self.luma_tolerance {
-            return false;
-        }
-        if let Some(ct) = self.chroma_tolerance {
-            if from.u.abs_diff(candidate.u) > ct || from.v.abs_diff(candidate.v) > ct {
-                return false;
-            }
-        }
-        true
+        from.y.abs_diff(candidate.y) <= self.luma_tolerance
     }
 }
 
 impl fmt::Display for HomogeneityCriterion {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.chroma_tolerance {
-            Some(ct) => write!(f, "homogeneity(y≤{}, uv≤{ct})", self.luma_tolerance),
-            None => write!(f, "homogeneity(y≤{})", self.luma_tolerance),
-        }
+        write!(f, "homogeneity(y≤{})", self.luma_tolerance)
     }
 }
 
@@ -201,15 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn chroma_homogeneity() {
-        let c = HomogeneityCriterion::luma_chroma(100, 2);
-        let base = Pixel::from_yuv(50, 100, 100);
-        assert!(c.admits(base, Pixel::from_yuv(60, 101, 99)));
-        assert!(!c.admits(base, Pixel::from_yuv(60, 104, 100)));
-        assert!(!c.admits(base, Pixel::from_yuv(60, 100, 90)));
-    }
-
-    #[test]
     fn homogeneity_is_symmetric() {
         let c = HomogeneityCriterion::luma(7);
         let a = Pixel::from_luma(100);
@@ -262,10 +230,6 @@ mod tests {
         assert_eq!(
             HomogeneityCriterion::luma(8).to_string(),
             "homogeneity(y≤8)"
-        );
-        assert_eq!(
-            HomogeneityCriterion::luma_chroma(8, 4).to_string(),
-            "homogeneity(y≤8, uv≤4)"
         );
     }
 }

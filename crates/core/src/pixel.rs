@@ -39,7 +39,6 @@ use core::fmt;
 /// assert_eq!((grey.u, grey.v), (128, 128));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Pixel {
     /// Luminance channel (8 bit).
     pub y: u8,
@@ -116,13 +115,6 @@ impl Pixel {
     #[must_use]
     pub const fn with_aux(mut self, aux: u16) -> Self {
         self.aux = aux;
-        self
-    }
-
-    /// Returns a copy with the luminance channel replaced.
-    #[must_use]
-    pub const fn with_luma(mut self, y: u8) -> Self {
-        self.y = y;
         self
     }
 
@@ -235,7 +227,6 @@ impl From<Pixel> for u64 {
 /// assert_eq!(p.channel(Channel::V), 7);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Channel {
     /// Luminance.
     Y,
@@ -328,7 +319,6 @@ impl fmt::Display for Channel {
 /// assert_eq!(yuv.len(), 3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChannelSet(u8);
 
 impl ChannelSet {
@@ -392,12 +382,6 @@ impl ChannelSet {
         ChannelSet(self.0 | other.0)
     }
 
-    /// Intersection of two sets.
-    #[must_use]
-    pub fn intersection(self, other: ChannelSet) -> ChannelSet {
-        ChannelSet(self.0 & other.0)
-    }
-
     /// Iterates over the channels of the set in canonical order.
     pub fn iter(self) -> impl Iterator<Item = Channel> {
         Channel::ALL.into_iter().filter(move |c| self.contains(*c))
@@ -408,15 +392,6 @@ impl ChannelSet {
     #[inline]
     fn bit_mask(self) -> u64 {
         self.iter().fold(0, |mask, c| mask | c.bit_mask())
-    }
-
-    /// Number of distinct 32-bit ZBT words touched by the channels of the
-    /// set (0, 1 or 2). Used by the memory-access accounting.
-    #[must_use]
-    pub fn word_count(self) -> usize {
-        let video = self.intersection(ChannelSet::YUV);
-        let side = self.intersection(ChannelSet::ALPHA.union(ChannelSet::AUX));
-        usize::from(!video.is_empty()) + usize::from(!side.is_empty())
     }
 }
 
@@ -527,22 +502,11 @@ mod tests {
     }
 
     #[test]
-    fn channel_set_word_count() {
-        assert_eq!(ChannelSet::Y.word_count(), 1);
-        assert_eq!(ChannelSet::YUV.word_count(), 1);
-        assert_eq!(ChannelSet::ALL.word_count(), 2);
-        assert_eq!(ChannelSet::ALPHA.word_count(), 1);
-        assert_eq!(ChannelSet::EMPTY.word_count(), 0);
-        assert_eq!(ChannelSet::Y.union(ChannelSet::AUX).word_count(), 2);
-    }
-
-    #[test]
     fn channel_set_from_iterator_and_union() {
         let s: ChannelSet = [Channel::Y, Channel::U].into_iter().collect();
         assert_eq!(s.len(), 2);
         let t = s.union(ChannelSet::ALPHA);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.intersection(ChannelSet::YUV).len(), 2);
     }
 
     #[test]

@@ -27,7 +27,6 @@ use crate::geometry::Dims;
 /// is sixteen lines, as the maximum range of input data required to process
 /// one pixel is nine lines"* (§3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Strip {
     /// Index of the strip within the frame (0-based).
     pub index: usize,

@@ -25,7 +25,7 @@ use vip_core::ops::compose::{Then, ZipWith};
 use vip_core::ops::filter::{
     Binomial3, BoxBlur, CentralGradient, Convolution, Identity, SobelGradient,
 };
-use vip_core::ops::lut::{LumaLut, ScaleOffset, Threshold};
+use vip_core::ops::lut::{LumaLut, Threshold};
 use vip_core::ops::morph::{AlphaMajority, Dilate, Erode, MorphGradient};
 use vip_core::ops::rank::{Median, RankFilter};
 use vip_core::ops::IntraOp;
@@ -183,8 +183,8 @@ fn lut_kernels_match_per_pixel_reference() {
     check(&LumaLut::from_fn("halve", |v| v / 2), &frames);
     check(&Threshold::binary(100), &frames);
     check(&Threshold::with_levels(60, 10, 240), &frames);
-    check(&ScaleOffset::new(3, 2, -10), &frames);
-    check(&ScaleOffset::brightness(20), &frames);
+    check(&LumaLut::scale_offset(3, 2, -10), &frames);
+    check(&LumaLut::scale_offset(1, 1, 20), &frames);
 }
 
 #[test]

@@ -12,8 +12,8 @@
 //! use vip_engine::clock::{ClockDomain, Cycles};
 //!
 //! let pci = ClockDomain::pci_66();
-//! let t = pci.duration_of(Cycles(66_000_000));
-//! assert!((t.as_secs_f64() - 1.0).abs() < 1e-9);
+//! let seconds = Cycles(66_000_000).0 as f64 / pci.hz;
+//! assert!((seconds - 1.0).abs() < 1e-9);
 //! ```
 
 use core::fmt;
@@ -23,7 +23,6 @@ use std::time::Duration;
 
 /// A cycle count within one clock domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cycles(pub u64);
 
 impl Cycles {
@@ -83,7 +82,6 @@ impl fmt::Display for Cycles {
 
 /// A clock domain with a fixed frequency.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))] // &'static str names: no Deserialize
 pub struct ClockDomain {
     /// Frequency in hertz.
     pub hz: f64,
@@ -124,12 +122,6 @@ impl ClockDomain {
     #[must_use]
     pub const fn new(name: &'static str, hz: f64) -> Self {
         ClockDomain { hz, name }
-    }
-
-    /// Wall-clock duration of `cycles` in this domain.
-    #[must_use]
-    pub fn duration_of(&self, cycles: Cycles) -> Duration {
-        Duration::from_secs_f64(cycles.0 as f64 / self.hz)
     }
 
     /// Clock period.
@@ -181,13 +173,6 @@ mod tests {
         assert!((period_ns - 9.784).abs() < 0.01, "{period_ns}");
         // Duration-based period rounds to nanosecond resolution.
         assert_eq!(fmax.period().as_nanos(), 10);
-    }
-
-    #[test]
-    fn duration_roundtrip() {
-        let d = ClockDomain::new("test", 100e6);
-        let t = d.duration_of(Cycles(250));
-        assert!((t.as_secs_f64() - 2.5e-6).abs() < 1e-15);
     }
 
     #[test]

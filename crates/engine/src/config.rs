@@ -6,7 +6,6 @@ use crate::error::{EngineError, EngineResult};
 
 /// How faithfully calls are simulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SimulationFidelity {
     /// Cycle-level simulation: pixels flow through ZBT → IIM → matrix
     /// register → Process Unit pipeline → OIM → ZBT, advanced as
@@ -18,7 +17,7 @@ pub enum SimulationFidelity {
     Detailed,
     /// Analytic cycle counts derived from the same architectural
     /// parameters, validated against [`SimulationFidelity::Detailed`] on
-    /// small frames (see the `analytic_matches_detailed` tests). Use for
+    /// small frames (see `crates/engine/tests/analytic_vs_detailed.rs`). Use for
     /// CIF-scale workloads like the Table 3 runs, where cycle-stepping
     /// thousands of calls would be needlessly slow.
     #[default]
@@ -27,7 +26,6 @@ pub enum SimulationFidelity {
 
 /// How the detailed simulator advances its cycle counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StepMode {
     /// Tick every engine cycle, modelling each stage each cycle. The
     /// reference the equivalence tests hold [`StepMode::FastForward`] to.
@@ -44,7 +42,6 @@ pub enum StepMode {
 
 /// Behaviour of inter calls with respect to transfer/processing overlap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum InterOverlap {
     /// Strips of both input frames are interleaved on the PCI bus so that
     /// processing starts as soon as the first strip pair is resident.
@@ -58,7 +55,6 @@ pub enum InterOverlap {
 
 /// Architectural configuration of the simulated AddressEngine.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))] // &'static str names: no Deserialize
 pub struct EngineConfig {
     /// PCI bus clock (prototype: 66 MHz, 32 bit).
     pub pci_clock: ClockDomain,

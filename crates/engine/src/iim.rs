@@ -28,7 +28,7 @@
 //! let mut iim = Iim::new(16, 8);
 //! iim.load_line(0, &vec![Pixel::from_luma(7); 8]);
 //! assert!(iim.has_line(0));
-//! assert_eq!(iim.resident_lines(), 1);
+//! assert!(!iim.is_empty());
 //! ```
 
 use std::collections::VecDeque;
@@ -83,13 +83,6 @@ impl Iim {
         self.capacity_lines
     }
 
-    /// Number of FPGA BRAM blocks this IIM occupies: two banks (lo/hi
-    /// pixel words) per line block.
-    #[must_use]
-    pub const fn bram_blocks(&self) -> usize {
-        2 * self.capacity_lines
-    }
-
     /// FULL signal: no free line block.
     #[must_use]
     pub fn is_full(&self) -> bool {
@@ -100,12 +93,6 @@ impl Iim {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.lines.is_empty()
-    }
-
-    /// Number of resident lines.
-    #[must_use]
-    pub fn resident_lines(&self) -> usize {
-        self.lines.len()
     }
 
     /// Whether image line `line_no` is resident.
@@ -248,13 +235,6 @@ mod tests {
         assert!(!iim.is_empty() && !iim.is_full());
         iim.load_line(1, &line(0, 2));
         assert!(iim.is_full());
-    }
-
-    #[test]
-    fn bram_blocks_match_prototype() {
-        // 16 line blocks × 2 banks = 32 BRAMs for the IIM (§3.1).
-        let iim = Iim::new(16, 352);
-        assert_eq!(iim.bram_blocks(), 32);
     }
 
     #[test]

@@ -144,15 +144,6 @@ impl<T> Oim<T> {
     }
 }
 
-impl Oim {
-    /// BRAM blocks occupied (two banks per line, same structure as the
-    /// IIM).
-    #[must_use]
-    pub fn bram_blocks_for(lines: usize) -> usize {
-        2 * lines
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,11 +196,6 @@ mod tests {
         assert_eq!(oim.max_occupancy(), 3);
         assert_eq!(oim.pops(), 2);
         assert_eq!(oim.capacity(), 4);
-    }
-
-    #[test]
-    fn bram_structure_matches_iim() {
-        assert_eq!(Oim::bram_blocks_for(16), 32);
     }
 
     #[test]

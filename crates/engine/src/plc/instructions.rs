@@ -11,7 +11,6 @@ use core::fmt;
 
 /// The pipeline stage an instruction executes in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Stage {
     /// Stage 1: image scanning — advance the pixel position counters.
     Scan,
@@ -53,7 +52,6 @@ impl fmt::Display for Stage {
 
 /// How stage 2 fills the matrix register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FetchKind {
     /// LOAD: fill the whole matrix from scratch (first pixel of a line).
     Load,

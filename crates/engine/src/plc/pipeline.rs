@@ -51,7 +51,6 @@ impl Cycle {
 
 /// Occupancy of the four stages in one cycle, for pipeline traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StageSnapshot {
     /// The pixel index occupying each stage (`None` = bubble). A bundle
     /// is stored on the cycle it leaves stage 3, so stage 4 always

@@ -27,7 +27,6 @@ use crate::zbt::{ZbtMemory, ZbtRegion};
 
 /// Statistics of one detailed (cycle-stepped) processing phase.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProcessingStats {
     /// Engine cycles from processing start until the last result pixel
     /// reached the ZBT.

@@ -53,7 +53,6 @@ use crate::error::EngineResult;
 
 /// Parameters of the partial-reconfiguration port.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReconfigConfig {
     /// Partial bitstream size of one processing kernel, in bytes.
     pub bitstream_bytes: usize,
@@ -104,7 +103,6 @@ pub struct ReconfigRun {
 
 /// Cumulative reconfiguration statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReconfigStats {
     /// Calls executed.
     pub calls: u64,

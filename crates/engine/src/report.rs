@@ -183,7 +183,6 @@ impl fmt::Display for EngineReport {
 /// Per-mode call tallies and accumulated busy time — the counters behind
 /// the "Intra AddrEng calls" / "Inter AddrEng calls" columns of Table 3.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EngineStats {
     /// Completed intra calls.
     pub intra_calls: u64,
@@ -217,12 +216,6 @@ impl EngineStats {
         self.busy_seconds += report.timeline.total;
         self.pci_seconds += report.timeline.input_pci + report.timeline.output_pci;
         self.hardware_accesses += report.hardware_accesses;
-    }
-
-    /// Accumulated busy time.
-    #[must_use]
-    pub fn busy_duration(&self) -> Duration {
-        Duration::from_secs_f64(self.busy_seconds)
     }
 }
 
@@ -284,7 +277,6 @@ mod tests {
         assert!(s.pci_seconds > 0.0);
         assert!(s.pci_seconds <= s.busy_seconds);
         assert_eq!(s.hardware_accesses, 3 * 2 * 1024);
-        assert!(s.busy_duration().as_secs_f64() > 0.0);
     }
 
     #[test]

@@ -34,7 +34,6 @@ use crate::config::EngineConfig;
 
 /// The Virtex-II 2V3000 device capacities (Table 1 denominators).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))] // &'static str names: no Deserialize
 pub struct Device {
     /// Device name as printed by ISE.
     pub name: &'static str,
@@ -70,7 +69,6 @@ impl Device {
 
 /// A device-utilisation estimate in Table 1's terms.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))] // &'static str names: no Deserialize
 pub struct ResourceEstimate {
     /// Target device.
     pub device: Device,

@@ -40,7 +40,6 @@ use crate::config::{EngineConfig, InterOverlap};
 /// The computed schedule of one AddressEngine call, in seconds from the
 /// host issuing the call.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CallTimeline {
     /// Addressing class the schedule was computed for.
     pub mode: AddressingMode,
@@ -604,14 +603,6 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains("non-PCI"));
         assert!(s.contains("inter"));
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn timeline_serialises_to_json() {
-        let t = intra_timeline(CIF, 1, &cfg());
-        let json = serde_json::to_string(&t).expect("timeline serialises");
-        assert!(json.contains("\"input_pci\""));
     }
 
     #[test]

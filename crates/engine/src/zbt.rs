@@ -43,7 +43,6 @@ use crate::error::{EngineError, EngineResult};
 
 /// The three image regions of the fig. 3 memory distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ZbtRegion {
     /// First input image (banks 0 + 1, lo/hi paired).
     InputA,
@@ -81,7 +80,6 @@ const BANK_MAP: [(&str, (usize, usize)); 4] = [
 
 /// Per-bank access statistics (32-bit word operations).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BankStats {
     /// Word reads issued to the bank.
     pub word_reads: u64,
@@ -522,7 +520,6 @@ impl ZbtMemory {
 
 /// One region of the fig. 3 memory map.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))] // &'static str names: no Deserialize
 pub struct MapRegion {
     /// Region label.
     pub name: &'static str,
@@ -536,7 +533,6 @@ pub struct MapRegion {
 
 /// The fig. 3 ZBT memory distribution for one frame size.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))] // &'static str names: no Deserialize
 pub struct MemoryMap {
     /// Frame dimensions the map was computed for.
     pub dims: Dims,

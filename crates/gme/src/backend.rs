@@ -13,6 +13,7 @@ use core::fmt;
 use vip_core::accounting::CallDescriptor;
 use vip_core::error::CoreResult;
 use vip_core::frame::Frame;
+use vip_core::geometry::Dims;
 use vip_core::ops::{InterOp, IntraOp};
 use vip_engine::engine::AddressEngine;
 use vip_engine::error::EngineError;
@@ -84,44 +85,24 @@ pub trait GmeBackend {
     fn name(&self) -> &'static str;
 }
 
+/// The Table 3 "Time in PM" price of one call: the Pentium-M/XM cost
+/// model of the paper's software platform at the call's frame size.
+fn pm_call_seconds(descriptor: &CallDescriptor, dims: Dims) -> f64 {
+    software_call_seconds(descriptor, dims, &CostModel::pentium_m_xm())
+}
+
 /// Pure software backend: the AddressLib running on the host CPU.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SoftwareBackend {
     tally: CallTally,
     pm_seconds: f64,
-    cost_model: CostModel,
 }
 
 impl SoftwareBackend {
-    /// Creates a fresh software backend with the Pentium-M/XM cost
-    /// model of the paper's Table 3.
+    /// Creates a fresh software backend, priced in Pentium-M seconds.
     #[must_use]
     pub fn new() -> Self {
-        SoftwareBackend {
-            tally: CallTally::default(),
-            pm_seconds: 0.0,
-            cost_model: CostModel::pentium_m_xm(),
-        }
-    }
-
-    /// A software backend with a custom cost model (ablations).
-    #[must_use]
-    pub fn with_cost_model(cost_model: CostModel) -> Self {
-        SoftwareBackend {
-            tally: CallTally::default(),
-            pm_seconds: 0.0,
-            cost_model,
-        }
-    }
-
-    fn price(&mut self, descriptor: &CallDescriptor, dims: vip_core::geometry::Dims) {
-        self.pm_seconds += software_call_seconds(descriptor, dims, &self.cost_model);
-    }
-}
-
-impl Default for SoftwareBackend {
-    fn default() -> Self {
-        SoftwareBackend::new()
+        SoftwareBackend::default()
     }
 }
 
@@ -130,7 +111,7 @@ impl GmeBackend for SoftwareBackend {
         let r = vip_core::addressing::intra::run_intra(frame, &op)?;
         self.tally.intra += 1;
         self.tally.intra_pixels += r.report.pixels_processed;
-        self.price(&r.report.descriptor, frame.dims());
+        self.pm_seconds += pm_call_seconds(&r.report.descriptor, frame.dims());
         Ok(r.output)
     }
 
@@ -138,7 +119,7 @@ impl GmeBackend for SoftwareBackend {
         let r = vip_core::addressing::inter::run_inter(a, b, &op)?;
         self.tally.inter += 1;
         self.tally.inter_pixels += r.report.pixels_processed;
-        self.price(&r.report.descriptor, a.dims());
+        self.pm_seconds += pm_call_seconds(&r.report.descriptor, a.dims());
         Ok(r.output)
     }
 
@@ -169,7 +150,6 @@ pub struct EngineBackend {
     intra_pixels: u64,
     inter_pixels: u64,
     pm_seconds: f64,
-    cost_model: CostModel,
 }
 
 impl EngineBackend {
@@ -184,7 +164,6 @@ impl EngineBackend {
             intra_pixels: 0,
             inter_pixels: 0,
             pm_seconds: 0.0,
-            cost_model: CostModel::pentium_m_xm(),
         })
     }
 
@@ -217,8 +196,7 @@ impl GmeBackend for EngineBackend {
         match self.engine.run_intra(frame, &op) {
             Ok(run) => {
                 self.intra_pixels += frame.pixel_count() as u64;
-                self.pm_seconds +=
-                    software_call_seconds(&run.report.descriptor, frame.dims(), &self.cost_model);
+                self.pm_seconds += pm_call_seconds(&run.report.descriptor, frame.dims());
                 Ok(run.output)
             }
             Err(EngineError::Core(e)) => Err(e),
@@ -233,8 +211,7 @@ impl GmeBackend for EngineBackend {
         match self.engine.run_inter(a, b, &op) {
             Ok(run) => {
                 self.inter_pixels += a.pixel_count() as u64;
-                self.pm_seconds +=
-                    software_call_seconds(&run.report.descriptor, a.dims(), &self.cost_model);
+                self.pm_seconds += pm_call_seconds(&run.report.descriptor, a.dims());
                 Ok(run.output)
             }
             Err(EngineError::Core(e)) => Err(e),

@@ -59,39 +59,6 @@ pub fn luma_psnr(a: &Frame, b: &Frame) -> CoreResult<f64> {
     Ok(10.0 * (255.0 * 255.0 / mse).log10())
 }
 
-/// Masked PSNR: only positions with non-zero alpha in `mask` contribute.
-/// Returns `None` when the mask selects nothing.
-///
-/// # Errors
-///
-/// Returns [`CoreError::DimsMismatch`] when any frame differs in size.
-pub fn masked_luma_psnr(a: &Frame, b: &Frame, mask: &Frame) -> CoreResult<Option<f64>> {
-    if a.dims() != b.dims() || a.dims() != mask.dims() {
-        return Err(CoreError::DimsMismatch {
-            left: a.dims(),
-            right: b.dims(),
-        });
-    }
-    let mut mse = 0.0;
-    let mut n = 0usize;
-    for ((pa, pb), pm) in a.pixels().iter().zip(b.pixels()).zip(mask.pixels()) {
-        if pm.alpha != 0 {
-            let d = f64::from(pa.y) - f64::from(pb.y);
-            mse += d * d;
-            n += 1;
-        }
-    }
-    if n == 0 {
-        return Ok(None);
-    }
-    let mse = mse / n as f64;
-    Ok(Some(if mse == 0.0 {
-        f64::INFINITY
-    } else {
-        10.0 * (255.0 * 255.0 / mse).log10()
-    }))
-}
-
 /// Drift analysis of a sequence run against ground-truth absolute poses.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftReport {
@@ -166,22 +133,6 @@ mod tests {
         let slightly = Frame::filled(Dims::new(8, 8), Pixel::from_luma(130));
         let badly = Frame::filled(Dims::new(8, 8), Pixel::from_luma(200));
         assert!(luma_psnr(&a, &slightly).unwrap() > luma_psnr(&a, &badly).unwrap());
-    }
-
-    #[test]
-    fn masked_psnr_selects() {
-        let a = Frame::filled(Dims::new(2, 2), Pixel::from_luma(100));
-        let mut b = a.clone();
-        b.set(Point::new(0, 0), Pixel::from_luma(0)); // big error at (0,0)
-        let mut mask = Frame::new(Dims::new(2, 2));
-        mask.get_mut(Point::new(1, 1)).alpha = 1; // exclude the error
-        let p = masked_luma_psnr(&a, &b, &mask).unwrap().unwrap();
-        assert_eq!(p, f64::INFINITY);
-        // Empty mask → None.
-        let none = masked_luma_psnr(&a, &b, &Frame::new(Dims::new(2, 2))).unwrap();
-        assert!(none.is_none());
-        // Mismatched mask → error.
-        assert!(masked_luma_psnr(&a, &b, &Frame::new(Dims::new(1, 1))).is_err());
     }
 
     #[test]

@@ -130,13 +130,6 @@ impl Motion {
         }
     }
 
-    /// Whether the motion is (numerically) the identity.
-    #[must_use]
-    pub fn is_identity(&self) -> bool {
-        let id = Motion::identity();
-        self.h.iter().zip(&id.h).all(|(a, b)| (a - b).abs() < 1e-12)
-    }
-
     /// Applies the motion to a point.
     #[must_use]
     pub fn apply(&self, x: f64, y: f64) -> (f64, f64) {
@@ -378,7 +371,6 @@ mod tests {
     #[test]
     fn identity_behaviour() {
         let id = Motion::identity();
-        assert!(id.is_identity());
         assert_eq!(id.apply(3.0, -7.0), (3.0, -7.0));
         assert_eq!(id.model(), MotionModel::Translational);
         assert_eq!(Motion::default(), id);
@@ -437,7 +429,6 @@ mod tests {
         assert_eq!(t.apply(0.0, 0.0), (5.0, -2.0));
         assert_eq!(t.model(), MotionModel::Translational);
         assert_eq!(t.translation_part(), (5.0, -2.0));
-        assert!(!t.is_identity());
     }
 
     #[test]

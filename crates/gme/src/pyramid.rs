@@ -88,14 +88,6 @@ impl Pyramid {
     pub fn level(&self, i: usize) -> &Frame {
         &self.levels[i]
     }
-
-    /// Iterates coarse → fine: `(level index, frame)` starting at the
-    /// coarsest level.
-    pub fn coarse_to_fine(&self) -> impl Iterator<Item = (usize, &Frame)> {
-        (0..self.levels.len())
-            .rev()
-            .map(move |i| (i, &self.levels[i]))
-    }
 }
 
 /// 2× decimation (every second pixel of every second line).
@@ -174,15 +166,6 @@ mod tests {
         let d = decimate(&f);
         assert_eq!(d.dims(), Dims::new(4, 3));
         assert_eq!(d.get(Point::new(1, 1)).y, f.get(Point::new(2, 2)).y);
-    }
-
-    #[test]
-    fn coarse_to_fine_order() {
-        let f = textured(Dims::new(64, 64));
-        let mut b = SoftwareBackend::new();
-        let p = Pyramid::build(&f, 3, &mut b).unwrap();
-        let order: Vec<usize> = p.coarse_to_fine().map(|(i, _)| i).collect();
-        assert_eq!(order, vec![2, 1, 0]);
     }
 
     #[test]

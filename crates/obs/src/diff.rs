@@ -42,12 +42,6 @@ impl TrackDelta {
         self.b_busy_ns as i64 - self.a_busy_ns as i64
     }
 
-    /// Event-count change B − A.
-    #[must_use]
-    pub fn event_delta(&self) -> i64 {
-        self.b_events as i64 - self.a_events as i64
-    }
-
     /// Relative busy-time change (B − A) / A; 0 when both sides are
     /// zero, 1 when a track appears only in B.
     #[must_use]
@@ -255,7 +249,7 @@ mod tests {
         assert!(diff.exceeding(0.0).is_empty());
         for t in &diff.tracks {
             assert_eq!(t.busy_delta_ns(), 0);
-            assert_eq!(t.event_delta(), 0);
+            assert_eq!(t.a_events, t.b_events);
             assert_eq!(t.relative_change(), 0.0);
         }
         assert!(diff.text_table(0.1).contains("traces identical"));

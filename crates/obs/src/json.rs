@@ -444,15 +444,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// The ordered members, if this is an object.
-    #[must_use]
-    pub fn as_object(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Object(members) => Some(members),
-            _ => None,
-        }
-    }
 }
 
 /// Builds a value from input that [`validate`] already accepted, so no
@@ -702,7 +693,7 @@ mod tests {
         assert_eq!(list.len(), 2);
         assert_eq!(list[0].as_f64(), Some(-1.0));
         assert_eq!(v.get("missing"), None);
-        assert_eq!(v.as_object().unwrap().len(), 6);
+        assert!(matches!(&v, JsonValue::Object(members) if members.len() == 6));
     }
 
     #[test]
@@ -726,7 +717,6 @@ mod tests {
         assert_eq!(v.get("x"), None);
         assert_eq!(v.as_f64(), None);
         assert_eq!(v.as_str(), None);
-        assert_eq!(v.as_object(), None);
         assert!(JsonValue::parse("3").unwrap().as_array().is_none());
     }
 }

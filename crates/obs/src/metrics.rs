@@ -77,19 +77,6 @@ impl Histogram {
         }
     }
 
-    /// `n` geometrically spaced bounds starting at `start` with the given
-    /// `factor` — the usual latency-histogram shape.
-    #[must_use]
-    pub fn exponential(start: f64, factor: f64, n: usize) -> Self {
-        let mut bounds = Vec::with_capacity(n);
-        let mut b = start;
-        for _ in 0..n {
-            bounds.push(b);
-            b *= factor;
-        }
-        Histogram::with_bounds(&bounds)
-    }
-
     /// Records one sample. Non-finite samples are ignored.
     pub fn observe(&mut self, value: f64) {
         if !value.is_finite() {
@@ -261,15 +248,6 @@ impl Registry {
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Sets a gauge to `value`.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        if let Some(v) = self.gauges.get_mut(name) {
-            *v = value;
-        } else {
-            self.gauges.insert(name.to_string(), value);
-        }
     }
 
     /// Adds `delta` to a gauge (created at zero on first use).
@@ -487,13 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_bounds() {
-        let h = Histogram::exponential(1.0, 2.0, 4);
-        let bounds: Vec<f64> = h.buckets().iter().map(|b| b.0).collect();
-        assert_eq!(&bounds[..4], &[1.0, 2.0, 4.0, 8.0]);
-    }
-
-    #[test]
     fn non_finite_samples_ignored() {
         let mut h = Histogram::with_bounds(&[1.0]);
         h.observe(f64::NAN);
@@ -536,7 +507,7 @@ mod tests {
 
     #[test]
     fn single_sample_percentiles() {
-        let mut h = Histogram::exponential(0.5, 2.0, 8);
+        let mut h = Histogram::with_bounds(&[0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]);
         h.observe(3.0);
         let s = h.summary();
         assert_eq!(s.p50, 3.0);
@@ -623,7 +594,7 @@ mod tests {
     fn registry_merge_combines_all_metric_kinds() {
         let mut a = Registry::new();
         a.inc("calls", 2);
-        a.set_gauge("busy", 1.5);
+        a.add_gauge("busy", 1.5);
         a.observe("lat", &[1.0, 10.0], 0.5);
         let mut b = Registry::new();
         b.inc("calls", 3);
@@ -647,7 +618,7 @@ mod tests {
         reg.inc("calls", 3);
         assert_eq!(reg.counter("calls"), 5);
         assert_eq!(reg.counter("missing"), 0);
-        reg.set_gauge("busy", 1.5);
+        reg.add_gauge("busy", 1.5);
         reg.add_gauge("busy", 0.5);
         assert_eq!(reg.gauge("busy"), 2.0);
         reg.max_gauge("peak", 3.0);
@@ -664,7 +635,7 @@ mod tests {
         reg.observe("lat", &[99.0], 20.0); // bounds ignored on second call
         assert_eq!(reg.histogram("lat").unwrap().count(), 2);
         reg.inc("n", 1);
-        reg.set_gauge("g", 0.25);
+        reg.add_gauge("g", 0.25);
         let table = reg.text_table();
         assert!(table.contains("n  "), "{table}");
         assert!(table.contains("count=2"), "{table}");

@@ -31,13 +31,6 @@ impl SpeedupBound {
             ideal_bound: ideal_speedup(f),
         }
     }
-
-    /// Overall speedup when the offloaded part runs `coprocessor_speedup`
-    /// times faster than in software.
-    #[must_use]
-    pub fn with_coprocessor(&self, coprocessor_speedup: f64) -> f64 {
-        amdahl(self.offloadable_fraction, coprocessor_speedup)
-    }
 }
 
 /// Ideal-coprocessor Amdahl bound `1 / (1 − f)`.
@@ -105,7 +98,7 @@ mod tests {
         // measurement sits comfortably below the ×30 ceiling.
         let mix = segmentation_workload(Dims::new(352, 288));
         let bound = SpeedupBound::of(&mix, &crate::instr::CostModel::pentium_m_xm());
-        let with_6x = bound.with_coprocessor(6.3);
+        let with_6x = amdahl(bound.offloadable_fraction, 6.3);
         assert!(with_6x > 4.0 && with_6x < 6.5, "{with_6x}");
         assert!(with_6x < bound.ideal_bound);
     }

@@ -97,20 +97,6 @@ impl CostModel {
         }
     }
 
-    /// An idealised hand-optimised software platform (for ablations): the
-    /// addressing machinery collapses to simple pointer arithmetic.
-    #[must_use]
-    pub const fn optimised_native() -> Self {
-        CostModel {
-            cpu_hz: 1.6e9,
-            address_calc: 4.0,
-            memory_access: 8.0,
-            pixel_arith: 2.0,
-            loop_control: 2.0,
-            high_level: 20.0,
-        }
-    }
-
     /// Cycles for one operation of `class`.
     #[must_use]
     pub fn cycles(&self, class: InstrClass) -> f64 {
@@ -234,17 +220,6 @@ mod tests {
         assert_eq!(m.cpu_hz, 1.6e9);
         // One address calc at 1.6 GHz.
         assert!((m.seconds(InstrClass::AddressCalc, 1.0) - 95.0 / 1.6e9).abs() < 1e-18);
-    }
-
-    #[test]
-    fn optimised_model_is_cheaper() {
-        let xm = CostModel::pentium_m_xm();
-        let opt = CostModel::optimised_native();
-        for c in InstrClass::ALL {
-            if c != InstrClass::HighLevel {
-                assert!(opt.cycles(c) < xm.cycles(c), "{c}");
-            }
-        }
     }
 
     #[test]

@@ -181,17 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn optimised_software_shrinks_offloadable_share() {
-        // Hand-optimised native code spends relatively more time in the
-        // (unavoidable) high-level part ⇒ smaller achievable speedup.
-        let mix = segmentation_workload(CIF);
-        let xm = profile(&mix, &CostModel::pentium_m_xm());
-        let opt = profile(&mix, &CostModel::optimised_native());
-        assert!(opt.offloadable_fraction < xm.offloadable_fraction);
-        assert!(opt.seconds < xm.seconds);
-    }
-
-    #[test]
     fn call_mix_includes_per_call_overhead() {
         let call = CallDescriptor::inter(ChannelSet::Y, ChannelSet::Y);
         let mix = call_mix(&call, Dims::new(8, 8));

@@ -1,4 +1,4 @@
-//! Minimal image and video I/O: binary PGM/PPM stills and Y4M (YUV4MPEG2)
+//! Minimal image and video output: binary PGM stills and Y4M (YUV4MPEG2)
 //! streams, enough to inspect synthetic sequences and mosaics.
 //!
 //! # Examples
@@ -14,7 +14,7 @@
 //! ```
 
 use std::fs::File;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 use vip_core::frame::Frame;
@@ -31,83 +31,6 @@ pub fn write_pgm(frame: &Frame, path: impl AsRef<Path>) -> io::Result<()> {
     write!(w, "P5\n{} {}\n255\n", frame.width(), frame.height())?;
     w.write_all(&frame.luma_plane())?;
     w.flush()
-}
-
-/// Writes the frame as a binary PPM (P6) using a BT.601 YUV→RGB
-/// conversion.
-///
-/// # Errors
-///
-/// Returns any underlying I/O error.
-pub fn write_ppm(frame: &Frame, path: impl AsRef<Path>) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    write!(w, "P6\n{} {}\n255\n", frame.width(), frame.height())?;
-    let mut buf = Vec::with_capacity(frame.pixel_count() * 3);
-    for p in frame.pixels() {
-        let (r, g, b) = yuv_to_rgb(p.y, p.u, p.v);
-        buf.extend_from_slice(&[r, g, b]);
-    }
-    w.write_all(&buf)?;
-    w.flush()
-}
-
-/// Reads a binary PGM (P5) into a luminance-only frame.
-///
-/// # Errors
-///
-/// Returns [`io::ErrorKind::InvalidData`] for malformed headers or short
-/// payloads, plus any underlying I/O error.
-pub fn read_pgm(path: impl AsRef<Path>) -> io::Result<Frame> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    parse_pgm(&bytes)
-}
-
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-fn parse_pgm(bytes: &[u8]) -> io::Result<Frame> {
-    let mut pos = 0usize;
-    let mut token = || -> io::Result<String> {
-        // Skip whitespace and comments.
-        while pos < bytes.len() {
-            if bytes[pos].is_ascii_whitespace() {
-                pos += 1;
-            } else if bytes[pos] == b'#' {
-                while pos < bytes.len() && bytes[pos] != b'\n' {
-                    pos += 1;
-                }
-            } else {
-                break;
-            }
-        }
-        let start = pos;
-        while pos < bytes.len() && !bytes[pos].is_ascii_whitespace() {
-            pos += 1;
-        }
-        if start == pos {
-            return Err(bad("unexpected end of pgm header"));
-        }
-        Ok(String::from_utf8_lossy(&bytes[start..pos]).into_owned())
-    };
-
-    if token()? != "P5" {
-        return Err(bad("not a binary pgm (P5) file"));
-    }
-    let width: usize = token()?.parse().map_err(|_| bad("bad width"))?;
-    let height: usize = token()?.parse().map_err(|_| bad("bad height"))?;
-    let maxval: usize = token()?.parse().map_err(|_| bad("bad maxval"))?;
-    if maxval != 255 {
-        return Err(bad("only 8-bit pgm supported"));
-    }
-    pos += 1; // single whitespace after maxval
-    let need = width * height;
-    if bytes.len() < pos + need {
-        return Err(bad("pgm payload truncated"));
-    }
-    Frame::from_luma(Dims::new(width, height), &bytes[pos..pos + need])
-        .map_err(|_| bad("inconsistent pgm dimensions"))
 }
 
 /// A Y4M (YUV4MPEG2) stream writer in C444 format.
@@ -188,96 +111,10 @@ impl<W: Write> Y4mWriter<W> {
     }
 }
 
-/// Reads a C444 Y4M (YUV4MPEG2) stream produced by [`Y4mWriter`] back
-/// into frames.
-///
-/// # Errors
-///
-/// Returns [`io::ErrorKind::InvalidData`] for malformed headers, frame
-/// markers or short payloads, plus any underlying I/O error.
-pub fn read_y4m(path: impl AsRef<Path>) -> io::Result<Vec<Frame>> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    parse_y4m(&bytes)
-}
-
-fn parse_y4m(bytes: &[u8]) -> io::Result<Vec<Frame>> {
-    let header_end = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| bad("missing y4m header terminator"))?;
-    let header = String::from_utf8_lossy(&bytes[..header_end]);
-    if !header.starts_with("YUV4MPEG2") {
-        return Err(bad("not a yuv4mpeg2 stream"));
-    }
-    let mut width = 0usize;
-    let mut height = 0usize;
-    let mut c444 = false;
-    for tok in header.split_whitespace().skip(1) {
-        match tok.split_at(1) {
-            ("W", v) => width = v.parse().map_err(|_| bad("bad y4m width"))?,
-            ("H", v) => height = v.parse().map_err(|_| bad("bad y4m height"))?,
-            ("C", v) => c444 = v == "444",
-            _ => {}
-        }
-    }
-    if width == 0 || height == 0 {
-        return Err(bad("y4m header lacks dimensions"));
-    }
-    if !c444 {
-        return Err(bad("only C444 y4m streams supported"));
-    }
-    let dims = Dims::new(width, height);
-    let plane = width * height;
-    let mut frames = Vec::new();
-    let mut pos = header_end + 1;
-    while pos < bytes.len() {
-        // FRAME marker line (parameters ignored).
-        let line_end = bytes[pos..]
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or_else(|| bad("missing frame marker terminator"))?
-            + pos;
-        if !bytes[pos..line_end].starts_with(b"FRAME") {
-            return Err(bad("expected FRAME marker"));
-        }
-        pos = line_end + 1;
-        if bytes.len() < pos + 3 * plane {
-            return Err(bad("y4m frame payload truncated"));
-        }
-        let (ys, rest) = bytes[pos..pos + 3 * plane].split_at(plane);
-        let (us, vs) = rest.split_at(plane);
-        let mut pixels = Vec::with_capacity(plane);
-        for i in 0..plane {
-            pixels.push(Pixel::from_yuv(ys[i], us[i], vs[i]));
-        }
-        frames.push(
-            Frame::from_pixels(dims, pixels).map_err(|_| bad("inconsistent y4m dimensions"))?,
-        );
-        pos += 3 * plane;
-    }
-    Ok(frames)
-}
-
-/// BT.601 full-range YUV → RGB.
-fn yuv_to_rgb(y: u8, u: u8, v: u8) -> (u8, u8, u8) {
-    let y = f64::from(y);
-    let u = f64::from(u) - 128.0;
-    let v = f64::from(v) - 128.0;
-    let r = y + 1.402 * v;
-    let g = y - 0.344_136 * u - 0.714_136 * v;
-    let b = y + 1.772 * u;
-    (
-        r.round().clamp(0.0, 255.0) as u8,
-        g.round().clamp(0.0, 255.0) as u8,
-        b.round().clamp(0.0, 255.0) as u8,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vip_core::geometry::Point;
+    use vip_core::pixel::Channel;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -296,39 +133,9 @@ mod tests {
         let path = tmp("roundtrip.pgm");
         let f = ramp(Dims::new(6, 4));
         write_pgm(&f, &path).unwrap();
-        let g = read_pgm(&path).unwrap();
-        assert_eq!(g.dims(), f.dims());
-        assert_eq!(g.luma_plane(), f.luma_plane());
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn pgm_parse_with_comment() {
-        let mut bytes = b"P5\n# a comment\n2 2\n255\n".to_vec();
-        bytes.extend_from_slice(&[1, 2, 3, 4]);
-        let f = parse_pgm(&bytes).unwrap();
-        assert_eq!(f.get(Point::new(1, 1)).y, 4);
-    }
-
-    #[test]
-    fn pgm_rejects_malformed() {
-        assert!(parse_pgm(b"P6\n2 2\n255\n....").is_err());
-        assert!(parse_pgm(b"P5\n2 2\n65535\n").is_err());
-        assert!(
-            parse_pgm(b"P5\n2 2\n255\n\x01\x02").is_err(),
-            "truncated payload"
-        );
-        assert!(parse_pgm(b"P5\nx 2\n255\n").is_err());
-        assert!(parse_pgm(b"").is_err());
-    }
-
-    #[test]
-    fn ppm_writes_expected_size() {
-        let path = tmp("rgb.ppm");
-        let f = ramp(Dims::new(5, 3));
-        write_ppm(&f, &path).unwrap();
-        let len = std::fs::metadata(&path).unwrap().len() as usize;
-        assert!(len >= 5 * 3 * 3 + 10);
+        let mut expected = b"P5\n6 4\n255\n".to_vec();
+        expected.extend(f.luma_plane());
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
         std::fs::remove_file(path).ok();
     }
 
@@ -375,37 +182,16 @@ mod tests {
             }
             w.into_inner().unwrap();
         }
-        let back = read_y4m(&path).unwrap();
-        assert_eq!(back.len(), 3);
-        for (a, b) in frames.iter().zip(&back) {
-            // Side channels are not carried by Y4M; compare video planes.
-            assert_eq!(a.luma_plane(), b.luma_plane());
-            assert_eq!(
-                a.channel_plane(vip_core::pixel::Channel::U),
-                b.channel_plane(vip_core::pixel::Channel::U)
-            );
+        // Side channels are not carried by Y4M: the header, then per
+        // frame a marker and the Y, U and V planes.
+        let mut expected = b"YUV4MPEG2 W6 H4 F25:1 Ip A1:1 C444\n".to_vec();
+        for f in &frames {
+            expected.extend(b"FRAME\n");
+            for channel in [Channel::Y, Channel::U, Channel::V] {
+                expected.extend(f.channel_plane(channel).iter().map(|&s| s as u8));
+            }
         }
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn y4m_parser_rejects_malformed() {
-        assert!(parse_y4m(b"not a stream\n").is_err());
-        assert!(parse_y4m(b"YUV4MPEG2 W0 H2 C444\n").is_err());
-        assert!(parse_y4m(b"YUV4MPEG2 W2 H2 C420\n").is_err());
-        assert!(
-            parse_y4m(b"YUV4MPEG2 W2 H2 C444\nFRAME\nxx").is_err(),
-            "truncated"
-        );
-        assert!(parse_y4m(b"YUV4MPEG2 W2 H2 C444\nBOGUS\n").is_err());
-        assert!(parse_y4m(b"YUV4MPEG2").is_err(), "no newline");
-    }
-
-    #[test]
-    fn yuv_to_rgb_grey_is_grey() {
-        let (r, g, b) = yuv_to_rgb(100, 128, 128);
-        assert_eq!((r, g, b), (100, 100, 100));
-        let (r, _, _) = yuv_to_rgb(100, 128, 255);
-        assert!(r > 100, "positive V pushes red up");
     }
 }

@@ -204,19 +204,6 @@ impl MotionScript {
     pub(crate) fn set_poses(&mut self, poses: Vec<CameraPose>) {
         self.poses = poses;
     }
-
-    /// The world-space bounding translation reached by the script —
-    /// useful for sizing mosaics.
-    #[must_use]
-    pub fn max_translation(&self) -> (f64, f64) {
-        let mut mx = 0.0f64;
-        let mut my = 0.0f64;
-        for p in &self.poses {
-            mx = mx.max(p.dx.abs());
-            my = my.max(p.dy.abs());
-        }
-        (mx, my)
-    }
 }
 
 #[cfg(test)]
@@ -328,14 +315,6 @@ mod tests {
         assert!((gt.dx + 1.5).abs() < 1e-9, "{gt:?}");
         assert!((gt.dy - 0.5).abs() < 1e-9);
         assert!((gt.zoom - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_translation() {
-        let script = MotionScript::new(vec![Segment::pan(4, 3.0, 0.0), Segment::pan(4, -5.0, 2.0)]);
-        let (mx, my) = script.max_translation();
-        assert!(mx >= 12.0 - 1e-9);
-        assert!(my >= 8.0 - 1e-9 - 8.0); // dy grows to 8 − … just positive
     }
 
     #[test]

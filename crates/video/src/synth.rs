@@ -117,12 +117,6 @@ impl Scene {
         }
     }
 
-    /// Samples only the luminance channel.
-    #[must_use]
-    pub fn sample_luma(&self, x: f64, y: f64) -> f64 {
-        self.sample(x, y).0
-    }
-
     fn skyline(&self, x: f64, y: f64) -> (f64, f64, f64) {
         // Sky gradient descending into a band of "buildings": tall
         // rectangles whose heights come from hashed columns.
@@ -256,7 +250,7 @@ mod tests {
             let mut values = Vec::new();
             for yi in 0..40 {
                 for xi in 0..40 {
-                    values.push(scene.sample_luma(xi as f64 * 9.0, yi as f64 * 9.0));
+                    values.push(scene.sample(xi as f64 * 9.0, yi as f64 * 9.0).0);
                 }
             }
             let mean = values.iter().sum::<f64>() / values.len() as f64;
@@ -272,8 +266,8 @@ mod tests {
         let scene = Scene::new(SceneKind::Film, 9);
         for i in 0..100 {
             let x = i as f64 * 3.0;
-            let a = scene.sample_luma(x, 50.0);
-            let b = scene.sample_luma(x + 0.5, 50.0);
+            let a = scene.sample(x, 50.0).0;
+            let b = scene.sample(x + 0.5, 50.0).0;
             assert!((a - b).abs() < 60.0, "jump of {} at {x}", (a - b).abs());
         }
     }

@@ -13,7 +13,7 @@
 //! * [`gme`] (`vip-gme`) — MPEG-7-style global motion estimation and
 //!   mosaicing, split along the paper's host/coprocessor boundary.
 //! * [`video`] (`vip-video`) — synthetic CIF test sequences with
-//!   ground-truth camera motion plus PGM/PPM/Y4M I/O.
+//!   ground-truth camera motion plus PGM/Y4M output.
 //! * [`profiling`] (`vip-profiling`) — instruction profiling and the ×30
 //!   Amdahl bound.
 //! * [`check`] (`vip-check`) — static schedule/hazard verifier: proves

@@ -56,7 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Segment addressing (software AddressLib — the v1 engine defers
     //    this scheme to future versions, §6): walk the change mask from
-    //    its first set pixel.
+    //    its first set pixel. The mask holds only alpha 0 and 1 and the
+    //    unwalked pixels keep theirs, so the segment is labelled 2.
     let seed = cleaned
         .output
         .enumerate()
@@ -67,7 +68,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &cleaned.output,
         &[seed],
         &AlphaMaskCriterion::new(),
-        SegmentOptions::default(),
+        SegmentOptions {
+            label: 2,
+            ..SegmentOptions::default()
+        },
     )?;
     println!(
         "intruder segment: {} pixels, geodesic radius {}",
@@ -77,7 +81,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Segment-indexed addressing: per-label statistics.
     let stats = accumulate_segment_stats(&segment.output)?;
-    let intruder = &stats.as_ref()[1];
+    let intruder = &stats.as_ref()[2];
+    assert_eq!(
+        intruder.area as usize,
+        segment.segment.len(),
+        "label 2 is the walked segment alone"
+    );
     println!(
         "bounding box: ({}, {})..({}, {}), {} pixels",
         intruder.min.0, intruder.min.1, intruder.max.0, intruder.max.1, intruder.area

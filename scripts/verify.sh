@@ -5,9 +5,10 @@
 # intra/inter/GME utilization reports and Chrome traces (kept in
 # target/observability; the intra/inter/GME text reports and the
 # vipctl segment summary are diffed against tests/golden), a perfbench
-# smoke run, and clippy (perfbench and
-# workspace) and rustdoc with warnings denied. This is exactly what CI
-# runs; run it before pushing.
+# smoke run, and clippy (perfbench, and the workspace with every
+# feature enabled, so a feature that cannot build fails here) and
+# rustdoc with warnings denied. This is exactly what CI runs; run it
+# before pushing.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -71,8 +72,8 @@ perfbench --workload engine_detailed --trace 1
 echo "==> cargo clippy on perfbench (deny warnings)"
 cargo clippy --offline --all-targets --manifest-path perfbench/Cargo.toml -- -D warnings
 
-echo "==> cargo clippy on the workspace (deny warnings)"
-cargo clippy --all-targets --workspace -- -D warnings
+echo "==> cargo clippy on the workspace with all features (deny warnings)"
+cargo clippy --all-targets --all-features --workspace -- -D warnings
 
 echo "==> cargo doc on the workspace (deny warnings, so intra-doc links cannot rot)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
