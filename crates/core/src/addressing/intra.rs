@@ -9,11 +9,13 @@
 //! [`Window`](crate::neighborhood::Window) once at the row start and then
 //! SHIFTs one column in per pixel, clamping column indices at the left
 //! and right edges, so border pixels take the same path as interior ones.
-//! A kernel may override the row body with a faster one that gives the
-//! same pixels; the fixed 3×3 kernels (Sobel, central gradient, binomial
-//! smoothing, alpha majority) fold each column once and combine three
-//! column values per pixel. Results go straight into the output buffer,
-//! and the access counts are closed-form.
+//! A kernel may override the row body with a faster one that appends the
+//! same pixels. The fixed 3×3 kernels (Sobel, central gradient, binomial
+//! smoothing, alpha majority) fold each column once into a lane of small
+//! integers, append the centre line as it is, and store each pixel's
+//! output value, combined from three adjacent column values, into only
+//! their output channels; every other channel is the appended centre
+//! pixel's. The access counts are closed-form.
 //!
 //! # Examples
 //!

@@ -17,7 +17,7 @@
 //! assert_eq!(d.y, 60);
 //! ```
 
-use crate::ops::InterOp;
+use crate::ops::{zip_rows, InterOp};
 use crate::pixel::{Channel, ChannelSet, Pixel};
 
 /// `a` with each video channel of `set` replaced by `f` of the two
@@ -153,6 +153,16 @@ impl InterOp for AbsDiff {
     fn apply(&self, a: Pixel, b: Pixel) -> Pixel {
         zip_video(self.channels, a, b, u8::abs_diff)
     }
+
+    fn apply_row(&self, a: &[Pixel], b: &[Pixel], out: &mut Vec<Pixel>) {
+        // `apply` keeps every channel outside the video channels it
+        // writes, so its result is the stored pixel.
+        if self.channels == ChannelSet::Y {
+            zip_rows(a, b, out, |a, b| a.y.abs_diff(b.y), |px, d| px.y = d);
+        } else {
+            zip_rows(a, b, out, |&a, &b| self.apply(a, b), |px, d| *px = d);
+        }
+    }
 }
 
 /// Per-channel product scaled back to 8 bits (`a·b / 255`).
@@ -252,6 +262,12 @@ impl ChangeMask {
     pub const fn threshold(&self) -> u8 {
         self.threshold
     }
+
+    /// Writes the luminance difference `d` and its mask bit.
+    fn store(&self, px: &mut Pixel, d: u8) {
+        px.y = d;
+        px.alpha = u16::from(d > self.threshold);
+    }
 }
 
 impl InterOp for ChangeMask {
@@ -265,11 +281,19 @@ impl InterOp for ChangeMask {
         ChannelSet::Y.union(ChannelSet::ALPHA)
     }
     fn apply(&self, a: Pixel, b: Pixel) -> Pixel {
-        let d = a.y.abs_diff(b.y);
         let mut out = a;
-        out.y = d;
-        out.alpha = u16::from(d > self.threshold);
+        self.store(&mut out, a.y.abs_diff(b.y));
         out
+    }
+
+    fn apply_row(&self, a: &[Pixel], b: &[Pixel], out: &mut Vec<Pixel>) {
+        zip_rows(
+            a,
+            b,
+            out,
+            |a, b| a.y.abs_diff(b.y),
+            |px, d| self.store(px, d),
+        );
     }
 }
 

@@ -234,10 +234,8 @@ impl IntraOp for Binomial3 {
             lines,
             out,
             |a, b, c| u32::from(a.y) + 2 * u32::from(b.y) + u32::from(c.y),
-            |mut px, l, m, r| {
-                px.y = ((l + 2 * m + r + 8) / 16) as u8;
-                px
-            },
+            |l, m, r| ((l + 2 * m + r + 8) / 16) as u8,
+            |px, y| px.y = y,
         );
     }
 }
@@ -273,13 +271,11 @@ impl SobelGradient {
         (gx, gy)
     }
 
-    /// `centre` with the L1 magnitude of `(gx, gy)` written to luminance
-    /// (clamped to 255) and aux (clamped to `u16::MAX`).
-    fn encode(mut centre: Pixel, gx: i32, gy: i32) -> Pixel {
-        let mag = gx.unsigned_abs() + gy.unsigned_abs();
-        centre.y = mag.min(255) as u8;
-        centre.aux = mag.min(u32::from(u16::MAX)) as u16;
-        centre
+    /// Writes the L1 magnitude `mag` of a response pair to luminance
+    /// (clamped to 255) and aux.
+    fn store(px: &mut Pixel, mag: u16) {
+        px.y = mag.min(255) as u8;
+        px.aux = mag;
     }
 }
 
@@ -298,20 +294,27 @@ impl IntraOp for SobelGradient {
     }
     fn apply(&self, window: &Window) -> Pixel {
         let (gx, gy) = SobelGradient::responses(window);
-        SobelGradient::encode(window.centre_pixel(), gx, gy)
+        let mag = gx.unsigned_abs() + gy.unsigned_abs();
+        let mut out = window.centre_pixel();
+        SobelGradient::store(&mut out, mag.min(u32::from(u16::MAX)) as u16);
+        out
     }
 
     fn apply_row(&self, lines: &[&[Pixel]], _y: i32, out: &mut Vec<Pixel>) {
         // Column `(n + 2c + s, s − n)`; then gx is the right column's sum
         // minus the left one's and gy the 1-2-1 sum of the differences.
+        // Every term fits an i16 and the magnitude (at most 2040) a u16.
         sweep_3x3(
             lines,
             out,
             |a, b, c| {
-                let (a, b, c) = (i32::from(a.y), i32::from(b.y), i32::from(c.y));
+                let (a, b, c) = (i16::from(a.y), i16::from(b.y), i16::from(c.y));
                 (a + 2 * b + c, c - a)
             },
-            |px, (s0, d0), (_, d1), (s2, d2)| SobelGradient::encode(px, s2 - s0, d0 + 2 * d1 + d2),
+            |(s0, d0), (_, d1), (s2, d2)| {
+                (s2 - s0).unsigned_abs() + (d0 + 2 * d1 + d2).unsigned_abs()
+            },
+            SobelGradient::store,
         );
     }
 }
@@ -343,12 +346,11 @@ impl CentralGradient {
         )
     }
 
-    /// `centre` with the biased `(gx, gy)` pair written to luminance and
-    /// aux, the inverse of [`CentralGradient::decode`] within range.
-    fn encode(mut centre: Pixel, gx: i32, gy: i32) -> Pixel {
-        centre.y = (gx + Self::X_BIAS).clamp(0, 255) as u8;
-        centre.aux = (gy + Self::Y_BIAS).clamp(0, 65_535) as u16;
-        centre
+    /// Writes the biased `(gx, gy)` pair to luminance and aux, the
+    /// inverse of [`CentralGradient::decode`] within range.
+    fn store(px: &mut Pixel, (gx, gy): (i32, i32)) {
+        px.y = (gx + Self::X_BIAS).clamp(0, 255) as u8;
+        px.aux = (gy + Self::Y_BIAS).clamp(0, 65_535) as u16;
     }
 }
 
@@ -374,7 +376,9 @@ impl IntraOp for CentralGradient {
         };
         let gx = (i32::from(sample(1, 0).y) - i32::from(sample(-1, 0).y)) / 2;
         let gy = (i32::from(sample(0, 1).y) - i32::from(sample(0, -1).y)) / 2;
-        Self::encode(centre, gx, gy)
+        let mut out = centre;
+        Self::store(&mut out, (gx, gy));
+        out
     }
 
     fn apply_row(&self, lines: &[&[Pixel]], _y: i32, out: &mut Vec<Pixel>) {
@@ -383,8 +387,9 @@ impl IntraOp for CentralGradient {
         sweep_3x3(
             lines,
             out,
-            |a, b, c| (i32::from(b.y), i32::from(c.y) - i32::from(a.y)),
-            |px, (l, _), (_, d), (r, _)| Self::encode(px, (r - l) / 2, d / 2),
+            |a, b, c| (i16::from(b.y), i16::from(c.y) - i16::from(a.y)),
+            |(l, _), (_, d), (r, _)| ((r - l) / 2, d / 2),
+            |px, (gx, gy)| Self::store(px, (i32::from(gx), i32::from(gy))),
         );
     }
 }

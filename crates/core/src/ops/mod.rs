@@ -57,6 +57,11 @@ pub trait InterOp {
     /// channels of [`InterOp::apply`]'s result that
     /// [`InterOp::output_channels`] names, merged into `a[i]`.
     ///
+    /// A kernel may override this with a faster row body (`AbsDiff` and
+    /// `ChangeMask` store only their output channels into a copy of each
+    /// `a[i]`), but an override must append the same pixels as this
+    /// provided body; only the work per pixel may differ.
+    ///
     /// # Panics
     ///
     /// Panics when `a` and `b` differ in length.
@@ -83,9 +88,10 @@ pub trait InterOp {
 /// Process Unit runs it on its matrix register, window by window. The
 /// provided [`IntraOp::apply_row`] runs it too, over a LOAD/SHIFT window.
 /// A kernel may override [`IntraOp::apply_row`] with a faster row body
-/// (the fixed 3×3 kernels fold each column once and combine three
-/// column values per pixel), but the override must produce exactly the
-/// pixels the per-window definition does.
+/// (the fixed 3×3 kernels fold each column once, append the centre line
+/// and store each output value into their output channels), but the
+/// override must produce exactly the pixels the per-window definition
+/// does.
 pub trait IntraOp {
     /// Short stable kernel name (used in reports and traces).
     fn name(&self) -> &'static str;
@@ -152,27 +158,32 @@ pub trait IntraOp {
     }
 }
 
-/// One row of a 3×3 kernel (`CON_8`, or `CON_4` inside it) in two
-/// passes, for [`IntraOp::apply_row`] overrides.
+/// One row of a 3×3 kernel (`CON_8`, or `CON_4` inside it), for
+/// [`IntraOp::apply_row`] overrides.
 ///
 /// The column pass folds the three `lines` (above, centre, below) into
-/// one `column` value per column, into a buffer of `w + 2` values whose
-/// two ends repeat the edge column: the left and right clamp of
-/// [`Window::load`] and [`Window::shift`], in one place. The row pass
-/// hands `combine` each centre pixel with the column values left of it,
-/// under it and right of it; `combine` writes the kernel's output
-/// channels into the centre pixel and returns it. Six of a window's nine
-/// samples are shared with its left neighbour (§3.5), so each sample is
-/// read once per row instead of three times.
+/// one `column` value per column, into a lane of `w + 2` values whose two
+/// ends repeat the edge column: the left and right clamp of
+/// [`Window::load`] and [`Window::shift`], in one place. Six of a
+/// window's nine samples are shared with its left neighbour (§3.5), so
+/// each sample is read once per row instead of three times. The centre
+/// line is then appended to `out` as it is, and for each appended pixel
+/// `combine` turns the column values left of, under and right of it into
+/// the kernel's output value, which `store` writes into the kernel's
+/// output channels. Every other channel keeps the centre pixel's value.
+/// `column` borrows its three samples: handed whole pixels by value, the
+/// column pass ran about a fifth slower (`AlphaMajority` on QCIF and CIF
+/// frames, 2-vCPU x86-64 host).
 ///
 /// # Panics
 ///
 /// Panics unless `lines` holds three lines of equal width.
-pub(crate) fn sweep_3x3<C: Copy>(
+pub(crate) fn sweep_3x3<C: Copy, V>(
     lines: &[&[Pixel]],
     out: &mut Vec<Pixel>,
-    column: impl Fn(Pixel, Pixel, Pixel) -> C,
-    combine: impl Fn(Pixel, C, C, C) -> Pixel,
+    column: impl Fn(&Pixel, &Pixel, &Pixel) -> C,
+    combine: impl Fn(C, C, C) -> V,
+    store: impl Fn(&mut Pixel, V),
 ) {
     let &[above, centre, below] = lines else {
         panic!("intra row needs one line per window row");
@@ -184,7 +195,7 @@ pub(crate) fn sweep_3x3<C: Copy>(
     let Some(last) = centre.len().checked_sub(1) else {
         return;
     };
-    let at = |x: usize| column(above[x], centre[x], below[x]);
+    let at = |x: usize| column(&above[x], &centre[x], &below[x]);
     let mut columns = Vec::with_capacity(centre.len() + 2);
     columns.push(at(0));
     columns.extend(
@@ -192,15 +203,46 @@ pub(crate) fn sweep_3x3<C: Copy>(
             .iter()
             .zip(centre)
             .zip(below)
-            .map(|((&a, &b), &c)| column(a, b, c)),
+            .map(|((a, b), c)| column(a, b, c)),
     );
     columns.push(at(last));
-    out.extend(
-        centre
-            .iter()
-            .zip(columns.iter().zip(&columns[1..]).zip(&columns[2..]))
-            .map(|(&px, ((&l, &m), &r))| combine(px, l, m, r)),
-    );
+    let start = out.len();
+    out.extend_from_slice(centre);
+    let triples = columns.iter().zip(&columns[1..]).zip(&columns[2..]);
+    for (px, ((&l, &m), &r)) in out[start..].iter_mut().zip(triples) {
+        store(px, combine(l, m, r));
+    }
+}
+
+/// One row of a pointwise inter kernel, for [`InterOp::apply_row`]
+/// overrides: for each pair `(a[i], b[i])`, `value` is the kernel's
+/// output value, which `store` writes into the output channels of a copy
+/// of `a[i]` before it is appended to `out`. Every other channel keeps
+/// `a[i]`'s value, as the provided row body's channel merge does.
+///
+/// Unlike [`sweep_3x3`], this does not append `a` first and store into
+/// it afterwards. An inter row is a whole frame, and on a 2-vCPU x86-64
+/// host that two-pass form ran the `engine_detailed` benchmark (CIF
+/// `AbsDiff`) about 9 % slower than this one-pass form, while it ran
+/// `surveillance` (QCIF `ChangeMask`) only about 3 % faster; appending
+/// in 1024-pixel pieces kept that gain but not the CIF speed.
+///
+/// # Panics
+///
+/// Panics when `a` and `b` differ in length.
+pub(crate) fn zip_rows<V>(
+    a: &[Pixel],
+    b: &[Pixel],
+    out: &mut Vec<Pixel>,
+    value: impl Fn(&Pixel, &Pixel) -> V,
+    store: impl Fn(&mut Pixel, V),
+) {
+    assert_eq!(a.len(), b.len(), "inter rows differ in length");
+    out.extend(a.iter().zip(b).map(|(pa, pb)| {
+        let mut px = *pa;
+        store(&mut px, value(pa, pb));
+        px
+    }));
 }
 
 impl<T: InterOp + ?Sized> InterOp for &T {

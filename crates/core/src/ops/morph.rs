@@ -226,10 +226,8 @@ impl IntraOp for AlphaMajority {
             lines,
             out,
             |a, b, c| u8::from(a.alpha != 0) + u8::from(b.alpha != 0) + u8::from(c.alpha != 0),
-            |mut px, l, m, r| {
-                px.alpha = u16::from(2 * (l + m + r) > 9);
-                px
-            },
+            |l, m, r| 2 * (l + m + r) > 9,
+            |px, set| px.alpha = u16::from(set),
         );
     }
 }

@@ -7,7 +7,8 @@
 //! `apply` the kernel, merge its output channels into the centre pixel —
 //! and the two must agree pixel for pixel, for every intra kernel the
 //! AddressLib ships, on frames narrower and shorter than the widest
-//! window and on one wider frame. Every frame comes twice: with seeded
+//! window and on one wider frame; the row overrides also on rows of every
+//! lane remainder up to a CIF row. Every frame comes twice: with seeded
 //! alpha, and with alpha 0 on about half the pixels, so alpha votes go
 //! both ways.
 //!
@@ -40,6 +41,10 @@ const DIMS: [(usize, usize); 6] = [(1, 1), (1, 9), (9, 1), (2, 2), (5, 3), (17, 
 /// clamped ends.
 const WIDE: (usize, usize) = (37, 5);
 
+/// Three-line frames whose rows leave every remainder a lane loop of 8,
+/// 16 or 32 pixels can leave behind its vector body, up to a CIF row.
+const LANES: [(usize, usize); 5] = [(15, 3), (16, 3), (17, 3), (33, 3), (352, 3)];
+
 /// xorshift64: a seeded stream of pixel bits.
 fn seeded_frame(dims: Dims, seed: u64) -> Frame {
     let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
@@ -61,16 +66,21 @@ fn binary_alpha_frame(dims: Dims, seed: u64) -> Frame {
     frame
 }
 
-/// Each of [`DIMS`] and [`WIDE`], with seeded and with binary alpha.
-fn frames() -> Vec<Frame> {
-    DIMS.iter()
-        .chain([&WIDE])
+/// Each of `sizes`, with seeded and with binary alpha.
+fn frames_of<'a>(sizes: impl IntoIterator<Item = &'a (usize, usize)>) -> Vec<Frame> {
+    sizes
+        .into_iter()
         .enumerate()
         .flat_map(|(i, &(w, h))| {
             let (dims, seed) = (Dims::new(w, h), 11 + i as u64);
             [seeded_frame(dims, seed), binary_alpha_frame(dims, seed)]
         })
         .collect()
+}
+
+/// Each of [`DIMS`] and [`WIDE`], with seeded and with binary alpha.
+fn frames() -> Vec<Frame> {
+    frames_of(DIMS.iter().chain([&WIDE]))
 }
 
 /// The per-pixel definition of a clamped intra call. Each window is
@@ -283,6 +293,19 @@ fn check_channel_contract(op: &impl IntraOp, frames: &[Frame]) {
 #[test]
 fn row_overrides_keep_the_channel_contract() {
     let frames = frames();
+    check_channel_contract(&SobelGradient::new(), &frames);
+    check_channel_contract(&CentralGradient::new(), &frames);
+    check_channel_contract(&Binomial3::new(), &frames);
+    check_channel_contract(&AlphaMajority::new(), &frames);
+}
+
+#[test]
+fn row_overrides_match_at_every_lane_remainder() {
+    let frames = frames_of(&LANES);
+    check(&SobelGradient::new(), &frames);
+    check(&CentralGradient::new(), &frames);
+    check(&Binomial3::new(), &frames);
+    check(&AlphaMajority::new(), &frames);
     check_channel_contract(&SobelGradient::new(), &frames);
     check_channel_contract(&CentralGradient::new(), &frames);
     check_channel_contract(&Binomial3::new(), &frames);

@@ -15,9 +15,9 @@
 //! with the unrounded samples; inliers are tagged in place in the alpha
 //! channel of the residual frame the backend returns; the
 //! `AlphaMajority` intra call cleans that mask; and the normal equations
-//! accumulate from the kept samples, on the stack, without warping
-//! again. The warped frame and the sample buffer are allocated once per
-//! pyramid level.
+//! accumulate from the kept samples and are solved, on the stack, without
+//! warping again. The warped frame and the sample buffer are allocated
+//! once per pyramid level.
 //!
 //! Both host passes share the per-row coordinate map `Motion::row`, so
 //! every estimate is bit-identical to the per-pixel [`Motion::apply`]
@@ -282,11 +282,11 @@ impl Estimator {
                         MotionModel::Perspective => self
                             .accumulate::<8>(ref_level, &grad, &mask, &warped, &samples, &motion),
                     };
-                let Some((delta, stats)) = step else { break };
+                let Some((stepped, stats)) = step else { break };
                 last_residual = stats.mean_residual;
                 last_inliers = stats.inlier_fraction;
-                motion = apply_delta(&motion, &delta, self.config.model);
-                if stats.mean_displacement(&delta) < self.config.epsilon {
+                motion = stepped;
+                if stats.displacement < self.config.epsilon {
                     break;
                 }
             }
@@ -323,8 +323,9 @@ impl Estimator {
 
     /// Accumulates one Gauss-Newton step over `NP` parameters (the
     /// model's count) from the iteration's warped frame and unrounded
-    /// samples, without warping again. Returns `None` when the system is
-    /// singular or no inliers survive.
+    /// samples, without warping again, and returns `motion` after the
+    /// step. The normal equations stay on the stack. Returns `None` when
+    /// the system is singular or no inliers survive.
     fn accumulate<const NP: usize>(
         &self,
         ref_level: &Frame,
@@ -333,7 +334,7 @@ impl Estimator {
         warped: &Frame,
         samples: &[f64],
         motion: &Motion,
-    ) -> Option<(Vec<f64>, StepStats)> {
+    ) -> Option<(Motion, StepStats)> {
         debug_assert_eq!(NP, self.config.model.parameter_count());
         let mut ata = [[0.0f64; NP]; NP];
         let mut atb = [0.0f64; NP];
@@ -403,13 +404,13 @@ impl Estimator {
             ata[i][i] *= 1.0 + 1e-4;
             ata[i][i] += 1e-9;
         }
-        let mut ata: Vec<Vec<f64>> = ata.iter().map(|row| row.to_vec()).collect();
         let delta = solve_linear(&mut ata, &mut atb)?;
         Some((
-            delta,
+            apply_delta(motion, &delta, self.config.model),
             StepStats {
                 mean_residual: resid_sum / n as f64,
                 inlier_fraction: n as f64 / considered.max(1) as f64,
+                displacement: mean_displacement(&delta),
             },
         ))
     }
@@ -427,25 +428,25 @@ pub(crate) fn modelled_ns(backend: &dyn GmeBackend) -> u64 {
 struct StepStats {
     mean_residual: f64,
     inlier_fraction: f64,
+    /// [`mean_displacement`] of the step's parameter delta.
+    displacement: f64,
 }
 
-impl StepStats {
-    /// Mean displacement induced by a parameter delta (rough: the
-    /// translation components dominate).
-    fn mean_displacement(&self, delta: &[f64]) -> f64 {
-        match delta.len() {
-            2 => (delta[0].powi(2) + delta[1].powi(2)).sqrt(),
-            6 => {
-                (delta[2].powi(2) + delta[5].powi(2)).sqrt()
-                    + 30.0 * (delta[0].abs() + delta[1].abs() + delta[3].abs() + delta[4].abs())
-            }
-            8 => {
-                (delta[2].powi(2) + delta[5].powi(2)).sqrt()
-                    + 30.0 * (delta[0].abs() + delta[1].abs() + delta[3].abs() + delta[4].abs())
-                    + 900.0 * (delta[6].abs() + delta[7].abs())
-            }
-            _ => f64::INFINITY,
+/// Mean displacement induced by a parameter delta (rough: the
+/// translation components dominate).
+fn mean_displacement(delta: &[f64]) -> f64 {
+    match delta.len() {
+        2 => (delta[0].powi(2) + delta[1].powi(2)).sqrt(),
+        6 => {
+            (delta[2].powi(2) + delta[5].powi(2)).sqrt()
+                + 30.0 * (delta[0].abs() + delta[1].abs() + delta[3].abs() + delta[4].abs())
         }
+        8 => {
+            (delta[2].powi(2) + delta[5].powi(2)).sqrt()
+                + 30.0 * (delta[0].abs() + delta[1].abs() + delta[3].abs() + delta[4].abs())
+                + 900.0 * (delta[6].abs() + delta[7].abs())
+        }
+        _ => f64::INFINITY,
     }
 }
 

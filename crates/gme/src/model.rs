@@ -322,19 +322,15 @@ impl fmt::Display for Motion {
     }
 }
 
-/// Solves the `n×n` linear system `A·x = b` in place by Gaussian
+/// Solves the `N×N` linear system `A·x = b` in place by Gaussian
 /// elimination with partial pivoting. Returns `None` for singular
 /// systems.
 #[must_use]
-pub fn solve_linear(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
-    let n = b.len();
-    for (row, cols) in a.iter().enumerate() {
-        debug_assert_eq!(cols.len(), n, "row {row} has wrong width");
-    }
+pub fn solve_linear<const N: usize>(a: &mut [[f64; N]; N], b: &mut [f64; N]) -> Option<[f64; N]> {
     #[allow(clippy::needless_range_loop)] // gaussian elimination indexes rows and columns
-    for col in 0..n {
+    for col in 0..N {
         // Pivot.
-        let pivot = (col..n).max_by(|&i, &j| {
+        let pivot = (col..N).max_by(|&i, &j| {
             a[i][col]
                 .abs()
                 .partial_cmp(&a[j][col].abs())
@@ -345,18 +341,18 @@ pub fn solve_linear(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
         }
         a.swap(col, pivot);
         b.swap(col, pivot);
-        for row in col + 1..n {
+        for row in col + 1..N {
             let f = a[row][col] / a[col][col];
-            for k in col..n {
+            for k in col..N {
                 a[row][k] -= f * a[col][k];
             }
             b[row] -= f * b[col];
         }
     }
-    let mut x = vec![0.0; n];
-    for col in (0..n).rev() {
+    let mut x = [0.0; N];
+    for col in (0..N).rev() {
         let mut acc = b[col];
-        for k in col + 1..n {
+        for k in col + 1..N {
             acc -= a[col][k] * x[k];
         }
         x[col] = acc / a[col][col];
@@ -528,8 +524,8 @@ mod tests {
 
     #[test]
     fn solve_linear_2x2() {
-        let mut a = vec![vec![2.0, 1.0], vec![1.0, 3.0]];
-        let mut b = vec![5.0, 10.0];
+        let mut a = [[2.0, 1.0], [1.0, 3.0]];
+        let mut b = [5.0, 10.0];
         let x = solve_linear(&mut a, &mut b).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
@@ -537,39 +533,35 @@ mod tests {
 
     #[test]
     fn solve_linear_needs_pivoting() {
-        let mut a = vec![vec![0.0, 1.0], vec![1.0, 0.0]];
-        let mut b = vec![2.0, 3.0];
+        let mut a = [[0.0, 1.0], [1.0, 0.0]];
+        let mut b = [2.0, 3.0];
         let x = solve_linear(&mut a, &mut b).unwrap();
-        assert_eq!(x, vec![3.0, 2.0]);
+        assert_eq!(x, [3.0, 2.0]);
     }
 
     #[test]
     fn solve_linear_singular() {
-        let mut a = vec![vec![1.0, 2.0], vec![2.0, 4.0]];
-        let mut b = vec![1.0, 2.0];
+        let mut a = [[1.0, 2.0], [2.0, 4.0]];
+        let mut b = [1.0, 2.0];
         assert!(solve_linear(&mut a, &mut b).is_none());
     }
 
     #[test]
     fn solve_linear_6x6_identityish() {
-        let n = 6;
-        let mut a: Vec<Vec<f64>> = (0..n)
-            .map(|i| (0..n).map(|j| if i == j { 2.0 } else { 0.1 }).collect())
-            .collect();
-        let expect: Vec<f64> = (0..n).map(|i| i as f64 - 2.5).collect();
-        let mut b: Vec<f64> = (0..n)
-            .map(|i| {
-                (0..n)
-                    .map(|j| {
-                        if i == j {
-                            2.0 * expect[j]
-                        } else {
-                            0.1 * expect[j]
-                        }
-                    })
-                    .sum()
-            })
-            .collect();
+        let mut a: [[f64; 6]; 6] =
+            std::array::from_fn(|i| std::array::from_fn(|j| if i == j { 2.0 } else { 0.1 }));
+        let expect: [f64; 6] = std::array::from_fn(|i| i as f64 - 2.5);
+        let mut b: [f64; 6] = std::array::from_fn(|i| {
+            (0..6)
+                .map(|j| {
+                    if i == j {
+                        2.0 * expect[j]
+                    } else {
+                        0.1 * expect[j]
+                    }
+                })
+                .sum()
+        });
         let x = solve_linear(&mut a, &mut b).unwrap();
         for (xi, ei) in x.iter().zip(&expect) {
             assert!((xi - ei).abs() < 1e-9);

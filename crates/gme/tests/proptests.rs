@@ -145,16 +145,13 @@ fn displacement_error_is_a_metric_ish() {
 fn solve_linear_recovers_solution() {
     check(|rng| {
         // Build a diagonally dominant 3×3 system (always solvable).
-        let mut a: Vec<Vec<f64>> = (0..3)
-            .map(|_| (0..3).map(|_| rng.uniform(-3.0, 3.0)).collect())
-            .collect();
+        let mut a: [[f64; 3]; 3] =
+            std::array::from_fn(|_| std::array::from_fn(|_| rng.uniform(-3.0, 3.0)));
         for (i, row) in a.iter_mut().enumerate() {
             row[i] += 10.0;
         }
         let x: [f64; 3] = std::array::from_fn(|_| rng.uniform(-5.0, 5.0));
-        let mut b: Vec<f64> = (0..3)
-            .map(|i| (0..3).map(|j| a[i][j] * x[j]).sum())
-            .collect();
+        let mut b: [f64; 3] = std::array::from_fn(|i| (0..3).map(|j| a[i][j] * x[j]).sum());
         let solved = solve_linear(&mut a, &mut b).expect("diagonally dominant");
         for (s, e) in solved.iter().zip(&x) {
             assert!((s - e).abs() < 1e-6, "{} vs {}", s, e);

@@ -5,7 +5,10 @@
 # intra/inter/GME utilization reports and Chrome traces (kept in
 # target/observability; the intra/inter/GME text reports and the
 # vipctl segment summary are diffed against tests/golden), a perfbench
-# smoke run, and clippy (perfbench, and the workspace with every
+# smoke run (every workload untraced, then engine_detailed and
+# surveillance traced, so the per-layer metrics that explain their
+# kernel timings — engine.intra_us_p50, engine.inter_us_p50,
+# core.segment_ns_per_px — come from a run on every verify), and clippy (perfbench, and the workspace with every
 # feature enabled, so a feature that cannot build fails here) and
 # rustdoc with warnings denied. This is exactly what CI runs; run it
 # before pushing.
@@ -68,6 +71,7 @@ for workload in gme_clip gme_batch engine_detailed surveillance; do
     perfbench --workload "$workload" --trace 0
 done
 perfbench --workload engine_detailed --trace 1
+perfbench --workload surveillance --trace 1
 
 echo "==> cargo clippy on perfbench (deny warnings)"
 cargo clippy --offline --all-targets --manifest-path perfbench/Cargo.toml -- -D warnings
